@@ -276,9 +276,7 @@ let predict_cmd =
           prerr_endline "estima_cli predict: a WORKLOAD name or --from FILE.csv is required";
           exit 2
     in
-    let config =
-      Config.make ~include_software ~measured_on:measure_machine ~target ?jobs ?trace ()
-    in
+    let config = Config.make ~include_software ~measured_on:measure_machine ~target ?trace () in
     let result, rendered_trace =
       Api.predict_traced ~config ~series ~target_max:(Topology.cores target) ()
     in
@@ -389,7 +387,7 @@ let bottleneck_cmd =
     let measure_machine = restrict target (Some (Option.value ~default:1 sockets)) in
     let max_threads = Option.value ~default:(Topology.cores measure_machine) window in
     let series = collect_series ~entry ~machine:measure_machine ~max_threads ~seed ~repetitions:reps in
-    let config = Config.make ~include_software:true ?jobs ?trace () in
+    let config = Config.make ~include_software:true ?trace () in
     let result, rendered_trace =
       Api.predict_traced ~config ~series ~target_max:(Topology.cores target) ()
     in

@@ -61,14 +61,12 @@ let attach_software = Ingest.attach_software
 let load_report = Ingest.load_report
 
 let predict ?(config = Config.default) ~series ~target_max () =
-  Config.apply_jobs config;
   Predictor.predict ~config:(Config.predictor config) ~series ~target_max ()
 
 let predict_traced ?(config = Config.default) ~series ~target_max () =
   match config.Config.trace with
   | None -> (predict ~config ~series ~target_max (), None)
   | Some format ->
-      Config.apply_jobs config;
       let recorder = Estima_obs.Recorder.create () in
       let result =
         Estima_obs.Recorder.record recorder (fun () ->

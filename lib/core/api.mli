@@ -122,10 +122,10 @@ val predict :
   target_max:int ->
   unit ->
   (Prediction.t, Diag.t) result
-(** Run the staged pipeline under [config] (default {!Config.default}).
-    Applies the config's [jobs] knob, then delegates to
-    {!Predictor.predict}; never raises — see {!Diag} for the failure
-    vocabulary. *)
+(** Run the staged pipeline under [config] (default {!Config.default})
+    by delegating to {!Predictor.predict}; never raises — see {!Diag} for
+    the failure vocabulary.  The fan-out width is the process-wide
+    {!Estima_par.Fanout} knob. *)
 
 val predict_traced :
   ?config:Config.t ->
@@ -137,7 +137,8 @@ val predict_traced :
     pipeline runs under a recorder and the rendered audit trace (text or
     JSON, per [fmt]) is returned alongside the result — also when the
     pipeline fails, which is exactly when the trace explains the most.
-    With [config.trace = None] this is [predict] paired with [None]. *)
+    The traced pipeline runs on the calling domain.  With
+    [config.trace = None] this is [predict] paired with [None]. *)
 
 val predict_with_confidence :
   ?config:Config.t ->

@@ -10,7 +10,6 @@ type t = {
   include_frontend : bool;
   frequency_scale : float;
   dataset_factor : float;
-  jobs : int option;
   trace : trace_format option;
 }
 
@@ -23,14 +22,13 @@ let default =
     include_frontend = false;
     frequency_scale = 1.0;
     dataset_factor = 1.0;
-    jobs = None;
     trace = None;
   }
 
 let make ?(checkpoints = default.checkpoints) ?(min_prefix = default.min_prefix)
     ?(kernels = default.kernels) ?(include_software = default.include_software)
     ?(include_frontend = default.include_frontend) ?frequency_scale
-    ?(dataset_factor = default.dataset_factor) ?measured_on ?target ?jobs ?trace () =
+    ?(dataset_factor = default.dataset_factor) ?measured_on ?target ?trace () =
   let frequency_scale =
     match (frequency_scale, measured_on, target) with
     | Some s, _, _ -> s
@@ -45,7 +43,6 @@ let make ?(checkpoints = default.checkpoints) ?(min_prefix = default.min_prefix)
     include_frontend;
     frequency_scale;
     dataset_factor;
-    jobs;
     trace;
   }
 
@@ -61,8 +58,6 @@ let predictor t =
     dataset_factor = t.dataset_factor;
   }
 
-let apply_jobs t = match t.jobs with None -> () | Some n -> Estima_par.Fanout.set_jobs (Some n)
-
 let validate t =
   let bad what = Diag.error ~stage:Diag.Collect ~subject:"config" (Diag.Bad_config { what }) in
   if t.checkpoints <= 0 then bad (Printf.sprintf "checkpoints = %d (need > 0)" t.checkpoints)
@@ -71,10 +66,7 @@ let validate t =
     bad (Printf.sprintf "frequency_scale = %g (need > 0)" t.frequency_scale)
   else if t.dataset_factor <= 0.0 then
     bad (Printf.sprintf "dataset_factor = %g (need > 0)" t.dataset_factor)
-  else
-    match t.jobs with
-    | Some n when n < 1 -> bad (Printf.sprintf "jobs = %d (need >= 1)" n)
-    | _ -> Ok ()
+  else Ok ()
 
 (* Shared command-line vocabulary.  estima_cli, estima_serve and
    bench/main.exe all accept --jobs/--store (and the CLI --trace,
@@ -130,7 +122,7 @@ module Args = struct
       & opt ~vopt:(Some Text) (some fmt) None
       & info [ "trace" ] ~docv:"FORMAT"
           ~doc:
-            "Record a fit-selection audit trace and print it after the prediction: every (kernel,            prefix) candidate with the gate that rejected it (realism, growth cap, slope,            tie-break), the tie-break decisions, per-stage timings and counters.  $(docv) is            $(b,text) (default) or $(b,json).  Tracing never changes the predictions.")
+            "Record a fit-selection audit trace and print it after the prediction: every (kernel,            prefix) candidate with the gate that rejected it (realism, growth cap, slope,            tie-break), the tie-break decisions, per-stage timings and counters.  $(docv) is            $(b,text) (default) or $(b,json).  Tracing never changes the predictions; a traced            run uses one domain whatever $(b,--jobs) says.")
 
   let window =
     Arg.(
@@ -192,9 +184,9 @@ module Args = struct
     extract_value ~names:[ "--store" ] ~missing:fail args
 end
 
-(* The fields that decide the numbers, and nothing else: jobs and trace
-   are observationally neutral by the Fanout/Trace contracts, so two
-   configs differing only there must hash to the same cache key. *)
+(* The fields that decide the numbers, and nothing else: trace is
+   observationally neutral by the Trace contract, so two configs
+   differing only there must hash to the same cache key. *)
 let fingerprint t =
   Printf.sprintf "estima-config-v1 c=%d p=%d k=%s sw=%b fe=%b fs=%.17g df=%.17g" t.checkpoints
     t.min_prefix

@@ -3,12 +3,15 @@
     Before this module, tuning a prediction meant threading loose optional
     arguments through several modules: [?config:Approximation.config]
     (checkpoint count, minimum prefix), [?config:Predictor.config]
-    (software stalls, frontend, frequency and dataset scaling), the
-    process-wide [--jobs]/[ESTIMA_JOBS] knob of {!Estima_par.Fanout}, and
-    the CLI-only [--trace] flag.  [Config.t] gathers every one of them:
+    (software stalls, frontend, frequency and dataset scaling) and the
+    CLI-only [--trace] flag.  [Config.t] gathers every one of them:
     {!Estima.Api} accepts it directly, and both [estima_cli] and
     [estima_serve] build it through {!make} — one construction site, so
-    the two binaries cannot drift apart on defaults. *)
+    the two binaries cannot drift apart on defaults.
+
+    The fan-out width is not a field: it is the process-wide knob of
+    {!Estima_par.Fanout}, which each binary pins once from [--jobs]
+    ({!Args.apply_jobs}) and which never changes the numbers. *)
 
 open Estima_kernels
 
@@ -25,20 +28,17 @@ type t = {
       (** Multiplier applied to measured times when the target machine has
           a different clock; 1.0 for same-machine predictions. *)
   dataset_factor : float;  (** Weak-scaling dataset growth (Section 4.5); 1.0 = strong. *)
-  jobs : int option;
-      (** Fit-search domains: [Some n] pins {!Estima_par.Fanout.set_jobs};
-          [None] leaves the [ESTIMA_JOBS] environment default in force.
-          Never changes the numbers — parallel runs are byte-identical. *)
   trace : trace_format option;
       (** [Some fmt] records a fit-selection audit trace during
           {!Api.predict_traced} and renders it in [fmt]; [None] (default)
-          costs nothing.  Tracing never changes the predictions. *)
+          costs nothing.  Tracing never changes the predictions; a traced
+          prediction runs on one domain whatever the jobs setting. *)
 }
 
 val default : t
 (** Paper defaults: 4 checkpoints, prefixes from 3, the full Table 1
-    kernel set, hardware counters only, same-machine strong scaling, the
-    environment jobs default, no trace. *)
+    kernel set, hardware counters only, same-machine strong scaling, no
+    trace. *)
 
 val make :
   ?checkpoints:int ->
@@ -50,7 +50,6 @@ val make :
   ?dataset_factor:float ->
   ?measured_on:Estima_machine.Topology.t ->
   ?target:Estima_machine.Topology.t ->
-  ?jobs:int ->
   ?trace:trace_format ->
   unit ->
   t
@@ -66,16 +65,11 @@ val approximation : t -> Approximation.config
 val predictor : t -> Predictor.config
 (** The full pipeline slice of the record. *)
 
-val apply_jobs : t -> unit
-(** Pin the process-wide fan-out width when [jobs] is [Some n]
-    ({!Estima_par.Fanout.set_jobs}); a no-op when [None].  Main-domain
-    knob, like [set_jobs] itself. *)
-
 val validate : t -> (unit, Diag.t) result
-(** Structural sanity: positive scales, [checkpoints > 0],
-    [min_prefix >= 2], [jobs >= 1].  The pipeline re-checks what it
-    consumes; this exists so services can reject a bad configuration at
-    admission time with a typed {!Diag.t}. *)
+(** Structural sanity: positive scales, [checkpoints > 0] and
+    [min_prefix >= 2].  The pipeline re-checks what it consumes; this
+    exists so services can reject a bad configuration at admission time
+    with a typed {!Diag.t}. *)
 
 (** The shared command-line vocabulary of the three binaries.
 
@@ -124,7 +118,7 @@ end
 
 val fingerprint : t -> string
 (** Canonical one-line rendering of every field that can change the
-    numbers — deliberately excluding [jobs] and [trace], which are
-    guaranteed observationally neutral.  The service's result cache keys
-    on this, so a cache hit can never return numbers a different config
-    would have produced, while jobs/trace settings share entries. *)
+    numbers — deliberately excluding [trace], which is guaranteed
+    observationally neutral.  The service's result cache keys on this, so
+    a cache hit can never return numbers a different config would have
+    produced, while trace settings share entries. *)

@@ -66,33 +66,25 @@ let fit (kernel : Kernel.t) ~xs ~ys =
     else begin
       let objective = Kernel.residual_objective kernel ~xs ~ys:ys_norm in
       let best = ref None in
-      (* Starts are ranked in submission order: a later start must beat
-         the incumbent strictly, so the parallel fan-out (which folds the
-         results in that same order) picks the exact same optimum as the
-         sequential loop. *)
-      let consider params cost converged =
-        match !best with
-        | Some (_, best_cost, _) when best_cost <= cost -> ()
-        | _ -> best := Some (params, cost, converged)
-      in
-      Estima_par.Fanout.map_consume (Array.of_list guesses)
-        ~f:(fun init ->
-          let r0 = objective.Lm.residual init in
-          if Vec.all_finite r0 then begin
+      (* Starts are ranked in guess order: a later start must beat the
+         incumbent strictly, so a tie keeps the earlier guess. *)
+      List.iter
+        (fun init ->
+          if Vec.all_finite (objective.Lm.residual init) then
             match Lm.minimize objective ~init with
-            | result -> Some (result.Lm.params, result.Lm.cost, result.Lm.outcome = Lm.Converged)
-            | exception Invalid_argument _ -> None
-          end
-          else None)
-        ~consume:(function
-          | Some (params, cost, converged) -> consider params cost converged
-          | None -> ());
+            | r -> (
+                match !best with
+                | Some b when b.Lm.cost <= r.Lm.cost -> ()
+                | _ -> best := Some r)
+            | exception Invalid_argument _ -> ())
+        guesses;
       match !best with
       | None ->
           trace_attempt kernel ~npoints Trace.Diverged;
           None
-      | Some (params, _, lm_converged) ->
-          let result = make_fitted kernel params ~y_scale ~xs ~ys in
+      | Some r ->
+          let result = make_fitted kernel r.Lm.params ~y_scale ~xs ~ys in
+          let lm_converged = r.Lm.outcome = Lm.Converged in
           trace_attempt kernel ~npoints (status_of_result ~lm_converged result);
           result
     end

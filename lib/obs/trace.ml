@@ -73,15 +73,12 @@ let factor_subject = "scaling-factor"
 
 let default_clock () = Int64.of_float (Sys.time () *. 1e9)
 
-(* All trace state is domain-local.  The pipeline used to be strictly
-   sequential and kept this in plain refs; with the domain pool
-   (Estima_par) fitting candidates concurrently, each worker domain now
-   carries its own sink, sequence counter and span stack.  A fresh domain
-   starts with tracing disabled; the parallel fan-out installs a tape sink
-   per task and replays the tapes into the submitting domain's sink in
-   submission order, which is what keeps traces byte-identical to the
-   sequential pipeline.  The disabled-tracing cost is one DLS load and a
-   branch. *)
+(* All trace state is domain-local, so each domain carries its own sink,
+   sequence counter and span stack, and a fresh domain starts with
+   tracing disabled.  The parallel fan-out (Estima_par) runs every task
+   on the calling domain while a sink is installed, which is what keeps
+   traces byte-identical to the sequential pipeline.  The
+   disabled-tracing cost is one DLS load and a branch. *)
 type state = {
   mutable sink : sink option;
   mutable seq : int;
@@ -98,9 +95,9 @@ let enabled () = (state ()).sink <> None
 
 (* Installing an outermost sink restarts the sequence numbering: every
    top-level recording session sees events 1..n, so recording the same
-   computation twice — or once sequentially and once on the domain pool —
-   yields byte-identical traces.  Swapping sinks mid-session (e.g. the
-   recorder teeing into an outer sink) keeps the counter running. *)
+   computation twice — at any jobs setting — yields byte-identical
+   traces.  Swapping sinks mid-session (e.g. the recorder teeing into an
+   outer sink) keeps the counter running. *)
 let set_sink s =
   let st = state () in
   (match (st.sink, s) with None, Some _ -> st.seq <- 0 | _ -> ());
@@ -112,8 +109,6 @@ let span_path () = List.rev (state ()).spans
 
 let set_clock f = (state ()).clock <- f
 
-let current_clock () = (state ()).clock
-
 let emit payload =
   let st = state () in
   match st.sink with
@@ -122,43 +117,8 @@ let emit payload =
       st.seq <- st.seq + 1;
       s.on_event { seq = st.seq; at_ns = st.clock (); span = span_path (); payload }
 
-let emit_replayed ~at_ns ~span payload =
-  let st = state () in
-  match st.sink with
-  | None -> ()
-  | Some s ->
-      st.seq <- st.seq + 1;
-      s.on_event { seq = st.seq; at_ns; span; payload }
-
-let replay_span ~path ~elapsed_ns =
-  match (state ()).sink with None -> () | Some s -> s.on_span ~path ~elapsed_ns
-
 let incr ?(by = 1) name =
   match (state ()).sink with None -> () | Some s -> s.on_counter ~name ~by
-
-let with_fresh_state ~clock f =
-  let st = state () in
-  let saved_sink = st.sink
-  and saved_seq = st.seq
-  and saved_spans = st.spans
-  and saved_clock = st.clock in
-  st.sink <- None;
-  st.seq <- 0;
-  st.spans <- [];
-  st.clock <- clock;
-  let restore () =
-    st.sink <- saved_sink;
-    st.seq <- saved_seq;
-    st.spans <- saved_spans;
-    st.clock <- saved_clock
-  in
-  match f () with
-  | v ->
-      restore ();
-      v
-  | exception e ->
-      restore ();
-      raise e
 
 let with_span name f =
   let st = state () in

@@ -10,11 +10,9 @@
     All trace state (sink, sequence counter, span stack, clock) is
     domain-local: a freshly spawned domain starts with tracing disabled
     and an empty span stack.  The parallel fan-out ({!Estima_par.Fanout})
-    exploits this by recording each task's callbacks on a private tape in
-    the worker and replaying the tapes in submission order in the
-    submitting domain (via {!emit_replayed} and {!replay_span}), so a
-    traced parallel run produces the byte-identical event stream of the
-    sequential pipeline.
+    therefore runs every task on the calling domain while a sink is
+    installed, so a traced run at any jobs setting produces the
+    byte-identical event stream of the sequential pipeline.
 
     Instrumentation is zero-cost when no sink is installed: every
     instrumentation site guards on {!enabled}, which is a single
@@ -121,16 +119,6 @@ val current_sink : unit -> sink option
 val emit : payload -> unit
 (** Forwards to the installed sink; a no-op without one. *)
 
-val emit_replayed : at_ns:int64 -> span:string list -> payload -> unit
-(** Re-emit an event captured in a worker domain: the payload, timestamp
-    and span path are taken verbatim, but the sequence number is assigned
-    from the current domain's counter — exactly what [emit] would have
-    produced had the task run inline.  A no-op without a sink. *)
-
-val replay_span : path:string list -> elapsed_ns:int64 -> unit
-(** Forward a span closure captured in a worker domain to the current
-    domain's sink.  A no-op without a sink. *)
-
 val incr : ?by:int -> string -> unit
 (** Bump a named per-run counter; a no-op without a sink. *)
 
@@ -150,18 +138,5 @@ val set_clock : (unit -> int64) -> unit
     per-stage fit-search timing.  Deterministic tests install a constant
     clock so that traces compare byte-for-byte across jobs settings. *)
 
-val current_clock : unit -> unit -> int64
-(** The current domain's clock, so a parallel fan-out can hand it to its
-    worker domains (a fresh domain starts on the default clock). *)
-
 val default_clock : unit -> int64
 (** The [Sys.time]-derived default, for restoring after [set_clock]. *)
-
-val with_fresh_state : clock:(unit -> int64) -> (unit -> 'a) -> 'a
-(** [with_fresh_state ~clock f] runs [f] under a pristine trace state —
-    no sink, empty span stack, sequence counter at zero, the given clock
-    — and restores the previous state afterwards (also on raise).  The
-    parallel fan-out wraps every task in this so a task observes the
-    exact same trace environment whether it lands on a worker domain
-    (whose state is already fresh) or runs on the submitting domain
-    itself while it drives the pool. *)

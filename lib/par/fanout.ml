@@ -35,12 +35,16 @@ let shutdown () =
       shared_pool := None;
       Pool.shutdown p
 
-let pool ~size =
+(* A pool at least [width] wide serves any narrower fan-out: rebuilding
+   joins every worker domain and spawns new ones, so the pool is rebuilt
+   only to grow, or to shrink after the jobs knob was lowered below its
+   size. *)
+let pool ~width =
   match !shared_pool with
-  | Some p when Pool.size p = size -> p
+  | Some p when width <= Pool.size p && Pool.size p <= jobs () -> p
   | stale ->
       (match stale with Some p -> Pool.shutdown p | None -> ());
-      let p = Pool.create ~jobs:size in
+      let p = Pool.create ~jobs:width in
       shared_pool := Some p;
       if not !at_exit_registered then begin
         at_exit_registered := true;
@@ -48,79 +52,19 @@ let pool ~size =
       end;
       p
 
-(* ------------------------- trace tape capture ------------------------- *)
-
-(* One recorded sink callback.  A task's tape is replayed verbatim (and in
-   order) into the submitting domain's sink, so that a traced parallel
-   run emits the exact event stream of the sequential pipeline. *)
-type tape_entry =
-  | Tape_event of Trace.event
-  | Tape_span of { path : string list; elapsed_ns : int64 }
-  | Tape_counter of { name : string; by : int }
-
-(* Runs [f] under a tape sink on a pristine trace state (no inherited
-   span stack or sink), using the submitting domain's clock.  The fresh
-   state matters even though worker domains start fresh anyway: the
-   submitting domain also executes tasks itself while driving the pool,
-   and must not leak — or lose — its own sink and span stack doing so.
-   Never raises: failures are part of the returned outcome so the caller
-   can replay earlier tapes first. *)
-let capture ~clock f =
-  Trace.with_fresh_state ~clock (fun () ->
-      let entries = ref [] in
-      Trace.set_sink
-        (Some
-           {
-             Trace.on_event = (fun e -> entries := Tape_event e :: !entries);
-             on_span =
-               (fun ~path ~elapsed_ns -> entries := Tape_span { path; elapsed_ns } :: !entries);
-             on_counter = (fun ~name ~by -> entries := Tape_counter { name; by } :: !entries);
-           });
-      let outcome =
-        match f () with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      (outcome, List.rev !entries))
-
-let replay ~prefix entries =
-  List.iter
-    (fun entry ->
-      match entry with
-      | Tape_event e ->
-          Trace.emit_replayed ~at_ns:e.Trace.at_ns ~span:(prefix @ e.Trace.span) e.Trace.payload
-      | Tape_span { path; elapsed_ns } -> Trace.replay_span ~path:(prefix @ path) ~elapsed_ns
-      | Tape_counter { name; by } -> Trace.incr ~by name)
-    entries
-
 (* ------------------------------ fan-out ------------------------------- *)
-
-let sequential xs ~f ~consume = Array.iter (fun x -> consume (f x)) xs
 
 let map_consume xs ~f ~consume =
   (* Never more domains than tasks: the effective width is the jobs knob
-     clamped to the submitted work. *)
+     clamped to the submitted work.  A traced run stays on the calling
+     domain, whose sink, span stack and clock are domain-local. *)
   let width = min (jobs ()) (Array.length xs) in
-  if width <= 1 || Pool.in_task () then sequential xs ~f ~consume
-  else begin
-    let traced = Trace.enabled () in
-    let prefix = Trace.span_path () in
-    let clock = Trace.current_clock () in
-    let task x =
-      if traced then capture ~clock (fun () -> f x)
-      else
-        ( (match f x with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())),
-          [] )
-    in
-    let results = Pool.map (pool ~size:width) xs ~f:task in
+  if width <= 1 || Pool.in_task () || Trace.enabled () then
+    Array.iter (fun x -> consume (f x)) xs
+  else
     Array.iter
-      (fun (outcome, tape) ->
-        replay ~prefix tape;
-        match outcome with
-        | Ok v -> consume v
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-      results
-  end
+      (function Ok v -> consume v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      (Pool.run (pool ~width) xs ~f)
 
 let map xs ~f =
   let n = Array.length xs in

@@ -1,4 +1,4 @@
-(** Deterministic, trace-preserving parallel fan-out.
+(** Deterministic parallel fan-out.
 
     This is the layer the pipeline calls: it owns one process-wide
     {!Pool} sized by the jobs knob ([--jobs] on the executables,
@@ -7,19 +7,17 @@
     guarantees that a parallel run is observationally {e byte-identical}
     to the sequential one:
 
-    - results are consumed in submission order;
-    - each task runs under a private trace tape in its worker domain
-      (fresh domains have no sink), and the tapes are replayed into the
-      submitting domain's sink in submission order, re-sequenced and
-      re-prefixed with the submitting domain's span path — so recorders
-      and audits see the exact event stream of a sequential run;
-    - with [jobs = 1], from inside a pool task (nested fan-out), or on a
-      single-element input, tasks simply run inline in the current
-      domain: no pool, no tapes, no domains.
+    - results are consumed in submission order, in the calling domain;
+    - with [jobs = 1], from inside a pool task (nested fan-out), on a
+      single-element input, or while a trace sink is installed
+      ({!Estima_obs.Trace.enabled}), tasks simply run inline in the
+      calling domain: no pool, no domains.  Trace state is domain-local,
+      so a traced run on one domain emits the event stream, span paths
+      and counters of the sequential pipeline by construction.
 
-    If a task raises, the tapes (and [consume] effects) of every earlier
-    task are still delivered, then the failing task's tape is replayed
-    and its exception re-raised — the sequential observable behaviour. *)
+    If a task raises, [consume] still sees the result of every earlier
+    task, then the failing task's exception is re-raised with its
+    backtrace — the sequential observable behaviour. *)
 
 val jobs : unit -> int
 (** The effective jobs count: the last {!set_jobs} override if any,
@@ -30,8 +28,9 @@ val jobs : unit -> int
 val set_jobs : int option -> unit
 (** [set_jobs (Some n)] pins the jobs count ([n >= 1], else
     [Invalid_argument]); [set_jobs None] reverts to the [ESTIMA_JOBS]
-    environment default.  The shared pool is (re)built lazily on the next
-    fan-out.  Main-domain knob: do not call from inside tasks. *)
+    environment default.  The shared pool is rebuilt lazily, on the next
+    fan-out that needs more domains than it has or once the knob drops
+    below its size.  Main-domain knob: do not call from inside tasks. *)
 
 val map : 'a array -> f:('a -> 'b) -> 'b array
 (** Parallel [Array.map] with the guarantees above. *)
@@ -39,10 +38,9 @@ val map : 'a array -> f:('a -> 'b) -> 'b array
 val map_consume : 'a array -> f:('a -> 'b) -> consume:('b -> unit) -> unit
 (** [map_consume xs ~f ~consume] runs [f] on every element (in parallel
     when enabled) and calls [consume] on the results {e sequentially, in
-    submission order, in the calling domain}, each immediately after that
-    task's trace tape has been replayed.  This is what lets a selection
-    loop keep emitting incumbent-dependent trace events interleaved with
-    the candidates' own events exactly as in a sequential run. *)
+    submission order, in the calling domain}.  This is what lets a
+    selection loop keep its incumbent-dependent decisions in the order
+    of a sequential run. *)
 
 val shutdown : unit -> unit
 (** Shut down the shared pool (it is rebuilt on demand).  Called

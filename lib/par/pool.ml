@@ -24,7 +24,7 @@ type t = {
 }
 
 (* True while this domain is executing a pool task — covers worker
-   domains and the caller running jobs inline.  Raw [map] refuses to nest
+   domains and the caller running jobs inline.  Raw [run] refuses to nest
    (a fixed pool can deadlock on itself); [Fanout] checks this flag and
    degrades to sequential execution instead. *)
 let in_task_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
@@ -79,11 +79,11 @@ let create ~jobs =
 let size t = t.jobs
 
 let nested_message =
-  "Estima_par.Pool.map: nested map inside a pool task would deadlock a fixed-size pool; use \
+  "Estima_par.Pool.run: nested run inside a pool task would deadlock a fixed-size pool; use \
    Estima_par.Fanout.map, which runs nested calls sequentially"
 
 let guard t =
-  if t.stopping then failwith "Estima_par.Pool.map: pool is shut down";
+  if t.stopping then failwith "Estima_par.Pool.run: pool is shut down";
   if in_task () then failwith nested_message
 
 (* The caller's side of a batch: run queued jobs (its own or anybody
@@ -139,14 +139,6 @@ let run t xs ~f =
     end;
     Array.map Option.get results
   end
-
-let map t xs ~f =
-  let results = run t xs ~f in
-  (* Sequential semantics for failures: the lowest-index error wins. *)
-  Array.iter
-    (function Error (e, bt) -> Printexc.raise_with_backtrace e bt | Ok _ -> ())
-    results;
-  Array.map (function Ok v -> v | Error _ -> assert false) results
 
 let shutdown t =
   Mutex.lock t.mutex;

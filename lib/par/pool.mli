@@ -4,7 +4,7 @@
     remaining runner: it executes queued tasks too while waiting, so
     [jobs] tasks make progress at once and a [jobs = 1] pool degrades to
     plain sequential execution with no domains spawned at all).  Domains
-    are spawned once at {!create} and reused across {!map} calls until
+    are spawned once at {!create} and reused across {!run} calls until
     {!shutdown}.
 
     Built on [Domain.spawn] only — no dependency beyond the stdlib. *)
@@ -18,28 +18,16 @@ val create : jobs:int -> t
 val size : t -> int
 (** The [jobs] the pool was created with. *)
 
-val map : t -> 'a array -> f:('a -> 'b) -> 'b array
-(** [map t xs ~f] applies [f] to every element, tasks running on up to
-    [size t] domains, and returns the results in submission order
-    ([result.(i)] corresponds to [xs.(i)] regardless of completion
-    order).  If one or more tasks raise, every task still runs to
-    completion and the exception of the {e lowest-index} failing task is
-    re-raised here with its backtrace — the pool stays usable.  An empty
-    input returns [[||]] without touching the queue.
-
-    Calling [map] from inside a task of any pool raises [Failure] with a
-    descriptive message: the fixed-size pool cannot nest without risking
-    deadlock.  Use {!Fanout.map}, which detects nesting and degrades to
-    sequential execution instead. *)
-
 val run :
   t -> 'a array -> f:('a -> 'b) -> ('b, exn * Printexc.raw_backtrace) result array
-(** Like {!map} but never raises on task failure: each slot carries its
-    task's outcome.  This is the primitive {!Fanout} builds on so that
-    trace tapes of tasks preceding a failure can still be replayed.
+(** [run t xs ~f] applies [f] to every element, tasks running on up to
+    [size t] domains, and never raises on task failure: each slot carries
+    its task's outcome.  An empty input returns [[||]] without touching
+    the queue.
 
-    The outcome contract, which fault-isolated callers (the prediction
-    service's per-request crash containment) rely on:
+    The outcome contract, which {!Fanout} (consuming a failure's prefix
+    before re-raising it) and the prediction service's per-request crash
+    containment rely on:
 
     - [result.(i)] corresponds to [xs.(i)] in submission order, whatever
       order tasks completed in;
@@ -51,13 +39,18 @@ val run :
     - one task failing affects {e only its own slot}: every other task
       still runs to completion and reports its own outcome;
     - the pool itself is unharmed by task failures — no worker domain
-      exits, and the next {!run}/{!map} on the same pool behaves
-      identically to one on a fresh pool. *)
+      exits, and the next {!run} on the same pool behaves identically to
+      one on a fresh pool.
+
+    Calling [run] from inside a task of any pool raises [Failure] with a
+    descriptive message: the fixed-size pool cannot nest without risking
+    deadlock.  Use {!Fanout.map}, which detects nesting and degrades to
+    sequential execution instead. *)
 
 val in_task : unit -> bool
 (** [true] while the current domain is executing a pool task (covers both
     worker domains and the calling domain running tasks inline). *)
 
 val shutdown : t -> unit
-(** Signal the workers to exit and join them.  Idempotent.  [map] after
+(** Signal the workers to exit and join them.  Idempotent.  [run] after
     [shutdown] raises [Failure]. *)

@@ -128,10 +128,11 @@ let write_inputs ~dir sources =
 
 (* The Api surface, configured exactly as `estima_cli predict --from`
    configures itself: default knobs (hardware counters only) plus the
-   machine pair and the jobs override. *)
+   machine pair, with the jobs override pinned as --jobs pins it. *)
 let api_text ~jobs ~path (source : Backtest.source) =
   let measured_on, target = resolve source.Backtest.protocol in
-  let config = Estima.Config.make ~measured_on ~target ~jobs () in
+  let config = Estima.Config.make ~measured_on ~target () in
+  Estima_par.Fanout.set_jobs (Some jobs);
   match Estima.Api.load_series ~machine:measured_on path with
   | Error d -> Error (Printf.sprintf "api ingest: %s" (Estima.Diag.render d))
   | Ok series -> (

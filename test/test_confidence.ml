@@ -35,12 +35,19 @@ let ok_or_fail what = function
 (* One cached series per process: every test perturbs the same window. *)
 let series = lazy (collect (entry "kmeans").Suite.spec)
 
-let config ?jobs () = Config.make ~measured_on:opteron1s ~target:Machines.opteron48 ?jobs ()
+let config () = Config.make ~measured_on:opteron1s ~target:Machines.opteron48 ()
 
-let estimate ?(resamples = 20) ?level ?seed ?residual_scale ?jobs () =
+let estimate ?(resamples = 20) ?level ?seed ?residual_scale () =
   ok_or_fail "predict_with_confidence"
-    (Api.predict_with_confidence ~config:(config ?jobs ()) ~resamples ?level ?seed
-       ?residual_scale ~series:(Lazy.force series) ~target_max:48 ())
+    (Api.predict_with_confidence ~config:(config ()) ~resamples ?level ?seed ?residual_scale
+       ~series:(Lazy.force series) ~target_max:48 ())
+
+(* Pin the fan-out width for the duration of [f], restoring the
+   environment default afterwards. *)
+let with_jobs n f =
+  Fun.protect ~finally:(fun () -> Estima_par.Fanout.set_jobs None) (fun () ->
+      Estima_par.Fanout.set_jobs (Some n);
+      f ())
 
 (* Bitwise equality: the determinism contract is byte-identity of the
    rendered output, so float comparison must be exact, not epsilon. *)
@@ -54,10 +61,10 @@ let bits c =
     c.Api.Confidence.verdict )
 
 let test_deterministic_across_jobs () =
-  let _, c1 = estimate ~jobs:1 () in
-  let _, c4 = estimate ~jobs:4 () in
+  let _, c1 = with_jobs 1 (fun () -> estimate ()) in
+  let _, c4 = with_jobs 4 (fun () -> estimate ()) in
   if bits c1 <> bits c4 then Alcotest.fail "bands differ between --jobs 1 and --jobs 4";
-  let _, c1' = estimate ~jobs:1 () in
+  let _, c1' = with_jobs 1 (fun () -> estimate ()) in
   if bits c1 <> bits c1' then Alcotest.fail "bands differ between identical runs"
 
 let test_band_shape () =

@@ -1,7 +1,8 @@
 (* Tests for the domain-parallel fan-out: pool mechanics (ordering,
-   exceptions, reuse, nesting) and the headline guarantee that a parallel
-   run is byte-identical to the sequential pipeline — predictions, trace
-   JSON and repro output alike. *)
+   exceptions, reuse, nesting), when a fan-out runs inline, and the
+   headline guarantee that a parallel run is byte-identical to the
+   sequential pipeline — predictions, trace JSON and repro output
+   alike. *)
 
 open Estima_machine
 open Estima_workloads
@@ -60,86 +61,98 @@ let check_bitwise name a b =
 
 let summary p = Format.asprintf "%a" Predictor.pp_summary p
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  n = 0 || at 0
+
 (* ------------------------------------------------------------------ *)
 (* Pool mechanics                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let with_pool jobs f =
+  let pool = Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* The results of a [Pool.run] whose tasks must all succeed. *)
+let values outcomes =
+  Array.map
+    (function Ok v -> v | Error (e, _) -> Alcotest.failf "task raised %s" (Printexc.to_string e))
+    outcomes
+
 let test_pool_empty_and_singleton () =
-  let pool = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-      Alcotest.(check (array int)) "empty" [||] (Pool.map pool [||] ~f:(fun x -> x));
-      Alcotest.(check (array int)) "singleton" [| 14 |] (Pool.map pool [| 7 |] ~f:(fun x -> 2 * x)))
+  with_pool 4 (fun pool ->
+      Alcotest.(check (array int)) "empty" [||] (values (Pool.run pool [||] ~f:(fun x -> x)));
+      Alcotest.(check (array int)) "singleton" [| 14 |]
+        (values (Pool.run pool [| 7 |] ~f:(fun x -> 2 * x))))
 
 let test_pool_jobs1_sequential () =
-  let pool = Pool.create ~jobs:1 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+  with_pool 1 (fun pool ->
       Alcotest.(check int) "size 1" 1 (Pool.size pool);
       let order = ref [] in
       let out =
-        Pool.map pool [| 0; 1; 2; 3 |] ~f:(fun i ->
+        Pool.run pool [| 0; 1; 2; 3 |] ~f:(fun i ->
             order := i :: !order;
             i * i)
       in
-      Alcotest.(check (array int)) "results" [| 0; 1; 4; 9 |] out;
+      Alcotest.(check (array int)) "results" [| 0; 1; 4; 9 |] (values out);
       (* jobs = 1 runs inline, so execution order is submission order. *)
       Alcotest.(check (list int)) "inline order" [ 0; 1; 2; 3 ] (List.rev !order))
 
 exception Boom of int
 
 let test_pool_exception_and_reuse () =
-  let pool = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+  with_pool 4 (fun pool ->
       let xs = Array.init 16 (fun i -> i) in
-      (* Several tasks fail; the lowest-index failure must win. *)
-      (match
-         Pool.map pool xs ~f:(fun i ->
-             ignore (spin (15 - i));
-             if i >= 5 then raise (Boom i);
-             i)
-       with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 5 -> ()
-      | exception Boom i -> Alcotest.failf "lowest-index failure is 5, got Boom %d" i);
+      (* Several tasks fail; every slot still holds its own task's
+         outcome, in submission order. *)
+      let outcomes =
+        Pool.run pool xs ~f:(fun i ->
+            ignore (spin (15 - i));
+            if i >= 5 then raise (Boom i);
+            i)
+      in
+      Array.iteri
+        (fun i outcome ->
+          match outcome with
+          | Ok v when i < 5 && v = i -> ()
+          | Error (Boom j, _) when i >= 5 && j = i -> ()
+          | _ -> Alcotest.failf "slot %d holds another task's outcome" i)
+        outcomes;
       (* The pool survives task failures and stays usable. *)
-      let out = Pool.map pool xs ~f:(fun i -> i + 1) in
-      Alcotest.(check (array int)) "usable after exception" (Array.map (fun i -> i + 1) xs) out;
-      (* [run] reports per-task outcomes without raising. *)
-      let outcomes = Pool.run pool [| 0; 1; 2 |] ~f:(fun i -> if i = 1 then raise (Boom 1) else i) in
-      (match outcomes with
-      | [| Ok 0; Error (Boom 1, _); Ok 2 |] -> ()
-      | _ -> Alcotest.fail "run outcomes wrong"))
+      Alcotest.(check (array int)) "usable after exception" (Array.map (fun i -> i + 1) xs)
+        (values (Pool.run pool xs ~f:(fun i -> i + 1))))
 
-let test_pool_nested_map_raises () =
-  let pool = Pool.create ~jobs:2 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-      (match Pool.map pool [| 0; 1 |] ~f:(fun _ -> Pool.map pool [| 0 |] ~f:(fun x -> x)) with
-      | _ -> Alcotest.fail "nested map accepted"
-      | exception Failure _ -> ());
+let test_pool_nested_run_raises () =
+  with_pool 2 (fun pool ->
+      (match Pool.run pool [| 0; 1 |] ~f:(fun _ -> Pool.run pool [| 0 |] ~f:(fun x -> x)) with
+      | [| Error (Failure m0, _); Error (Failure m1, _) |]
+        when contains ~sub:"Pool.run" m0 && contains ~sub:"Pool.run" m1 -> ()
+      | _ -> Alcotest.fail "nested run accepted");
       (* ... and the failure did not wedge the pool. *)
       Alcotest.(check (array int)) "usable after nested failure" [| 1; 2 |]
-        (Pool.map pool [| 0; 1 |] ~f:(fun i -> i + 1)))
+        (values (Pool.run pool [| 0; 1 |] ~f:(fun i -> i + 1))))
 
 let test_pool_shutdown_idempotent () =
   let pool = Pool.create ~jobs:3 in
   Pool.shutdown pool;
   Pool.shutdown pool;
-  match Pool.map pool [| 1 |] ~f:(fun x -> x) with
-  | _ -> Alcotest.fail "map after shutdown accepted"
+  match Pool.run pool [| 1 |] ~f:(fun x -> x) with
+  | _ -> Alcotest.fail "run after shutdown accepted"
   | exception Failure _ -> ()
 
 let test_pool_ordering_random_durations =
-  QCheck.Test.make ~name:"pool map keeps submission order under random durations" ~count:30
+  QCheck.Test.make ~name:"pool run keeps submission order under random durations" ~count:30
     QCheck.(list_of_size Gen.(int_range 0 40) (int_range 0 20))
     (fun durations ->
       let xs = Array.of_list durations in
-      let pool = Pool.create ~jobs:4 in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+      with_pool 4 (fun pool ->
           let out =
-            Pool.map pool (Array.mapi (fun i d -> (i, d)) xs) ~f:(fun (i, d) ->
+            Pool.run pool (Array.mapi (fun i d -> (i, d)) xs) ~f:(fun (i, d) ->
                 ignore (spin d);
                 i)
           in
-          out = Array.init (Array.length xs) (fun i -> i)))
+          values out = Array.init (Array.length xs) (fun i -> i)))
 
 (* ------------------------------------------------------------------ *)
 (* Fanout: jobs knob and nesting                                       *)
@@ -207,6 +220,52 @@ let test_fanout_consume_order_and_exception () =
       Alcotest.(check (list int)) "prefix consumed before re-raise" [ 0; 1; 2; 3; 4 ]
         (List.rev !seen))
 
+(* The domain each task of a width-[n] fan-out ran on.  Every task
+   waits (up to a second) until all [n] have started, so on a pool of
+   exactly [n] runners each runner takes one task. *)
+let fanout_domains n =
+  let started = Atomic.make 0 in
+  Fanout.map (Array.make n ()) ~f:(fun () ->
+      Atomic.incr started;
+      let deadline = Unix.gettimeofday () +. 1.0 in
+      while Atomic.get started < n && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      (Domain.self () :> int))
+
+let test_fanout_keeps_pool () =
+  with_jobs 4 (fun () ->
+      let first = fanout_domains 4 in
+      (* A narrower fan-out, then one as wide as the first, both fit the
+         pool the first one left: no worker domain is replaced. *)
+      List.iter
+        (fun width ->
+          Array.iter
+            (fun id ->
+              if not (Array.mem id first) then
+                Alcotest.failf "width-%d fan-out ran on domain %d, spawned after the first fan-out"
+                  width id)
+            (fanout_domains width))
+        [ 2; 4 ])
+
+let test_fanout_traced_runs_inline () =
+  with_jobs 4 (fun () ->
+      let caller = (Domain.self () :> int) in
+      let domains () =
+        Fanout.map (Array.init 8 Fun.id) ~f:(fun _ ->
+            Unix.sleepf 0.005;
+            (Domain.self () :> int))
+      in
+      let traced = Estima_obs.Recorder.record (Estima_obs.Recorder.create ()) domains in
+      Array.iter
+        (fun id ->
+          if id <> caller then
+            Alcotest.failf "traced task ran on domain %d, not the calling domain %d" id caller)
+        traced;
+      let untraced = domains () in
+      Alcotest.(check bool) "untraced fan-out uses more than one domain" true
+        (Array.exists (fun id -> id <> untraced.(0)) untraced))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel == sequential                                 *)
 (* ------------------------------------------------------------------ *)
@@ -269,11 +328,6 @@ let test_repro_output_byte_identical () =
 (* Repro.All lookup                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
-
 let test_run_one_unknown_lists_all_ids () =
   match Estima_repro.All.run_one "NOPE" with
   | Ok () -> Alcotest.fail "unknown id accepted"
@@ -302,13 +356,16 @@ let suite =
     Alcotest.test_case "pool: jobs=1 runs inline sequentially" `Quick test_pool_jobs1_sequential;
     Alcotest.test_case "pool: lowest-index exception, then reusable" `Quick
       test_pool_exception_and_reuse;
-    Alcotest.test_case "pool: nested map raises, pool survives" `Quick test_pool_nested_map_raises;
+    Alcotest.test_case "pool: nested run raises, pool survives" `Quick test_pool_nested_run_raises;
     Alcotest.test_case "pool: shutdown is idempotent" `Quick test_pool_shutdown_idempotent;
     QCheck_alcotest.to_alcotest test_pool_ordering_random_durations;
     Alcotest.test_case "fanout: jobs knob (override, env, malformed)" `Quick test_jobs_knob;
     Alcotest.test_case "fanout: nested fan-out runs inline" `Quick test_fanout_nested_inlines;
     Alcotest.test_case "fanout: consume order and failure prefix" `Quick
       test_fanout_consume_order_and_exception;
+    Alcotest.test_case "fanout: narrower fan-outs reuse the pool" `Quick test_fanout_keeps_pool;
+    Alcotest.test_case "fanout: traced fan-out runs on the calling domain" `Quick
+      test_fanout_traced_runs_inline;
     Alcotest.test_case "determinism: predictions bitwise across jobs (all workloads)" `Slow
       test_predictions_byte_identical;
     Alcotest.test_case "determinism: trace JSON byte-identical across jobs" `Slow
