@@ -11,11 +11,26 @@ type t = {
 
 let applicable t ~npoints = npoints >= t.arity
 
+(* Plain loops: the polymorphic Array iterators and [Mat.init]'s
+   float-returning closure would box every entry. *)
 let residual_objective t ~xs ~ys =
-  if Array.length xs <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
-  let residual params = Array.mapi (fun i x -> t.eval params x -. ys.(i)) xs in
+  let m = Array.length xs in
+  if m <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
+  let residual params =
+    let r = Array.make m 0.0 in
+    for i = 0 to m - 1 do
+      r.(i) <- t.eval params xs.(i) -. ys.(i)
+    done;
+    r
+  in
   let jacobian params =
-    let grad_rows = Array.map (fun x -> t.gradient params x) xs in
-    Mat.init (Array.length xs) t.arity (fun i j -> grad_rows.(i).(j))
+    let jac = Mat.create m t.arity 0.0 in
+    for i = 0 to m - 1 do
+      let row = t.gradient params xs.(i) in
+      for j = 0 to t.arity - 1 do
+        Mat.set jac i j row.(j)
+      done
+    done;
+    jac
   in
   { Lm.residual; jacobian }

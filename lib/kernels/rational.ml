@@ -17,15 +17,17 @@ let eval ~num_degree ~den_degree params x =
   num /. den
 
 let gradient ~num_degree ~den_degree params x =
-  let arity = num_degree + den_degree + 1 in
   let num = horner params 0 num_degree x in
   let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
-  Vec.init arity (fun j ->
-      if j <= num_degree then Float.pow x (float_of_int j) /. den
-      else
-        let k = j - num_degree in
-        (* d/db_k of num/den = -num * x^k / den^2 *)
-        -.num *. Float.pow x (float_of_int k) /. (den *. den))
+  let g = Array.make (num_degree + den_degree + 1) 0.0 in
+  for j = 0 to num_degree do
+    g.(j) <- Float.pow x (float_of_int j) /. den
+  done;
+  for k = 1 to den_degree do
+    (* d/db_k of num/den = -num * x^k / den^2 *)
+    g.(num_degree + k) <- -.num *. Float.pow x (float_of_int k) /. (den *. den)
+  done;
+  g
 
 (* Linearised initial guess: multiply out the denominator,
      a0 + a1 x + ... - y b1 x - y b2 x^2 - ... = y

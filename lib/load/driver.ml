@@ -1,3 +1,4 @@
+module Clock = Estima_obs.Clock
 module Metrics = Estima_obs.Metrics
 module Wire = Estima_service.Wire
 
@@ -128,7 +129,7 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
   let mismatched = ref 0 in
   let mismatches = ref [] in
   let eof = ref false in
-  let start = Unix.gettimeofday () in
+  let start = Clock.now_s () in
   let send_due now =
     if !sent >= n then None
     else
@@ -138,7 +139,7 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
   in
   let consume_line line =
     let request, sent_at = Queue.pop pending in
-    Metrics.Histogram.observe hist (Unix.gettimeofday () -. sent_at);
+    Metrics.Histogram.observe hist (Clock.now_s () -. sent_at);
     incr received;
     if String.equal line request.Generator.expected then incr matched
     else begin
@@ -158,15 +159,15 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
   let deadline = ref (start +. timeout_s) in
   (try
      while (!sent < n || not (Queue.is_empty pending)) && not !eof do
-       let now = Unix.gettimeofday () in
+       let now = Clock.now_s () in
        if now > !deadline then raise Exit;
        (match send_due now with
        | Some wait when wait <= 0.0 ->
            let request = stream.(!sent) in
            write_all conn.outfd (Bytes.of_string (request.Generator.line ^ "\n"));
-           Queue.add (request, Unix.gettimeofday ()) pending;
+           Queue.add (request, Clock.now_s ()) pending;
            incr sent;
-           deadline := Unix.gettimeofday () +. timeout_s
+           deadline := Clock.now_s () +. timeout_s
        | due ->
            (* Nothing to send right now: wait for a response, but no
               longer than the next scheduled send or the deadline. *)
@@ -188,7 +189,7 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
                  (fun line ->
                    if not (Queue.is_empty pending) then begin
                      consume_line line;
-                     deadline := Unix.gettimeofday () +. timeout_s
+                     deadline := Clock.now_s () +. timeout_s
                    end)
                  lines
              end
@@ -213,7 +214,7 @@ let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.pl
   | _ -> ());
   let registry = Metrics.create () in
   let hist = Metrics.histogram registry "load_latency_seconds" in
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_s () in
   let domains =
     Array.mapi
       (fun client stream ->
@@ -224,7 +225,7 @@ let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.pl
       plan.Generator.streams
   in
   let results = Array.map Domain.join domains in
-  let elapsed_s = Unix.gettimeofday () -. started in
+  let elapsed_s = Clock.now_s () -. started in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   {
     sent = sum (fun r -> r.c_sent);
@@ -288,7 +289,7 @@ let spawn_tcp_server ?(wait_s = 10.0) ?(args = []) ~exe () =
   (* stderr goes to a file, not a pipe: nothing to drain, no deadlock if
      the server logs more than we read, and the listening line survives
      for the error message if the server dies at startup. *)
-  let deadline = Unix.gettimeofday () +. wait_s in
+  let deadline = Clock.now_s () +. wait_s in
   let rec wait () =
     let contents = try read_file stderr_path with Sys_error _ -> "" in
     match parse_listening_line contents with
@@ -301,7 +302,7 @@ let spawn_tcp_server ?(wait_s = 10.0) ?(args = []) ~exe () =
           failwith
             (Printf.sprintf "Driver.spawn_tcp_server: %s exited before listening; stderr: %s"
                exe contents)
-        else if Unix.gettimeofday () > deadline then begin
+        else if Clock.now_s () > deadline then begin
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
           ignore (Unix.waitpid [] pid);
           failwith
@@ -330,11 +331,11 @@ let stop_server ?(grace_s = 5.0) server =
      (try drain () with Unix.Unix_error _ -> ());
      try Unix.close fd with Unix.Unix_error _ -> ()
    with Unix.Unix_error _ | Invalid_argument _ -> ());
-  let deadline = Unix.gettimeofday () +. grace_s in
+  let deadline = Clock.now_s () +. grace_s in
   let rec wait () =
     let stopped, _ = Unix.waitpid [ Unix.WNOHANG ] server.pid in
     if stopped = 0 then
-      if Unix.gettimeofday () > deadline then begin
+      if Clock.now_s () > deadline then begin
         (try Unix.kill server.pid Sys.sigkill with Unix.Unix_error _ -> ());
         ignore (Unix.waitpid [] server.pid)
       end

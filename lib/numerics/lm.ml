@@ -29,35 +29,79 @@ let cost_of_residual r = 0.5 *. Vec.dot r r
 
 let lambda_ceiling = 1e12
 
+(* Every buffer one [minimize] call needs, allocated once per call so an
+   iteration allocates only what the objective returns.  Not shared between
+   calls, so concurrent fits need no locks. *)
+type workspace = {
+  m : int;  (** Residuals. *)
+  n : int;  (** Parameters. *)
+  stacked : float array;  (** (m+n) x n row-major [J; sqrt(lambda diag)]; QR leaves R in it. *)
+  rhs : float array;  (** [-r; 0], then Q^T of it. *)
+  reflector : float array;
+  diag : float array;  (** Column sums of squares of J: the Marquardt scaling. *)
+  grad : float array;  (** J^T r. *)
+  step : float array;
+  mutable params : float array;
+  mutable trial : float array;  (** Swapped with [params] when a step is accepted. *)
+}
+
+let workspace ~m ~n =
+  let buf k = Array.make k 0.0 in
+  {
+    m;
+    n;
+    stacked = buf ((m + n) * n);
+    rhs = buf (m + n);
+    reflector = buf (m + n);
+    diag = buf n;
+    grad = buf n;
+    step = buf n;
+    params = buf n;
+    trial = buf n;
+  }
+
+(* J^T r and the column scales, each a sum from 0.0 in row order. *)
+let gradient_and_scales ws jac residual =
+  for j = 0 to ws.n - 1 do
+    let g = ref 0.0 and d = ref 0.0 in
+    for i = 0 to ws.m - 1 do
+      let v = Mat.get jac i j in
+      g := !g +. (v *. residual.(i));
+      d := !d +. (v *. v)
+    done;
+    ws.grad.(j) <- !g;
+    (* Guard against zero columns: damp against unit scale instead. *)
+    ws.diag.(j) <- Float.max !d 1e-30
+  done
+
 (* Solve the damped normal equations (J^T J + lambda diag(J^T J)) p = -J^T r
-   via QR on the stacked system [J; sqrt(lambda) * sqrt(diag)] to avoid
-   forming J^T J explicitly. *)
-let solve_damped_step jac residual lambda =
-  let m = Mat.rows jac and n = Mat.cols jac in
-  let diag =
-    Array.init n (fun j ->
-        let acc = ref 0.0 in
-        for i = 0 to m - 1 do
-          let v = Mat.get jac i j in
-          acc := !acc +. (v *. v)
-        done;
-        (* Guard against zero columns: damp against unit scale instead. *)
-        Float.max !acc 1e-30)
-  in
-  let stacked =
-    Mat.init (m + n) n (fun i j ->
-        if i < m then Mat.get jac i j
-        else if i - m = j then sqrt (lambda *. diag.(j))
-        else 0.0)
-  in
-  let rhs = Array.init (m + n) (fun i -> if i < m then -.residual.(i) else 0.0) in
-  Qr.solve_least_squares stacked rhs
+   into [ws.step] via QR on the stacked system [J; sqrt(lambda) * sqrt(diag)]
+   to avoid forming J^T J explicitly.  The factorization destroys the
+   stacked system, so every call rebuilds it. *)
+let solve_damped_step ws jac residual lambda =
+  let m = ws.m and n = ws.n in
+  let a = ws.stacked in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      a.((i * n) + j) <- Mat.get jac i j
+    done;
+    ws.rhs.(i) <- -.residual.(i)
+  done;
+  Array.fill a (m * n) (n * n) 0.0;
+  for j = 0 to n - 1 do
+    a.(((m + j) * n) + j) <- sqrt (lambda *. ws.diag.(j));
+    ws.rhs.(m + j) <- 0.0
+  done;
+  Qr.solve_in_place ~rows:(m + n) ~cols:n a ws.rhs ~reflector:ws.reflector ws.step
 
 let minimize ?(options = default_options) objective ~init =
-  if Vec.dim init = 0 then invalid_arg "Lm.minimize: empty parameter vector";
+  let n = Vec.dim init in
+  if n = 0 then invalid_arg "Lm.minimize: empty parameter vector";
   let r0 = objective.residual init in
   if not (Vec.all_finite r0) then invalid_arg "Lm.minimize: non-finite residual at initial point";
-  let params = ref (Vec.copy init) in
+  let m = Vec.dim r0 in
+  let ws = workspace ~m ~n in
+  Array.blit init 0 ws.params 0 n;
   let residual = ref r0 in
   let cost = ref (cost_of_residual r0) in
   let lambda = ref options.initial_lambda in
@@ -66,33 +110,39 @@ let minimize ?(options = default_options) objective ~init =
   (try
      while !iterations < options.max_iterations do
        incr iterations;
-       let jac = objective.jacobian !params in
+       let jac = objective.jacobian ws.params in
        if not (Mat.all_finite jac) then begin
          outcome := Stalled;
          raise Exit
        end;
+       if Mat.rows jac <> m || Mat.cols jac <> n then invalid_arg "Lm.minimize: jacobian dimension mismatch";
+       gradient_and_scales ws jac !residual;
        (* Gradient convergence test. *)
-       let grad = Mat.mul_vec (Mat.transpose jac) !residual in
-       if Vec.norm_inf grad < options.tolerance_gradient then begin
+       if Vec.norm_inf ws.grad < options.tolerance_gradient then begin
          outcome := Converged;
          raise Exit
        end;
        (* Inner loop: grow lambda until a step is accepted. *)
        let accepted = ref false in
        while (not !accepted) && !lambda < lambda_ceiling do
-         match solve_damped_step jac !residual !lambda with
+         match solve_damped_step ws jac !residual !lambda with
          | exception Qr.Singular -> lambda := !lambda *. options.lambda_increase
-         | step ->
-             let trial = Vec.add !params step in
-             let trial_residual = objective.residual trial in
+         | () ->
+             for j = 0 to n - 1 do
+               ws.trial.(j) <- ws.params.(j) +. ws.step.(j)
+             done;
+             let trial_residual = objective.residual ws.trial in
+             if Vec.dim trial_residual <> m then invalid_arg "Lm.minimize: residual dimension mismatch";
              let trial_ok = Vec.all_finite trial_residual in
              let trial_cost = if trial_ok then cost_of_residual trial_residual else Float.infinity in
              if trial_ok && trial_cost < !cost then begin
                let step_small =
-                 Vec.norm2 step < options.tolerance_step *. (Vec.norm2 !params +. options.tolerance_step)
+                 Vec.norm2 ws.step < options.tolerance_step *. (Vec.norm2 ws.params +. options.tolerance_step)
                in
                let cost_small = !cost -. trial_cost < options.tolerance_cost *. Float.max !cost 1e-300 in
-               params := trial;
+               let previous = ws.params in
+               ws.params <- ws.trial;
+               ws.trial <- previous;
                residual := trial_residual;
                cost := trial_cost;
                lambda := Float.max (!lambda /. options.lambda_decrease) 1e-12;
@@ -110,7 +160,7 @@ let minimize ?(options = default_options) objective ~init =
        end
      done
    with Exit -> ());
-  { params = !params; cost = !cost; iterations = !iterations; outcome = !outcome }
+  { params = ws.params; cost = !cost; iterations = !iterations; outcome = !outcome }
 
 let finite_difference_jacobian residual p =
   let r0 = residual p in

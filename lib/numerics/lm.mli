@@ -8,7 +8,25 @@
 
     The Jacobian is supplied analytically by each kernel (see
     {!module:Estima_kernels.Kernel}); a finite-difference fallback is
-    provided for tests and ad-hoc models. *)
+    provided for tests and ad-hoc models.
+
+    Memory: each {!minimize} call allocates one workspace, about
+    [(m+n)*n + 2(m+n) + 5n] words for [m] residuals and [n] parameters
+    (the stacked damped system, its right-hand side, one Householder
+    reflector, the column scales, the gradient, the step and two parameter
+    buffers), and solves every damped step in it with
+    {!Qr.solve_in_place}.  After that an iteration allocates only what the
+    objective returns (one Jacobian, one residual per trial step), so the
+    allocation no longer grows with the work done per iteration.  The
+    workspace belongs to the call: parallel fits share nothing and need no
+    locks.
+
+    Bit-for-bit contract: every floating-point operation keeps its operands
+    and order (sums start from [0.0] and run in index order, no fused or
+    reassociated arithmetic).  The accepted steps decide which kernel wins
+    each fit, so a change in the last bit of a cost can change a printed
+    prediction; the goldens, the CLI/API/server differential and the
+    benchmark's output digest all rely on this. *)
 
 type objective = {
   residual : Vec.t -> Vec.t;  (** [residual p] returns [f(p, x_i) - y_i] for all i. *)
@@ -43,8 +61,9 @@ val minimize : ?options:options -> objective -> init:Vec.t -> result
 (** Runs the iteration from [init].  Non-finite residuals at a trial point
     are treated as a rejected step (damping increases), so kernels with
     poles inside the search region are handled gracefully.  Raises
-    [Invalid_argument] if [init] is empty or the residual at [init] is
-    non-finite. *)
+    [Invalid_argument] if [init] is empty, the residual at [init] is
+    non-finite, or the objective returns a residual or Jacobian whose
+    dimensions differ from those at [init]. *)
 
 val finite_difference_jacobian : (Vec.t -> Vec.t) -> Vec.t -> Mat.t
 (** Central-difference Jacobian, step [sqrt eps * max 1 |p_j|].  Useful for

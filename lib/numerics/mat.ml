@@ -25,8 +25,6 @@ let set m i j x =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then invalid_arg "Mat.set: out of bounds";
   m.data.((i * m.cols) + j) <- x
 
-let copy m = { m with data = Array.copy m.data }
-
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
 let of_arrays arr =
@@ -38,10 +36,6 @@ let of_arrays arr =
   init nrows ncols (fun i j -> arr.(i).(j))
 
 let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
-let row m i = Array.init m.cols (fun j -> get m i j)
-
-let col m j = Array.init m.rows (fun i -> get m i j)
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
@@ -63,29 +57,4 @@ let mul_vec a v =
       done;
       !acc)
 
-let add a b =
-  if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Mat.add: dimension mismatch";
-  init a.rows a.cols (fun i j -> get a i j +. get b i j)
-
-let scale s a = { a with data = Array.map (fun x -> s *. x) a.data }
-
-let add_diagonal a mu =
-  if a.rows <> a.cols then invalid_arg "Mat.add_diagonal: matrix must be square";
-  init a.rows a.cols (fun i j -> if i = j then get a i j +. mu else get a i j)
-
-let scale_diagonal a mu =
-  if a.rows <> a.cols then invalid_arg "Mat.scale_diagonal: matrix must be square";
-  init a.rows a.cols (fun i j -> if i = j then get a i j *. (1.0 +. mu) else get a i j)
-
-let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
-let all_finite m = Array.for_all Float.is_finite m.data
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "| ";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf ppf "%10.4g " (get m i j)
-    done;
-    Format.fprintf ppf "|@."
-  done
+let all_finite m = Vec.all_finite m.data

@@ -2,88 +2,91 @@ exception Singular
 
 let rank_tolerance = 1e-12
 
-(* Householder QR working on a mutable copy of [a] stored as arrays-of-rows.
-   After [factor], [r] holds R in its upper triangle and [vs] the reflector
-   vectors; [betas] the reflector scalars. *)
-let factor a =
-  let m = Mat.rows a and n = Mat.cols a in
-  let r = Mat.to_arrays a in
-  let vs = Array.make n [||] in
-  let betas = Array.make n 0.0 in
+(* Householder QR of the [rows × cols] row-major matrix [a], in place.  For
+   each column k the reflector is built in [v] and applied to the trailing
+   columns of [a] and, straight away, to [b]; on return the upper triangle
+   of [a] holds R and [b] holds Q^T b.  This is the library's only
+   factorization loop. *)
+let triangularize ~rows:m ~cols:n a b v =
   for k = 0 to min (m - 1) (n - 1) do
-    (* Build the Householder vector for column k, rows k..m-1. *)
     let len = m - k in
-    let x = Array.init len (fun i -> r.(k + i).(k)) in
-    let alpha = Vec.norm2 x in
-    let alpha = if x.(0) >= 0.0 then -.alpha else alpha in
-    let v = Array.copy x in
+    let sq = ref 0.0 in
+    for i = 0 to len - 1 do
+      let x = a.(((k + i) * n) + k) in
+      v.(i) <- x;
+      sq := !sq +. (x *. x)
+    done;
+    let alpha = sqrt !sq in
+    let alpha = if v.(0) >= 0.0 then -.alpha else alpha in
     v.(0) <- v.(0) -. alpha;
-    let vnorm2 = Vec.dot v v in
-    let beta = if vnorm2 <= 0.0 then 0.0 else 2.0 /. vnorm2 in
-    vs.(k) <- v;
-    betas.(k) <- beta;
-    if beta <> 0.0 then
-      (* Apply the reflector to the trailing submatrix. *)
+    let vnorm2 = ref 0.0 in
+    for i = 0 to len - 1 do
+      vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
+    done;
+    let beta = if !vnorm2 <= 0.0 then 0.0 else 2.0 /. !vnorm2 in
+    if beta <> 0.0 then begin
       for j = k to n - 1 do
         let dot = ref 0.0 in
         for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. r.(k + i).(j))
+          dot := !dot +. (v.(i) *. a.(((k + i) * n) + j))
         done;
         let s = beta *. !dot in
         for i = 0 to len - 1 do
-          r.(k + i).(j) <- r.(k + i).(j) -. (s *. v.(i))
+          let at = ((k + i) * n) + j in
+          a.(at) <- a.(at) -. (s *. v.(i))
         done
+      done;
+      let dot = ref 0.0 in
+      for i = 0 to len - 1 do
+        dot := !dot +. (v.(i) *. b.(k + i))
+      done;
+      let s = beta *. !dot in
+      for i = 0 to len - 1 do
+        b.(k + i) <- b.(k + i) -. (s *. v.(i))
       done
-  done;
-  (r, vs, betas)
+    end
+  done
 
-(* Apply the stored reflectors to a right-hand side vector in place. *)
-let apply_qt vs betas b =
-  let m = Array.length b in
-  Array.iteri
-    (fun k v ->
-      let beta = betas.(k) in
-      if beta <> 0.0 then begin
-        let len = Array.length v in
-        ignore m;
-        let dot = ref 0.0 in
-        for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. b.(k + i))
-        done;
-        let s = beta *. !dot in
-        for i = 0 to len - 1 do
-          b.(k + i) <- b.(k + i) -. (s *. v.(i))
-        done
-      end)
-    vs
-
-let back_substitute r n b =
-  let x = Array.make n 0.0 in
+(* Solve R x = (Q^T b) for the first [n] rows. *)
+let back_substitute ~cols:n r qtb x =
   (* Scale the tolerance by the largest diagonal magnitude so rank detection
      is invariant to the overall scale of the system. *)
   let max_diag = ref 0.0 in
   for k = 0 to n - 1 do
-    max_diag := Float.max !max_diag (Float.abs r.(k).(k))
+    max_diag := Float.max !max_diag (Float.abs r.((k * n) + k))
   done;
   let tol = rank_tolerance *. Float.max 1.0 !max_diag in
   for i = n - 1 downto 0 do
-    let acc = ref b.(i) in
+    let acc = ref qtb.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (r.(i).(j) *. x.(j))
+      acc := !acc -. (r.((i * n) + j) *. x.(j))
     done;
-    if Float.abs r.(i).(i) <= tol then raise Singular;
-    x.(i) <- !acc /. r.(i).(i)
+    let d = r.((i * n) + i) in
+    if Float.abs d <= tol then raise Singular;
+    x.(i) <- !acc /. d
+  done
+
+let solve_in_place ~rows ~cols a b ~reflector x =
+  triangularize ~rows ~cols a b reflector;
+  back_substitute ~cols a b x
+
+let row_major a =
+  let m = Mat.rows a and n = Mat.cols a in
+  let buf = Array.make (m * n) 0.0 in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      buf.((i * n) + j) <- Mat.get a i j
+    done
   done;
-  x
+  buf
 
 let solve_least_squares a b =
   let m = Mat.rows a and n = Mat.cols a in
   if m <> Array.length b then invalid_arg "Qr.solve_least_squares: dimension mismatch";
   if m < n then invalid_arg "Qr.solve_least_squares: underdetermined system";
-  let r, vs, betas = factor a in
-  let rhs = Array.copy b in
-  apply_qt vs betas rhs;
-  back_substitute r n rhs
+  let x = Array.make n 0.0 in
+  solve_in_place ~rows:m ~cols:n (row_major a) (Array.copy b) ~reflector:(Array.make m 0.0) x;
+  x
 
 let solve_square a b =
   if Mat.rows a <> Mat.cols a then invalid_arg "Qr.solve_square: matrix not square";
@@ -91,29 +94,13 @@ let solve_square a b =
 
 let decompose a =
   let m = Mat.rows a and n = Mat.cols a in
-  let r, vs, betas = factor a in
-  let rmat = Mat.init m n (fun i j -> if i <= j then r.(i).(j) else 0.0) in
-  (* Reconstruct Q by applying the reflectors to the identity columns. *)
-  let q = Mat.init m m (fun _ _ -> 0.0) in
-  for col = 0 to m - 1 do
-    let e = Array.init m (fun i -> if i = col then 1.0 else 0.0) in
-    (* Q e = H_0 H_1 ... H_k e: apply in reverse order of Q^T. *)
-    for k = Array.length vs - 1 downto 0 do
-      let v = vs.(k) and beta = betas.(k) in
-      if beta <> 0.0 then begin
-        let len = Array.length v in
-        let dot = ref 0.0 in
-        for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. e.(k + i))
-        done;
-        let s = beta *. !dot in
-        for i = 0 to len - 1 do
-          e.(k + i) <- e.(k + i) -. (s *. v.(i))
-        done
-      end
-    done;
-    for i = 0 to m - 1 do
-      Mat.set q i col e.(i)
-    done
+  let q = Mat.create m m 0.0 and r = ref (row_major a) in
+  (* Row c of Q is Q^T e_c, so factor once per identity column; every pass
+     leaves the same R. *)
+  for c = 0 to m - 1 do
+    let e = Array.init m (fun i -> if i = c then 1.0 else 0.0) in
+    r := row_major a;
+    triangularize ~rows:m ~cols:n !r e (Array.make m 0.0);
+    Array.iteri (Mat.set q c) e
   done;
-  (q, rmat)
+  (q, Mat.init m n (fun i j -> if i <= j then !r.((i * n) + j) else 0.0))

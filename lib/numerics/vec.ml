@@ -38,7 +38,21 @@ let dot a b =
 
 let norm2 a = sqrt (dot a a)
 
-let norm_inf a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 a
+(* Loops rather than folds over the polymorphic [Array] iterators, which
+   box every element; the fit core calls these on every LM iteration. *)
+let norm_inf a =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := Float.max !acc (Float.abs a.(i))
+  done;
+  !acc
+
+let all_finite a =
+  let ok = ref true in
+  for i = 0 to Array.length a - 1 do
+    if not (Float.is_finite a.(i)) then ok := false
+  done;
+  !ok
 
 let sum a = Array.fold_left ( +. ) 0.0 a
 
@@ -55,8 +69,6 @@ let axpy alpha x y =
   for i = 0 to Array.length x - 1 do
     y.(i) <- y.(i) +. (alpha *. x.(i))
   done
-
-let all_finite a = Array.for_all (fun x -> Float.is_finite x) a
 
 let pp ppf a =
   Format.fprintf ppf "[|";

@@ -71,7 +71,7 @@ let fit_stage = "kernel-fit"
 
 let factor_subject = "scaling-factor"
 
-let default_clock () = Int64.of_float (Sys.time () *. 1e9)
+let default_clock = Clock.now_ns
 
 (* All trace state is domain-local, so each domain carries its own sink,
    sequence counter and span stack, and a fresh domain starts with

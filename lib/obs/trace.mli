@@ -133,10 +133,10 @@ val span_path : unit -> string list
 
 val set_clock : (unit -> int64) -> unit
 (** Replace the current domain's clock used for [at_ns] and span
-    durations.  The default is derived from [Sys.time] (processor time in
-    nanoseconds): monotonic, dependency-free, and precise enough for
-    per-stage fit-search timing.  Deterministic tests install a constant
-    clock so that traces compare byte-for-byte across jobs settings. *)
+    durations.  The default is {!Clock.now_ns}, monotonic wall time, so a
+    span counts the time its domain waits as well as the time it
+    computes.  Deterministic tests install a constant clock so that
+    traces compare byte-for-byte across jobs settings. *)
 
 val default_clock : unit -> int64
-(** The [Sys.time]-derived default, for restoring after [set_clock]. *)
+(** {!Clock.now_ns}, for restoring after [set_clock]. *)

@@ -59,7 +59,7 @@ type t = {
   mutable alive : bool;
 }
 
-let create ?(clock = Unix.gettimeofday) config =
+let create ?(clock = Estima_obs.Clock.now_s) config =
   let need what n = if n < 1 then invalid_arg (Printf.sprintf "Server.create: %s = %d" what n) in
   need "jobs" config.jobs;
   need "queue_capacity" config.queue_capacity;

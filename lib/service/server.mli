@@ -71,9 +71,10 @@ type t
 
 val create : ?clock:(unit -> float) -> config -> t
 (** Validates the configuration ([Invalid_argument] on nonsense) and
-    spawns the worker pool.  [clock] (seconds, monotonic enough;
-    default [Unix.gettimeofday]) exists so tests can drive the deadline
-    path deterministically. *)
+    spawns the worker pool.  [clock] (seconds; default the monotonic
+    {!Estima_obs.Clock.now_s}, so a wall-clock step cannot shed requests
+    or stretch deadlines) exists so tests can drive the deadline path
+    deterministically. *)
 
 val metrics : t -> Estima_obs.Metrics.t
 

@@ -234,13 +234,13 @@ let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server
     if responses <> [] && not conn.closed then begin
       let payload = String.concat "\n" responses ^ "\n" in
       let len = String.length payload in
-      let deadline = Unix.gettimeofday () +. 5.0 in
+      let deadline = Estima_obs.Clock.now_s () +. 5.0 in
       let rec go off =
         if off < len && not conn.closed then
           match Unix.write_substring conn.fd payload off (len - off) with
           | n -> go (off + n)
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              let remaining = deadline -. Unix.gettimeofday () in
+              let remaining = deadline -. Estima_obs.Clock.now_s () in
               if remaining <= 0.0 then close_connection conn
               else begin
                 (match Unix.select [] [ conn.fd ] [] remaining with

@@ -1,0 +1,167 @@
+(* Reference fit core: the allocating Levenberg-Marquardt iteration and
+   copying Householder QR that the workspace versions in estima_numerics
+   replaced, unchanged but for comments.  Only Test_fit_core calls them, to
+   check that the library returns the same bits, iteration counts and
+   outcomes. *)
+
+open Estima_numerics
+
+module Qr = struct
+  exception Singular = Qr.Singular
+
+  let rank_tolerance = 1e-12
+
+  let factor a =
+    let m = Mat.rows a and n = Mat.cols a in
+    let r = Mat.to_arrays a in
+    let vs = Array.make n [||] in
+    let betas = Array.make n 0.0 in
+    for k = 0 to min (m - 1) (n - 1) do
+      let len = m - k in
+      let x = Array.init len (fun i -> r.(k + i).(k)) in
+      let alpha = Vec.norm2 x in
+      let alpha = if x.(0) >= 0.0 then -.alpha else alpha in
+      let v = Array.copy x in
+      v.(0) <- v.(0) -. alpha;
+      let vnorm2 = Vec.dot v v in
+      let beta = if vnorm2 <= 0.0 then 0.0 else 2.0 /. vnorm2 in
+      vs.(k) <- v;
+      betas.(k) <- beta;
+      if beta <> 0.0 then
+        for j = k to n - 1 do
+          let dot = ref 0.0 in
+          for i = 0 to len - 1 do
+            dot := !dot +. (v.(i) *. r.(k + i).(j))
+          done;
+          let s = beta *. !dot in
+          for i = 0 to len - 1 do
+            r.(k + i).(j) <- r.(k + i).(j) -. (s *. v.(i))
+          done
+        done
+    done;
+    (r, vs, betas)
+
+  let apply_qt vs betas b =
+    Array.iteri
+      (fun k v ->
+        let beta = betas.(k) in
+        if beta <> 0.0 then begin
+          let len = Array.length v in
+          let dot = ref 0.0 in
+          for i = 0 to len - 1 do
+            dot := !dot +. (v.(i) *. b.(k + i))
+          done;
+          let s = beta *. !dot in
+          for i = 0 to len - 1 do
+            b.(k + i) <- b.(k + i) -. (s *. v.(i))
+          done
+        end)
+      vs
+
+  let back_substitute r n b =
+    let x = Array.make n 0.0 in
+    let max_diag = ref 0.0 in
+    for k = 0 to n - 1 do
+      max_diag := Float.max !max_diag (Float.abs r.(k).(k))
+    done;
+    let tol = rank_tolerance *. Float.max 1.0 !max_diag in
+    for i = n - 1 downto 0 do
+      let acc = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (r.(i).(j) *. x.(j))
+      done;
+      if Float.abs r.(i).(i) <= tol then raise Singular;
+      x.(i) <- !acc /. r.(i).(i)
+    done;
+    x
+
+  let solve_least_squares a b =
+    let m = Mat.rows a and n = Mat.cols a in
+    if m <> Array.length b then invalid_arg "Qr.solve_least_squares: dimension mismatch";
+    if m < n then invalid_arg "Qr.solve_least_squares: underdetermined system";
+    let r, vs, betas = factor a in
+    let rhs = Array.copy b in
+    apply_qt vs betas rhs;
+    back_substitute r n rhs
+end
+
+let cost_of_residual r = 0.5 *. Vec.dot r r
+
+let lambda_ceiling = 1e12
+
+let solve_damped_step jac residual lambda =
+  let m = Mat.rows jac and n = Mat.cols jac in
+  let diag =
+    Array.init n (fun j ->
+        let acc = ref 0.0 in
+        for i = 0 to m - 1 do
+          let v = Mat.get jac i j in
+          acc := !acc +. (v *. v)
+        done;
+        Float.max !acc 1e-30)
+  in
+  let stacked =
+    Mat.init (m + n) n (fun i j ->
+        if i < m then Mat.get jac i j
+        else if i - m = j then sqrt (lambda *. diag.(j))
+        else 0.0)
+  in
+  let rhs = Array.init (m + n) (fun i -> if i < m then -.residual.(i) else 0.0) in
+  Qr.solve_least_squares stacked rhs
+
+let minimize ?(options = Lm.default_options) (objective : Lm.objective) ~init =
+  if Vec.dim init = 0 then invalid_arg "Lm.minimize: empty parameter vector";
+  let r0 = objective.residual init in
+  if not (Vec.all_finite r0) then invalid_arg "Lm.minimize: non-finite residual at initial point";
+  let params = ref (Vec.copy init) in
+  let residual = ref r0 in
+  let cost = ref (cost_of_residual r0) in
+  let lambda = ref options.initial_lambda in
+  let iterations = ref 0 in
+  let outcome = ref Lm.Max_iterations in
+  (try
+     while !iterations < options.max_iterations do
+       incr iterations;
+       let jac = objective.jacobian !params in
+       if not (Mat.all_finite jac) then begin
+         outcome := Lm.Stalled;
+         raise Exit
+       end;
+       let grad = Mat.mul_vec (Mat.transpose jac) !residual in
+       if Vec.norm_inf grad < options.tolerance_gradient then begin
+         outcome := Lm.Converged;
+         raise Exit
+       end;
+       let accepted = ref false in
+       while (not !accepted) && !lambda < lambda_ceiling do
+         match solve_damped_step jac !residual !lambda with
+         | exception Qr.Singular -> lambda := !lambda *. options.lambda_increase
+         | step ->
+             let trial = Vec.add !params step in
+             let trial_residual = objective.residual trial in
+             let trial_ok = Vec.all_finite trial_residual in
+             let trial_cost = if trial_ok then cost_of_residual trial_residual else Float.infinity in
+             if trial_ok && trial_cost < !cost then begin
+               let step_small =
+                 Vec.norm2 step < options.tolerance_step *. (Vec.norm2 !params +. options.tolerance_step)
+               in
+               let cost_small = !cost -. trial_cost < options.tolerance_cost *. Float.max !cost 1e-300 in
+               params := trial;
+               residual := trial_residual;
+               cost := trial_cost;
+               lambda := Float.max (!lambda /. options.lambda_decrease) 1e-12;
+               accepted := true;
+               if step_small || cost_small then begin
+                 outcome := Lm.Converged;
+                 raise Exit
+               end
+             end
+             else lambda := !lambda *. options.lambda_increase
+       done;
+       if not !accepted then begin
+         outcome := Lm.Stalled;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  { Lm.params = !params; cost = !cost; iterations = !iterations; outcome = !outcome }

@@ -4,6 +4,7 @@ let () =
   Alcotest.run "estima"
     [
       ("numerics", Test_numerics.suite);
+      ("fit-core", Test_fit_core.suite);
       ("kernels", Test_kernels.suite);
       ("machine", Test_machine.suite);
       ("simulator", Test_simulator.suite);

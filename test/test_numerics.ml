@@ -168,14 +168,6 @@ let test_mat_identity () =
   let prod = Mat.mul a i3 in
   Alcotest.(check (array (array (float 1e-12)))) "a * I = a" (Mat.to_arrays a) (Mat.to_arrays prod)
 
-let test_mat_diagonal_damping () =
-  let a = Mat.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |] in
-  let d = Mat.add_diagonal a 0.5 in
-  check_float "diag add" 2.5 (Mat.get d 0 0);
-  check_float "off diag untouched" 1.0 (Mat.get d 0 1);
-  let s = Mat.scale_diagonal a 0.5 in
-  check_float "diag scale" 3.0 (Mat.get s 0 0)
-
 let test_mat_ragged () =
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_arrays: ragged rows") (fun () ->
       ignore (Mat.of_arrays [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
@@ -389,7 +381,6 @@ let suite =
     ("mat transpose", `Quick, test_mat_transpose);
     ("mat mul_vec", `Quick, test_mat_mul_vec);
     ("mat identity", `Quick, test_mat_identity);
-    ("mat diagonal damping", `Quick, test_mat_diagonal_damping);
     ("mat ragged", `Quick, test_mat_ragged);
     ("qr square solve", `Quick, test_qr_square_solve);
     ("qr least squares line", `Quick, test_qr_least_squares_line);

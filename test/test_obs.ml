@@ -98,6 +98,18 @@ let test_span_nesting_paths () =
   Alcotest.(check bool) "inner path recorded" true (List.mem [ "a"; "b" ] paths);
   Alcotest.(check bool) "outer path recorded" true (List.mem [ "a" ] paths)
 
+(* Processor time stands still while the process sleeps; the default
+   clock must not. *)
+let test_default_clock_counts_waiting () =
+  Trace.set_clock Trace.default_clock;
+  let r = Recorder.create () in
+  Recorder.record r (fun () -> Trace.with_span "sleep" (fun () -> Unix.sleepf 0.05));
+  match Recorder.span_stats r with
+  | [ s ] ->
+      let ms = Int64.to_float s.Recorder.total_ns /. 1e6 in
+      if ms < 40.0 then Alcotest.failf "a 50 ms sleep spanned %.3f ms" ms
+  | stats -> Alcotest.failf "expected one span stat, got %d" (List.length stats)
+
 (* ------------------------------------------------------------------ *)
 (* Audit aggregation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -296,6 +308,7 @@ let suite =
     ("recorder restores sink on raise", `Quick, test_recorder_restores_sink_on_raise);
     ("nested recorders tee", `Quick, test_nested_recorders_tee);
     ("span nesting paths", `Quick, test_span_nesting_paths);
+    ("default clock counts time spent waiting", `Quick, test_default_clock_counts_waiting);
     ("audit groups by subject", `Quick, test_audit_groups_by_subject);
     ("gate names", `Quick, test_gate_names);
     ("text render mentions stages", `Quick, test_text_render_mentions_stages);
