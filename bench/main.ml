@@ -38,6 +38,8 @@ open Estima_sim
 open Estima_workloads
 open Estima_counters
 open Estima
+module Clock = Estima_obs.Clock
+module Json = Estima_json.Json
 
 let microbenchmarks () =
   let open Bechamel in
@@ -118,19 +120,19 @@ let fit_timing () =
       ()
   in
   let recorder = Estima_obs.Recorder.create () in
-  let t0 = Sys.time () in
+  let t0 = Clock.now_s () in
   let _prediction =
     Estima_obs.Recorder.record recorder (fun () ->
         Predictor.predict
           ~config:{ Predictor.default_config with Predictor.include_software = true }
           ~series ~target_max:48 ())
   in
-  let elapsed = Sys.time () -. t0 in
+  let elapsed = Clock.now_s () -. t0 in
   Estima_repro.Render.heading "[BENCH] fit-search timing per stage (intruder, 12 -> 48 cores)";
   Format.printf "%a@." Estima_obs.Trace_render.pp_span_stats (Estima_obs.Recorder.span_stats recorder);
   Format.printf "@.counters:@.%a@." Estima_obs.Trace_render.pp_counters
     (Estima_obs.Recorder.counters recorder);
-  Printf.printf "total predict time: %.3f ms (cpu)\n%!" (1e3 *. elapsed)
+  Printf.printf "total predict time: %.3f ms (wall)\n%!" (1e3 *. elapsed)
 
 (* ------------------------- accuracy table ------------------------- *)
 
@@ -165,18 +167,6 @@ let resolve_experiments ids =
           exit 1)
     ids
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Host metadata stamped into every BENCH_*.json so trajectory files
    collected on different machines are comparable: available
    parallelism, compiler, and the commit the binary was built from
@@ -191,11 +181,22 @@ let git_describe () =
       | _ -> "unknown"
       | exception _ -> "unknown")
 
-let host_json () =
-  Printf.sprintf "\"host\": { \"cores\": %d, \"ocaml\": \"%s\", \"git\": \"%s\" }"
-    (Domain.recommended_domain_count ())
-    (json_escape Sys.ocaml_version)
-    (json_escape (git_describe ()))
+(* Every BENCH_*.json opens with the same header, the bench that wrote
+   it and the host block, followed by that bench's own members. *)
+let write_bench file ~bench members =
+  let host =
+    Json.Obj
+      [
+        ("cores", Json.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Json.String Sys.ocaml_version);
+        ("git", Json.String (git_describe ()));
+      ]
+  in
+  let doc = Json.Obj (("bench", Json.String bench) :: ("host", host) :: members) in
+  let oc = open_out file in
+  output_string oc (Json.pretty doc);
+  close_out oc;
+  Printf.printf "wrote %s\n%!" file
 
 (* Time the selected experiments at each jobs setting, cold-starting the
    measurement cache every run so the runs are comparable, and verify
@@ -208,11 +209,11 @@ let par_scaling ids =
   let run_once jobs =
     Estima_par.Fanout.set_jobs (Some jobs);
     Estima_repro.Lab.reset_cache ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     let (), output =
       Estima_repro.Render.with_capture (fun () -> Estima_repro.All.run_many experiments)
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Clock.now_s () -. t0 in
     Estima_par.Fanout.set_jobs None;
     (wall, output)
   in
@@ -237,28 +238,28 @@ let par_scaling ids =
         (* More domains than cores cannot speed anything up: flag the row
            so a trajectory diff reads it as "host too small", not as a
            parallelism regression. *)
-        Printf.sprintf
-          "    { \"jobs\": %d, \"wall_s\": %.4f, \"speedup_vs_jobs1\": %.3f, \"output_bytes\": %d, \
-           \"output_identical_to_jobs1\": %b, \"parallelism_unavailable\": %b }"
-          jobs wall (base_wall /. wall) (String.length output) identical (jobs > cores))
+        Json.Obj
+          [
+            ("jobs", Json.Int jobs);
+            ("wall_s", Json.Float wall);
+            ("speedup_vs_jobs1", Json.Float (base_wall /. wall));
+            ("output_bytes", Json.Int (String.length output));
+            ("output_identical_to_jobs1", Json.Bool identical);
+            ("parallelism_unavailable", Json.Bool (jobs > cores));
+          ])
       runs
   in
   let all_identical =
     List.for_all (fun (_, _, output) -> String.equal output base_output) runs
   in
   Printf.printf "\noutputs byte-identical across jobs settings: %b\n" all_identical;
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"par-scaling\",\n  %s,\n  \"cores\": %d,\n  \"experiments\": [%s],\n  \
-       \"runs\": [\n%s\n  ],\n  \"outputs_identical\": %b\n}\n"
-      (host_json ()) cores
-      (String.concat ", " (List.map (fun (id, _) -> "\"" ^ json_escape id ^ "\"") experiments))
-      (String.concat ",\n" rows) all_identical
-  in
-  let oc = open_out "BENCH_par.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_par.json\n%!";
+  write_bench "BENCH_par.json" ~bench:"par-scaling"
+    [
+      ("cores", Json.Int cores);
+      ("experiments", Json.List (List.map (fun (id, _) -> Json.String id) experiments));
+      ("runs", Json.List rows);
+      ("outputs_identical", Json.Bool all_identical);
+    ];
   if not all_identical then exit 1
 
 (* ------------------------ simulation scaling ---------------------- *)
@@ -286,13 +287,13 @@ let sim_scaling ids =
     (* reset_cache between the two runs drops the in-memory tier, so the
        warm run exercises the disk path, not the promise table. *)
     Estima_repro.Lab.reset_cache ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     let (), cold_output = Estima_repro.Render.with_capture run in
-    let cold_s = Unix.gettimeofday () -. t0 in
+    let cold_s = Clock.now_s () -. t0 in
     Estima_repro.Lab.reset_cache ();
-    let t1 = Unix.gettimeofday () in
+    let t1 = Clock.now_s () in
     let (), warm_output = Estima_repro.Render.with_capture run in
-    let warm_s = Unix.gettimeofday () -. t1 in
+    let warm_s = Clock.now_s () -. t1 in
     let identical = String.equal cold_output warm_output in
     if not identical then
       Printf.printf "WARNING: %s warm output differs from cold (%d vs %d bytes)\n" id
@@ -308,27 +309,23 @@ let sim_scaling ids =
   let cold_total = total (fun (_, c, _, _) -> c) and warm_total = total (fun (_, _, w, _) -> w) in
   Printf.printf "\ntotal: cold %.2f s, warm %.2f s; outputs byte-identical: %b\n" cold_total
     warm_total all_identical;
-  let rows =
-    List.map
-      (fun (id, cold_s, warm_s, identical) ->
-        Printf.sprintf
-          "    { \"experiment\": \"%s\", \"cold_s\": %.4f, \"warm_s\": %.4f, \
-           \"warm_speedup\": %.3f, \"outputs_identical\": %b }"
-          (json_escape id) cold_s warm_s (cold_s /. Float.max 1e-9 warm_s) identical)
-      runs
+  let row (id, cold_s, warm_s, identical) =
+    Json.Obj
+      [
+        ("experiment", Json.String id);
+        ("cold_s", Json.Float cold_s);
+        ("warm_s", Json.Float warm_s);
+        ("warm_speedup", Json.Float (cold_s /. Float.max 1e-9 warm_s));
+        ("outputs_identical", Json.Bool identical);
+      ]
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"sim-scaling\",\n  %s,\n  \"runs\": [\n%s\n  ],\n  \"cold_total_s\": \
-       %.4f,\n  \"warm_total_s\": %.4f,\n  \"outputs_identical\": %b\n}\n"
-      (host_json ())
-      (String.concat ",\n" rows)
-      cold_total warm_total all_identical
-  in
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_sim.json\n%!";
+  write_bench "BENCH_sim.json" ~bench:"sim-scaling"
+    [
+      ("runs", Json.List (List.map row runs));
+      ("cold_total_s", Json.Float cold_total);
+      ("warm_total_s", Json.Float warm_total);
+      ("outputs_identical", Json.Bool all_identical);
+    ];
   if not all_identical then exit 1
 
 (* ------------------------- serving scaling ------------------------ *)
@@ -390,32 +387,30 @@ let serve_scaling () =
                %!"
               jobs clients report.Report.throughput_rps (1e3 *. q 0.5) (1e3 *. q 0.99)
               (1e3 *. max_s) (Report.clean report);
-            ( jobs,
-              clients,
-              report,
-              Printf.sprintf
-                "    { \"jobs\": %d, \"clients\": %d, \"requests\": %d, \"clean\": %b, \
-                 \"throughput_rps\": %.2f, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": %.6f, \
-                 \"max_s\": %.6f }"
-                jobs clients report.Report.requests (Report.clean report)
-                report.Report.throughput_rps (q 0.5) (q 0.9) (q 0.99) max_s ))
+            ( Report.clean report,
+              Json.Obj
+                [
+                  ("jobs", Json.Int jobs);
+                  ("clients", Json.Int clients);
+                  ("requests", Json.Int report.Report.requests);
+                  ("clean", Json.Bool (Report.clean report));
+                  ("throughput_rps", Json.Float report.Report.throughput_rps);
+                  ("p50_s", Json.Float (q 0.5));
+                  ("p90_s", Json.Float (q 0.9));
+                  ("p99_s", Json.Float (q 0.99));
+                  ("max_s", Json.Float max_s);
+                ] ))
           client_settings)
       jobs_settings
   in
-  let all_clean = List.for_all (fun (_, _, report, _) -> Report.clean report) cells in
+  let all_clean = List.for_all fst cells in
   Printf.printf "\nall cells byte-clean: %b\n" all_clean;
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"serve-scaling\",\n  %s,\n  \"requests_per_client\": %d,\n  \"runs\": \
-       [\n%s\n  ],\n  \"all_clean\": %b\n}\n"
-      (host_json ()) requests_per_client
-      (String.concat ",\n" (List.map (fun (_, _, _, row) -> row) cells))
-      all_clean
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_serve.json\n%!";
+  write_bench "BENCH_serve.json" ~bench:"serve-scaling"
+    [
+      ("requests_per_client", Json.Int requests_per_client);
+      ("runs", Json.List (List.map snd cells));
+      ("all_clean", Json.Bool all_clean);
+    ];
   if not all_clean then exit 1
 
 (* ----------------------------- driver ----------------------------- *)
@@ -441,12 +436,12 @@ let () =
   else begin
     let micro = not (List.mem "--no-micro" args) in
     let ids = List.filter (fun a -> a <> "--no-micro") args in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     (match ids with
     | [] -> Estima_repro.All.run_all ()
     | ids -> Estima_repro.All.run_many (resolve_experiments ids));
     let hits, misses = Estima_repro.Lab.cache_stats () in
     Printf.printf "\n[reproduction complete in %.0f s; measurement cache: %d hits, %d sweeps]\n%!"
-      (Unix.gettimeofday () -. t0) hits misses;
+      (Clock.now_s () -. t0) hits misses;
     if micro then microbenchmarks ()
   end

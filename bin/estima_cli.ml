@@ -521,7 +521,7 @@ let validate_cmd =
     | Ok outcome ->
         if json then
           print_string
-            (Estima_validate.Report.pretty (Estima_validate.Gate.json_of_outcome outcome))
+            (Estima_json.Json.pretty (Estima_validate.Gate.json_of_outcome outcome))
         else print_string (Estima_validate.Gate.render_text outcome);
         if not outcome.Estima_validate.Gate.passed then exit 1
   in

@@ -23,14 +23,8 @@ let make_fitted (kernel : Kernel.t) params ~y_scale ~xs ~ys =
 
 (* Reports one [fit] call to the trace sink; free when tracing is off. *)
 let trace_attempt (kernel : Kernel.t) ~npoints status =
-  if Trace.enabled () then begin
-    Trace.incr "fit.attempts";
-    (match status with
-    | Trace.Fitted { lm_converged = true; _ } -> Trace.incr "fit.lm-converged"
-    | Trace.Fitted _ -> Trace.incr "fit.lm-unconverged"
-    | Trace.Not_applicable | Trace.No_guesses | Trace.Diverged -> Trace.incr "fit.failed");
+  if Trace.enabled () then
     Trace.emit (Trace.Fit_attempt { kernel = kernel.Kernel.name; points = npoints; status })
-  end
 
 let status_of_result ~lm_converged = function
   | None -> Trace.Diverged

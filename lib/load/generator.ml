@@ -1,7 +1,7 @@
 module Api = Estima.Api
 module Rng = Estima_numerics.Rng
 module Topology = Estima_machine.Topology
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 module Protocol = Estima_service.Protocol
 
 type payload = { spec_name : string; csv : string }

@@ -1,5 +1,5 @@
 module Metrics = Estima_obs.Metrics
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 
 type t = {
   seed : int;

@@ -1,12 +1,8 @@
 type span_stat = { path : string list; count : int; total_ns : int64 }
 
-type t = {
-  mutable events_rev : Trace.event list;
-  spans : (string list, span_stat) Hashtbl.t;
-  counts : (string, int) Hashtbl.t;
-}
+type t = { mutable events_rev : Trace.event list; spans : (string list, span_stat) Hashtbl.t }
 
-let create () = { events_rev = []; spans = Hashtbl.create 16; counts = Hashtbl.create 16 }
+let create () = { events_rev = []; spans = Hashtbl.create 16 }
 
 let sink t =
   {
@@ -20,17 +16,31 @@ let sink t =
         in
         Hashtbl.replace t.spans path
           { prev with count = prev.count + 1; total_ns = Int64.add prev.total_ns elapsed_ns });
-    on_counter =
-      (fun ~name ~by ->
-        let prev = Option.value ~default:0 (Hashtbl.find_opt t.counts name) in
-        Hashtbl.replace t.counts name (prev + by));
   }
 
 let events t = List.rev t.events_rev
 
 let counters t =
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let attempts = ref 0 and failed = ref 0 and converged = ref 0 and unconverged = ref 0 in
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.Trace.payload with
+      | Trace.Fit_attempt { status; _ } -> (
+          incr attempts;
+          match status with
+          | Trace.Fitted { lm_converged = true; _ } -> incr converged
+          | Trace.Fitted _ -> incr unconverged
+          | Trace.Not_applicable | Trace.No_guesses | Trace.Diverged -> incr failed)
+      | _ -> ())
+    t.events_rev;
+  List.filter
+    (fun (_, n) -> n > 0)
+    [
+      ("fit.attempts", !attempts);
+      ("fit.failed", !failed);
+      ("fit.lm-converged", !converged);
+      ("fit.lm-unconverged", !unconverged);
+    ]
 
 let span_stats t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.spans []
@@ -38,8 +48,7 @@ let span_stats t =
 
 let clear t =
   t.events_rev <- [];
-  Hashtbl.reset t.spans;
-  Hashtbl.reset t.counts
+  Hashtbl.reset t.spans
 
 let tee a b =
   {
@@ -51,10 +60,6 @@ let tee a b =
       (fun ~path ~elapsed_ns ->
         a.Trace.on_span ~path ~elapsed_ns;
         b.Trace.on_span ~path ~elapsed_ns);
-    on_counter =
-      (fun ~name ~by ->
-        a.Trace.on_counter ~name ~by;
-        b.Trace.on_counter ~name ~by);
   }
 
 let record t f =

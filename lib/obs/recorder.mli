@@ -1,5 +1,6 @@
-(** An in-memory trace sink: accumulates events, per-span timing and
-    per-run counters for later rendering or audit aggregation. *)
+(** An in-memory trace sink: accumulates events and per-span timing for
+    later rendering or audit aggregation.  Per-run counters are not a
+    separate channel: {!counters} derives them from the recorded events. *)
 
 type span_stat = {
   path : string list;  (** Span path, outermost first. *)
@@ -17,7 +18,11 @@ val events : t -> Trace.event list
 (** Recorded events in emission order. *)
 
 val counters : t -> (string * int) list
-(** Counter totals, sorted by name. *)
+(** The kernel-fit counters, derived from the recorded
+    {!Trace.Fit_attempt} events and sorted by name: [fit.attempts] (one
+    per event), then [fit.failed], [fit.lm-converged] and
+    [fit.lm-unconverged] by the attempt's status.  Zero counts are
+    omitted. *)
 
 val span_stats : t -> span_stat list
 (** Per-span timing, sorted by total time descending. *)

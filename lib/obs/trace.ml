@@ -60,7 +60,6 @@ type event = { seq : int; at_ns : int64; span : string list; payload : payload }
 type sink = {
   on_event : event -> unit;
   on_span : path:string list -> elapsed_ns:int64 -> unit;
-  on_counter : name:string -> by:int -> unit;
 }
 
 let stall_stage = "stall-fit"
@@ -116,9 +115,6 @@ let emit payload =
   | Some s ->
       st.seq <- st.seq + 1;
       s.on_event { seq = st.seq; at_ns = st.clock (); span = span_path (); payload }
-
-let incr ?(by = 1) name =
-  match (state ()).sink with None -> () | Some s -> s.on_counter ~name ~by
 
 let with_span name f =
   let st = state () in

@@ -85,11 +85,13 @@ type event = {
   payload : payload;
 }
 
+(** Events and span timings are the sink's only two channels: per-run
+    counters such as [fit.attempts] are derived from the events
+    ({!Recorder.counters}), and service counters live in {!Metrics}. *)
 type sink = {
   on_event : event -> unit;
   on_span : path:string list -> elapsed_ns:int64 -> unit;
       (** Called when a span closes, with its full path and duration. *)
-  on_counter : name:string -> by:int -> unit;
 }
 
 (** Stage labels used by the pipeline (shared so renderers can group). *)
@@ -118,9 +120,6 @@ val current_sink : unit -> sink option
 
 val emit : payload -> unit
 (** Forwards to the installed sink; a no-op without one. *)
-
-val incr : ?by:int -> string -> unit
-(** Bump a named per-run counter; a no-op without a sink. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a named span: events emitted by [f]

@@ -1,3 +1,5 @@
+module Json = Estima_json.Json
+
 (* ------------------------------- text ------------------------------- *)
 
 let verdict_to_string = function
@@ -103,205 +105,134 @@ let pp_recorder ppf recorder =
 
 (* ------------------------------- JSON ------------------------------- *)
 
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* A candidate, a winner and a decision print the same members in a
+   trace event and in its audit record. *)
+let candidate_members ~kernel ~prefix ~verdict ~score ~detail =
+  Json.
+    [
+      ("kernel", String kernel);
+      ("prefix", Int prefix);
+      ( "verdict",
+        String (match verdict with Trace.Accepted -> "accepted" | Trace.Rejected _ -> "rejected") );
+      ( "gate",
+        match verdict with
+        | Trace.Accepted -> Null
+        | Trace.Rejected gate -> String (Trace.gate_to_string gate) );
+      ("score", Float score);
+      ("detail", String detail);
+    ]
 
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else Buffer.add_string buf "null"
+let winner_members ~kernel ~prefix ~score ~correlation =
+  Json.
+    [
+      ("kernel", String kernel);
+      ("prefix", Int prefix);
+      ("score", Float score);
+      ("correlation", Float correlation);
+    ]
 
-let json_fields buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, emit_value) ->
-      if i > 0 then Buffer.add_char buf ',';
-      escape_json buf k;
-      Buffer.add_char buf ':';
-      emit_value buf)
-    fields;
-  Buffer.add_char buf '}'
+let decision_members ~incumbent ~challenger ~winner ~rule ~detail =
+  Json.
+    [
+      ("incumbent", String incumbent);
+      ("challenger", String challenger);
+      ("winner", String winner);
+      ("rule", String rule);
+      ("detail", String detail);
+    ]
 
-let json_list buf emit_item items =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      emit_item buf item)
-    items;
-  Buffer.add_char buf ']'
+let strings xs = Json.List (List.map (fun s -> Json.String s) xs)
 
-let str s buf = escape_json buf s
-
-let num f buf = json_float buf f
-
-let int_ n buf = Buffer.add_string buf (string_of_int n)
-
-let bool_ b buf = Buffer.add_string buf (if b then "true" else "false")
-
-let json_payload buf (p : Trace.payload) =
+let json_payload (p : Trace.payload) =
+  let open Json in
+  let typed name members = Obj (("type", String name) :: members) in
+  (* Every payload but a fit attempt names its stage and subject first. *)
+  let staged name ~stage ~subject members =
+    typed name (("stage", String stage) :: ("subject", String subject) :: members)
+  in
   match p with
   | Trace.Fit_attempt { kernel; points; status } ->
-      let status_fields =
+      typed "fit_attempt"
+        ([ ("kernel", String kernel); ("points", Int points) ]
+        @
         match status with
         | Trace.Fitted { rmse; lm_converged } ->
-            [ ("status", str "fitted"); ("rmse", num rmse); ("lm_converged", bool_ lm_converged) ]
-        | Trace.Not_applicable -> [ ("status", str "not-applicable") ]
-        | Trace.No_guesses -> [ ("status", str "no-guesses") ]
-        | Trace.Diverged -> [ ("status", str "diverged") ]
-      in
-      json_fields buf
-        ([ ("type", str "fit_attempt"); ("kernel", str kernel); ("points", int_ points) ]
-        @ status_fields)
+            [
+              ("status", String "fitted");
+              ("rmse", Float rmse);
+              ("lm_converged", Bool lm_converged);
+            ]
+        | Trace.Not_applicable -> [ ("status", String "not-applicable") ]
+        | Trace.No_guesses -> [ ("status", String "no-guesses") ]
+        | Trace.Diverged -> [ ("status", String "diverged") ])
   | Trace.Candidate { stage; subject; kernel; prefix; verdict; score; detail } ->
-      json_fields buf
-        [
-          ("type", str "candidate");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("kernel", str kernel);
-          ("prefix", int_ prefix);
-          ( "verdict",
-            str (match verdict with Trace.Accepted -> "accepted" | Trace.Rejected _ -> "rejected") );
-          ( "gate",
-            fun buf ->
-              match verdict with
-              | Trace.Accepted -> Buffer.add_string buf "null"
-              | Trace.Rejected gate -> escape_json buf (Trace.gate_to_string gate) );
-          ("score", num score);
-          ("detail", str detail);
-        ]
+      staged "candidate" ~stage ~subject
+        (candidate_members ~kernel ~prefix ~verdict ~score ~detail)
   | Trace.Decision { stage; subject; incumbent; challenger; winner; rule; detail } ->
-      json_fields buf
-        [
-          ("type", str "decision");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("incumbent", str incumbent);
-          ("challenger", str challenger);
-          ("winner", str winner);
-          ("rule", str rule);
-          ("detail", str detail);
-        ]
+      staged "decision" ~stage ~subject
+        (decision_members ~incumbent ~challenger ~winner ~rule ~detail)
   | Trace.Winner { stage; subject; kernel; prefix; score; correlation } ->
-      json_fields buf
-        [
-          ("type", str "winner");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("kernel", str kernel);
-          ("prefix", int_ prefix);
-          ("score", num score);
-          ("correlation", num correlation);
-        ]
-  | Trace.Note { stage; subject; text } ->
-      json_fields buf
-        [ ("type", str "note"); ("stage", str stage); ("subject", str subject); ("text", str text) ]
+      staged "winner" ~stage ~subject (winner_members ~kernel ~prefix ~score ~correlation)
+  | Trace.Note { stage; subject; text } -> staged "note" ~stage ~subject [ ("text", String text) ]
   | Trace.Diagnostic { stage; subject; cause; detail } ->
-      json_fields buf
-        [
-          ("type", str "diagnostic");
-          ("stage", str stage);
-          ("subject", str subject);
-          ("cause", str cause);
-          ("detail", str detail);
-        ]
+      staged "diagnostic" ~stage ~subject [ ("cause", String cause); ("detail", String detail) ]
 
-let json_event buf (e : Trace.event) =
-  json_fields buf
+(* Clock readings are nanoseconds from a process-relative origin, well
+   inside a native int. *)
+let json_event (e : Trace.event) =
+  Json.Obj
     [
-      ("seq", int_ e.Trace.seq);
-      ("at_ns", fun buf -> Buffer.add_string buf (Int64.to_string e.Trace.at_ns));
-      ("span", fun buf -> json_list buf (fun buf s -> escape_json buf s) e.Trace.span);
-      ("payload", fun buf -> json_payload buf e.Trace.payload);
+      ("seq", Json.Int e.Trace.seq);
+      ("at_ns", Json.Int (Int64.to_int e.Trace.at_ns));
+      ("span", strings e.Trace.span);
+      ("payload", json_payload e.Trace.payload);
     ]
 
-let json_candidate buf (c : Audit.candidate) =
-  json_fields buf
+let json_record (r : Audit.record) =
+  let open Json in
+  Obj
     [
-      ("kernel", str c.Audit.kernel);
-      ("prefix", int_ c.Audit.prefix);
-      ( "verdict",
-        str (match c.Audit.verdict with Trace.Accepted -> "accepted" | Trace.Rejected _ -> "rejected")
-      );
-      ( "gate",
-        fun buf ->
-          match c.Audit.verdict with
-          | Trace.Accepted -> Buffer.add_string buf "null"
-          | Trace.Rejected gate -> escape_json buf (Trace.gate_to_string gate) );
-      ("score", num c.Audit.score);
-      ("detail", str c.Audit.detail);
-    ]
-
-let json_record buf (r : Audit.record) =
-  json_fields buf
-    [
-      ("stage", str r.Audit.stage);
-      ("subject", str r.Audit.subject);
+      ("stage", String r.Audit.stage);
+      ("subject", String r.Audit.subject);
       ( "winner",
-        fun buf ->
-          match r.Audit.winner with
-          | None -> Buffer.add_string buf "null"
-          | Some w ->
-              json_fields buf
-                [
-                  ("kernel", str w.Audit.kernel);
-                  ("prefix", int_ w.Audit.prefix);
-                  ("score", num w.Audit.score);
-                  ("correlation", num w.Audit.correlation);
-                ] );
-      ("candidates", fun buf -> json_list buf json_candidate r.Audit.candidates);
+        match r.Audit.winner with
+        | None -> Null
+        | Some { kernel; prefix; score; correlation } ->
+            Obj (winner_members ~kernel ~prefix ~score ~correlation) );
+      ( "candidates",
+        List
+          (List.map
+             (fun ({ kernel; prefix; verdict; score; detail } : Audit.candidate) ->
+               Obj (candidate_members ~kernel ~prefix ~verdict ~score ~detail))
+             r.Audit.candidates) );
       ( "decisions",
-        fun buf ->
-          json_list buf
-            (fun buf (d : Audit.decision) ->
-              json_fields buf
-                [
-                  ("incumbent", str d.Audit.incumbent);
-                  ("challenger", str d.Audit.challenger);
-                  ("winner", str d.Audit.winner);
-                  ("rule", str d.Audit.rule);
-                  ("detail", str d.Audit.detail);
-                ])
-            r.Audit.decisions );
-      ("notes", fun buf -> json_list buf (fun buf n -> escape_json buf n) r.Audit.notes);
+        List
+          (List.map
+             (fun ({ incumbent; challenger; winner; rule; detail } : Audit.decision) ->
+               Obj (decision_members ~incumbent ~challenger ~winner ~rule ~detail))
+             r.Audit.decisions) );
+      ("notes", strings r.Audit.notes);
     ]
 
 let json_of_recorder recorder =
-  let buf = Buffer.create 4096 in
   let events = Recorder.events recorder in
-  let audit = Audit.of_events events in
-  json_fields buf
-    [
-      ("events", fun buf -> json_list buf json_event events);
-      ("audit", fun buf -> json_list buf json_record audit);
-      ( "spans",
-        fun buf ->
-          json_list buf
-            (fun buf (s : Recorder.span_stat) ->
-              json_fields buf
-                [
-                  ("path", fun buf -> json_list buf (fun buf p -> escape_json buf p) s.Recorder.path);
-                  ("count", int_ s.Recorder.count);
-                  ( "total_ns",
-                    fun buf -> Buffer.add_string buf (Int64.to_string s.Recorder.total_ns) );
-                ])
-            (Recorder.span_stats recorder) );
-      ( "counters",
-        fun buf ->
-          json_fields buf
-            (List.map (fun (name, v) -> (name, int_ v)) (Recorder.counters recorder)) );
-    ];
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let open Json in
+  to_string
+    (Obj
+       [
+         ("events", List (List.map json_event events));
+         ("audit", List (List.map json_record (Audit.of_events events)));
+         ( "spans",
+           List
+             (List.map
+                (fun (s : Recorder.span_stat) ->
+                  Obj
+                    [
+                      ("path", strings s.Recorder.path);
+                      ("count", Int s.Recorder.count);
+                      ("total_ns", Int (Int64.to_int s.Recorder.total_ns));
+                    ])
+                (Recorder.span_stats recorder)) );
+         ("counters", Obj (List.map (fun (name, v) -> (name, Int v)) (Recorder.counters recorder)));
+       ])
+  ^ "\n"

@@ -1,8 +1,8 @@
 (** Text and JSON renderers for traces, audits, span timings and counters.
 
-    The JSON renderer is hand-rolled (the repository carries no JSON
-    dependency): strings are escaped per RFC 8259 and non-finite floats
-    are rendered as [null]. *)
+    The JSON renderer builds {!Estima_json.Json} values, so a trace is
+    escaped and printed exactly like the wire protocol and the golden
+    files: non-finite floats render as [null]. *)
 
 val pp_audit : Format.formatter -> Audit.t -> unit
 (** Per-subject detail: the winner line followed by every candidate with

@@ -36,21 +36,9 @@ let bad_request id msg =
 let bad_version id what =
   Error (id, Diag.make ~stage:Diag.Serve ~subject:"request" (Diag.Bad_config { what }))
 
-let member_string json key =
-  match Json.member key json with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_string_opt v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "%S must be a string" key))
+let member_string json key = Json.member_opt ~what:"a string" Json.to_string_opt key json
 
-let member_int json key =
-  match Json.member key json with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_int_opt v with
-      | Some n -> Ok (Some n)
-      | None -> Error (Printf.sprintf "%S must be an integer" key))
+let member_int json key = Json.member_opt ~what:"an integer" Json.to_int_opt key json
 
 let parse_request line =
   match Json.parse line with

@@ -1,5 +1,5 @@
 module Api = Estima.Api
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 open Estima_counters
 
 type workload = {

@@ -51,4 +51,4 @@ val render_lines : t -> string
 (** Human-readable block: one line per workload plus the aggregate
     verdict line. *)
 
-val to_json : t -> Estima_service.Json.t
+val to_json : t -> Estima_json.Json.t

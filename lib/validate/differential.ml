@@ -1,5 +1,5 @@
 open Estima_counters
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 module Machines = Estima_machine.Machines
 module Topology = Estima_machine.Topology
 

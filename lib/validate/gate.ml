@@ -1,4 +1,4 @@
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 module Kernel = Estima_kernels.Kernel
 
 type options = {

@@ -64,7 +64,7 @@ val render_text : outcome -> string
 (** The human report: per-workload table, aggregate summary, mismatch
     lists, final PASS/FAIL line. *)
 
-val json_of_outcome : outcome -> Estima_service.Json.t
+val json_of_outcome : outcome -> Estima_json.Json.t
 (** Machine-readable report (what [validate --json] prints and CI
     uploads): per-workload reports, summary, mismatches, [passed]. *)
 

@@ -1,4 +1,4 @@
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 
 let default_epsilon = 0.01
 
@@ -22,12 +22,12 @@ let bless ~dir reports summary =
     List.map
       (fun (r : Report.t) ->
         let path = workload_file ~dir r.Report.workload in
-        write_file path (Report.pretty (Report.to_json r));
+        write_file path (Json.pretty (Report.to_json r));
         path)
       reports
   in
   let spath = summary_file ~dir in
-  write_file spath (Report.pretty (Report.summary_to_json summary));
+  write_file spath (Json.pretty (Report.summary_to_json summary));
   paths @ [ spath ]
 
 let load_report path =

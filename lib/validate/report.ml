@@ -1,4 +1,4 @@
-module Json = Estima_service.Json
+module Json = Estima_json.Json
 module Quality = Estima.Diag.Quality
 module Stats = Estima_numerics.Stats
 
@@ -162,100 +162,76 @@ let summary_to_json (s : summary) =
       ("invariant_ok", Json.Bool s.invariant_ok);
     ]
 
-(* Decoding.  Each accessor threads a member path into its error so a
-   mismatching golden file names the offending field. *)
+(* Decoding.  The codec's accessors name the offending member in their
+   error, so a mismatching golden file says which field is wrong. *)
 
 let ( let* ) = Result.bind
 
-let member name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing member %S" name)
+let string = Json.member_req ~what:"a string" Json.to_string_opt
 
-let as_string name = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "member %S: expected a string" name)
+let int = Json.member_req ~what:"an integer" Json.to_int_opt
 
-let as_bool name = function
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "member %S: expected a bool" name)
+let number = Json.member_req ~what:"a number" Json.to_float_opt
 
-let as_int name json =
-  match Json.to_int_opt json with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "member %S: expected an int" name)
+let bool = Json.member_req ~what:"a boolean" Json.to_bool_opt
 
-let as_float name = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "member %S: expected a number" name)
+let list = Json.member_req ~what:"a list" Json.to_list_opt
 
-let get f name json =
-  let* v = member name json in
-  f name v
-
-let get_opt f name json =
-  match Json.member name json with
-  | None | Some Json.Null -> Ok None
-  | Some v ->
-      let* x = f name v in
-      Ok (Some x)
+let obj = Json.member_req ~what:"an object" (function Json.Obj _ as o -> Some o | _ -> None)
 
 let check_schema json =
-  let* v = get as_int "schema" json in
+  let* v = int "schema" json in
   if v = schema_version then Ok ()
   else Error (Printf.sprintf "schema version %d, this build reads %d" v schema_version)
 
 let protocol_of_json json =
-  let* machine = get as_string "machine" json in
-  let* sockets = get_opt as_int "sockets" json in
-  let* target = get as_string "target" json in
-  let* window = get as_int "window" json in
-  let* target_max = get as_int "target_max" json in
-  let* seed = get as_int "seed" json in
-  let* repetitions = get as_int "repetitions" json in
-  let* include_software = get as_bool "include_software" json in
+  let* machine = string "machine" json in
+  let* sockets = Json.member_opt ~what:"an integer" Json.to_int_opt "sockets" json in
+  let* target = string "target" json in
+  let* window = int "window" json in
+  let* target_max = int "target_max" json in
+  let* seed = int "seed" json in
+  let* repetitions = int "repetitions" json in
+  let* include_software = bool "include_software" json in
   Ok { machine; sockets; target; window; target_max; seed; repetitions; include_software }
 
 let errors_of_json json =
-  let* max_error = get as_float "max" json in
-  let* mean_error = get as_float "mean" json in
-  let* std_error = get as_float "std" json in
+  let* max_error = number "max" json in
+  let* mean_error = number "mean" json in
+  let* std_error = number "std" json in
   Ok { max_error; mean_error; std_error }
 
 let verdict_member name json =
-  let* s = get as_string name json in
-  match verdict_of_json_string s with
-  | Ok v -> Ok v
-  | Error e -> Error (Printf.sprintf "member %S: %s" name e)
+  let* s = string name json in
+  Result.map_error (Printf.sprintf "%S: %s" name) (verdict_of_json_string s)
 
-let per_point_of_json json =
-  match json with
-  | Json.List items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* threads = get as_int "threads" item in
-          let* error = get as_float "error" item in
-          Ok ((threads, error) :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-  | _ -> Error "member \"per_point\": expected a list"
+(* Decode every item of a list, stopping at the first error. *)
+let map_items f items =
+  List.fold_left
+    (fun acc item ->
+      let* acc = acc in
+      let* x = f item in
+      Ok (x :: acc))
+    (Ok []) items
+  |> Result.map List.rev
 
 let of_json json =
   let* () = check_schema json in
-  let* workload = get as_string "workload" json in
-  let* family = get as_string "family" json in
-  let* pj = member "protocol" json in
-  let* protocol = protocol_of_json pj in
-  let* ej = member "errors" json in
-  let* errors = errors_of_json ej in
-  let* ppj = member "per_point" json in
-  let* per_point = per_point_of_json ppj in
+  let* workload = string "workload" json in
+  let* family = string "family" json in
+  let* protocol = Result.bind (obj "protocol" json) protocol_of_json in
+  let* errors = Result.bind (obj "errors" json) errors_of_json in
+  let* per_point =
+    Result.bind (list "per_point" json)
+      (map_items (fun item ->
+           let* threads = int "threads" item in
+           let* error = number "error" item in
+           Ok (threads, error)))
+  in
   let* predicted_verdict = verdict_member "predicted_verdict" json in
   let* measured_verdict = verdict_member "measured_verdict" json in
-  let* verdict_agrees = get as_bool "verdict_agrees" json in
-  let* stop_delta = get_opt as_int "stop_delta" json in
+  let* verdict_agrees = bool "verdict_agrees" json in
+  let* stop_delta = Json.member_opt ~what:"an integer" Json.to_int_opt "stop_delta" json in
   Ok
     {
       workload;
@@ -270,35 +246,27 @@ let of_json json =
     }
 
 let confusion_of_json json =
-  let* scales_scales = get as_int "scales_scales" json in
-  let* scales_stops = get as_int "scales_stops" json in
-  let* stops_scales = get as_int "stops_scales" json in
-  let* stops_stops = get as_int "stops_stops" json in
+  let* scales_scales = int "scales_scales" json in
+  let* scales_stops = int "scales_stops" json in
+  let* stops_scales = int "stops_scales" json in
+  let* stops_stops = int "stops_stops" json in
   Ok { scales_scales; scales_stops; stops_scales; stops_stops }
 
 let summary_of_json json =
   let* () = check_schema json in
-  let* wj = member "workloads" json in
   let* workloads =
-    match wj with
-    | Json.List items ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* w = as_string "workloads" item in
-            Ok (w :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "member \"workloads\": expected a list"
+    Result.bind (list "workloads" json)
+      (map_items (fun item ->
+           Option.to_result ~none:"\"workloads\" must be a list of strings"
+             (Json.to_string_opt item)))
   in
-  let* ej = member "errors" json in
-  let* avg_max_error = get as_float "avg_max" ej in
-  let* std_max_error = get as_float "std_max" ej in
-  let* worst_error = get as_float "worst" ej in
-  let* worst_workload = get as_string "worst_workload" json in
-  let* cj = member "confusion" json in
-  let* confusion = confusion_of_json cj in
-  let* invariant_ok = get as_bool "invariant_ok" json in
+  let* ej = obj "errors" json in
+  let* avg_max_error = number "avg_max" ej in
+  let* std_max_error = number "std_max" ej in
+  let* worst_error = number "worst" ej in
+  let* worst_workload = string "worst_workload" json in
+  let* confusion = Result.bind (obj "confusion" json) confusion_of_json in
+  let* invariant_ok = bool "invariant_ok" json in
   Ok
     {
       workloads;
@@ -309,46 +277,6 @@ let summary_of_json json =
       confusion;
       invariant_ok;
     }
-
-(* --- pretty printer --- *)
-
-let pretty json =
-  let buf = Buffer.create 1024 in
-  let pad n = Buffer.add_string buf (String.make n ' ') in
-  (* Scalars and short leaf lists reuse the canonical one-line form so
-     numbers stay bit-exact with Json.to_string. *)
-  let rec go indent = function
-    | Json.Obj [] -> Buffer.add_string buf "{}"
-    | Json.Obj members ->
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (indent + 2);
-            Buffer.add_string buf (Json.to_string (Json.String k));
-            Buffer.add_string buf ": ";
-            go (indent + 2) v)
-          members;
-        Buffer.add_char buf '\n';
-        pad indent;
-        Buffer.add_char buf '}'
-    | Json.List [] -> Buffer.add_string buf "[]"
-    | Json.List items ->
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            pad (indent + 2);
-            go (indent + 2) v)
-          items;
-        Buffer.add_char buf '\n';
-        pad indent;
-        Buffer.add_char buf ']'
-    | leaf -> Buffer.add_string buf (Json.to_string leaf)
-  in
-  go 0 json;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
 
 (* --- text rendering --- *)
 

@@ -11,7 +11,7 @@
     Every shape has a canonical JSON form (stable key order, [%.17g]
     floats, so encoding is deterministic and bit-exact) with a decoder
     that inverts it; the golden corpus under [test/golden/] stores
-    exactly these documents. *)
+    exactly these documents, printed by {!Estima_json.Json.pretty}. *)
 
 type protocol = {
   machine : string;  (** Base measurements machine name ({!Estima_machine.Machines.find}). *)
@@ -76,19 +76,14 @@ val summarize : t list -> summary
 
 (** {1 Canonical JSON} *)
 
-val to_json : t -> Estima_service.Json.t
+val to_json : t -> Estima_json.Json.t
 
-val of_json : Estima_service.Json.t -> (t, string) result
+val of_json : Estima_json.Json.t -> (t, string) result
 (** Inverts {!to_json}; the error names the offending member. *)
 
-val summary_to_json : summary -> Estima_service.Json.t
+val summary_to_json : summary -> Estima_json.Json.t
 
-val summary_of_json : Estima_service.Json.t -> (summary, string) result
-
-val pretty : Estima_service.Json.t -> string
-(** Multi-line, 2-space-indented rendering (still parsed by
-    {!Estima_service.Json.parse}); ends in a newline.  Golden files are
-    written in this form so drifts show as reviewable diffs. *)
+val summary_of_json : Estima_json.Json.t -> (summary, string) result
 
 (** {1 Text rendering} *)
 

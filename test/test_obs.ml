@@ -9,6 +9,7 @@ module Trace = Estima_obs.Trace
 module Recorder = Estima_obs.Recorder
 module Audit = Estima_obs.Audit
 module Trace_render = Estima_obs.Trace_render
+module Json = Estima_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -19,6 +20,10 @@ let candidate ?(stage = Trace.stall_stage) ?(subject = "cat") ~kernel ~prefix ~v
 
 let winner ?(stage = Trace.stall_stage) ?(subject = "cat") ~kernel ~prefix ~score () =
   Trace.Winner { stage; subject; kernel; prefix; score; correlation = Float.nan }
+
+let fit_attempt status = Trace.Fit_attempt { kernel = "rat22"; points = 5; status }
+
+let fitted ~lm_converged = fit_attempt (Trace.Fitted { rmse = 0.1; lm_converged })
 
 (* A synthetic but well-behaved measurement series: one hardware category
    growing linearly, times tracking stalls per core with a constant-ish
@@ -46,9 +51,9 @@ let synthetic_series () =
 
 let test_disabled_without_sink () =
   Alcotest.(check bool) "no sink installed" false (Trace.enabled ());
-  (* emit / incr / with_span are no-ops and pass values through. *)
+  (* emit / with_span are no-ops and pass values through. *)
   Trace.emit (winner ~kernel:"rat22" ~prefix:5 ~score:0.1 ());
-  Trace.incr "nothing";
+  Trace.emit (fit_attempt Trace.Diverged);
   Alcotest.(check int) "with_span is transparent" 42 (Trace.with_span "outer" (fun () -> 42));
   Alcotest.(check (list string)) "no span path outside spans" [] (Trace.span_path ())
 
@@ -59,14 +64,18 @@ let test_recorder_captures_events_and_counters () =
       Trace.with_span "stage-a" (fun () ->
           Alcotest.(check (list string)) "span path visible" [ "stage-a" ] (Trace.span_path ());
           Trace.emit (candidate ~kernel:"rat22" ~prefix:3 ~verdict:Trace.Accepted ~score:0.5 ());
-          Trace.incr "fit.attempts";
-          Trace.incr ~by:2 "fit.attempts"));
+          Trace.emit (fitted ~lm_converged:true);
+          Trace.emit (fitted ~lm_converged:true);
+          Trace.emit (fit_attempt Trace.No_guesses)));
   Alcotest.(check bool) "disabled after record" false (Trace.enabled ());
   let events = Recorder.events r in
-  Alcotest.(check int) "one event" 1 (List.length events);
+  Alcotest.(check int) "four events" 4 (List.length events);
   let e = List.hd events in
   Alcotest.(check (list string)) "event carries span path" [ "stage-a" ] e.Trace.span;
-  Alcotest.(check (list (pair string int))) "counter summed" [ ("fit.attempts", 3) ] (Recorder.counters r);
+  Alcotest.(check (list (pair string int)))
+    "counters derived from the fit attempts, zeros omitted"
+    [ ("fit.attempts", 3); ("fit.failed", 1); ("fit.lm-converged", 2) ]
+    (Recorder.counters r);
   match Recorder.span_stats r with
   | [ s ] ->
       Alcotest.(check (list string)) "span stat path" [ "stage-a" ] s.Recorder.path;
@@ -83,17 +92,18 @@ let test_nested_recorders_tee () =
   let inner = Recorder.create () in
   Recorder.record outer (fun () ->
       Recorder.record inner (fun () ->
-          Trace.emit (winner ~kernel:"rat33" ~prefix:4 ~score:0.2 ());
-          Trace.incr "n"));
+          Trace.emit (fitted ~lm_converged:false)));
   Alcotest.(check int) "inner saw the event" 1 (List.length (Recorder.events inner));
   Alcotest.(check int) "outer saw it too (tee)" 1 (List.length (Recorder.events outer));
-  Alcotest.(check (list (pair string int))) "outer counter forwarded" [ ("n", 1) ]
+  Alcotest.(check (list (pair string int))) "outer counters forwarded"
+    [ ("fit.attempts", 1); ("fit.lm-unconverged", 1) ]
     (Recorder.counters outer)
 
 let test_span_nesting_paths () =
   let r = Recorder.create () in
   Recorder.record r (fun () ->
-      Trace.with_span "a" (fun () -> Trace.with_span "b" (fun () -> Trace.incr "x")));
+      Trace.with_span "a" (fun () ->
+          Trace.with_span "b" (fun () -> Trace.emit (fit_attempt Trace.Diverged))));
   let paths = List.map (fun s -> s.Recorder.path) (Recorder.span_stats r) in
   Alcotest.(check bool) "inner path recorded" true (List.mem [ "a"; "b" ] paths);
   Alcotest.(check bool) "outer path recorded" true (List.mem [ "a" ] paths)
@@ -217,6 +227,27 @@ let test_json_escapes_strings () =
   Alcotest.(check bool) "escaped quote" true (contains "quote\\\"back\\\\slash");
   Alcotest.(check bool) "escaped tab" true (contains "tab\\there")
 
+(* The trace is an output format ([--trace=json] and the text audit), so
+   its bytes are pinned: under a constant clock the synthetic prediction
+   renders exactly as the snapshots under test/golden/, and the codec
+   reads the JSON back and reprints it unchanged. *)
+let test_trace_snapshot () =
+  let read name = In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all in
+  Trace.set_clock (fun () -> 0L);
+  let r, _ =
+    Fun.protect ~finally:(fun () -> Trace.set_clock Trace.default_clock) recorded_prediction
+  in
+  let json = Trace_render.json_of_recorder r in
+  Alcotest.(check string) "json bytes" (read "trace_synthetic.json") json;
+  Alcotest.(check string) "text bytes" (read "trace_synthetic.txt")
+    (Format.asprintf "%a" Trace_render.pp_recorder r);
+  match Json.parse json with
+  | Ok v ->
+      Alcotest.(check string) "codec reprints the trace"
+        (String.sub json 0 (String.length json - 1))
+        (Json.to_string v)
+  | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* The pipeline under trace                                            *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +345,7 @@ let suite =
     ("text render mentions stages", `Quick, test_text_render_mentions_stages);
     ("json render shape", `Quick, test_json_render_shape);
     ("json escapes strings", `Quick, test_json_escapes_strings);
+    ("trace snapshot bytes", `Quick, test_trace_snapshot);
     ("predictions byte identical with tracing", `Quick, test_predictions_byte_identical_with_tracing);
     ("predictor attaches audit only when traced", `Quick, test_predictor_attaches_audit_only_when_traced);
     ("audit explains rejections", `Quick, test_audit_explains_rejections);

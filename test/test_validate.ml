@@ -83,7 +83,7 @@ let test_report_roundtrip () =
 
 let test_report_rejects_damage () =
   let reject json = match Report.of_json json with Ok _ -> Alcotest.fail "accepted damaged report" | Error _ -> () in
-  let open Estima_service.Json in
+  let open Estima_json.Json in
   reject Null;
   reject (Obj [ ("schema", Int 999) ]);
   (* Drop one required member. *)
@@ -91,7 +91,7 @@ let test_report_rejects_damage () =
   | Obj members -> reject (Obj (List.remove_assoc "errors" members))
   | _ -> Alcotest.fail "report JSON is not an object");
   (* Pretty text re-parses to the same document. *)
-  match parse (Report.pretty (Report.to_json synthetic_report)) with
+  match parse (pretty (Report.to_json synthetic_report)) with
   | Ok json -> (
       match Report.of_json json with
       | Ok back -> Alcotest.(check bool) "pretty re-parses" true (back = synthetic_report)
