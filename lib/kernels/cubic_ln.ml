@@ -6,8 +6,6 @@ let basis x =
 
 let eval params x = Vec.dot params (basis x)
 
-let gradient _params x = basis x
-
 let initial_guesses ~xs ~ys =
   if Array.length xs < 4 || Array.exists (fun x -> x <= 0.0) xs then []
   else
@@ -20,4 +18,5 @@ let initial_guesses ~xs ~ys =
     | c -> if Vec.all_finite c then [ c ] else []
 
 let kernel =
-  { Kernel.name = "CubicLn"; arity = 4; eval; gradient; initial_guesses; linear = true }
+  Kernel.make ~name:"CubicLn" ~arity:4 ~eval ~objective:(Kernel.basis_objective ~arity:4 basis) ~initial_guesses
+    ~linear:true

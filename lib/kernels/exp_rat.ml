@@ -2,17 +2,35 @@ open Estima_numerics
 
 (* params = [| a; b; c; d |], f = exp((a + b n)/(c + d n)) *)
 
-let eval params x =
+let[@inline] eval params x =
   let num = params.(0) +. (params.(1) *. x) in
   let den = params.(2) +. (params.(3) *. x) in
   exp (num /. den)
 
-let gradient params x =
-  let num = params.(0) +. (params.(1) *. x) in
-  let den = params.(2) +. (params.(3) *. x) in
-  let f = exp (num /. den) in
-  let den2 = den *. den in
-  [| f /. den; f *. x /. den; -.f *. num /. den2; -.f *. num *. x /. den2 |]
+(* The Jacobian row at x is f [1/den; x/den; -num/den^2; -num x/den^2],
+   each product formed left to right from f. *)
+let objective ~xs ~ys =
+  let m = Array.length xs in
+  let residual_into params r =
+    for i = 0 to m - 1 do
+      r.(i) <- eval params xs.(i) -. ys.(i)
+    done
+  in
+  let jacobian_into params jac =
+    for i = 0 to m - 1 do
+      let x = xs.(i) in
+      let num = params.(0) +. (params.(1) *. x) in
+      let den = params.(2) +. (params.(3) *. x) in
+      let f = exp (num /. den) in
+      let den2 = den *. den in
+      let row = 4 * i in
+      jac.(row) <- f /. den;
+      jac.(row + 1) <- f *. x /. den;
+      jac.(row + 2) <- -.f *. num /. den2;
+      jac.(row + 3) <- -.f *. num *. x /. den2
+    done
+  in
+  Lm.objective ~residuals:m ~residual_into ~jacobian_into
 
 (* With c fixed near 1, ln y ~ (a + b n)/(1 + d n); multiply out:
    a + b n - (ln y) d n = ln y, linear in (a, b, d). *)
@@ -38,4 +56,4 @@ let initial_guesses ~xs ~ys =
     let constant = if mean_y > 0.0 then [ [| log mean_y; 0.0; 1.0; 0.0 |] ] else [] in
     linearised @ constant
 
-let kernel = { Kernel.name = "ExpRat"; arity = 4; eval; gradient; initial_guesses; linear = false }
+let kernel = Kernel.make ~name:"ExpRat" ~arity:4 ~eval ~objective ~initial_guesses ~linear:false

@@ -65,12 +65,10 @@ let fit (kernel : Kernel.t) ~xs ~ys =
       List.iter
         (fun init ->
           if Vec.all_finite (objective.Lm.residual init) then
-            match Lm.minimize objective ~init with
-            | r -> (
-                match !best with
-                | Some b when b.Lm.cost <= r.Lm.cost -> ()
-                | _ -> best := Some r)
-            | exception Invalid_argument _ -> ())
+            let r = Lm.minimize objective ~init in
+            match !best with
+            | Some b when b.Lm.cost <= r.Lm.cost -> ()
+            | _ -> best := Some r)
         guesses;
       match !best with
       | None ->

@@ -4,33 +4,34 @@ type t = {
   name : string;
   arity : int;
   eval : Vec.t -> float -> float;
-  gradient : Vec.t -> float -> Vec.t;
+  objective : xs:float array -> ys:float array -> Lm.objective;
   initial_guesses : xs:float array -> ys:float array -> Vec.t list;
   linear : bool;
 }
 
+let make ~name ~arity ~eval ~objective ~initial_guesses ~linear =
+  { name; arity; eval; objective; initial_guesses; linear }
+
 let applicable t ~npoints = npoints >= t.arity
 
-(* Plain loops: the polymorphic Array iterators and [Mat.init]'s
-   float-returning closure would box every entry. *)
 let residual_objective t ~xs ~ys =
+  if Array.length xs <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
+  t.objective ~xs ~ys
+
+let basis_objective ~arity basis ~xs ~ys =
   let m = Array.length xs in
-  if m <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
-  let residual params =
-    let r = Array.make m 0.0 in
+  let table = Array.make (m * arity) 0.0 in
+  for i = 0 to m - 1 do
+    Array.blit (basis xs.(i)) 0 table (i * arity) arity
+  done;
+  let residual_into params r =
     for i = 0 to m - 1 do
-      r.(i) <- t.eval params xs.(i) -. ys.(i)
-    done;
-    r
+      let acc = ref 0.0 in
+      for j = 0 to arity - 1 do
+        acc := !acc +. (params.(j) *. table.((i * arity) + j))
+      done;
+      r.(i) <- !acc -. ys.(i)
+    done
   in
-  let jacobian params =
-    let jac = Mat.create m t.arity 0.0 in
-    for i = 0 to m - 1 do
-      let row = t.gradient params xs.(i) in
-      for j = 0 to t.arity - 1 do
-        Mat.set jac i j row.(j)
-      done
-    done;
-    jac
-  in
-  { Lm.residual; jacobian }
+  let jacobian_into _params jac = Array.blit table 0 jac 0 (m * arity) in
+  Lm.objective ~residuals:m ~residual_into ~jacobian_into

@@ -4,8 +4,6 @@ let basis x = [| 1.0; x; x *. x; Float.pow x 2.5 |]
 
 let eval params x = Vec.dot params (basis x)
 
-let gradient _params x = basis x
-
 let initial_guesses ~xs ~ys =
   if Array.length xs < 4 || Array.exists (fun x -> x < 0.0) xs then []
   else
@@ -17,4 +15,6 @@ let initial_guesses ~xs ~ys =
     | exception Qr.Singular -> []
     | c -> if Vec.all_finite c then [ c ] else []
 
-let kernel = { Kernel.name = "Poly25"; arity = 4; eval; gradient; initial_guesses; linear = true }
+let kernel =
+  Kernel.make ~name:"Poly25" ~arity:4 ~eval ~objective:(Kernel.basis_objective ~arity:4 basis) ~initial_guesses
+    ~linear:true

@@ -4,30 +4,53 @@ open Estima_numerics
    params.(0..p)       numerator coefficients a0..ap
    params.(p+1..p+q)   denominator coefficients b1..bq  (b0 is fixed at 1) *)
 
-let horner coeffs first last x =
+let[@inline] horner coeffs first last x =
   let acc = ref 0.0 in
   for j = last downto first do
     acc := (!acc *. x) +. coeffs.(j)
   done;
   !acc
 
-let eval ~num_degree ~den_degree params x =
+let[@inline] eval ~num_degree ~den_degree params x =
   let num = horner params 0 num_degree x in
   let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
   num /. den
 
-let gradient ~num_degree ~den_degree params x =
-  let num = horner params 0 num_degree x in
-  let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
-  let g = Array.make (num_degree + den_degree + 1) 0.0 in
-  for j = 0 to num_degree do
-    g.(j) <- Float.pow x (float_of_int j) /. den
+(* The objective of one fit.  x^j for every core count and every exponent
+   either polynomial uses is tabulated once, not once per iteration; rows
+   are then written in plain loops, [eval] and [horner] inlined.  The
+   Jacobian row at x is x^j / den for the numerator coefficients and
+   -num x^k / den^2 for the denominator ones. *)
+let objective ~num_degree ~den_degree ~xs ~ys =
+  let m = Array.length xs in
+  let arity = num_degree + den_degree + 1 in
+  let width = max num_degree den_degree + 1 in
+  let powers = Array.make (m * width) 0.0 in
+  for i = 0 to m - 1 do
+    for j = 0 to width - 1 do
+      powers.((i * width) + j) <- Float.pow xs.(i) (float_of_int j)
+    done
   done;
-  for k = 1 to den_degree do
-    (* d/db_k of num/den = -num * x^k / den^2 *)
-    g.(num_degree + k) <- -.num *. Float.pow x (float_of_int k) /. (den *. den)
-  done;
-  g
+  let residual_into params r =
+    for i = 0 to m - 1 do
+      r.(i) <- eval ~num_degree ~den_degree params xs.(i) -. ys.(i)
+    done
+  in
+  let jacobian_into params jac =
+    for i = 0 to m - 1 do
+      let x = xs.(i) in
+      let num = horner params 0 num_degree x in
+      let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
+      let row = i * arity and x_powers = i * width in
+      for j = 0 to num_degree do
+        jac.(row + j) <- powers.(x_powers + j) /. den
+      done;
+      for k = 1 to den_degree do
+        jac.(row + num_degree + k) <- -.num *. powers.(x_powers + k) /. (den *. den)
+      done
+    done
+  in
+  Lm.objective ~residuals:m ~residual_into ~jacobian_into
 
 (* Linearised initial guess: multiply out the denominator,
      a0 + a1 x + ... - y b1 x - y b2 x^2 - ... = y
@@ -70,14 +93,12 @@ let initial_guesses ~num_degree ~den_degree ~xs ~ys =
 
 let make ~name ~num_degree ~den_degree =
   if num_degree < 0 || den_degree < 1 then invalid_arg "Rational.make: bad degrees";
-  {
-    Kernel.name;
-    arity = num_degree + den_degree + 1;
-    eval = eval ~num_degree ~den_degree;
-    gradient = gradient ~num_degree ~den_degree;
-    initial_guesses = (fun ~xs ~ys -> initial_guesses ~num_degree ~den_degree ~xs ~ys);
-    linear = false;
-  }
+  Kernel.make ~name
+    ~arity:(num_degree + den_degree + 1)
+    ~eval:(eval ~num_degree ~den_degree)
+    ~objective:(objective ~num_degree ~den_degree)
+    ~initial_guesses:(initial_guesses ~num_degree ~den_degree)
+    ~linear:false
 
 let rat22 = make ~name:"Rat22" ~num_degree:2 ~den_degree:2
 let rat23 = make ~name:"Rat23" ~num_degree:2 ~den_degree:3

@@ -1,4 +1,17 @@
-type objective = { residual : Vec.t -> Vec.t; jacobian : Vec.t -> Mat.t }
+type objective = {
+  residuals : int;
+  residual_into : Vec.t -> float array -> unit;
+  jacobian_into : Vec.t -> float array -> unit;
+  residual : Vec.t -> Vec.t;
+}
+
+let objective ~residuals ~residual_into ~jacobian_into =
+  let residual params =
+    let r = Array.make residuals 0.0 in
+    residual_into params r;
+    r
+  in
+  { residuals; residual_into; jacobian_into; residual }
 
 type options = {
   max_iterations : int;
@@ -25,16 +38,36 @@ type outcome = Converged | Max_iterations | Stalled
 
 type result = { params : Vec.t; cost : float; iterations : int; outcome : outcome }
 
-let cost_of_residual r = 0.5 *. Vec.dot r r
+(* The iteration's reductions, inlined: a float a call returns is boxed.
+   Each repeats the operations and order of its Vec counterpart
+   ([Vec.dot a a], [Vec.norm2], [Vec.norm_inf]). *)
+let[@inline] sum_of_squares a =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. (a.(i) *. a.(i))
+  done;
+  !acc
+
+let[@inline] cost_of_residual r = 0.5 *. sum_of_squares r
+
+let[@inline] norm2 a = sqrt (sum_of_squares a)
+
+let[@inline] norm_inf a =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := Float.max !acc (Float.abs a.(i))
+  done;
+  !acc
 
 let lambda_ceiling = 1e12
 
 (* Every buffer one [minimize] call needs, allocated once per call so an
-   iteration allocates only what the objective returns.  Not shared between
-   calls, so concurrent fits need no locks. *)
+   iteration allocates nothing.  Not shared between calls, so concurrent
+   fits need no locks. *)
 type workspace = {
   m : int;  (** Residuals. *)
   n : int;  (** Parameters. *)
+  jacobian : float array;  (** m x n row-major J at [params], written by the objective. *)
   stacked : float array;  (** (m+n) x n row-major [J; sqrt(lambda diag)]; QR leaves R in it. *)
   rhs : float array;  (** [-r; 0], then Q^T of it. *)
   reflector : float array;
@@ -43,6 +76,8 @@ type workspace = {
   step : float array;
   mutable params : float array;
   mutable trial : float array;  (** Swapped with [params] when a step is accepted. *)
+  mutable residual : float array;  (** r at [params], written by the objective. *)
+  mutable trial_residual : float array;  (** Swapped with [residual] when a step is accepted. *)
 }
 
 let workspace ~m ~n =
@@ -50,6 +85,7 @@ let workspace ~m ~n =
   {
     m;
     n;
+    jacobian = buf (m * n);
     stacked = buf ((m + n) * n);
     rhs = buf (m + n);
     reflector = buf (m + n);
@@ -58,15 +94,18 @@ let workspace ~m ~n =
     step = buf n;
     params = buf n;
     trial = buf n;
+    residual = buf m;
+    trial_residual = buf m;
   }
 
 (* J^T r and the column scales, each a sum from 0.0 in row order. *)
-let gradient_and_scales ws jac residual =
-  for j = 0 to ws.n - 1 do
+let gradient_and_scales ws =
+  let n = ws.n in
+  for j = 0 to n - 1 do
     let g = ref 0.0 and d = ref 0.0 in
     for i = 0 to ws.m - 1 do
-      let v = Mat.get jac i j in
-      g := !g +. (v *. residual.(i));
+      let v = ws.jacobian.((i * n) + j) in
+      g := !g +. (v *. ws.residual.(i));
       d := !d +. (v *. v)
     done;
     ws.grad.(j) <- !g;
@@ -77,15 +116,14 @@ let gradient_and_scales ws jac residual =
 (* Solve the damped normal equations (J^T J + lambda diag(J^T J)) p = -J^T r
    into [ws.step] via QR on the stacked system [J; sqrt(lambda) * sqrt(diag)]
    to avoid forming J^T J explicitly.  The factorization destroys the
-   stacked system, so every call rebuilds it. *)
-let solve_damped_step ws jac residual lambda =
+   stacked system, so every call rebuilds it.  Inlined so that [lambda]
+   is not boxed. *)
+let[@inline] solve_damped_step ws lambda =
   let m = ws.m and n = ws.n in
   let a = ws.stacked in
+  Array.blit ws.jacobian 0 a 0 (m * n);
   for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      a.((i * n) + j) <- Mat.get jac i j
-    done;
-    ws.rhs.(i) <- -.residual.(i)
+    ws.rhs.(i) <- -.ws.residual.(i)
   done;
   Array.fill a (m * n) (n * n) 0.0;
   for j = 0 to n - 1 do
@@ -97,53 +135,51 @@ let solve_damped_step ws jac residual lambda =
 let minimize ?(options = default_options) objective ~init =
   let n = Vec.dim init in
   if n = 0 then invalid_arg "Lm.minimize: empty parameter vector";
-  let r0 = objective.residual init in
-  if not (Vec.all_finite r0) then invalid_arg "Lm.minimize: non-finite residual at initial point";
-  let m = Vec.dim r0 in
-  let ws = workspace ~m ~n in
+  let ws = workspace ~m:objective.residuals ~n in
+  objective.residual_into init ws.residual;
+  if not (Vec.all_finite ws.residual) then invalid_arg "Lm.minimize: non-finite residual at initial point";
   Array.blit init 0 ws.params 0 n;
-  let residual = ref r0 in
-  let cost = ref (cost_of_residual r0) in
+  let cost = ref (cost_of_residual ws.residual) in
   let lambda = ref options.initial_lambda in
   let iterations = ref 0 in
   let outcome = ref Max_iterations in
   (try
      while !iterations < options.max_iterations do
        incr iterations;
-       let jac = objective.jacobian ws.params in
-       if not (Mat.all_finite jac) then begin
+       objective.jacobian_into ws.params ws.jacobian;
+       if not (Vec.all_finite ws.jacobian) then begin
          outcome := Stalled;
          raise Exit
        end;
-       if Mat.rows jac <> m || Mat.cols jac <> n then invalid_arg "Lm.minimize: jacobian dimension mismatch";
-       gradient_and_scales ws jac !residual;
+       gradient_and_scales ws;
        (* Gradient convergence test. *)
-       if Vec.norm_inf ws.grad < options.tolerance_gradient then begin
+       if norm_inf ws.grad < options.tolerance_gradient then begin
          outcome := Converged;
          raise Exit
        end;
        (* Inner loop: grow lambda until a step is accepted. *)
        let accepted = ref false in
        while (not !accepted) && !lambda < lambda_ceiling do
-         match solve_damped_step ws jac !residual !lambda with
+         match solve_damped_step ws !lambda with
          | exception Qr.Singular -> lambda := !lambda *. options.lambda_increase
          | () ->
              for j = 0 to n - 1 do
                ws.trial.(j) <- ws.params.(j) +. ws.step.(j)
              done;
-             let trial_residual = objective.residual ws.trial in
-             if Vec.dim trial_residual <> m then invalid_arg "Lm.minimize: residual dimension mismatch";
-             let trial_ok = Vec.all_finite trial_residual in
-             let trial_cost = if trial_ok then cost_of_residual trial_residual else Float.infinity in
+             objective.residual_into ws.trial ws.trial_residual;
+             let trial_ok = Vec.all_finite ws.trial_residual in
+             let trial_cost = if trial_ok then cost_of_residual ws.trial_residual else Float.infinity in
              if trial_ok && trial_cost < !cost then begin
                let step_small =
-                 Vec.norm2 ws.step < options.tolerance_step *. (Vec.norm2 ws.params +. options.tolerance_step)
+                 norm2 ws.step < options.tolerance_step *. (norm2 ws.params +. options.tolerance_step)
                in
                let cost_small = !cost -. trial_cost < options.tolerance_cost *. Float.max !cost 1e-300 in
                let previous = ws.params in
                ws.params <- ws.trial;
                ws.trial <- previous;
-               residual := trial_residual;
+               let previous = ws.residual in
+               ws.residual <- ws.trial_residual;
+               ws.trial_residual <- previous;
                cost := trial_cost;
                lambda := Float.max (!lambda /. options.lambda_decrease) 1e-12;
                accepted := true;

@@ -11,15 +11,14 @@
     provided for tests and ad-hoc models.
 
     Memory: each {!minimize} call allocates one workspace, about
-    [(m+n)*n + 2(m+n) + 5n] words for [m] residuals and [n] parameters
-    (the stacked damped system, its right-hand side, one Householder
-    reflector, the column scales, the gradient, the step and two parameter
-    buffers), and solves every damped step in it with
-    {!Qr.solve_in_place}.  After that an iteration allocates only what the
-    objective returns (one Jacobian, one residual per trial step), so the
-    allocation no longer grows with the work done per iteration.  The
-    workspace belongs to the call: parallel fits share nothing and need no
-    locks.
+    [(m+n)*n + m*n + 2(m+n) + 2m + 5n] words for [m] residuals and [n]
+    parameters (the stacked damped system, the Jacobian, its right-hand
+    side, one Householder reflector, two residuals, the column scales, the
+    gradient, the step and two parameter buffers), and solves every damped
+    step in it with {!Qr.solve_in_place}.  The objective writes its
+    residuals and Jacobian into that workspace, so an iteration allocates
+    nothing.  The workspace belongs to the call: parallel fits share
+    nothing and need no locks.
 
     Bit-for-bit contract: every floating-point operation keeps its operands
     and order (sums start from [0.0] and run in index order, no fused or
@@ -28,10 +27,28 @@
     prediction; the goldens, the CLI/API/server differential and the
     benchmark's output digest all rely on this. *)
 
-type objective = {
-  residual : Vec.t -> Vec.t;  (** [residual p] returns [f(p, x_i) - y_i] for all i. *)
-  jacobian : Vec.t -> Mat.t;  (** [jacobian p] returns [d residual_i / d p_j]. *)
+type objective = private {
+  residuals : int;  (** [m], the number of residuals. *)
+  residual_into : Vec.t -> float array -> unit;
+      (** [residual_into p r] writes [f(p, x_i) - y_i] into [r.(i)] for
+          every [i < m]. *)
+  jacobian_into : Vec.t -> float array -> unit;
+      (** [jacobian_into p jac] writes [d residual_i / d p_j] into
+          [jac.(i * n + j)] for every [i < m] and [j < n = Vec.dim p]:
+          the [m x n] Jacobian, row-major, every entry written. *)
+  residual : Vec.t -> Vec.t;
+      (** [residual p] is [residual_into p] on a fresh [m]-vector: the
+          allocating view for callers outside the iteration. *)
 }
+(** A least-squares objective that writes into buffers the caller owns;
+    {!minimize} passes it buffers from its workspace. *)
+
+val objective :
+  residuals:int ->
+  residual_into:(Vec.t -> float array -> unit) ->
+  jacobian_into:(Vec.t -> float array -> unit) ->
+  objective
+(** The only constructor; derives [residual] from [residual_into]. *)
 
 type options = {
   max_iterations : int;       (** Outer iteration cap (default 200). *)
@@ -61,9 +78,9 @@ val minimize : ?options:options -> objective -> init:Vec.t -> result
 (** Runs the iteration from [init].  Non-finite residuals at a trial point
     are treated as a rejected step (damping increases), so kernels with
     poles inside the search region are handled gracefully.  Raises
-    [Invalid_argument] if [init] is empty, the residual at [init] is
-    non-finite, or the objective returns a residual or Jacobian whose
-    dimensions differ from those at [init]. *)
+    [Invalid_argument] if [init] is empty or the residual at [init] is
+    non-finite; an objective that writes outside its [m] or [m x n]
+    buffer fails the array bounds check. *)
 
 val finite_difference_jacobian : (Vec.t -> Vec.t) -> Vec.t -> Mat.t
 (** Central-difference Jacobian, step [sqrt eps * max 1 |p_j|].  Useful for

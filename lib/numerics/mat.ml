@@ -56,5 +56,3 @@ let mul_vec a v =
         acc := !acc +. (get a i k *. v.(k))
       done;
       !acc)
-
-let all_finite m = Vec.all_finite m.data

@@ -32,5 +32,3 @@ val mul : t -> t -> t
 (** Matrix product; raises [Invalid_argument] on inner-dimension mismatch. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
-
-val all_finite : t -> bool

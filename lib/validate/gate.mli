@@ -70,8 +70,8 @@ val json_of_outcome : outcome -> Estima_json.Json.t
 
 val perturbed_kernels : unit -> Estima_kernels.Kernel.t list
 (** DEV ONLY.  Table 1 kernels with evaluation skewed by a factor that
-    grows with the core count ([1 + 0.005 x], gradients scaled
-    identically), so extrapolations drift while in-window fits barely
-    move — a constant skew would be absorbed by the fit and prove
-    nothing.  Used to demonstrate the gate fails when the engine is
-    wrong. *)
+    grows with the core count ([1 + 0.005 x]; each kernel's fit objective
+    is skewed identically, so the fit follows the skewed model), so
+    extrapolations drift while in-window fits barely move — a constant
+    skew would be absorbed by the fit and prove nothing.  Used to
+    demonstrate the gate fails when the engine is wrong. *)

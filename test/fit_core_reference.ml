@@ -1,10 +1,13 @@
-(* Reference fit core: the allocating Levenberg-Marquardt iteration and
-   copying Householder QR that the workspace versions in estima_numerics
-   replaced, unchanged but for comments.  Only Test_fit_core calls them, to
-   check that the library returns the same bits, iteration counts and
-   outcomes. *)
+(* Reference fit core: the allocating Levenberg-Marquardt iteration,
+   copying Householder QR and per-point kernel objectives that the
+   workspace versions in estima_numerics and the staged kernel objectives
+   in estima_kernels replaced, unchanged but for comments and the
+   Jacobian's finiteness check, which reads the rows of the matrix.  Only
+   Test_fit_core calls them, to check that the library returns the same
+   bits, iteration counts and outcomes. *)
 
 open Estima_numerics
+open Estima_kernels
 
 module Qr = struct
   exception Singular = Qr.Singular
@@ -85,6 +88,69 @@ module Qr = struct
     back_substitute r n rhs
 end
 
+(* ------------------------------------------------------------------ *)
+(* Objectives                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An objective that returns fresh arrays, as Lm.objective did. *)
+type objective = { residual : Vec.t -> Vec.t; jacobian : Vec.t -> Mat.t }
+
+(* The per-point gradients Rational and Exp_rat carried. *)
+let horner coeffs first last x =
+  let acc = ref 0.0 in
+  for j = last downto first do
+    acc := (!acc *. x) +. coeffs.(j)
+  done;
+  !acc
+
+let rational_gradient ~num_degree ~den_degree params x =
+  let num = horner params 0 num_degree x in
+  let den = 1.0 +. (x *. horner params (num_degree + 1) (num_degree + den_degree) x) in
+  let g = Array.make (num_degree + den_degree + 1) 0.0 in
+  for j = 0 to num_degree do
+    g.(j) <- Float.pow x (float_of_int j) /. den
+  done;
+  for k = 1 to den_degree do
+    (* d/db_k of num/den = -num * x^k / den^2 *)
+    g.(num_degree + k) <- -.num *. Float.pow x (float_of_int k) /. (den *. den)
+  done;
+  g
+
+let exp_rat_gradient params x =
+  let num = params.(0) +. (params.(1) *. x) in
+  let den = params.(2) +. (params.(3) *. x) in
+  let f = exp (num /. den) in
+  let den2 = den *. den in
+  [| f /. den; f *. x /. den; -.f *. num /. den2; -.f *. num *. x /. den2 |]
+
+(* Kernel.residual_objective over the kernel's [eval] and its per-point
+   [gradient]. *)
+let residual_objective (t : Kernel.t) ~gradient ~xs ~ys =
+  let m = Array.length xs in
+  if m <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
+  let residual params =
+    let r = Array.make m 0.0 in
+    for i = 0 to m - 1 do
+      r.(i) <- t.eval params xs.(i) -. ys.(i)
+    done;
+    r
+  in
+  let jacobian params =
+    let jac = Mat.create m t.arity 0.0 in
+    for i = 0 to m - 1 do
+      let row = gradient params xs.(i) in
+      for j = 0 to t.arity - 1 do
+        Mat.set jac i j row.(j)
+      done
+    done;
+    jac
+  in
+  { residual; jacobian }
+
+(* ------------------------------------------------------------------ *)
+(* Levenberg-Marquardt                                                 *)
+(* ------------------------------------------------------------------ *)
+
 let cost_of_residual r = 0.5 *. Vec.dot r r
 
 let lambda_ceiling = 1e12
@@ -109,7 +175,7 @@ let solve_damped_step jac residual lambda =
   let rhs = Array.init (m + n) (fun i -> if i < m then -.residual.(i) else 0.0) in
   Qr.solve_least_squares stacked rhs
 
-let minimize ?(options = Lm.default_options) (objective : Lm.objective) ~init =
+let minimize ?(options = Lm.default_options) objective ~init =
   if Vec.dim init = 0 then invalid_arg "Lm.minimize: empty parameter vector";
   let r0 = objective.residual init in
   if not (Vec.all_finite r0) then invalid_arg "Lm.minimize: non-finite residual at initial point";
@@ -123,7 +189,7 @@ let minimize ?(options = Lm.default_options) (objective : Lm.objective) ~init =
      while !iterations < options.max_iterations do
        incr iterations;
        let jac = objective.jacobian !params in
-       if not (Mat.all_finite jac) then begin
+       if not (Array.for_all Vec.all_finite (Mat.to_arrays jac)) then begin
          outcome := Lm.Stalled;
          raise Exit
        end;

@@ -1,6 +1,8 @@
-(* The fit core against its reference: Lm.minimize and Qr must return the
-   bits the allocating implementation in Fit_core_reference returned, and
-   Lm.minimize must allocate far less per iteration than it did. *)
+(* The fit core against its reference: Lm.minimize over the kernels'
+   staged objectives, and Qr, must return the bits the allocating
+   implementation in Fit_core_reference returned over the per-point
+   eval/gradient objectives, and an Lm.minimize iteration must allocate
+   nothing. *)
 
 open Estima_numerics
 open Estima_kernels
@@ -70,8 +72,8 @@ let reach = { non_finite = 0; rejected = 0; accepted = 0 }
 
 let observed (objective : Lm.objective) =
   let best = ref Float.nan in
-  let residual p =
-    let r = objective.residual p in
+  let residual_into p r =
+    objective.Lm.residual_into p r;
     let cost = 0.5 *. Vec.dot r r in
     if Float.is_nan !best then best := cost
     else if not (Vec.all_finite r) then reach.non_finite <- reach.non_finite + 1
@@ -79,35 +81,45 @@ let observed (objective : Lm.objective) =
       best := cost;
       reach.accepted <- reach.accepted + 1
     end
-    else reach.rejected <- reach.rejected + 1;
-    r
+    else reach.rejected <- reach.rejected + 1
   in
-  { objective with Lm.residual }
+  Lm.objective ~residuals:objective.Lm.residuals ~residual_into ~jacobian_into:objective.Lm.jacobian_into
 
-let minimize_both objective ~init =
+let minimize_both objective reference ~init =
   let run f = match f () with r -> Ok r | exception Invalid_argument msg -> Error msg in
   ( run (fun () -> Lm.minimize (observed objective) ~init),
-    run (fun () -> Reference.minimize objective ~init) )
+    run (fun () -> Reference.minimize reference ~init) )
 
 let agree = function
   | Ok r, Ok e -> same_result r e
   | Error a, Error b -> String.equal a b
   | Ok _, Error _ | Error _, Ok _ -> false
 
-let nonlinear_kernels = [ Rational.rat22; Rational.rat23; Rational.rat33; Exp_rat.kernel ]
+(* Each nonlinear kernel with the per-point gradient it carried. *)
+let nonlinear_kernels =
+  [
+    (Rational.rat22, Reference.rational_gradient ~num_degree:2 ~den_degree:2);
+    (Rational.rat23, Reference.rational_gradient ~num_degree:2 ~den_degree:3);
+    (Rational.rat33, Reference.rational_gradient ~num_degree:3 ~den_degree:3);
+    (Exp_rat.kernel, Reference.exp_rat_gradient);
+  ]
 
 (* Every start Fit.fit would make, plus the same residuals under a
    finite-difference Jacobian from the first start. *)
 let fit_core_agrees { xs; ys } =
   let ys = normalised ys in
   List.for_all
-    (fun (kernel : Kernel.t) ->
+    (fun ((kernel : Kernel.t), gradient) ->
       let objective = Kernel.residual_objective kernel ~xs ~ys in
+      let reference = Reference.residual_objective kernel ~gradient ~xs ~ys in
       let finite init = Vec.all_finite (objective.Lm.residual init) in
       let guesses = List.filter finite (kernel.Kernel.initial_guesses ~xs ~ys) in
-      let fd = { objective with Lm.jacobian = Lm.finite_difference_jacobian objective.Lm.residual } in
-      List.for_all (fun init -> agree (minimize_both objective ~init)) guesses
-      && match guesses with init :: _ -> agree (minimize_both fd ~init) | [] -> true)
+      let fd = Test_numerics.fd_objective ~residuals:(Array.length xs) objective.Lm.residual in
+      let reference_fd =
+        { reference with Reference.jacobian = Lm.finite_difference_jacobian reference.Reference.residual }
+      in
+      List.for_all (fun init -> agree (minimize_both objective reference ~init)) guesses
+      && match guesses with init :: _ -> agree (minimize_both fd reference_fd ~init) | [] -> true)
     nonlinear_kernels
 
 let prop_lm_bit_identical =
@@ -180,24 +192,32 @@ let rat33_problem () =
   let objective = Kernel.residual_objective Rational.rat33 ~xs ~ys in
   (objective, List.hd (Rational.rat33.Kernel.initial_guesses ~xs ~ys))
 
-let words_per_iteration minimize =
+(* Words allocated by one Lm.minimize call capped at [cap] iterations. *)
+let allocated_by ~cap =
   let objective, init = rat33_problem () in
+  let options = { Lm.default_options with Lm.max_iterations = cap } in
   let w0 = Gc.minor_words () in
-  let r : Lm.result = minimize objective ~init in
-  (Gc.minor_words () -. w0) /. float_of_int r.iterations
+  let r = Lm.minimize ~options objective ~init in
+  (r, Gc.minor_words () -. w0)
 
-(* The reference is the previous Lm.minimize, measured in the same runtime,
-   so the bound holds whatever the compiler version does to both. *)
-let test_lm_allocates_half_the_reference () =
-  let current = words_per_iteration (fun objective ~init -> Lm.minimize objective ~init) in
-  let reference = words_per_iteration (fun objective ~init -> Reference.minimize objective ~init) in
-  if current > 0.5 *. reference then
-    Alcotest.failf "Lm.minimize allocates %.0f words per iteration; the reference %.0f" current reference
+(* The workspace is the call's only allocation, so a run twice as long
+   allocates exactly as much. *)
+let test_lm_iterations_allocate_nothing () =
+  let uncapped, _ = allocated_by ~cap:Lm.default_options.Lm.max_iterations in
+  let k = uncapped.Lm.iterations / 4 in
+  if uncapped.Lm.outcome <> Lm.Converged || k < 1 then
+    Alcotest.failf "the fixture converges in %d iterations" uncapped.Lm.iterations;
+  let short, short_words = allocated_by ~cap:k and long, long_words = allocated_by ~cap:(2 * k) in
+  List.iter
+    (fun (r : Lm.result) -> if r.Lm.outcome <> Lm.Max_iterations then Alcotest.fail "a capped run stopped early")
+    [ short; long ];
+  if long_words <> short_words then
+    Alcotest.failf "%d iterations allocate %.0f words, %d iterations %.0f" k short_words (2 * k) long_words
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lm_bit_identical;
     QCheck_alcotest.to_alcotest prop_qr_bit_identical;
     ("inputs reach every branch", `Quick, test_inputs_reach_every_branch);
-    ("lm allocates at most half the reference per iteration", `Quick, test_lm_allocates_half_the_reference);
+    ("lm iterations allocate nothing", `Quick, test_lm_iterations_allocate_nothing);
   ]

@@ -302,10 +302,24 @@ let test_linear_fit_too_few_points () =
 (* Lm                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* An objective over [residual], which returns [residuals] values, with
+   its finite-difference Jacobian. *)
+let fd_objective ~residuals residual =
+  let residual_into p r = Array.blit (residual p) 0 r 0 residuals in
+  let jacobian_into p jac =
+    let fd = Lm.finite_difference_jacobian residual p in
+    let n = Mat.cols fd in
+    for i = 0 to residuals - 1 do
+      for j = 0 to n - 1 do
+        jac.((i * n) + j) <- Mat.get fd i j
+      done
+    done
+  in
+  Lm.objective ~residuals ~residual_into ~jacobian_into
+
 let rosenbrock_objective =
   (* Classic Rosenbrock in residual form: r = (1-a, 10(b-a^2)). *)
-  let residual p = [| 1.0 -. p.(0); 10.0 *. (p.(1) -. (p.(0) *. p.(0))) |] in
-  { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) }
+  fd_objective ~residuals:2 (fun p -> [| 1.0 -. p.(0); 10.0 *. (p.(1) -. (p.(0) *. p.(0))) |])
 
 let test_lm_rosenbrock () =
   let result = Lm.minimize rosenbrock_objective ~init:[| -1.2; 1.0 |] in
@@ -318,15 +332,14 @@ let test_lm_exponential_fit () =
   let xs = [| 0.0; 1.0; 2.0; 3.0; 4.0 |] in
   let ys = Array.map (fun x -> 2.0 *. exp (0.5 *. x)) xs in
   let residual p = Array.mapi (fun i x -> (p.(0) *. exp (p.(1) *. x)) -. ys.(i)) xs in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~residuals:5 residual in
   let result = Lm.minimize objective ~init:[| 1.0; 0.1 |] in
   check_float ~eps:1e-6 "a" 2.0 result.params.(0);
   check_float ~eps:1e-6 "b" 0.5 result.params.(1)
 
 let test_lm_linear_exact_one_hop () =
   (* A linear residual should converge essentially immediately. *)
-  let residual p = [| p.(0) -. 3.0; p.(1) +. 4.0 |] in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~residuals:2 (fun p -> [| p.(0) -. 3.0; p.(1) +. 4.0 |]) in
   let result = Lm.minimize objective ~init:[| 0.0; 0.0 |] in
   Alcotest.(check bool) "converged" true (result.outcome = Lm.Converged);
   check_float ~eps:1e-8 "p0" 3.0 result.params.(0);
@@ -338,13 +351,12 @@ let test_lm_pole_recovery () =
   let xs = [| 1.0; 2.0; 3.0 |] in
   let ys = Array.map (fun x -> 1.0 /. (x +. 0.5)) xs in
   let residual p = Array.mapi (fun i x -> (1.0 /. (x +. p.(0))) -. ys.(i)) xs in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~residuals:3 residual in
   let result = Lm.minimize objective ~init:[| 2.0 |] in
   check_float ~eps:1e-6 "pole offset" 0.5 result.params.(0)
 
 let test_lm_nonfinite_init_rejected () =
-  let residual p = [| 1.0 /. p.(0) |] in
-  let objective = { Lm.residual; jacobian = (fun p -> Lm.finite_difference_jacobian residual p) } in
+  let objective = fd_objective ~residuals:1 (fun p -> [| 1.0 /. p.(0) |]) in
   Alcotest.check_raises "non-finite init"
     (Invalid_argument "Lm.minimize: non-finite residual at initial point") (fun () ->
       ignore (Lm.minimize objective ~init:[| 0.0 |]))

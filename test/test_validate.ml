@@ -223,6 +223,22 @@ let test_perturbed_engine_fails_gate () =
   Alcotest.(check bool) "perturbed gate fails" false outcome.Gate.passed;
   Alcotest.(check bool) "with explicit mismatches" true (outcome.Gate.golden_mismatches <> [])
 
+(* A perturbed kernel carries its own objective, so the skew must reach
+   the fit and not only the extrapolation: fitted to the same series, the
+   skewed Rat22 settles on other coefficients than the honest one. *)
+let test_perturbed_kernels_fit_the_skewed_model () =
+  let module Kernel = Estima_kernels.Kernel in
+  let module Fit = Estima_kernels.Fit in
+  let xs = [| 1.0; 2.0; 4.0; 6.0; 8.0; 12.0; 16.0; 24.0 |] in
+  let ys = [| 0.9; 1.7; 3.1; 4.6; 5.6; 8.9; 10.2; 17.5 |] in
+  let skewed = List.find (fun k -> k.Kernel.name = "Rat22") (Gate.perturbed_kernels ()) in
+  match (Fit.fit Estima_kernels.Rational.rat22 ~xs ~ys, Fit.fit skewed ~xs ~ys) with
+  | Some honest, Some skewed ->
+      if Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) honest.Fit.params
+           skewed.Fit.params
+      then Alcotest.fail "the skewed Rat22 fitted the honest coefficients"
+  | _ -> Alcotest.fail "Rat22 did not fit"
+
 let test_calibration_passes_on_honest_bands () =
   (* Honest bootstrap bands over the held-out region must cover at
      least the blessed fraction of the truth — the tentpole's
@@ -265,6 +281,7 @@ let suite =
     ("subset backtest matches blessed golden", `Slow, test_subset_matches_golden);
     ("blessed summary upholds the T4 invariant", `Quick, test_blessed_summary_upholds_invariant);
     ("cli/api/server differential at jobs 1 and 4", `Slow, test_differential_byte_identity);
+    ("perturbed kernels fit the skewed model", `Quick, test_perturbed_kernels_fit_the_skewed_model);
     ("perturbed engine fails the gate", `Slow, test_perturbed_engine_fails_gate);
     ("calibration passes on honest bands", `Slow, test_calibration_passes_on_honest_bands);
     ("miscalibrated bands fail the gate", `Slow, test_miscalibrated_bands_fail_gate);
