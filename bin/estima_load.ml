@@ -163,14 +163,6 @@ let resamples_arg =
     & info [ "confidence-resamples" ] ~docv:"N"
         ~doc:"Bootstrap resamples on confidence requests (when the CONF weight is nonzero).")
 
-let rate_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "rate" ] ~docv:"RPS"
-        ~doc:
-          "Open-loop pacing: each client sends $(docv) requests per second regardless of            responses (default: closed loop, window of one).")
-
 let timeout_arg =
   Arg.(
     value & opt float 120.0
@@ -190,7 +182,7 @@ let require_serve_exe = function
           exit 1)
 
 let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs serve_args clients
-    requests seed payloads workloads mix resamples rate timeout_s json =
+    requests seed payloads workloads mix resamples timeout_s json =
   if clients < 1 then begin
     prerr_endline "estima_load: --clients must be >= 1";
     exit 1
@@ -221,15 +213,7 @@ let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs serve_a
       prerr_endline ("estima_load: " ^ msg);
       exit 1
   in
-  let pacing =
-    match rate with
-    | None -> Driver.Closed_loop
-    | Some rate when rate > 0.0 -> Driver.Open_loop rate
-    | Some _ ->
-        prerr_endline "estima_load: --rate must be positive";
-        exit 1
-  in
-  let play target = Driver.run ~pacing ~timeout_s target plan in
+  let play target = Driver.run ~timeout_s target plan in
   let outcome =
     match (tcp, socket, spawn_tcp) with
     | Some (host, port), _, _ -> play (Driver.Tcp { host; port })
@@ -268,6 +252,6 @@ let cmd =
     Term.(
       const run $ machine_arg $ sockets_arg $ target_arg $ tcp_arg $ socket_arg $ spawn_tcp_arg
       $ serve_exe_arg $ serve_jobs_arg $ serve_args_arg $ clients_arg $ requests_arg $ seed_arg
-      $ payload_arg $ workload_arg $ mix_arg $ resamples_arg $ rate_arg $ timeout_arg $ json_arg)
+      $ payload_arg $ workload_arg $ mix_arg $ resamples_arg $ timeout_arg $ json_arg)
 
 let () = exit (Cmd.eval cmd)

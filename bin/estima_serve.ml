@@ -112,7 +112,12 @@ let max_buffer_arg =
     & opt int Wire.default_max_buffer_bytes
     & info [ "max-buffer" ] ~docv:"BYTES"
         ~doc:
-          "Per-connection input buffer cap: a peer that streams $(docv) bytes without a            newline is shed with a typed `frame-too-large` error and its buffered bytes are            dropped (the stream resynchronises at the next newline) instead of growing the            buffer without bound.")
+          "Per-connection buffer cap.  Input: a peer that streams $(docv) bytes without a \
+           newline is shed with a typed `frame-too-large` error and its buffered bytes are \
+           dropped (the stream resynchronises at the next newline) instead of growing the \
+           buffer without bound.  Output (socket and TCP modes): a connection holding more \
+           than $(docv) bytes of responses its peer has not read yet is not read from until \
+           they drain.")
 
 let max_conns_arg =
   Arg.(

@@ -7,8 +7,6 @@ type target =
   | Unix_socket of string
   | Tcp of { host : string; port : int }
 
-type pacing = Closed_loop | Open_loop of float
-
 type mismatch = {
   client : int;
   id : int;
@@ -41,18 +39,9 @@ let max_recorded_mismatches = 5
    ways) or a spawned process's pipes. *)
 type conn = { infd : Unix.file_descr; outfd : Unix.file_descr; pid : int option }
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
-      | _ | (exception Not_found) ->
-          invalid_arg (Printf.sprintf "Driver: cannot resolve host %S" host))
-
 let connect_tcp ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (resolve_host host, port))
+  (try Unix.connect fd (Unix.ADDR_INET (Wire.resolve_host host, port))
    with exn ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise exn);
@@ -113,12 +102,12 @@ type client_result = {
   c_mismatches : mismatch list;
 }
 
-(* Both pacings run the same send/receive loop; they differ only in when
-   the next request may go out.  Responses are matched FIFO against the
+(* A closed loop, window of one: the next request goes out once the
+   previous response has arrived.  Responses are matched FIFO against the
    pending queue — the transports answer each connection's lines in wire
-   order, so any reordering shows up as a mismatch, which is exactly
-   what we want the harness to catch. *)
-let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request array) =
+   order, so any reordering or extra line shows up as a mismatch, which
+   is exactly what we want the harness to catch. *)
+let run_client ~client ~timeout_s ~hist conn (stream : Generator.request array) =
   let n = Array.length stream in
   let pending : (Generator.request * float) Queue.t = Queue.create () in
   let buf = Buffer.create 4096 in
@@ -129,14 +118,6 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
   let mismatched = ref 0 in
   let mismatches = ref [] in
   let eof = ref false in
-  let start = Clock.now_s () in
-  let send_due now =
-    if !sent >= n then None
-    else
-      match pacing with
-      | Closed_loop -> if Queue.is_empty pending then Some 0.0 else None
-      | Open_loop rate -> Some (start +. (float_of_int !sent /. rate) -. now)
-  in
   let consume_line line =
     let request, sent_at = Queue.pop pending in
     Metrics.Histogram.observe hist (Clock.now_s () -. sent_at);
@@ -156,44 +137,39 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
           :: !mismatches
     end
   in
-  let deadline = ref (start +. timeout_s) in
+  let deadline = ref (Clock.now_s () +. timeout_s) in
   (try
      while (!sent < n || not (Queue.is_empty pending)) && not !eof do
        let now = Clock.now_s () in
        if now > !deadline then raise Exit;
-       (match send_due now with
-       | Some wait when wait <= 0.0 ->
-           let request = stream.(!sent) in
-           write_all conn.outfd (Bytes.of_string (request.Generator.line ^ "\n"));
-           Queue.add (request, Clock.now_s ()) pending;
-           incr sent;
-           deadline := Clock.now_s () +. timeout_s
-       | due ->
-           (* Nothing to send right now: wait for a response, but no
-              longer than the next scheduled send or the deadline. *)
-           let wait =
-             let until_deadline = !deadline -. now in
-             match due with
-             | Some wait -> Float.min wait until_deadline
-             | None -> until_deadline
-           in
-           let wait = Float.max 0.0 (Float.min wait 0.5) in
-           let readable, _, _ = Unix.select [ conn.infd ] [] [] wait in
-           if readable <> [] then begin
-             let read = Unix.read conn.infd chunk 0 (Bytes.length chunk) in
-             if read = 0 then eof := true
-             else begin
-               Buffer.add_subbytes buf chunk 0 read;
-               let lines = Wire.split_lines buf in
-               List.iter
-                 (fun line ->
-                   if not (Queue.is_empty pending) then begin
-                     consume_line line;
-                     deadline := Clock.now_s () +. timeout_s
-                   end)
-                 lines
-             end
-           end)
+       if Queue.is_empty pending then begin
+         let request = stream.(!sent) in
+         write_all conn.outfd (Bytes.of_string (request.Generator.line ^ "\n"));
+         Queue.add (request, Clock.now_s ()) pending;
+         incr sent;
+         deadline := Clock.now_s () +. timeout_s
+       end
+       else begin
+         (* Wait for the response, but no longer than the deadline. *)
+         let readable, _, _ =
+           Unix.select [ conn.infd ] [] [] (Float.max 0.0 (Float.min (!deadline -. now) 0.5))
+         in
+         if readable <> [] then begin
+           let read = Unix.read conn.infd chunk 0 (Bytes.length chunk) in
+           if read = 0 then eof := true
+           else begin
+             Buffer.add_subbytes buf chunk 0 read;
+             let lines = Wire.split_lines buf in
+             List.iter
+               (fun line ->
+                 if not (Queue.is_empty pending) then begin
+                   consume_line line;
+                   deadline := Clock.now_s () +. timeout_s
+                 end)
+               lines
+           end
+         end
+       end
      done
    with
   | Exit -> ()
@@ -208,10 +184,7 @@ let run_client ~client ~pacing ~timeout_s ~hist conn (stream : Generator.request
     c_mismatches = List.rev !mismatches;
   }
 
-let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.plan) =
-  (match pacing with
-  | Open_loop rate when rate <= 0.0 -> invalid_arg "Driver.run: open-loop rate must be positive"
-  | _ -> ());
+let run ?(timeout_s = 120.0) target (plan : Generator.plan) =
   let registry = Metrics.create () in
   let hist = Metrics.histogram registry "load_latency_seconds" in
   let started = Clock.now_s () in
@@ -221,7 +194,7 @@ let run ?(pacing = Closed_loop) ?(timeout_s = 120.0) target (plan : Generator.pl
         (* Connect in the parent so an unreachable server raises here
            rather than dying inside a domain. *)
         let conn = connect target in
-        Domain.spawn (fun () -> run_client ~client ~pacing ~timeout_s ~hist conn stream))
+        Domain.spawn (fun () -> run_client ~client ~timeout_s ~hist conn stream))
       plan.Generator.streams
   in
   let results = Array.map Domain.join domains in

@@ -10,16 +10,10 @@
     {!Estima_obs.Metrics} histogram, whose single-lock snapshot provides
     the p50/p90/p99 and the exact maximum for the report.
 
-    Two pacing disciplines:
-
-    - {b closed loop} (the default): window of one — each client sends
-      its next request only after the previous response arrived.
-      Latency here measures the server's unloaded round trip; throughput
-      is [clients / mean latency].
-    - {b open loop}: each client sends at a fixed arrival rate
-      regardless of responses, the standard way to expose queueing
-      delay.  Responses are drained concurrently; pending requests are
-      matched FIFO as they complete. *)
+    Every client runs a closed loop with a window of one: it sends its
+    next request only after the previous response arrived.  Latency
+    thus measures the server's round trip under [clients] concurrent
+    callers, and throughput is [clients / mean latency]. *)
 
 type target =
   | Stdio of string array
@@ -27,11 +21,6 @@ type target =
           stdin/stdout (e.g. [[| "estima_serve.exe" |]]). *)
   | Unix_socket of string  (** Connect to the Unix socket at this path. *)
   | Tcp of { host : string; port : int }
-
-type pacing =
-  | Closed_loop
-  | Open_loop of float
-      (** Arrival rate in requests per second, per client. *)
 
 type mismatch = {
   client : int;
@@ -58,7 +47,7 @@ val clean : outcome -> bool
 (** Every request answered with exactly its expected bytes: [sent =
     received = matched], nothing mismatched or timed out. *)
 
-val run : ?pacing:pacing -> ?timeout_s:float -> target -> Generator.plan -> outcome
+val run : ?timeout_s:float -> target -> Generator.plan -> outcome
 (** Play the plan: one domain per client stream, each over its own
     connection (its own spawned process for {!Stdio}).  [timeout_s]
     (default 120) bounds the wait for any single response; on expiry the

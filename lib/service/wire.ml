@@ -89,45 +89,66 @@ let final_lines stream =
       lines @ [ tail ]
   end
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off = if off < len then go (off + Unix.write_substring fd s off (len - off)) in
-  go 0
+(* Answer what one read of [n] bytes completes ([n = 0] is the peer's
+   EOF, which also flushes an unterminated final line): the responses to
+   the complete lines, then the shed error if the read overflowed the
+   cap — those lines arrived first, so positional clients see wire
+   order. *)
+let answer server stream ~limit chunk n =
+  let lines, shed =
+    if n = 0 then (final_lines stream, None) else ingest server stream ~limit chunk n
+  in
+  let responses, verdict =
+    match lines with [] -> ([], `Continue) | lines -> Server.handle_batch server lines
+  in
+  (responses @ Option.to_list shed, verdict)
 
-let write_responses fd responses =
-  match responses with
+let payload responses = String.concat "\n" responses ^ "\n"
+
+(* A blocking write: stdio's, whose one peer can only stall itself, and
+   the listener's one-line refusal into a fresh socket's empty buffer. *)
+let write_responses fd = function
   | [] -> ()
-  | responses -> write_all fd (String.concat "\n" responses ^ "\n")
+  | responses ->
+      let s = payload responses in
+      let len = String.length s in
+      let rec go off = if off < len then go (off + Unix.write_substring fd s off (len - off)) in
+      go 0
 
 let serve_stdio ?(max_buffer_bytes = default_max_buffer_bytes) server =
   let stream = new_stream () in
   let chunk = Bytes.create 65536 in
-  let handle lines =
-    match lines with
-    | [] -> `Continue
-    | lines ->
-        let responses, verdict = Server.handle_batch server lines in
-        write_responses Unix.stdout responses;
-        verdict
-  in
   let rec loop () =
     match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
-    | 0 -> ignore (handle (final_lines stream))
-    | n -> (
-        let lines, shed = ingest server stream ~limit:max_buffer_bytes chunk n in
-        let verdict = handle lines in
-        Option.iter (fun error -> write_responses Unix.stdout [ error ]) shed;
-        match verdict with `Shutdown -> () | `Continue -> loop ())
+    | n ->
+        let responses, verdict = answer server stream ~limit:max_buffer_bytes chunk n in
+        write_responses Unix.stdout responses;
+        if n > 0 && verdict = `Continue then loop ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
   in
   loop ()
 
-(* [closed] makes every write path a no-op once the fd is gone: a send
-   that hits a dead peer closes the connection, and any later send for
-   the same batch (or the drain) must not touch the recycled fd — an
-   fd-table lookup is not enough, since the kernel may reuse the number
-   for a newly accepted client. *)
-type connection = { fd : Unix.file_descr; stream : stream; mutable closed : bool }
+(* A listener connection.  [pending] from offset [sent] on is its output
+   queue, the bytes its peer has not taken yet.  After the peer's EOF
+   ([eof]) it only writes, and closes once the queue is empty.  [closed]
+   keeps every path off the fd once it is gone — an fd-table lookup is
+   not enough, since the kernel may reuse the number for a newly accepted
+   client. *)
+type connection = {
+  fd : Unix.file_descr;
+  stream : stream;
+  mutable pending : string;
+  mutable sent : int;
+  mutable eof : bool;
+  mutable closed : bool;
+}
+
+let queued conn = String.length conn.pending - conn.sent
+
+(* Read pause: a connection whose queue has passed the cap is not read
+   until its peer takes its responses, so its output stays bounded by the
+   cap plus the responses to one read; one at EOF has nothing to read. *)
+let reading ~max_buffer_bytes conn = (not conn.eof) && queued conn <= max_buffer_bytes
 
 let default_max_connections = 64
 
@@ -135,13 +156,16 @@ let default_max_connections = 64
    how the listening socket is created, what to do to a freshly accepted
    fd ([on_accept], e.g. TCP_NODELAY) and what to clean up afterwards
    ([cleanup], e.g. unlinking the socket file) differ — the select loop,
-   connection cap, frame shedding and the graceful drain are one code
-   path, so every invariant proven for one transport holds for the
-   other. *)
+   connection cap, frame shedding, output queues and the graceful drain
+   are one code path, so every invariant proven for one transport holds
+   for the other. *)
 let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server listener =
   (* A peer hanging up mid-write must surface as EPIPE, not kill us. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let connections : (Unix.file_descr, connection) Hashtbl.t = Hashtbl.create 8 in
+  let fds_where p =
+    Hashtbl.fold (fun fd conn acc -> if p conn then fd :: acc else acc) connections []
+  in
   let close_connection conn =
     if not conn.closed then begin
       conn.closed <- true;
@@ -149,36 +173,47 @@ let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server
       try Unix.close conn.fd with Unix.Unix_error _ -> ()
     end
   in
+  (* The one way bytes reach a connection after accept: write as much of
+     the queue as the kernel takes now, without blocking.  The rest waits
+     until [select] reports the fd writable, so a peer that stops reading
+     holds back only itself. *)
+  let rec flush conn =
+    if conn.closed then ()
+    else if queued conn > 0 then
+      match Unix.write_substring conn.fd conn.pending conn.sent (queued conn) with
+      | n ->
+          conn.sent <- conn.sent + n;
+          flush conn
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush conn
+      | exception Unix.Unix_error _ -> close_connection conn
+    else if conn.eof then close_connection conn
+  in
   let send conn responses =
-    if not conn.closed then
-      try write_responses conn.fd responses
-      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-        close_connection conn
+    if responses <> [] then begin
+      conn.pending <-
+        (if queued conn = 0 then payload responses
+         else String.sub conn.pending conn.sent (queued conn) ^ payload responses);
+      conn.sent <- 0
+    end;
+    flush conn
   in
   let chunk = Bytes.create 65536 in
   let stop = ref false in
-  let handle conn lines =
-    match lines with
-    | [] -> ()
-    | lines ->
-        let responses, verdict = Server.handle_batch server lines in
-        send conn responses;
-        (match verdict with `Shutdown -> stop := true | `Continue -> ())
-  in
+  (* Read once and send the answers.  True while the peer may have more
+     bytes waiting. *)
   let service conn =
     match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-    | 0 ->
-        (* Peer EOF: an unterminated final line is still a request; its
-           responses go out before the close (the peer may have only
-           shut down its write side). *)
-        handle conn (final_lines conn.stream);
-        close_connection conn
     | n ->
-        let lines, shed = ingest server conn.stream ~limit:max_buffer_bytes chunk n in
-        handle conn lines;
-        Option.iter (fun error -> send conn [ error ]) shed
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_connection conn
+        let responses, verdict = answer server conn.stream ~limit:max_buffer_bytes chunk n in
+        if verdict = `Shutdown then stop := true;
+        if n = 0 then conn.eof <- true;
+        send conn responses;
+        n > 0 && not conn.closed
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> false
+    | exception Unix.Unix_error _ ->
+        close_connection conn;
+        false
   in
   let accept () =
     match Unix.accept listener with
@@ -201,97 +236,51 @@ let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server
       try Unix.close client with Unix.Unix_error _ -> ()
     end
     else begin
+      Unix.set_nonblock client;
       (try on_accept client with Unix.Unix_error _ -> ());
       Hashtbl.replace connections client
-        { fd = client; stream = new_stream (); closed = false }
+        { fd = client; stream = new_stream (); pending = ""; sent = 0; eof = false; closed = false }
     end
   in
-  while not !stop do
-    let fds = listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) connections [] in
-    match Unix.select fds [] [] (-1.0) with
-    | readable, _, _ ->
+  (* One round of the loop: flush the queues that became writable, serve
+     the [readers] that became readable. *)
+  let select readers timeout =
+    match Unix.select readers (fds_where (fun conn -> queued conn > 0)) [] timeout with
+    | readable, writable, _ ->
+        let find fd = Hashtbl.find_opt connections fd in
+        List.iter (fun fd -> Option.iter flush (find fd)) writable;
         List.iter
           (fun fd ->
             if fd = listener then accept ()
-            else
-              match Hashtbl.find_opt connections fd with
-              | Some conn -> service conn
-              | None -> ())
+            else Option.iter (fun conn -> ignore (service conn)) (find fd))
           readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
+  while not !stop do
+    select (listener :: fds_where (reading ~max_buffer_bytes)) (-1.0)
   done;
   (* Graceful drain: a shutdown stops the accept loop, but every other
      connection whose requests have already arrived still gets its
-     answers.  One final non-blocking sweep pulls in bytes the kernel is
-     already holding, then each connection's parsed lines are served
-     before its close.  (Unterminated tails are not flushed here — these
-     peers are not at EOF, their line simply never ended.) *)
-  (* The drained fds stay non-blocking for the response writes too, so a
-     stalled reader (full receive buffer) surfaces as EAGAIN rather than
-     blocking shutdown forever: retry via select-for-writable under a
-     deadline, then give the peer up. *)
-  let drain_send conn responses =
-    if responses <> [] && not conn.closed then begin
-      let payload = String.concat "\n" responses ^ "\n" in
-      let len = String.length payload in
-      let deadline = Estima_obs.Clock.now_s () +. 5.0 in
-      let rec go off =
-        if off < len && not conn.closed then
-          match Unix.write_substring conn.fd payload off (len - off) with
-          | n -> go (off + n)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              let remaining = deadline -. Estima_obs.Clock.now_s () in
-              if remaining <= 0.0 then close_connection conn
-              else begin
-                (match Unix.select [] [ conn.fd ] [] remaining with
-                | _ -> ()
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-                go off
-              end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-              close_connection conn
-      in
-      go 0
+     answers.  One sweep through [service] pulls in the bytes the kernel
+     is already holding, under the same read pause (an unterminated tail
+     is not flushed unless its peer is at EOF); then the loop runs on
+     writers only, under one 5 s deadline after which a peer that is
+     still not reading is given up. *)
+  List.iter
+    (fun fd ->
+      let conn = Hashtbl.find connections fd in
+      while reading ~max_buffer_bytes conn && service conn do () done)
+    (fds_where (fun _ -> true));
+  let deadline = Estima_obs.Clock.now_s () +. 5.0 in
+  let rec drain () =
+    let remaining = deadline -. Estima_obs.Clock.now_s () in
+    if remaining > 0.0 && fds_where (fun conn -> queued conn > 0) <> [] then begin
+      select [] remaining;
+      drain ()
     end
   in
-  let remaining = Hashtbl.fold (fun _ conn acc -> conn :: acc) connections [] in
-  List.iter
-    (fun conn ->
-      (* One misbehaving peer must not abort the drain of the rest: any
-         Unix error escaping this connection's sweep only costs this
-         connection its responses. *)
-      (try
-         let lines = ref [] and errors = ref [] in
-         Unix.set_nonblock conn.fd;
-         (try
-            let continue = ref true in
-            while !continue do
-              match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                  continue := false;
-                  (* This peer did reach EOF before the drain: flush an
-                     unterminated final line like the live path would. *)
-                  lines := !lines @ final_lines conn.stream
-              | n ->
-                  let batch, shed =
-                    ingest server conn.stream ~limit:max_buffer_bytes chunk n
-                  in
-                  lines := !lines @ batch;
-                  Option.iter (fun error -> errors := !errors @ [ error ]) shed
-            done
-          with
-         | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-         | Unix.Unix_error _ -> ());
-         (match !lines with
-         | [] -> ()
-         | lines ->
-             let responses, _ = Server.handle_batch server lines in
-             drain_send conn responses);
-         drain_send conn !errors
-       with Unix.Unix_error _ -> ());
-      close_connection conn)
-    remaining;
+  drain ();
+  Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) connections;
   (try Unix.close listener with Unix.Unix_error _ -> ());
   cleanup ()
 
@@ -313,7 +302,7 @@ let resolve_host host =
       match Unix.gethostbyname host with
       | { Unix.h_addr_list = addrs; _ } when Array.length addrs > 0 -> addrs.(0)
       | _ | (exception Not_found) ->
-          invalid_arg (Printf.sprintf "Wire.serve_tcp: cannot resolve host %S" host))
+          invalid_arg (Printf.sprintf "Wire.resolve_host: cannot resolve host %S" host))
 
 let serve_tcp ?(max_buffer_bytes = default_max_buffer_bytes)
     ?(max_connections = default_max_connections) ?(on_listen = fun _ _ -> ()) server ~host ~port =

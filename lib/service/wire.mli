@@ -25,7 +25,18 @@
       [max_connections] (default 64): a newcomer past the cap is
       answered with one typed {!Estima.Diag.Overloaded} error line and
       closed ([estima_connections_refused_total]), leaving established
-      connections untouched.
+      connections untouched;
+    - a peer that stops reading holds back only itself.  Each listener
+      connection has an output queue, and every byte written to it
+      after accept goes through one non-blocking write: a batch's
+      responses are written at once as far as the kernel takes them,
+      and the rest when [select] reports the connection writable.  A
+      connection whose queue holds more than [max_buffer_bytes] is left
+      out of the read set until its peer drains it, so its output stays
+      bounded by the cap plus the responses to one read, and every
+      other connection is served meanwhile.  A connection at EOF closes
+      once its queue is empty.  {!serve_stdio} keeps a blocking write:
+      its one peer can only stall itself.
 
     Both return normally after a [shutdown] request (its response is
     written first) or when the peer side closes; they do not call
@@ -39,10 +50,13 @@ val serve_socket :
 (** Listen on a Unix domain socket at [path] (an existing socket file
     there is replaced), serving any number of concurrent connections
     from one thread via [select].  Returns once a [shutdown] request has
-    been answered — but drains first: every other connection whose
-    request lines have already arrived gets its responses written before
-    its connection is closed.  The socket file is removed on the way
-    out. *)
+    been answered — but drains first: accepting stops, every connection
+    is read until the kernel holds nothing more for it (or its queue
+    passes the cap) and its complete request lines are answered, and
+    the output queues are written out as their peers take them.  One
+    5 s deadline bounds that last step: a peer still not reading by then
+    loses its remaining responses, so a stalled reader cannot hold the
+    shutdown.  The socket file is removed on the way out. *)
 
 val serve_tcp :
   ?max_buffer_bytes:int ->
@@ -55,15 +69,15 @@ val serve_tcp :
 (** Listen on TCP [host:port] ([host] a dotted quad or resolvable name;
     [port = 0] lets the kernel pick a free port).  Identical semantics
     to {!serve_socket} — the select loop, per-connection buffer cap,
-    connection cap, frame shedding and graceful shutdown drain are the
-    same code path — plus [SO_REUSEADDR] on the listener and
-    [TCP_NODELAY] on accepted connections (one-line responses must not
-    wait out Nagle).  [on_listen] is called once with the actually bound
+    connection cap, frame shedding, output queues and graceful shutdown
+    drain are the same code path — plus [SO_REUSEADDR] on the listener
+    and [TCP_NODELAY] on accepted connections (one-line responses must
+    not wait out Nagle).  [on_listen] is called once with the actually bound
     address and port before the first accept, which is how an operator
     or test harness learns the port when [port = 0] was asked.
     Raises [Invalid_argument] when [host] does not resolve. *)
 
-(** {1 Framing internals, exposed for tests} *)
+(** {1 Internals, exposed for tests and the load driver} *)
 
 val split_lines : Buffer.t -> string list
 (** Peel every complete line off the buffer, leaving the unterminated
@@ -76,3 +90,7 @@ val default_max_buffer_bytes : int
 
 val default_max_connections : int
 (** 64. *)
+
+val resolve_host : string -> Unix.inet_addr
+(** A dotted quad as is, otherwise the first address [gethostbyname]
+    gives.  Raises [Invalid_argument] when [host] does not resolve. *)

@@ -11,10 +11,11 @@
    End to end, the real binary is driven through both transports with
    `--inject-fault`: a poisoned request among healthy ones, an
    oversized no-newline frame, a mid-batch client hangup, an
-   unterminated final line at EOF, a connection-cap breach, and a
-   shutdown arriving while another connection's request is in flight
-   (the drain) — healthy responses always byte-identical to
-   `estima_cli predict --from` on the same CSV. *)
+   unterminated final line at EOF, a connection-cap breach, a shutdown
+   arriving while another connection's request is in flight (the
+   drain), and a shutdown while a peer has stopped reading — healthy
+   responses always byte-identical to `estima_cli predict --from` on
+   the same CSV. *)
 
 open Estima_service
 
@@ -351,6 +352,58 @@ let test_socket_fault_injection () =
   | _ -> Alcotest.fail "estima_serve did not exit cleanly");
   Sys.remove path
 
+(* The drain gives up on a stalled reader.  A pipelines 1 000 predicts
+   whose 2 MB of responses are far more than the kernel's socket buffers
+   hold, and never reads; B's shutdown must still be answered, and the
+   server must exit 0 once the drain's 5 s deadline has passed.  A server
+   that blocks in a write to A never reads B's shutdown: the test then
+   kills it. *)
+let test_socket_drain_gives_up_on_stalled_reader () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = write_temp_csv "faults_stall" (collect_csv "kmeans") in
+  let pid, socket_path = start_socket_serve [] in
+  let fd_a, oc_a, _ = connect socket_path in
+  let fd_b, oc_b, ic_b = connect socket_path in
+  Fun.protect
+    ~finally:(fun () ->
+      Test_service.kill_if_running pid;
+      (try Sys.remove socket_path with Sys_error _ -> ());
+      Unix.close fd_a;
+      Unix.close fd_b;
+      Sys.remove path)
+    (fun () ->
+      (* 70 KB of requests: the socket buffer takes them all at once. *)
+      for id = 1 to 1000 do
+        output_string oc_a
+          (Json.to_string
+             (Json.Obj
+                [ ("id", Json.Int id); ("op", Json.String "predict"); ("file", Json.String path) ])
+          ^ "\n")
+      done;
+      flush oc_a;
+      Unix.sleepf 0.5;
+      output_string oc_b "{\"id\":0,\"op\":\"shutdown\"}\n";
+      flush oc_b;
+      (match Unix.select [ fd_b ] [] [] 10.0 with
+      | [], _, _ -> Alcotest.fail "B's shutdown was not answered within 10 s"
+      | _ -> ());
+      (match Json.parse (input_line ic_b) with
+      | Ok json ->
+          Alcotest.(check (option bool)) "B's shutdown acknowledged" (Some true)
+            Json.(member "bye" json |> Option.map (function Bool b -> b | _ -> false))
+      | Error e -> Alcotest.fail e);
+      let deadline = Estima_obs.Clock.now_s () +. 10.0 in
+      let rec await () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Estima_obs.Clock.now_s () < deadline ->
+            Unix.sleepf 0.1;
+            await ()
+        | 0, _ -> Alcotest.fail "the server was still draining 10 s after the shutdown"
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "estima_serve did not exit cleanly"
+      in
+      await ())
+
 let test_socket_connection_cap () =
   let csv = collect_csv "kmeans" in
   let path = write_temp_csv "faults_cap" csv in
@@ -397,4 +450,6 @@ let suite =
     ("faults through stdio: poison, oversized frame, EOF flush", `Slow, test_stdio_fault_injection);
     ("faults through the socket: poison, hangup, drain", `Slow, test_socket_fault_injection);
     ("socket connection cap", `Slow, test_socket_connection_cap);
+    ("socket drain gives up on a stalled reader", `Slow,
+      test_socket_drain_gives_up_on_stalled_reader);
   ]

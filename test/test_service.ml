@@ -607,6 +607,17 @@ let spawn_serve args =
   Unix.close stdout_w;
   (pid, Unix.out_channel_of_descr stdin_w, Unix.in_channel_of_descr stdout_r)
 
+(* Kill a spawned server that is still running: the clean-up of a test
+   whose server may hang.  A server the test already reaped is left
+   alone, so its pid is never signalled after it could be reused. *)
+let kill_if_running pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid)
+  | _ -> ()
+  | exception Unix.Unix_error _ -> ()
+
 let test_soak_1000_requests () =
   let names = [ "kmeans"; "genome"; "ssca2"; "vacation-low"; "intruder"; "yada"; "labyrinth"; "kmeans-high" ] in
   let names = List.filter (fun n -> Suite.find n <> None) names in

@@ -1,9 +1,10 @@
 (* End-to-end tests of the TCP transport: every invariant the Unix
    socket listener proves in test_faults holds over `estima_serve --tcp`
    too — same select loop, same buffer cap, shed, connection cap and
-   drain — plus the TCP-only mechanics: a kernel-assigned port reported
-   on stderr, and byte-identical responses to `estima_cli predict
-   --from` across concurrent connections. *)
+   drain — plus a peer that stops reading, and the TCP-only mechanics:
+   a kernel-assigned port reported on stderr, and byte-identical
+   responses to `estima_cli predict --from` across concurrent
+   connections. *)
 
 open Estima_service
 module Driver = Estima_load.Driver
@@ -164,6 +165,82 @@ let test_tcp_connection_cap () =
   wait_exit server;
   Sys.remove path
 
+let response_id response =
+  match Json.parse response with
+  | Ok json -> Option.bind (Json.member "id" json) Json.to_int_opt
+  | Error e -> Alcotest.fail e
+
+(* A peer that pipelines and never reads holds back only itself.  A's
+   receive buffer is 4 KB and its 3 000 responses (about 2 KB each) are
+   more than the server's send buffer holds, so they pile up in the
+   server; B, connected meanwhile, must still be answered at once.  A
+   then reads and must get every response, in order.  A server that
+   blocks in a write to A never answers B: the test then kills it, which
+   also frees A's writer domain. *)
+let test_tcp_slow_reader_holds_back_only_itself () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let csv = collect_csv "kmeans" in
+  let path = write_temp_csv "tcp_slow" csv in
+  let spec = Filename.remove_extension (Filename.basename path) in
+  let expected = cli_predict path in
+  let server = start_tcp_serve [] in
+  let fd_a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd_a Unix.SO_RCVBUF 4096;
+  Unix.connect fd_a
+    (Unix.ADDR_INET (Unix.inet_addr_of_string server.Driver.host, server.Driver.port));
+  let requests = 3000 and written = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        try
+          for id = 1 to requests do
+            let frame = line ~id ~spec csv ^ "\n" in
+            let rec go off =
+              if off < String.length frame then
+                go (off + Unix.write_substring fd_a frame off (String.length frame - off))
+            in
+            go 0;
+            Atomic.incr written
+          done;
+          Unix.shutdown fd_a Unix.SHUTDOWN_SEND
+        with Unix.Unix_error _ -> ())
+  in
+  let fd_b, oc_b, ic_b = connect server in
+  Fun.protect
+    ~finally:(fun () ->
+      Test_service.kill_if_running server.Driver.pid;
+      Domain.join writer;
+      Unix.close fd_a;
+      Unix.close fd_b;
+      Sys.remove path)
+    (fun () ->
+      (* B asks once A's writer has stopped making progress: either all
+         of A's requests are in, or the server has stopped reading A. *)
+      let rec settle last =
+        Unix.sleepf 0.25;
+        let now = Atomic.get written in
+        if now <> last then settle now
+      in
+      settle (-1);
+      output_string oc_b (line ~id:0 ~spec csv ^ "\n");
+      flush oc_b;
+      (match Unix.select [ fd_b ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "B was not answered within 5 s while A was not reading"
+      | _ -> ());
+      Alcotest.(check string) "B matches the CLI" expected (response_text (input_line ic_b));
+      let ic_a = Unix.in_channel_of_descr fd_a in
+      for id = 1 to requests do
+        let response = input_line ic_a in
+        if response_id response <> Some id || response_text response <> expected then
+          Alcotest.failf "A's response %d is not the CLI text for request %d" id id
+      done;
+      (match input_line ic_a with
+      | _ -> Alcotest.fail "A got more responses than requests"
+      | exception End_of_file -> ());
+      output_string oc_b "{\"id\":1,\"op\":\"shutdown\"}\n";
+      flush oc_b;
+      ignore (input_line ic_b);
+      wait_exit server)
+
 let test_tcp_mutual_exclusion () =
   (* --socket and --tcp together must be refused up front. *)
   let code =
@@ -207,6 +284,8 @@ let suite =
   [
     ("tcp: poison, shed, hangup, EOF flush, drain", `Slow, test_tcp_faults);
     ("tcp: connection cap", `Slow, test_tcp_connection_cap);
+    ("tcp: a peer that never reads holds back only itself", `Slow,
+      test_tcp_slow_reader_holds_back_only_itself);
     ("tcp: --socket/--tcp mutually exclusive", `Quick, test_tcp_mutual_exclusion);
     ("tcp: byte-exact load soak", `Slow, test_tcp_load_soak);
   ]
