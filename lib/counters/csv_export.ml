@@ -21,16 +21,19 @@ let check_column_name name =
    which is what lets Series_io.parse invert this function exactly. *)
 let float_cell v = Printf.sprintf "%.17g" v
 
+(* The category columns, in order: the first sample's counters, then
+   its software plugins. *)
+let column_names (series : Series.t) =
+  let first = series.Series.samples.(0) in
+  List.map fst first.Sample.counters @ List.map fst first.Sample.software
+
 let series_to_csv (series : Series.t) =
   let buffer = Buffer.create 1024 in
-  let first = series.Series.samples.(0) in
-  let counter_names = List.map fst first.Sample.counters in
-  let software_names = List.map fst first.Sample.software in
-  List.iter check_column_name (counter_names @ software_names);
+  let names = column_names series in
+  List.iter check_column_name names;
   Buffer.add_string buffer
     (String.concat ","
-       ([ "threads"; "time_seconds"; "cycles"; "useful_cycles" ]
-       @ counter_names @ software_names @ [ "footprint_lines" ]));
+       ([ "threads"; "time_seconds"; "cycles"; "useful_cycles" ] @ names @ [ "footprint_lines" ]));
   Buffer.add_char buffer '\n';
   Array.iter
     (fun (s : Sample.t) ->
@@ -41,14 +44,39 @@ let series_to_csv (series : Series.t) =
           float_cell s.Sample.cycles;
           float_cell s.Sample.useful_cycles;
         ]
-        @ List.map (fun n -> float_cell (Sample.counter s n)) counter_names
-        @ List.map (fun n -> float_cell (Sample.counter s n)) software_names
+        @ List.map (fun n -> float_cell (Sample.counter s n)) names
         @ [ string_of_int s.Sample.footprint_lines ]
       in
       Buffer.add_string buffer (String.concat "," cells);
       Buffer.add_char buffer '\n')
     series.Series.samples;
   Buffer.contents buffer
+
+(* What series_to_csv prints, in its order, as raw bits: the column
+   count, each name length-prefixed (so names need no quoting here),
+   then one fixed-width record per sample.  Bits stand in for %.17g
+   text because that text is injective on finite floats. *)
+let series_digest (series : Series.t) =
+  let names = column_names series in
+  let buffer = Buffer.create 1024 in
+  let add_int n = Buffer.add_int64_le buffer (Int64.of_int n) in
+  let add_float v = Buffer.add_int64_le buffer (Int64.bits_of_float v) in
+  add_int (List.length names);
+  List.iter
+    (fun n ->
+      add_int (String.length n);
+      Buffer.add_string buffer n)
+    names;
+  Array.iter
+    (fun (s : Sample.t) ->
+      add_int s.Sample.threads;
+      add_float s.Sample.time_seconds;
+      add_float s.Sample.cycles;
+      add_float s.Sample.useful_cycles;
+      List.iter (fun n -> add_float (Sample.counter s n)) names;
+      add_int s.Sample.footprint_lines)
+    series.Series.samples;
+  Digest.string (Buffer.contents buffer)
 
 let prediction_to_csv ~grid ~columns =
   List.iter

@@ -127,12 +127,12 @@ let cache_key t ~series ~target_max ~confidence =
     (Digest.string
        (String.concat "\n"
           [
-            (* The canonical CSV carries no workload name, but the
+            (* The series digest carries no workload name, but the
                rendered summary does — without the spec name in the key,
                two requests differing only in "spec" would collide and
                one would replay the other's summary line. *)
             Printf.sprintf "spec=%s" series.Estima_counters.Series.spec_name;
-            Estima_counters.Csv_export.series_to_csv series;
+            Digest.to_hex (Estima_counters.Csv_export.series_digest series);
             Config.fingerprint t.config.base;
             Printf.sprintf "target_max=%d" target_max;
             (* The protocol version is deliberately absent: it only

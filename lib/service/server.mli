@@ -13,11 +13,15 @@
       default) is shed with {!Estima.Diag.Deadline_exceeded} instead of
       computing an answer nobody is waiting for — cache hits are exempt,
       they are served instantly regardless;
-    - {b result cache}: results are cached in an LRU keyed by the
-      canonical CSV of the ingested series plus
-      {!Estima.Config.fingerprint} and the target core count, so a hit
-      returns byte-identical text to a fresh run, and configs differing
-      only in observationally-neutral knobs share entries;
+    - {b result cache}: results are cached in an LRU keyed by a digest
+      of the ingested series' exact values
+      ({!Estima_counters.Csv_export.series_digest}: equal exactly when
+      the series' canonical CSVs are equal, but computed without
+      rendering them) plus the spec name, {!Estima.Config.fingerprint},
+      the target core count and the confidence resample count, so a hit
+      returns byte-identical text to a fresh run, the same series sent
+      as differently formatted CSV text is one entry, and configs
+      differing only in observationally-neutral knobs share entries;
     - {b worker pool}: uncached work (deduplicated within the batch by
       cache key — a duplicate payload coalesces onto the in-flight
       computation and counts as a cache hit) fans out on an

@@ -386,25 +386,26 @@ let adversarial_sample_arb =
     ~print:QCheck.Print.(list (list float))
     QCheck.Gen.(list_size (int_range 1 8) (list_repeat 3 adversarial_float))
 
+let adversarial_samples rows =
+  List.mapi
+    (fun i row ->
+      let c = List.nth row 0 and d = List.nth row 1 and e = List.nth row 2 in
+      {
+        Estima_counters.Sample.threads = i + 1;
+        time_seconds = 0.1 +. (0.9 /. float_of_int (i + 1));
+        cycles = Float.abs c +. 1.0;
+        counters = [ ("0D2h", c); ("0D5h", d) ];
+        software = [ ("stm-abort", e) ];
+        footprint_lines = i * 64;
+        useful_cycles = Float.abs d;
+      })
+    rows
+
 let prop_csv_roundtrip_adversarial =
   QCheck.Test.make ~count:200 ~name:"csv parse . print is the identity on adversarial floats"
     adversarial_sample_arb (fun rows ->
       let machine = Machines.opteron48 in
-      let samples =
-        List.mapi
-          (fun i row ->
-            let c = List.nth row 0 and d = List.nth row 1 and e = List.nth row 2 in
-            {
-              Estima_counters.Sample.threads = i + 1;
-              time_seconds = 0.1 +. (0.9 /. float_of_int (i + 1));
-              cycles = Float.abs c +. 1.0;
-              counters = [ ("0D2h", c); ("0D5h", d) ];
-              software = [ ("stm-abort", e) ];
-              footprint_lines = i * 64;
-              useful_cycles = Float.abs d;
-            })
-          rows
-      in
+      let samples = adversarial_samples rows in
       let series = Estima_counters.Series.make ~machine ~spec_name:"prop" samples in
       let csv = Estima_counters.Csv_export.series_to_csv series in
       match Estima_counters.Series_io.parse ~machine ~spec_name:"prop" csv with
@@ -428,6 +429,69 @@ let prop_csv_roundtrip_adversarial =
                samples
                (Array.to_list back.Estima_counters.Series.samples))
 
+(* Apply [f] to float cell [j] of a sample: 0-2 are time_seconds,
+   cycles and useful_cycles, 3 on the counter then software columns. *)
+let with_cell (s : Estima_counters.Sample.t) j f =
+  let columns offset = List.mapi (fun k (n, v) -> (n, if k + offset = j then f v else v)) in
+  match j with
+  | 0 -> { s with time_seconds = f s.time_seconds }
+  | 1 -> { s with cycles = f s.cycles }
+  | 2 -> { s with useful_cycles = f s.useful_cycles }
+  | _ ->
+      {
+        s with
+        counters = columns 3 s.counters;
+        software = columns (3 + List.length s.counters) s.software;
+      }
+
+(* Move one name across the counter/software boundary: the last counter
+   to the front of software keeps the columns' order, the first counter
+   to the end of software changes it. *)
+let move_column ~keep_order (s : Estima_counters.Sample.t) =
+  match List.rev s.counters with
+  | last :: rest when keep_order -> { s with counters = List.rev rest; software = last :: s.software }
+  | _ -> (
+      match s.counters with
+      | first :: rest -> { s with counters = rest; software = s.software @ [ first ] }
+      | [] -> s)
+
+let digest_edit_arb =
+  QCheck.make
+    ~print:(fun (rows, edit, (i, j), coin) ->
+      Printf.sprintf "edit %d at sample %d cell %d (%b) on %s" edit i j coin
+        (QCheck.Print.(list (list float)) rows))
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 1 8) (list_repeat 3 adversarial_float))
+        (int_bound 5) (pair small_nat (int_bound 5)) bool)
+
+(* The server's cache key rests on this equivalence: equal digests
+   exactly when the canonical CSVs are equal, for a series and a copy
+   under each kind of edit. *)
+let prop_series_digest_agrees_with_csv =
+  QCheck.Test.make ~count:300 ~name:"series digest is equal exactly when the csv is"
+    digest_edit_arb (fun (rows, edit, (i, j), coin) ->
+      let samples = adversarial_samples rows in
+      let i = i mod List.length samples in
+      let at_cell f = List.mapi (fun k s -> if k = i then with_cell s j f else s) in
+      let a, b =
+        match edit with
+        | 0 -> (samples, samples)
+        | 1 -> (samples, at_cell (if coin then Float.succ else Float.pred) samples)
+        | 2 ->
+            let z, z' = if coin then (0.0, -0.0) else (-0.0, 0.0) in
+            (at_cell (fun _ -> z) samples, at_cell (fun _ -> z') samples)
+        | 3 -> (samples, at_cell (fun _ -> if coin then 4.9406564584124654e-324 else 1e308) samples)
+        | 4 -> (samples, List.filteri (fun k _ -> k >= i) samples @ List.filteri (fun k _ -> k < i) samples)
+        | _ -> (samples, List.map (move_column ~keep_order:coin) samples)
+      in
+      let series samples =
+        Estima_counters.Series.make ~machine:Machines.opteron48 ~spec_name:"prop" samples
+      in
+      let a = series a and b = series b in
+      let open Estima_counters.Csv_export in
+      (series_digest a = series_digest b) = (series_to_csv a = series_to_csv b))
+
 let suite =
   List.map to_alcotest
     [
@@ -450,4 +514,5 @@ let suite =
       prop_error_metric_zero_for_perfect_prediction;
       prop_fit_cache_matches_model;
       prop_csv_roundtrip_adversarial;
+      prop_series_digest_agrees_with_csv;
     ]

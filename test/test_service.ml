@@ -314,13 +314,23 @@ let collect_csv ?(max = 12) name =
   in
   Csv_export.series_to_csv series
 
-let predict_line ?(id = 1) ?v ?confidence csv =
+let predict_line ?(id = 1) ?v ?confidence ?spec csv =
   Json.to_string
     (Json.Obj
        ([ ("id", Json.Int id); ("op", Json.String "predict") ]
        @ (match v with None -> [] | Some v -> [ ("v", Json.Int v) ])
        @ (match confidence with None -> [] | Some n -> [ ("confidence", Json.Int n) ])
+       @ (match spec with None -> [] | Some spec -> [ ("spec", Json.String spec) ])
        @ [ ("csv", Json.String csv) ]))
+
+(* A CSV as its header cells and its rows of cells, and back. *)
+let csv_table csv =
+  match List.filter (( <> ) "") (String.split_on_char '\n' csv) with
+  | header :: rows -> (String.split_on_char ',' header, List.map (String.split_on_char ',') rows)
+  | [] -> Alcotest.fail "empty CSV"
+
+let csv_text ?(eol = "\n") header rows =
+  String.concat "" (List.map (fun cells -> String.concat "," cells ^ eol) (header :: rows))
 
 let make_server ?clock ?(jobs = 1) ?(queue = 64) ?(cache = 16) ?timeout_ms () =
   Server.create ?clock
@@ -380,10 +390,47 @@ let test_server_cache_and_identity () =
         (counter_value server "estima_cache_hits_total");
       Alcotest.(check int) "one miss for the new payload" 2
         (counter_value server "estima_cache_misses_total");
-      match pair with
+      (match pair with
       | [ a; b ] ->
           Alcotest.(check string) "identical text within batch" (response_text a) (response_text b)
-      | _ -> Alcotest.fail "expected two responses")
+      | _ -> Alcotest.fail "expected two responses");
+      (* The key is the series' values, not the CSV text: the same
+         values spelled otherwise (1500 as 1.50...e+03, padded cells,
+         CRLF, rows reversed) are one entry, while one ulp in one cell
+         is another. *)
+      let csv3 = collect_csv ~max:10 "kmeans" in
+      let header, rows = csv_table csv3 in
+      let respelled =
+        csv_text ~eol:"\r\n" header
+          (List.rev_map
+             (List.map2
+                (fun name cell ->
+                  if name = "threads" || name = "footprint_lines" then "  " ^ cell ^ " "
+                  else Printf.sprintf " %.17e" (float_of_string cell))
+                header)
+             rows)
+      in
+      Alcotest.(check bool) "respelled text differs" false (respelled = csv3);
+      let canonical, _ = Server.handle_batch server [ predict_line csv3 ] in
+      let other, _ = Server.handle_batch server [ predict_line respelled ] in
+      Alcotest.(check int) "canonical text is a miss" 3 (counter_value server "estima_cache_misses_total");
+      Alcotest.(check int) "respelled text is a hit" 3 (counter_value server "estima_cache_hits_total");
+      Alcotest.(check string) "respelled hit byte-identical" (List.hd canonical) (List.hd other);
+      let nudged =
+        csv_text header
+          (List.mapi
+             (fun i cells ->
+               if i <> 1 then cells
+               else
+                 List.mapi
+                   (fun j cell ->
+                     if j <> 1 then cell else Printf.sprintf "%.17g" (Float.succ (float_of_string cell)))
+                   cells)
+             rows)
+      in
+      ignore (Server.handle_batch server [ predict_line nudged ]);
+      Alcotest.(check int) "one ulp is a miss" 4 (counter_value server "estima_cache_misses_total");
+      Alcotest.(check int) "and no hit" 3 (counter_value server "estima_cache_hits_total"))
 
 let test_server_jobs_byte_identical () =
   let payloads =
@@ -618,6 +665,28 @@ let kill_if_running pid =
   | _ -> ()
   | exception Unix.Unix_error _ -> ()
 
+(* Ingestion takes any header cell as a column name, but the canonical
+   CSV printer refuses one it would have to quote.  The cache key must
+   not print the CSV: the server answers such a file as the CLI does. *)
+let test_server_unquotable_column () =
+  let header, rows = csv_table (collect_csv "kmeans") in
+  let header = List.map (fun name -> if name = "0D0h" then "stm abort" else name) header in
+  Alcotest.(check bool) "renamed a column" true (List.mem "stm abort" header);
+  let csv = csv_text header rows in
+  let path = write_temp_csv "unquotable" csv in
+  let spec = Filename.remove_extension (Filename.basename path) in
+  let expected = cli_predict path in
+  Sys.remove path;
+  with_server (fun server ->
+      match Server.handle_batch server [ predict_line ~id:42 ~spec csv ] with
+      | [ response ], _ ->
+          Alcotest.(check bool) "the request's own id" true
+            (Result.map (Json.member "id") (Json.parse response) = Ok (Some (Json.Int 42)));
+          Alcotest.(check int) "no internal error" 0
+            (counter_value server "estima_internal_errors_total");
+          Alcotest.(check string) "same text as the CLI" expected (response_text response)
+      | _ -> Alcotest.fail "expected one response")
+
 let test_soak_1000_requests () =
   let names = [ "kmeans"; "genome"; "ssca2"; "vacation-low"; "intruder"; "yada"; "labyrinth"; "kmeans-high" ] in
   let names = List.filter (fun n -> Suite.find n <> None) names in
@@ -804,4 +873,5 @@ let suite =
     ("server metrics and shutdown", `Quick, test_server_shutdown_and_metrics);
     ("soak: 1000 pipelined requests over stdio", `Slow, test_soak_1000_requests);
     ("soak: concurrent clients over a socket", `Slow, test_socket_concurrent_clients);
+    ("server predicts a CSV with an unquotable column name", `Quick, test_server_unquotable_column);
   ]
