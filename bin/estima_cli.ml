@@ -145,6 +145,7 @@ let collect_cmd =
     let machine = restrict machine sockets in
     let max_threads = Option.value ~default:(Topology.cores machine) window in
     unwrap_diag (Api.validate_window ~machine ~max_threads);
+    unwrap_diag (Api.validate_repetitions ~spec:entry.Suite.spec ~repetitions:reps);
     let config_plugins =
       match plugin_config with
       | None -> []
@@ -320,6 +321,7 @@ let compare_cmd =
     apply_jobs jobs;
     apply_store store;
     ignore software;
+    unwrap_diag (Api.validate_repetitions ~spec:entry.Suite.spec ~repetitions:reps);
     let setup =
       {
         (Experiment.default_setup ~entry

@@ -37,15 +37,17 @@ let validate_window ~machine ~max_threads =
          })
   else Ok ()
 
+let validate_repetitions ~spec ~repetitions =
+  if repetitions < 1 then
+    Diag.error ~stage:Diag.Collect ~subject:spec.Estima_sim.Spec.name
+      (Diag.Bad_config { what = Printf.sprintf "repetitions %d (need >= 1)" repetitions })
+  else Ok ()
+
 let collect_checked ?(seed = 42) ?(repetitions = 5) ?(plugins = []) ~machine ~spec ~max_threads
     () =
-  match validate_window ~machine ~max_threads with
-  | Error _ as e -> e
-  | Ok () ->
-      if repetitions < 1 then
-        Diag.error ~stage:Diag.Collect ~subject:spec.Estima_sim.Spec.name
-          (Diag.Bad_config { what = Printf.sprintf "repetitions %d (need >= 1)" repetitions })
-      else Ok (collect ~seed ~repetitions ~plugins ~machine ~spec ~max_threads ())
+  Result.bind (validate_window ~machine ~max_threads) (fun () ->
+      Result.bind (validate_repetitions ~spec ~repetitions) (fun () ->
+          Ok (collect ~seed ~repetitions ~plugins ~machine ~spec ~max_threads ())))
 
 let spec_name_of_path path = Filename.remove_extension (Filename.basename path)
 

@@ -70,6 +70,11 @@ val validate_window :
     {!Diag.Bad_config} (stage [Collect], exit code 2), never an
     exception. *)
 
+val validate_repetitions : spec:Estima_sim.Spec.t -> repetitions:int -> (unit, Diag.t) result
+(** Check a repetition count before collecting [spec]: it must be at
+    least 1.  A violation is a typed {!Diag.Bad_config} (stage
+    [Collect], exit code 2), never the collector's exception. *)
+
 val collect_checked :
   ?seed:int ->
   ?repetitions:int ->
@@ -79,7 +84,7 @@ val collect_checked :
   max_threads:int ->
   unit ->
   (Series.t, Diag.t) result
-(** {!collect} behind {!validate_window} (plus a repetitions check):
+(** {!collect} behind {!validate_window} and {!validate_repetitions}:
     out-of-range requests — a window larger than the machine, a
     non-positive window or repetition count — come back as typed
     diagnostics instead of [Invalid_argument] from deep inside the

@@ -1,19 +1,24 @@
-(* The 64-bit state lives as raw bits in a one-cell float array: float
-   array loads and stores are unboxed in classic (non-flambda) mode, and
-   [Int64.bits_of_float] / [Int64.float_of_bits] compile to register
-   moves, so advancing the generator allocates nothing.  A [mutable
-   int64] field would hold a pointer to a boxed Int64 and every state
-   store would allocate a 3-word box on the per-draw path. *)
-type t = float array
+(* The 64-bit state lives as raw bytes, read and written with the
+   unchecked native-endian 64-bit primitives: ocamlopt compiles each to a
+   single load or store of an unboxed int64, so advancing the generator
+   allocates nothing and calls nothing.  Not the bits in a one-cell float
+   array: [Int64.bits_of_float] and [Int64.float_of_bits] are noalloc C
+   calls, not register moves, so a draw would pay two.  Not a [mutable
+   int64] field either: it would hold a pointer to a boxed Int64, and
+   every state store would allocate a 3-word box. *)
+type t = bytes
 
-let[@inline always] get_state (t : t) = Int64.bits_of_float (Array.unsafe_get t 0)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let[@inline always] set_state (t : t) s = Array.unsafe_set t 0 (Int64.float_of_bits s)
+let[@inline always] get_state (t : t) = get64u t 0
+
+let[@inline always] set_state (t : t) s = set64u t 0 s
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let of_state s : t =
-  let t = [| 0.0 |] in
+  let t = Bytes.create 8 in
   set_state t s;
   t
 
@@ -49,9 +54,11 @@ let[@inline always] float t =
   let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  (* 53 high bits give a uniform double in [0,1). *)
+  (* 53 high bits give a uniform double in [0,1).  They fit a native int
+     and convert to float exactly, the same value [Int64.to_float] (a C
+     call) returns. *)
   let bits = Int64.shift_right_logical z 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+  Float.of_int (Int64.to_int bits) *. (1.0 /. 9007199254740992.0)
 
 let[@inline always] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

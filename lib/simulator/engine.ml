@@ -61,13 +61,34 @@ let barrier_base_cycles = 200.0
 let smt_slowdown = 1.35
 
 (* Stochastic rounding keeps expected access counts exact while issuing an
-   integral number of controller requests. *)
-let sround rng x =
+   integral number of controller requests.  The expected counts are run
+   constants, so [split_round] takes each one's floor and fraction once
+   per run and an operation only draws the rounding: no [floor] call on
+   the per-op path. *)
+let split_round x =
   let f = Float.floor x in
-  let base = Float.to_int f in
-  if Rng.bool rng (x -. f) then base + 1 else base
+  (Float.to_int f, x -. f)
+
+let[@inline always] sround rng (base, fraction) =
+  if Rng.bool rng fraction then base + 1 else base
 
 let shared_home_socket = 0
+
+(* The barrier release's scan: the latest arrival among the parked
+   threads into [into], and their count.  It runs once per barrier, not
+   per operation, so it keeps [Float.max], exact for NaN clocks; kept out
+   of line, its two [sign_bit] C calls, the only ones left in the engine,
+   stay visibly off the per-op loop. *)
+let[@inline never] latest_arrival ~into ~parked_at states =
+  Array.unsafe_set into 0 0.0;
+  let parked = ref 0 in
+  for i = 0 to Array.length states - 1 do
+    if states.(i).status = st_parked then begin
+      incr parked;
+      Array.unsafe_set into 0 (Float.max (Array.unsafe_get into 0) parked_at.(i))
+    end
+  done;
+  !parked
 
 let run ?(seed = 1) ~machine ~spec ~threads () =
   (match Spec.validate spec with Ok () -> () | Error e -> invalid_arg ("Engine.run: " ^ e));
@@ -146,7 +167,10 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
         D_lock_free
           {
             cas_cost_cycles;
-            p_retry = Float.min 0.9 (retry_contention *. float_of_int (threads - 1));
+            p_retry =
+              (let p = retry_contention *. float_of_int (threads - 1) in
+               (* [Float.min 0.9 p], without its [sign_bit] calls. *)
+               if p > 0.9 then 0.9 else p);
           }
   in
   let lock_bank = match dispatch with D_locked { bank; _ } -> Some bank | _ -> None in
@@ -187,10 +211,10 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
   let fa = float_of_int accesses in
   let shared_acc = fa *. o.Spec.shared_fraction in
   let private_acc = fa -. shared_acc in
-  let exp_llc_hits = fa *. plan.Cache.p_miss_private_to_llc in
-  let exp_private_fills = private_acc *. plan.Cache.p_miss_private_data_memory in
-  let exp_shared_fills = shared_acc *. plan.Cache.p_miss_shared_data_memory in
-  let exp_transfers = shared_acc *. coherence_p in
+  let llc_hits_round = split_round (fa *. plan.Cache.p_miss_private_to_llc) in
+  let private_fills_round = split_round (private_acc *. plan.Cache.p_miss_private_data_memory) in
+  let shared_fills_round = split_round (shared_acc *. plan.Cache.p_miss_shared_data_memory) in
+  let transfers_round = split_round (shared_acc *. coherence_p) in
   let useful_mu = o.Spec.useful_cycles in
   let useful_sigma = o.Spec.useful_cycles *. o.Spec.useful_cv in
   let dependency_factor = o.Spec.dependency_factor in
@@ -201,26 +225,32 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
      one per operation. *)
   let grant = Lock.make_grant () in
   let stm_res = Stm.make_result () in
-  (* Elapsed-cycles accumulator for [memory_phase].  A float array cell
-     rather than a [ref]: mutable variables are not unboxed in classic
-     mode, so a float ref would allocate a box on every update. *)
-  let mp_elapsed = [| 0.0 |] in
+  (* The two phases' elapsed cycles.  Float array cells rather than
+     returned floats or [ref]s: a float returned from a call is boxed,
+     and mutable variables are not unboxed in classic mode, so either
+     would allocate on every operation. *)
+  let mp_elapsed = [| 0.0 |] and cp_elapsed = [| 0.0 |] in
 
   (* --- per-op building blocks ------------------------------------- *)
+  (* Everything an operation runs is inlined into the main loop, Stm and
+     Lock included, so no float crosses a call and nothing allocates; the
+     only calls left are libm's [log] and [cos] in [Rng.gaussian] and
+     [exp] in [Stm.run_transaction]. *)
 
-  (* Memory accesses: returns elapsed cycles; charges stall causes. *)
-  let memory_phase st =
+  (* Memory accesses: elapsed cycles into [mp_elapsed]; charges stall
+     causes. *)
+  let[@inline always] memory_phase st =
     Array.unsafe_set mp_elapsed 0 0.0;
     if accesses > 0 then begin
       (* Private-cache misses that hit in the LLC. *)
-      let llc_hits = sround st.rng exp_llc_hits in
+      let llc_hits = sround st.rng llc_hits_round in
       if llc_hits > 0 then begin
         let cost = float_of_int llc_hits *. llc_latency in
         Ledger.add st.led Stall.Miss_private cost;
         Array.unsafe_set mp_elapsed 0 (Array.unsafe_get mp_elapsed 0 +. cost)
       end;
       (* DRAM fills for private data: homed on the thread's own socket. *)
-      let private_fills = sround st.rng exp_private_fills in
+      let private_fills = sround st.rng private_fills_round in
       for _ = 1 to private_fills do
         let total =
           Memory.request_on st.ctrl
@@ -233,7 +263,7 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
         Array.unsafe_set mp_elapsed 0 (Array.unsafe_get mp_elapsed 0 +. total)
       done;
       (* DRAM fills for shared data: homed on socket 0 (first touch). *)
-      let shared_fills = sround st.rng exp_shared_fills in
+      let shared_fills = sround st.rng shared_fills_round in
       for _ = 1 to shared_fills do
         let total =
           Memory.request_on shared_ctrl
@@ -246,18 +276,18 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
         Array.unsafe_set mp_elapsed 0 (Array.unsafe_get mp_elapsed 0 +. total)
       done;
       (* Coherence transfers on shared lines. *)
-      let transfers = sround st.rng exp_transfers in
+      let transfers = sround st.rng transfers_round in
       if transfers > 0 then begin
         let cost = float_of_int transfers *. line_transfer in
         Ledger.add st.led Stall.Coherence cost;
         Array.unsafe_set mp_elapsed 0 (Array.unsafe_get mp_elapsed 0 +. cost)
       end
-    end;
-    Array.unsafe_get mp_elapsed 0
+    end
   in
 
-  (* Compute phase: useful work plus the pipeline stalls tied to it. *)
-  let compute_phase st =
+  (* Compute phase: useful work plus the pipeline stalls tied to it;
+     elapsed cycles into [cp_elapsed]. *)
+  let[@inline always] compute_phase st =
     let g = Rng.gaussian st.rng ~mu:useful_mu ~sigma:useful_sigma in
     let base = if g > 1.0 then g else 1.0 in
     let useful = if st.smt_shared then base *. smt_slowdown else base in
@@ -269,17 +299,22 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
     let branch = branch_mpki *. useful /. 1000.0 *. branch_penalty_cycles in
     Ledger.add st.led Stall.Branch_recovery branch;
     Ledger.add st.led Stall.Frontend frontend_cycles;
-    useful +. dep +. fp +. branch +. frontend_cycles
+    Array.unsafe_set cp_elapsed 0 (useful +. dep +. fp +. branch +. frontend_cycles)
   in
 
   (* One operation of thread [st]; advances its clock. *)
-  let execute_op st =
+  let[@inline always] execute_op st =
+    (* The memory phase runs first: its roundings draw from the
+       thread's stream before the compute phase's gaussian does, the
+       order test/golden/engine_bits.txt pins. *)
+    memory_phase st;
+    compute_phase st;
+    let body = Array.unsafe_get cp_elapsed 0 +. Array.unsafe_get mp_elapsed 0 in
     match dispatch with
     | D_transactional stm ->
         (* The whole op body runs inside a transaction; aborted attempts
            re-execute it.  Hardware counters see aborted work as ordinary
            execution; SwissTM statistics expose it as software stall. *)
-        let body = compute_phase st +. memory_phase st in
         Stm.run_transaction stm ~rng:st.rng ~now:clocks.(st.id) ~duration:body
           ~threads_active:threads ~into:stm_res;
         if stm_res.Stm.abort_cycles > 0.0 then begin
@@ -289,7 +324,6 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
         clocks.(st.id) <- stm_res.Stm.commit_at +. stm_res.Stm.conflict_coherence
     | D_locked { bank; num_locks; cs_cycles; cs_mem; hold } ->
         (* Body outside the critical section, then the protected update. *)
-        let body = compute_phase st +. memory_phase st in
         clocks.(st.id) <- clocks.(st.id) +. body;
         let index = Rng.int st.rng num_locks in
         Lock.acquire bank ~into:grant ~index ~now:clocks.(st.id) ~hold_for:hold;
@@ -302,7 +336,6 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
         Ledger.add st.led Stall.Miss_private cs_mem;
         clocks.(st.id) <- grant.Lock.released_at
     | D_lock_free { cas_cost_cycles; p_retry } ->
-        let body = compute_phase st +. memory_phase st in
         clocks.(st.id) <- clocks.(st.id) +. body;
         let attempts = ref 1 in
         while !attempts < 20 && Rng.bool st.rng p_retry do
@@ -312,89 +345,74 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
         if failed > 0.0 then Ledger.add st.led Stall.Coherence (failed *. (cas_cost_cycles +. line_transfer));
         Ledger.add_useful st.led cas_cost_cycles;
         clocks.(st.id) <- clocks.(st.id) +. (float_of_int !attempts *. cas_cost_cycles) +. (failed *. line_transfer)
-    | D_no_sync ->
-        let body = compute_phase st +. memory_phase st in
-        clocks.(st.id) <- clocks.(st.id) +. body
+    | D_no_sync -> clocks.(st.id) <- clocks.(st.id) +. body
   in
 
   (* --- runnable-thread scheduling ---------------------------------- *)
 
   (* The engine always advances the lagging runnable thread, ties broken
-     by the lowest id — the selection the old O(threads) scan made.  An
-     indexed binary min-heap on the strict total order (clock, id) keeps
-     that selection exact at O(log threads) per operation, which is what
-     lets 48-thread runs cost the same per op as 2-thread runs. *)
-  (* Indices into [heap]/[hpos]/[clocks] are thread ids and heap slots,
-     both invariantly below [threads]; the unchecked accessors keep bounds
-     checks off the per-op path. *)
+     by the lowest id — the selection the old O(threads) scan made.  A
+     binary min-heap of thread ids on the strict total order (clock, id)
+     keeps that selection exact at O(log threads) per operation, which is
+     what lets 48-thread runs cost the same per op as 2-thread runs. *)
+  (* Indices into [heap]/[clocks] are thread ids and heap slots, both
+     invariantly below [threads]; the unchecked accessors keep bounds
+     checks off the per-op path.  Both sifts move a hole rather than
+     swapping, and compare inline: the per-op [sift_down] is a loop with
+     no call. *)
   let heap = Array.make threads 0 in
-  let hpos = Array.make threads (-1) in
   let hsize = ref 0 in
-  let hless a b =
+  let[@inline always] precedes a b =
     let ca = Array.unsafe_get clocks a and cb = Array.unsafe_get clocks b in
     ca < cb || (ca = cb && a < b)
   in
-  let hswap i j =
-    let a = Array.unsafe_get heap i and b = Array.unsafe_get heap j in
-    Array.unsafe_set heap i b;
-    Array.unsafe_set heap j a;
-    Array.unsafe_set hpos b i;
-    Array.unsafe_set hpos a j
-  in
-  let rec sift_up i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if hless (Array.unsafe_get heap i) (Array.unsafe_get heap p) then begin
-        hswap i p;
-        sift_up p
-      end
-    end
-  in
-  let rec sift_down i =
-    let l = (2 * i) + 1 in
-    if l < !hsize then begin
-      let m =
-        if l + 1 < !hsize && hless (Array.unsafe_get heap (l + 1)) (Array.unsafe_get heap l) then
-          l + 1
-        else l
-      in
-      if hless (Array.unsafe_get heap m) (Array.unsafe_get heap i) then begin
-        hswap i m;
-        sift_down m
-      end
-    end
-  in
   let hpush id =
-    let i = !hsize in
-    Array.unsafe_set heap i id;
-    Array.unsafe_set hpos id i;
+    let i = ref !hsize in
     incr hsize;
-    sift_up i
+    while !i > 0 && precedes id (Array.unsafe_get heap ((!i - 1) / 2)) do
+      let p = (!i - 1) / 2 in
+      Array.unsafe_set heap !i (Array.unsafe_get heap p);
+      i := p
+    done;
+    Array.unsafe_set heap !i id
+  in
+  (* The root's clock advanced (or the root was replaced): move it down
+     past every child that now precedes it. *)
+  let[@inline always] sift_down () =
+    let id = Array.unsafe_get heap 0 in
+    let i = ref 0 and l = ref 1 in
+    while !l < !hsize do
+      let m =
+        let r = !l + 1 in
+        if r < !hsize && precedes (Array.unsafe_get heap r) (Array.unsafe_get heap !l) then r else !l
+      in
+      let child = Array.unsafe_get heap m in
+      if precedes child id then begin
+        Array.unsafe_set heap !i child;
+        i := m;
+        l := (2 * m) + 1
+      end
+      else l := !hsize
+    done;
+    Array.unsafe_set heap !i id
   in
   let hremove_root () =
-    Array.unsafe_set hpos (Array.unsafe_get heap 0) (-1);
     decr hsize;
     if !hsize > 0 then begin
-      let tail = Array.unsafe_get heap !hsize in
-      Array.unsafe_set heap 0 tail;
-      Array.unsafe_set hpos tail 0;
-      sift_down 0
+      Array.unsafe_set heap 0 (Array.unsafe_get heap !hsize);
+      sift_down ()
     end
   in
   for i = 0 to threads - 1 do
     hpush i
   done;
 
-  (* Barrier release: all parked threads resume together. *)
+  (* Barrier release: all parked threads resume together.  Plain loops
+     and a float cell, so a barrier allocates nothing: an [Array.iter]
+     closure over a float [ref] would allocate at every one. *)
+  let latest = [| 0.0 |] in
   let release_barrier () =
-    let latest = ref 0.0 and parked = ref 0 in
-    Array.iter
-      (fun st ->
-        if st.status = st_parked then begin
-          incr parked;
-          latest := Float.max !latest parked_at.(st.id)
-        end)
-      states;
+    let parked = latest_arrival ~into:latest ~parked_at states in
     (* Centralised barrier: the counter line bounces across participants.
        A mutex-based barrier additionally pays a serialised wake-up chain
        (the PARSEC trylock barrier of the paper's Section 4.6). *)
@@ -403,19 +421,19 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
       | Spec.Spinlock -> line_transfer
       | Spec.Mutex -> line_transfer +. (0.5 *. Lock.mutex_wake_penalty)
     in
-    let overhead = barrier_base_cycles +. (per_thread_cost *. float_of_int !parked) in
-    let release = !latest +. overhead in
-    Array.iter
-      (fun st ->
-        if st.status = st_parked then begin
-          let wait = release -. parked_at.(st.id) in
-          Ledger.add st.led Stall.Barrier_wait wait;
-          Ledger.add st.led Stall.Coherence (line_transfer *. 0.5);
-          clocks.(st.id) <- release;
-          st.status <- st_running;
-          hpush st.id
-        end)
-      states
+    let overhead = barrier_base_cycles +. (per_thread_cost *. float_of_int parked) in
+    let release = Array.unsafe_get latest 0 +. overhead in
+    for i = 0 to threads - 1 do
+      let st = states.(i) in
+      if st.status = st_parked then begin
+        let wait = release -. parked_at.(i) in
+        Ledger.add st.led Stall.Barrier_wait wait;
+        Ledger.add st.led Stall.Coherence (line_transfer *. 0.5);
+        clocks.(i) <- release;
+        st.status <- st_running;
+        hpush i
+      end
+    done
   in
 
   (* --- main loop ---------------------------------------------------- *)
@@ -446,7 +464,7 @@ let run ?(seed = 1) ~machine ~spec ~threads () =
       end
       else
         (* Its clock advanced: restore the heap order. *)
-        sift_down 0
+        sift_down ()
     end
   done;
   let per_thread =

@@ -27,7 +27,9 @@ let create kind ~count ~line_transfer_cycles =
   if count <= 0 then invalid_arg "Lock.create: need at least one lock";
   { kind; free_at = Array.make count 0.0; line_transfer_cycles; contended = 0 }
 
-let acquire t ~into:g ~index ~now ~hold_for =
+(* Inlined into the engine's per-op path: an out-of-line call would box
+   [now] on the way in. *)
+let[@inline always] acquire t ~into:g ~index ~now ~hold_for =
   if hold_for < 0.0 then invalid_arg "Lock.acquire: negative hold time";
   let i = index mod Array.length t.free_at in
   let i = if i < 0 then i + Array.length t.free_at else i in

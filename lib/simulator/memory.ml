@@ -70,9 +70,19 @@ let[@inline always] dram_latency t ~hops = float_of_int (Topology.memory_latency
 
 (* The engine's per-fill path: the controller is pre-resolved and the DRAM
    latency (a function of the requester's NUMA distance only) precomputed,
-   so a fill is pure float arithmetic on a flat record. *)
+   so a fill is pure float arithmetic on a flat record, with no call.
+   [Float.max] and [Float.min] are not used here: when their first
+   comparison fails, which is the common case for the high-water mark,
+   they make two [sign_bit] C calls.  The comparisons below give the
+   same values.  [Float.min rho_cap v] is exactly [if v > rho_cap then
+   rho_cap else v], NaN and -0 included.  The high-water update matches
+   [Float.max c.high_water now] on every input but two.  A -0 mark
+   meeting a +0 [now] cannot occur: the mark starts at +0 and only ever
+   takes a larger or a NaN [now].  A NaN mark meeting a NaN [now] keeps
+   a different NaN, but a NaN mark is only ever read to fail the window
+   comparison. *)
 let[@inline always] request_on c ~now ~dram =
-  c.high_water <- Float.max c.high_water now;
+  if now > c.high_water || Float.is_nan now then c.high_water <- now;
   let elapsed = c.high_water -. c.window_start in
   if elapsed >= window_cycles then begin
     c.rate <- c.window_fills /. elapsed;
@@ -81,7 +91,10 @@ let[@inline always] request_on c ~now ~dram =
   end;
   c.window_fills <- c.window_fills +. 1.0;
   c.fills <- c.fills +. 1.0;
-  let rho = Float.min rho_cap (c.rate *. c.service /. c.ports) in
+  let rho =
+    let v = c.rate *. c.service /. c.ports in
+    if v > rho_cap then rho_cap else v
+  in
   let queue_delay = c.service *. rho *. rho /. (c.ports *. (1.0 -. rho)) in
   c.last_queue <- queue_delay;
   queue_delay +. dram

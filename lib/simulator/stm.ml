@@ -30,13 +30,16 @@ let create ~reads ~writes ~key_space ~abort_penalty_cycles ~line_transfer_cycles
   if reads < 0 || writes < 0 then invalid_arg "Stm.create: negative set sizes";
   { reads; writes; key_space; abort_penalty_cycles; line_transfer_cycles; committed_writes = [| 0.0 |] }
 
-let record_commit t ~writes_at =
-  ignore writes_at;
+let[@inline always] record_commit t =
   t.committed_writes.(0) <- t.committed_writes.(0) +. float_of_int t.writes
 
-let observed_write_rate t ~at = if at <= 0.0 then 0.0 else t.committed_writes.(0) /. at
+let[@inline always] observed_write_rate t ~at =
+  if at <= 0.0 then 0.0 else t.committed_writes.(0) /. at
 
-let run_transaction t ~rng ~now ~duration ~threads_active ~into:(r : attempt_result) =
+(* Inlined into the engine's per-op path: an out-of-line call would box
+   [now] and [duration] on the way in, and [observed_write_rate]'s result
+   once per attempt. *)
+let[@inline always] run_transaction t ~rng ~now ~duration ~threads_active ~into:(r : attempt_result) =
   if duration < 0.0 then invalid_arg "Stm.run_transaction: negative duration";
   if threads_active <= 0 then invalid_arg "Stm.run_transaction: no threads";
   let footprint = float_of_int (t.reads + t.writes) in
@@ -59,7 +62,7 @@ let run_transaction t ~rng ~now ~duration ~threads_active ~into:(r : attempt_res
       (* The attempt runs (on average) half its window before the conflict
          is detected on validation, then pays backoff that grows with the
          retry count (contention management). *)
-      let backoff = t.abort_penalty_cycles *. float_of_int (min !aborts 10) in
+      let backoff = t.abort_penalty_cycles *. float_of_int (Int.min !aborts 10) in
       let burnt = (0.5 *. duration) +. backoff in
       r.abort_cycles <- r.abort_cycles +. burnt;
       r.conflict_coherence <- r.conflict_coherence +. (float_of_int t.writes *. t.line_transfer_cycles);
@@ -74,5 +77,5 @@ let run_transaction t ~rng ~now ~duration ~threads_active ~into:(r : attempt_res
       committed := true
     end
   done;
-  record_commit t ~writes_at:r.commit_at;
+  record_commit t;
   r.aborted_attempts <- float_of_int !aborts

@@ -49,10 +49,10 @@ val run_transaction :
     with the outcome.  Retries are capped; the cap models contention
     management kicking in. *)
 
-val record_commit : t -> writes_at:float -> unit
+val record_commit : t -> unit
 (** Tell the runtime a commit happened, feeding the global write-rate
     estimate used for conflict probabilities. *)
 
 val observed_write_rate : t -> at:float -> float
-(** Committed writes per cycle across all threads, estimated over a recent
-    window. *)
+(** Committed writes per cycle across all threads, averaged from time 0
+    to [at]; 0 when [at <= 0]. *)

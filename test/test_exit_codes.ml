@@ -86,8 +86,10 @@ let test_cli_exit_2_parse_error () =
 
 let test_cli_exit_2_bad_window () =
   (* An out-of-range measurement window used to escape as an
-     Invalid_argument from the allocator; it must be a typed Bad_config
-     (exit 2) from Api.validate_window on both subcommands. *)
+     Invalid_argument from the allocator, and a repetition count below 1
+     as one from the collector; each must be a typed Bad_config (exit 2)
+     from Api.validate_window or Api.validate_repetitions on every
+     subcommand that collects. *)
   check_exit ~msg:"predict --window beyond the machine" ~code:2
     ~substring:"exceeds the machine's 12 hardware threads"
     [ "predict"; "kmeans"; "--window"; "64" ];
@@ -95,7 +97,11 @@ let test_cli_exit_2_bad_window () =
     ~substring:"exceeds the machine's 12 hardware threads"
     [ "collect"; "kmeans"; "--sockets"; "1"; "--window"; "200" ];
   check_exit ~msg:"non-positive window" ~code:2 ~substring:"need >= 1"
-    [ "predict"; "kmeans"; "--window"; "0" ]
+    [ "predict"; "kmeans"; "--window"; "0" ];
+  check_exit ~msg:"collect --repetitions 0" ~code:2 ~substring:"repetitions 0 (need >= 1)"
+    [ "collect"; "kmeans"; "--repetitions"; "0" ];
+  check_exit ~msg:"compare --repetitions 0" ~code:2 ~substring:"repetitions 0 (need >= 1)"
+    [ "compare"; "kmeans"; "--repetitions"; "0" ]
 
 let test_cli_exit_3_no_realistic_fit () =
   (* data/nofit.csv poisons one stall category with uniformly negative

@@ -326,7 +326,7 @@ let test_stm_conflicts_under_load () =
   let stm = Stm.create ~reads:16 ~writes:8 ~key_space:64 ~abort_penalty_cycles:10.0 ~line_transfer_cycles:10.0 in
   (* Prime the write-rate estimate with many early commits. *)
   for _ = 1 to 2000 do
-    Stm.record_commit stm ~writes_at:1.0
+    Stm.record_commit stm
   done;
   let aborted = ref 0.0 in
   let r = Stm.make_result () in
@@ -384,6 +384,112 @@ let test_stall_classification () =
   Alcotest.(check bool) "frontend not backend" false (Stall.is_hardware_backend Stall.Frontend);
   Alcotest.(check bool) "stm not backend" false (Stall.is_hardware_backend Stall.Stm_abort)
 
+(* ------------------------------------------------------------------ *)
+(* The op loop: its bits and its allocation                            *)
+
+(* The simulator's output, pinned bit for bit across commits: [%h] of
+   every float a run reports, for each suite workload at seed 42 over six
+   (machine, threads) configurations: one Opteron socket at 1, 7 and 12
+   threads, the whole Opteron, the Xeon with SMT, and the desktop.  The
+   other goldens compare prediction errors within a tolerance or rounded
+   text, so only this one catches an op loop that reorders a
+   floating-point operation or a random draw. *)
+let engine_bits_configs =
+  let one_socket = Machines.restrict_sockets Machines.opteron48 ~sockets:1 in
+  [
+    (one_socket, 1);
+    (one_socket, 7);
+    (one_socket, 12);
+    (Machines.opteron48, 48);
+    (Machines.xeon20, 40);
+    (Machines.haswell_desktop, 8);
+  ]
+
+let engine_bits_line spec (machine, threads) =
+  let r = Engine.run ~seed:42 ~machine ~spec ~threads () in
+  String.concat " "
+    ([
+       r.Engine.spec_name;
+       machine.Topology.name;
+       Printf.sprintf "t=%d" threads;
+       Printf.sprintf "cycles=%h" r.Engine.cycles;
+       Printf.sprintf "time=%h" r.Engine.time_seconds;
+     ]
+    @ List.map (fun (c, v) -> Printf.sprintf "%s=%h" (Stall.label c) v) (Ledger.to_assoc r.Engine.ledger)
+    @ [
+        Printf.sprintf "useful=%h" (Ledger.useful r.Engine.ledger);
+        Printf.sprintf "ops=%d" r.Engine.ops_executed;
+        Printf.sprintf "contended=%d" r.Engine.lock_contended;
+      ])
+
+let test_engine_bits_golden () =
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "engine_bits.txt") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+  in
+  let runs =
+    List.concat_map
+      (fun (e : Estima_workloads.Suite.entry) -> List.map (fun c -> (e.spec, c)) engine_bits_configs)
+      Estima_workloads.Suite.all
+  in
+  if List.length golden <> List.length runs then
+    Alcotest.failf "golden/engine_bits.txt has %d lines for %d runs" (List.length golden) (List.length runs);
+  let mismatches =
+    List.concat
+      (List.map2
+         (fun expected (spec, ((machine, threads) as config)) ->
+           let actual = engine_bits_line spec config in
+           if actual = expected then []
+           else
+             [
+               Printf.sprintf "%s on %s at %d threads:\n  golden %s\n  now    %s" spec.Spec.name
+                 machine.Topology.name threads expected actual;
+             ])
+         golden runs)
+  in
+  if mismatches <> [] then
+    Alcotest.failf "%d of %d runs changed bits:\n%s" (List.length mismatches) (List.length runs)
+      (String.concat "\n" mismatches)
+
+(* The op loop allocates nothing: a run of 2k operations allocates
+   exactly the words of a run of k, so any word per operation (a boxed
+   float crossing a call, a closure per barrier) shows as a difference.
+   One spec per synchronisation regime, barriers of both kinds included,
+   at 1 and 12 threads. *)
+let test_op_loop_allocates_nothing () =
+  let regimes =
+    [
+      ("no sync", memory_bound_spec);
+      ("spinlock barrier", barrier_spec);
+      ( "mutex barrier",
+        { barrier_spec with Spec.op = { barrier_spec.Spec.op with Spec.barrier_kind = Spec.Mutex } } );
+      ("mutex", lock_spec Spec.Mutex);
+      ("spinlock", lock_spec Spec.Spinlock);
+      ("transactional", stm_spec);
+      ("lock-free", lockfree_spec);
+    ]
+  in
+  let k = 6_000 in
+  let allocated spec threads ops =
+    let spec = { spec with Spec.scaling = Spec.Strong ops } in
+    let before = Gc.minor_words () in
+    let r = run spec threads in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) (spec.Spec.name ^ " ran its operations") ops r.Engine.ops_executed;
+    words
+  in
+  List.iter
+    (fun (regime, spec) ->
+      List.iter
+        (fun threads ->
+          let short = allocated spec threads k and long = allocated spec threads (2 * k) in
+          if long <> short then
+            Alcotest.failf "%s at %d threads: %d ops allocate %.0f words, %d ops %.0f" regime threads k short
+              (2 * k) long)
+        [ 1; 12 ])
+    regimes
+
 let suite =
   [
     ("determinism", `Quick, test_determinism);
@@ -418,4 +524,6 @@ let suite =
     ("ledger rejects negative", `Quick, test_ledger_rejects_negative);
     ("stall index roundtrip", `Quick, test_stall_index_roundtrip);
     ("stall classification", `Quick, test_stall_classification);
+    ("engine bits match the golden", `Quick, test_engine_bits_golden);
+    ("op loop allocates nothing", `Quick, test_op_loop_allocates_nothing);
   ]
