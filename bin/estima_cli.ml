@@ -85,10 +85,6 @@ let store_arg = Config.Args.store
 let apply_store = Config.Args.apply_store
 let confidence_arg = Config.Args.confidence
 
-let restrict machine = function
-  | None -> machine
-  | Some sockets -> Machines.restrict_sockets machine ~sockets
-
 (* Diagnostic exit convention: 2 = malformed input, 3 = well-formed input
    ESTIMA cannot extrapolate (no realistic fit). *)
 let fail_diag d =
@@ -96,6 +92,14 @@ let fail_diag d =
   exit (Diag.exit_code d)
 
 let unwrap_diag = function Ok v -> v | Error d -> fail_diag d
+
+(* Through Api.validate_sockets so an out-of-range --sockets is a typed
+   diagnostic (exit 2), not the restriction's exception. *)
+let restrict machine = function
+  | None -> machine
+  | Some sockets ->
+      unwrap_diag (Api.validate_sockets ~machine ~sockets);
+      Machines.restrict_sockets machine ~sockets
 
 (* Through Api.collect_checked so an out-of-range --window is a typed
    diagnostic (exit 2), not an allocator exception. *)

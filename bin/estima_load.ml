@@ -196,7 +196,14 @@ let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs serve_a
     exit 1
   end;
   let machine =
-    match sockets with None -> machine | Some sockets -> Machines.restrict_sockets machine ~sockets
+    match sockets with
+    | None -> machine
+    | Some sockets -> (
+        match Api.validate_sockets ~machine ~sockets with
+        | Ok () -> Machines.restrict_sockets machine ~sockets
+        | Error d ->
+            prerr_endline (Diag.render d);
+            exit 1)
   in
   let base = Config.make ~measured_on:machine ~target () in
   let payload_names = match payloads with [] -> [ "kmeans"; "genome" ] | names -> names in

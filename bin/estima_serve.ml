@@ -173,7 +173,14 @@ let serve machine sockets target jobs queue cache timeout_ms socket_path tcp_add
     exit 1
   end;
   let machine =
-    match sockets with None -> machine | Some sockets -> Machines.restrict_sockets machine ~sockets
+    match sockets with
+    | None -> machine
+    | Some sockets -> (
+        match Api.validate_sockets ~machine ~sockets with
+        | Ok () -> Machines.restrict_sockets machine ~sockets
+        | Error d ->
+            prerr_endline (Diag.render d);
+            exit 1)
   in
   let base = Config.make ~measured_on:machine ~target () in
   let config =

@@ -37,6 +37,18 @@ let validate_window ~machine ~max_threads =
          })
   else Ok ()
 
+let validate_sockets ~machine ~sockets =
+  let limit = machine.Estima_machine.Topology.sockets in
+  if sockets < 1 || sockets > limit then
+    Diag.error ~stage:Diag.Collect ~subject:machine.Estima_machine.Topology.name
+      (Diag.Bad_config
+         {
+           what =
+             Printf.sprintf "socket count %d (the machine has %d socket%s)" sockets limit
+               (if limit = 1 then "" else "s");
+         })
+  else Ok ()
+
 let validate_repetitions ~spec ~repetitions =
   if repetitions < 1 then
     Diag.error ~stage:Diag.Collect ~subject:spec.Estima_sim.Spec.name

@@ -70,6 +70,13 @@ val validate_window :
     {!Diag.Bad_config} (stage [Collect], exit code 2), never an
     exception. *)
 
+val validate_sockets : machine:Estima_machine.Topology.t -> sockets:int -> (unit, Diag.t) result
+(** Check a [--sockets] count against the machine before restricting it
+    ({!Estima_machine.Machines.restrict_sockets}): it must be at least 1
+    and no more than the machine's sockets.  A violation is a typed
+    {!Diag.Bad_config} naming the machine's socket count (stage
+    [Collect], exit code 2), never the restriction's exception. *)
+
 val validate_repetitions : spec:Estima_sim.Spec.t -> repetitions:int -> (unit, Diag.t) result
 (** Check a repetition count before collecting [spec]: it must be at
     least 1.  A violation is a typed {!Diag.Bad_config} (stage

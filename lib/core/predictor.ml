@@ -32,11 +32,37 @@ type t = {
 
 let ( let* ) = Result.bind
 
+(* Above this magnitude a value's square, or a sum of such squares (RMSE,
+   Pearson correlation, stalls per core), can overflow to infinity. *)
+let max_magnitude = 1e150
+
+(* The first measured value, in sample order, that is not finite or
+   exceeds [max_magnitude] in magnitude, as a Bad_value naming its column
+   and core count. *)
+let check_magnitudes (series : Series.t) =
+  let bad (s : Sample.t) =
+    ("time_seconds", s.Sample.time_seconds) :: ("cycles", s.Sample.cycles)
+    :: ("useful_cycles", s.Sample.useful_cycles) :: (s.Sample.counters @ s.Sample.software)
+    |> List.find_opt (fun (_, v) -> not (Float.abs v <= max_magnitude))
+    |> Option.map (fun column -> (s.Sample.threads, column))
+  in
+  match Array.find_map bad series.Series.samples with
+  | None -> Ok ()
+  | Some (threads, (column, value)) ->
+      Diag.error ~stage:Diag.Collect ~subject:series.Series.spec_name
+        (Diag.Bad_value
+           {
+             what =
+               Printf.sprintf "%s at %d cores (|value| must be <= %g)" column threads max_magnitude;
+             value;
+           })
+
 (* The staged pipeline (paper Figure 3): the series in hand is the output
    of stage A (collect — {!Ingest} for external measurements); stage B
    (extrapolate) and stage C (translate) run here, each reporting failure
    as a [Diag.t] rather than an exception. *)
 let predict_untraced ~config ~series ~target_max () =
+  let* () = check_magnitudes series in
   let* extrapolation =
     Trace.with_span "extrapolate" (fun () ->
         Extrapolation.extrapolate ~config:config.approximation ~series ~target_max

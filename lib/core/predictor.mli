@@ -47,9 +47,13 @@ val predict :
     [Error] with {!Diag.Target_below_window} when [target_max] is below
     the measurement window, {!Diag.No_realistic_fit} (subject = the stall
     category) when a category admits no realistic fit,
-    {!Diag.Bad_config} on non-positive scale factors.  When a trace sink
-    is installed, each diagnostic is also emitted as a
-    {!Estima_obs.Trace.Diagnostic} event before the stage returns. *)
+    {!Diag.Bad_config} on non-positive scale factors, {!Diag.Bad_value}
+    (stage [Collect], naming the column and core count) when a measured
+    value (time, cycles, a stall category) is not finite or exceeds 1e150
+    in magnitude, above which squares and their sums can overflow and
+    print [nan].  When a trace sink is installed, each diagnostic is also
+    emitted as a {!Estima_obs.Trace.Diagnostic} event before the stage
+    returns. *)
 
 val predicted_time_at : t -> threads:int -> float
 (** Raises [Invalid_argument] outside the target grid. *)

@@ -113,12 +113,10 @@ let gradient_and_scales ws =
     ws.diag.(j) <- Float.max !d 1e-30
   done
 
-(* Solve the damped normal equations (J^T J + lambda diag(J^T J)) p = -J^T r
-   into [ws.step] via QR on the stacked system [J; sqrt(lambda) * sqrt(diag)]
-   to avoid forming J^T J explicitly.  The factorization destroys the
-   stacked system, so every call rebuilds it.  Inlined so that [lambda]
-   is not boxed. *)
-let[@inline] solve_damped_step ws lambda =
+(* Write the damped system [J; sqrt(lambda) * sqrt(diag)] and its
+   right-hand side [-r; 0] into the stacked buffers; true when every
+   damping entry is finite.  Inlined so that [lambda] is not boxed. *)
+let[@inline] stack_damped ws lambda =
   let m = ws.m and n = ws.n in
   let a = ws.stacked in
   Array.blit ws.jacobian 0 a 0 (m * n);
@@ -126,11 +124,50 @@ let[@inline] solve_damped_step ws lambda =
     ws.rhs.(i) <- -.ws.residual.(i)
   done;
   Array.fill a (m * n) (n * n) 0.0;
+  let finite = ref true in
   for j = 0 to n - 1 do
-    a.(((m + j) * n) + j) <- sqrt (lambda *. ws.diag.(j));
+    let d = sqrt (lambda *. ws.diag.(j)) in
+    a.(((m + j) * n) + j) <- d;
+    if not (Float.is_finite d) then finite := false;
     ws.rhs.(m + j) <- 0.0
   done;
-  Qr.solve_in_place ~rows:(m + n) ~cols:n a ws.rhs ~reflector:ws.reflector ws.step
+  !finite
+
+(* Solve the damped normal equations (J^T J + lambda diag(J^T J)) p = -J^T r
+   into [ws.step] via QR on the stacked system, to avoid forming J^T J
+   explicitly.  Below J's m rows, damping row m + j is +0 but in column j,
+   so column k holds +0 below row m + k and reflector k sweeps rows k to
+   m + k only (Qr's band m).  That gives the full sweep's bits when every
+   damping entry is finite and the band's step is finite and not singular
+   (Qr.solve_in_place says why); otherwise the system is stacked again and
+   solved over every row.  Inlined so that [lambda] is not boxed. *)
+let[@inline] solve_damped_step ws lambda =
+  let m = ws.m and n = ws.n in
+  let banded =
+    stack_damped ws lambda
+    &&
+    match Qr.solve_in_place ~rows:(m + n) ~cols:n ~band:m ws.stacked ws.rhs ~reflector:ws.reflector ws.step with
+    | () -> Vec.all_finite ws.step
+    | exception Qr.Singular -> false
+  in
+  if not banded then begin
+    ignore (stack_damped ws lambda);
+    Qr.solve_in_place ~rows:(m + n) ~cols:n ~band:(m + n) ws.stacked ws.rhs ~reflector:ws.reflector ws.step
+  end
+
+let damped_step ~jacobian ~residual ~lambda =
+  let m = Vec.dim residual and n = Mat.cols jacobian in
+  if Mat.rows jacobian <> m || n = 0 then invalid_arg "Lm.damped_step: dimension mismatch";
+  let ws = workspace ~m ~n in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      ws.jacobian.((i * n) + j) <- Mat.get jacobian i j
+    done
+  done;
+  Array.blit residual 0 ws.residual 0 m;
+  gradient_and_scales ws;
+  solve_damped_step ws lambda;
+  Array.copy ws.step
 
 let minimize ?(options = default_options) objective ~init =
   let n = Vec.dim init in

@@ -15,9 +15,13 @@
     parameters (the stacked damped system, the Jacobian, its right-hand
     side, one Householder reflector, two residuals, the column scales, the
     gradient, the step and two parameter buffers), and solves every damped
-    step in it with {!Qr.solve_in_place}.  The objective writes its
-    residuals and Jacobian into that workspace, so an iteration allocates
-    nothing.  The workspace belongs to the call: parallel fits share
+    step in it with {!Qr.solve_in_place}.  Each reflector of that solve
+    sweeps only the band of rows that can be non-zero below its diagonal
+    ([m + 1] rows, not all [m + n]); a step whose damping entries are not
+    all finite, or whose band solve comes out non-finite or singular, is
+    solved again over every row, so the step has the full solve's bits.
+    The objective writes its residuals and Jacobian into that workspace,
+    so an iteration allocates nothing.  The workspace belongs to the call: parallel fits share
     nothing and need no locks.
 
     Bit-for-bit contract: every floating-point operation keeps its operands
@@ -81,6 +85,16 @@ val minimize : ?options:options -> objective -> init:Vec.t -> result
     [Invalid_argument] if [init] is empty or the residual at [init] is
     non-finite; an objective that writes outside its [m] or [m x n]
     buffer fails the array bounds check. *)
+
+val damped_step : jacobian:Mat.t -> residual:Vec.t -> lambda:float -> Vec.t
+(** [damped_step ~jacobian ~residual ~lambda] is the step {!minimize}
+    would try from a point with this Jacobian and residual at damping
+    [lambda]: the least-squares solution of
+    [[J; sqrt(lambda diag)] p = [-r; 0]], [diag] being the column sums of
+    squares of [J] (at least [1e-30]).  Raises {!Qr.Singular} as the
+    iteration's solve does, and [Invalid_argument] when the dimensions
+    disagree or [J] has no column.  Exposed for tests; it allocates a
+    workspace per call. *)
 
 val finite_difference_jacobian : (Vec.t -> Vec.t) -> Vec.t -> Mat.t
 (** Central-difference Jacobian, step [sqrt eps * max 1 |p_j|].  Useful for

@@ -5,44 +5,54 @@ let rank_tolerance = 1e-12
 (* Householder QR of the [rows × cols] row-major matrix [a], in place.  For
    each column k the reflector is built in [v] and applied to the trailing
    columns of [a] and, straight away, to [b]; on return the upper triangle
-   of [a] holds R and [b] holds Q^T b.  This is the library's only
-   factorization loop. *)
-let triangularize ~rows:m ~cols:n a b v =
-  for k = 0 to min (m - 1) (n - 1) do
-    let len = m - k in
-    let sq = ref 0.0 in
+   of [a] holds R and [b] holds Q^T b.  Reflector k sweeps rows k to
+   k + band (every row below k once [band >= rows - 1]), so a reflector
+   never touches rows its column holds only zeros in; [solve_in_place]
+   says when that gives the full sweep's bits.  This is the library's only
+   factorization loop.  It indexes unchecked, with a running index down a
+   column: its callers have checked that [a] holds [rows * cols] entries,
+   [b] and [v] at least [rows], and that [band >= 0]. *)
+let triangularize ~rows:m ~cols:n ~band a b v =
+  (* Int comparisons: Stdlib.min is polymorphic, a C call each. *)
+  for k = 0 to (if m < n then m else n) - 1 do
+    let len = if band < m - 1 - k then band + 1 else m - k in
+    let sq = ref 0.0 and at = ref ((k * n) + k) in
     for i = 0 to len - 1 do
-      let x = a.(((k + i) * n) + k) in
-      v.(i) <- x;
-      sq := !sq +. (x *. x)
+      let x = Array.unsafe_get a !at in
+      Array.unsafe_set v i x;
+      sq := !sq +. (x *. x);
+      at := !at + n
     done;
     let alpha = sqrt !sq in
-    let alpha = if v.(0) >= 0.0 then -.alpha else alpha in
-    v.(0) <- v.(0) -. alpha;
+    let v0 = Array.unsafe_get v 0 in
+    let alpha = if v0 >= 0.0 then -.alpha else alpha in
+    Array.unsafe_set v 0 (v0 -. alpha);
     let vnorm2 = ref 0.0 in
     for i = 0 to len - 1 do
-      vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
+      let x = Array.unsafe_get v i in
+      vnorm2 := !vnorm2 +. (x *. x)
     done;
     let beta = if !vnorm2 <= 0.0 then 0.0 else 2.0 /. !vnorm2 in
     if beta <> 0.0 then begin
       for j = k to n - 1 do
-        let dot = ref 0.0 in
+        let dot = ref 0.0 and at = ref ((k * n) + j) in
         for i = 0 to len - 1 do
-          dot := !dot +. (v.(i) *. a.(((k + i) * n) + j))
+          dot := !dot +. (Array.unsafe_get v i *. Array.unsafe_get a !at);
+          at := !at + n
         done;
-        let s = beta *. !dot in
+        let s = beta *. !dot and at = ref ((k * n) + j) in
         for i = 0 to len - 1 do
-          let at = ((k + i) * n) + j in
-          a.(at) <- a.(at) -. (s *. v.(i))
+          Array.unsafe_set a !at (Array.unsafe_get a !at -. (s *. Array.unsafe_get v i));
+          at := !at + n
         done
       done;
       let dot = ref 0.0 in
       for i = 0 to len - 1 do
-        dot := !dot +. (v.(i) *. b.(k + i))
+        dot := !dot +. (Array.unsafe_get v i *. Array.unsafe_get b (k + i))
       done;
       let s = beta *. !dot in
       for i = 0 to len - 1 do
-        b.(k + i) <- b.(k + i) -. (s *. v.(i))
+        Array.unsafe_set b (k + i) (Array.unsafe_get b (k + i) -. (s *. Array.unsafe_get v i))
       done
     end
   done
@@ -66,8 +76,15 @@ let back_substitute ~cols:n r qtb x =
     x.(i) <- !acc /. d
   done
 
-let solve_in_place ~rows ~cols a b ~reflector x =
-  triangularize ~rows ~cols a b reflector;
+let solve_in_place ~rows ~cols ~band a b ~reflector x =
+  if
+    cols < 0 || rows < cols || band < 0
+    || Array.length a < rows * cols
+    || Array.length b < rows
+    || Array.length reflector < rows
+    || Array.length x < cols
+  then invalid_arg "Qr.solve_in_place: bad dimensions";
+  triangularize ~rows ~cols ~band a b reflector;
   back_substitute ~cols a b x
 
 let row_major a =
@@ -85,7 +102,7 @@ let solve_least_squares a b =
   if m <> Array.length b then invalid_arg "Qr.solve_least_squares: dimension mismatch";
   if m < n then invalid_arg "Qr.solve_least_squares: underdetermined system";
   let x = Array.make n 0.0 in
-  solve_in_place ~rows:m ~cols:n (row_major a) (Array.copy b) ~reflector:(Array.make m 0.0) x;
+  solve_in_place ~rows:m ~cols:n ~band:m (row_major a) (Array.copy b) ~reflector:(Array.make m 0.0) x;
   x
 
 let solve_square a b =
@@ -100,7 +117,7 @@ let decompose a =
   for c = 0 to m - 1 do
     let e = Array.init m (fun i -> if i = c then 1.0 else 0.0) in
     r := row_major a;
-    triangularize ~rows:m ~cols:n !r e (Array.make m 0.0);
+    triangularize ~rows:m ~cols:n ~band:m !r e (Array.make m 0.0);
     Array.iteri (Mat.set q c) e
   done;
   (q, Mat.init m n (fun i j -> if i <= j then !r.((i * n) + j) else 0.0))

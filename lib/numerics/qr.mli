@@ -19,14 +19,43 @@ exception Singular
 (** Raised when the matrix is numerically rank-deficient. *)
 
 val solve_in_place :
-  rows:int -> cols:int -> float array -> float array -> reflector:float array -> float array -> unit
-(** [solve_in_place ~rows ~cols a b ~reflector x] writes into [x] (length
-    [>= cols]) the minimiser of [||A x - b||_2], where [a] holds [A]
+  rows:int ->
+  cols:int ->
+  band:int ->
+  float array ->
+  float array ->
+  reflector:float array ->
+  float array ->
+  unit
+(** [solve_in_place ~rows ~cols ~band a b ~reflector x] writes into [x]
+    (length [>= cols]) the minimiser of [||A x - b||_2], where [a] holds [A]
     row-major ([rows * cols] entries, [rows >= cols]).  Allocates nothing:
     [a] is overwritten with R in its upper triangle, [b] (length [rows])
     with [Q^T b], and [reflector] (length [>= rows]) is working storage.
     Raises {!Singular} as {!solve_least_squares} does, leaving [x] partly
-    written.  Dimensions are not checked beyond array bounds. *)
+    written.
+
+    Reflector k sweeps rows [k] to [k + band] only.  With
+    [band >= rows - 1] that is every row: the dense solve, exact for any
+    [A].  A smaller band is for the damped system [[J; D]] the
+    Levenberg-Marquardt step solves: [J] dense over its first [band] rows,
+    then the [cols] rows of [D], row [band + j] all [+0.0] but a finite
+    entry other than [-0.0] in column [j], and [b] [+0.0] in them.  Below
+    row [band + k], column k then holds [+0.0] when reflector k is formed,
+    so every term the band skips is either [+0 * (+0 or an entry of D)],
+    which leaves its sum unchanged because a sum started at [+0.0] is
+    never [-0.0], or [a - s * (+0)], which leaves [a] ([+0.0] or an entry
+    of D) unchanged when the reflector's scale [s] is finite.  So the band
+    solve has the dense solve's bits whenever every such [s] is finite.
+    The first non-finite [s] leaves a non-finite entry in row k of R or in
+    entry k of [Q^T b], in the band solve too, and back substitution turns
+    it into a non-finite solution or {!Singular}: a caller that falls back
+    to the dense solve then, and whenever an entry of D is infinite, gets
+    the dense bits every time.
+
+    The sizes are checked once per call, [Invalid_argument] if a buffer is
+    too short, [rows < cols] or [band < 0]: the factorization loop indexes
+    unchecked. *)
 
 val solve_least_squares : Mat.t -> Vec.t -> Vec.t
 (** [solve_least_squares a b] returns the minimiser of [||a x - b||_2] for a

@@ -114,6 +114,28 @@ let test_bad_value_cause () =
   Alcotest.(check string) "cause" "bad-value" (Diag.cause_label d.Diag.cause);
   check_contains "names the knob" ~sub:"frequency_scale" (Diag.render d)
 
+(* A finite time whose square overflows (data/overflow.csv: kmeans with
+   the 6-core time set to 1e200) used to print "corr nan" and exit 0;
+   every Api entry point must now return the typed Bad_value, naming the
+   column and the core count. *)
+let test_overflowing_value_cause () =
+  let series =
+    match Api.load_series ~machine:opteron1s "data/overflow.csv" with
+    | Ok s -> s
+    | Error d -> Alcotest.failf "ingest: %s" (Diag.render d)
+  in
+  let check what = function
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error d ->
+        Alcotest.(check string) (what ^ ": cause") "bad-value" (Diag.cause_label d.Diag.cause);
+        Alcotest.(check string) (what ^ ": stage") "collect" (Diag.stage_label d.Diag.stage);
+        check_contains what ~sub:"time_seconds at 6 cores" (Diag.render d)
+  in
+  check "predict" (Api.predict ~series ~target_max:48 ());
+  check "predict_traced"
+    (fst (Api.predict_traced ~config:(Config.make ~trace:Config.Text ()) ~series ~target_max:48 ()));
+  check "predict_with_confidence" (Api.predict_with_confidence ~resamples:2 ~series ~target_max:48 ())
+
 let test_target_below_window_cause () =
   let threads = Array.init 8 (fun i -> float_of_int (i + 1)) in
   let times = Array.map (fun n -> 1.0 /. n) threads in
@@ -343,6 +365,7 @@ let suite =
     ("short series cause", `Quick, test_short_series_cause);
     ("mismatched lengths cause", `Quick, test_mismatched_lengths_cause);
     ("bad value cause", `Quick, test_bad_value_cause);
+    ("overflowing value cause", `Quick, test_overflowing_value_cause);
     ("target below window cause", `Quick, test_target_below_window_cause);
     ("failures emit trace diagnostics", `Quick, test_failures_emit_trace_diagnostics);
     ("ingest parse error names line", `Quick, test_ingest_parse_error_names_line);

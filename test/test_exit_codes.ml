@@ -20,9 +20,10 @@ let cli_exe = bin_exe "estima_cli.exe"
 
 let serve_exe = bin_exe "estima_serve.exe"
 
-(* Runs the CLI, returns (exit code, combined stdout+stderr). *)
-let run_cli args =
-  let ic = Unix.open_process_in (Filename.quote_command cli_exe args ^ " 2>&1") in
+(* Runs the CLI (or [exe]) with no input, returns (exit code, combined
+   stdout+stderr). *)
+let run_cli ?(exe = cli_exe) args =
+  let ic = Unix.open_process_in (Filename.quote_command exe args ^ " < /dev/null 2>&1") in
   let buf = Buffer.create 1024 in
   (try
      while true do
@@ -32,7 +33,7 @@ let run_cli args =
   let code =
     match Unix.close_process_in ic with
     | Unix.WEXITED n -> n
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "estima_cli killed by signal %d" n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "%s killed by signal %d" exe n
   in
   (code, Buffer.contents buf)
 
@@ -101,7 +102,42 @@ let test_cli_exit_2_bad_window () =
   check_exit ~msg:"collect --repetitions 0" ~code:2 ~substring:"repetitions 0 (need >= 1)"
     [ "collect"; "kmeans"; "--repetitions"; "0" ];
   check_exit ~msg:"compare --repetitions 0" ~code:2 ~substring:"repetitions 0 (need >= 1)"
-    [ "compare"; "kmeans"; "--repetitions"; "0" ]
+    [ "compare"; "kmeans"; "--repetitions"; "0" ];
+  (* A --sockets count the machine does not have raised from
+     Machines.restrict_sockets (exit 125); Api.validate_sockets makes it a
+     Bad_config naming the machine's socket count. *)
+  check_exit ~msg:"predict --sockets beyond the one-socket default" ~code:2
+    ~substring:"socket count 2 (the machine has 1 socket)"
+    [ "predict"; "--from"; "data/nofit.csv"; "--sockets"; "2" ];
+  check_exit ~msg:"collect --sockets beyond the machine" ~code:2
+    ~substring:"socket count 9 (the machine has 4 sockets)"
+    [ "collect"; "kmeans"; "-w"; "4"; "--repetitions"; "1"; "--sockets"; "9" ];
+  check_exit ~msg:"bottleneck --sockets 0" ~code:2
+    ~substring:"socket count 0 (the machine has 4 sockets)"
+    [ "bottleneck"; "kmeans"; "-w"; "4"; "--repetitions"; "1"; "--sockets"; "0" ]
+
+(* estima_serve and estima_load restrict their measurements machine the
+   same way; they refuse the count at start-up (exit 1, as for their other
+   bad flags) with the same diagnostic. *)
+let test_tools_refuse_bad_sockets () =
+  List.iter
+    (fun exe ->
+      let code, output = run_cli ~exe [ "--sockets"; "3" ] in
+      Alcotest.(check int) (exe ^ ": exit code") 1 code;
+      if not (contains ~sub:"socket count 3 (the machine has 1 socket)" output) then
+        Alcotest.failf "%s: output %S does not name the socket count" exe output)
+    [ serve_exe; bin_exe "estima_load.exe" ]
+
+let test_cli_exit_2_overflow () =
+  (* data/overflow.csv sets one finite time to 1e200, whose square
+     overflows: it printed "corr nan" and exited 0. *)
+  let code, output = run_cli [ "predict"; "--from"; "data/overflow.csv" ] in
+  Alcotest.(check int) "exit code" 2 code;
+  List.iter
+    (fun sub ->
+      if not (contains ~sub output) then Alcotest.failf "output %S does not mention %S" output sub)
+    [ "bad value"; "time_seconds at 6 cores" ];
+  if contains ~sub:"nan" output then Alcotest.failf "output %S prints nan" output
 
 let test_cli_exit_3_no_realistic_fit () =
   (* data/nofit.csv poisons one stall category with uniformly negative
@@ -251,4 +287,6 @@ let suite =
     ("serve: overload is exit_code 4 on the wire", `Quick, test_serve_wire_overload_is_4);
     ("serve: internal error is exit_code 5, process exits 0", `Quick, test_serve_wire_internal_is_5);
     ("diag: exit-code table is exhaustive", `Quick, test_diag_exit_code_table);
+    ("cli: an overflowing value exits 2", `Quick, test_cli_exit_2_overflow);
+    ("serve and load refuse an out-of-range --sockets", `Quick, test_tools_refuse_bad_sockets);
   ]

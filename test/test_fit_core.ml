@@ -161,9 +161,103 @@ let qr_agrees system =
 let prop_qr_bit_identical =
   QCheck.Test.make ~count:300 ~name:"qr matches the reference bit for bit" system qr_agrees
 
+(* The damped step Lm.minimize solves, [[J; sqrt(lambda diag)] p = [-r; 0]]:
+   Lm sweeps only the band of rows each reflector can reach, and must
+   return what Qr's solve over every row returns.  The Jacobian's cells
+   run from signed zeros and subnormals through values whose squares
+   underflow (1e-170) to values whose squares overflow, so some column
+   scales, and through them some damping entries, are infinite; large but
+   finite cells and a right-hand side up to 1e300 overflow some reflector
+   scales, and a zero column makes some systems singular. *)
+let damped_gen =
+  let open QCheck.Gen in
+  let signed g = map2 ( *. ) (oneofl [ 1.0; -1.0 ]) g in
+  let* n = int_range 1 7 in
+  let* m = int_range n (n + 7) in
+  let* large = oneofl [ 0; 3 ] and* huge = oneofl [ 0; 0; 2 ] and* k = int_range (-12) 12 in
+  let* zero = int_range (-n) (n - 1) in
+  let cell =
+    frequency
+      [
+        (24, float_range (-10.0) 10.0);
+        (3, oneofl [ 0.0; -0.0; 4.9e-324; -2.5e-320; 2.2e-310; 1e-170; -1e-170 ]);
+        (large, signed (map (fun e -> 10.0 ** e) (float_range 5.0 150.0)));
+        (huge, signed (map (fun e -> 10.0 ** e) (float_range 154.0 200.0)));
+        (huge, signed (return 1.7e308));
+      ]
+  and rhs = frequency [ (3, float_range (-10.0) 10.0); (1, signed (map (fun e -> 10.0 ** e) (float_range 0.0 300.0))) ] in
+  let* cells = array_repeat (m * n) cell and* r = array_repeat m rhs in
+  let entry i j = if j = zero then 0.0 else cells.((i * n) + j) in
+  return (Mat.init m n entry, r, 10.0 ** float_of_int k)
+
+let print_damped (jacobian, r, lambda) =
+  let rows = String.concat " | " (Array.to_list (Array.map hex (Mat.to_arrays jacobian))) in
+  Printf.sprintf "jacobian = %s; r = %s; lambda = %h" rows (hex r) lambda
+
+let damped = QCheck.make ~print:print_damped damped_gen
+
+(* The stacked system as Lm builds it, row-major, with its right-hand side
+   and whether every damping entry is finite. *)
+let stacked (jacobian, r, lambda) =
+  let m = Mat.rows jacobian and n = Mat.cols jacobian in
+  let a = Array.make ((m + n) * n) 0.0 and b = Array.make (m + n) 0.0 in
+  let finite = ref true in
+  for j = 0 to n - 1 do
+    let d = ref 0.0 in
+    for i = 0 to m - 1 do
+      let v = Mat.get jacobian i j in
+      a.((i * n) + j) <- v;
+      d := !d +. (v *. v)
+    done;
+    let damping = sqrt (lambda *. Float.max !d 1e-30) in
+    a.(((m + j) * n) + j) <- damping;
+    finite := !finite && Float.is_finite damping
+  done;
+  Array.iteri (fun i v -> b.(i) <- -.v) r;
+  (a, b, !finite)
+
+(* Qr's solve of the stacked system with reflectors over [band] rows. *)
+let qr_step ~band ((jacobian, _, _) as system) =
+  let m = Mat.rows jacobian and n = Mat.cols jacobian in
+  let a, b, _ = stacked system in
+  let x = Array.make n 0.0 in
+  match Qr.solve_in_place ~rows:(m + n) ~cols:n ~band a b ~reflector:(Array.make (m + n) 0.0) x with
+  | () -> Some x
+  | exception Qr.Singular -> None
+
+let lm_step (jacobian, r, lambda) =
+  match Lm.damped_step ~jacobian ~residual:r ~lambda with x -> Some x | exception Qr.Singular -> None
+
+let same_step a b =
+  match (a, b) with
+  | Some x, Some y -> same_floats x y
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let band_agrees ((jacobian, _, _) as system) =
+  same_step (lm_step system) (qr_step ~band:(Mat.rows jacobian + Mat.cols jacobian) system)
+
+let prop_band_bit_identical =
+  QCheck.Test.make ~count:1000 ~name:"the banded damped step matches the dense one bit for bit" damped
+    band_agrees
+
+(* Which solve Lm's step took: the band's, or the solve over every row,
+   because a damping entry is infinite or the band's step came out
+   non-finite or singular. *)
+type path = Band | Infinite_damping | Poisoned_band
+
+let path ((jacobian, _, _) as system) =
+  let _, _, finite = stacked system in
+  if not finite then Infinite_damping
+  else
+    match qr_step ~band:(Mat.rows jacobian) system with
+    | Some x when Vec.all_finite x -> Band
+    | Some _ | None -> Poisoned_band
+
 (* The properties are only as strong as the branches their inputs reach:
    a fixed sample of each generator must agree and reach non-finite,
-   rejected and accepted trial steps, and singular and solvable systems. *)
+   rejected and accepted trial steps, singular and solvable systems, and
+   each of the damped step's three solves. *)
 let test_inputs_reach_every_branch () =
   reach.non_finite <- 0;
   reach.rejected <- 0;
@@ -179,7 +273,13 @@ let test_inputs_reach_every_branch () =
   List.iter (fun s -> if not (qr_agrees s) then Alcotest.fail "qr differs") systems;
   let singular = List.length (List.filter (fun s -> solved Qr.solve_least_squares s = None) systems) in
   if singular = 0 || singular = List.length systems then
-    Alcotest.failf "%d of %d systems singular" singular (List.length systems)
+    Alcotest.failf "%d of %d systems singular" singular (List.length systems);
+  let damped = QCheck.Gen.generate ~rand:(Random.State.make [| 13 |]) ~n:300 damped_gen in
+  List.iter (fun s -> if not (band_agrees s) then Alcotest.failf "band differs on %s" (print_damped s)) damped;
+  let count p = List.length (List.filter (fun s -> path s = p) damped) in
+  let band = count Band and infinite = count Infinite_damping and poisoned = count Poisoned_band in
+  if band = 0 || infinite = 0 || poisoned = 0 then
+    Alcotest.failf "damped steps: %d band, %d infinite damping, %d poisoned band" band infinite poisoned
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -218,6 +318,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_lm_bit_identical;
     QCheck_alcotest.to_alcotest prop_qr_bit_identical;
+    QCheck_alcotest.to_alcotest prop_band_bit_identical;
     ("inputs reach every branch", `Quick, test_inputs_reach_every_branch);
     ("lm iterations allocate nothing", `Quick, test_lm_iterations_allocate_nothing);
   ]

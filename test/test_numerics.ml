@@ -224,7 +224,22 @@ let test_qr_underdetermined_rejected () =
   let a = Mat.of_arrays [| [| 1.0; 2.0; 3.0 |] |] in
   Alcotest.check_raises "underdetermined"
     (Invalid_argument "Qr.solve_least_squares: underdetermined system") (fun () ->
-      ignore (Qr.solve_least_squares a [| 1.0 |]))
+      ignore (Qr.solve_least_squares a [| 1.0 |]));
+  (* solve_in_place indexes unchecked, so it must refuse every short
+     buffer up front. *)
+  let buf n = Array.make n 1.0 in
+  List.iter
+    (fun (what, rows, band, a, b, reflector, x) ->
+      Alcotest.check_raises what (Invalid_argument "Qr.solve_in_place: bad dimensions") (fun () ->
+          Qr.solve_in_place ~rows ~cols:2 ~band a b ~reflector x))
+    [
+      ("underdetermined", 1, 1, buf 2, buf 1, buf 1, buf 2);
+      ("negative band", 3, -1, buf 6, buf 3, buf 3, buf 2);
+      ("short matrix", 3, 3, buf 5, buf 3, buf 3, buf 2);
+      ("short right-hand side", 3, 3, buf 6, buf 2, buf 3, buf 2);
+      ("short reflector", 3, 3, buf 6, buf 3, buf 2, buf 2);
+      ("short solution", 3, 3, buf 6, buf 3, buf 3, buf 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)

@@ -687,6 +687,24 @@ let test_server_unquotable_column () =
           Alcotest.(check string) "same text as the CLI" expected (response_text response)
       | _ -> Alcotest.fail "expected one response")
 
+(* A time whose square overflows (data/overflow.csv) is a typed
+   bad-value answer, as the CLI's exit 2, not "ok":true with "corr nan"
+   and not an internal error. *)
+let test_server_overflowing_value () =
+  let csv = In_channel.with_open_bin "data/overflow.csv" In_channel.input_all in
+  with_server (fun server ->
+      match Server.handle_batch server [ predict_line ~id:7 ~spec:"overflow" csv ] with
+      | [ response ], _ -> (
+          match Json.parse response with
+          | Error e -> Alcotest.fail e
+          | Ok json ->
+              Alcotest.(check bool) "not ok" true (Json.member "ok" json = Some (Json.Bool false));
+              let cause = Option.bind (Json.member "error" json) (Json.member "cause") in
+              Alcotest.(check bool) "cause bad-value" true (cause = Some (Json.String "bad-value"));
+              Alcotest.(check int) "no internal error" 0
+                (counter_value server "estima_internal_errors_total"))
+      | _ -> Alcotest.fail "expected one response")
+
 let test_soak_1000_requests () =
   let names = [ "kmeans"; "genome"; "ssca2"; "vacation-low"; "intruder"; "yada"; "labyrinth"; "kmeans-high" ] in
   let names = List.filter (fun n -> Suite.find n <> None) names in
@@ -874,4 +892,5 @@ let suite =
     ("soak: 1000 pipelined requests over stdio", `Slow, test_soak_1000_requests);
     ("soak: concurrent clients over a socket", `Slow, test_socket_concurrent_clients);
     ("server predicts a CSV with an unquotable column name", `Quick, test_server_unquotable_column);
+    ("server answers an overflowing value with bad-value", `Quick, test_server_overflowing_value);
   ]
