@@ -68,13 +68,10 @@ let validate t =
     bad (Printf.sprintf "dataset_factor = %g (need > 0)" t.dataset_factor)
   else Ok ()
 
-(* Shared command-line vocabulary.  estima_cli, estima_serve and
-   bench/main.exe all accept --jobs/--store (and the CLI --trace,
-   --window, --confidence); defining the terms once here is what keeps
-   the three binaries' spellings, defaults and error messages from
-   drifting apart.  bench parses argv by hand (it links no cmdliner), so
-   the module also exposes cmdliner-free extractors with the same
-   behaviour. *)
+(* Shared command-line vocabulary.  estima_cli and estima_serve both
+   accept --jobs/--store (and the CLI --trace, --window, --confidence);
+   defining the terms once here is what keeps the two binaries'
+   spellings, defaults and error messages from drifting apart. *)
 module Args = struct
   open Cmdliner
 
@@ -84,7 +81,7 @@ module Args = struct
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Run parallel work on $(docv) domains (the fit search in $(b,estima_cli) and            $(b,bench), the request worker pool in $(b,estima_serve)).  Defaults to            $(b,ESTIMA_JOBS), or the binary's own default when unset.  Results are            byte-identical to a sequential run regardless of $(docv).")
+            "Run parallel work on $(docv) domains (the fit search and the paper experiments in $(b,estima_cli), the request worker pool in $(b,estima_serve)).  Defaults to            $(b,ESTIMA_JOBS), or the binary's own default when unset.  Results are            byte-identical to a sequential run regardless of $(docv).")
 
   (* --jobs beats ESTIMA_JOBS; without it the env default stays in force. *)
   let apply_jobs = function
@@ -138,50 +135,6 @@ module Args = struct
       & info [ "confidence" ] ~docv:"RESAMPLES"
           ~doc:
             "Attach bootstrap confidence bands to the prediction: refit the pipeline on $(docv)            residual resamples of the measured window (default 100) and report p5/p50/p95            predicted times, a stop-point interval and a risk-aware verdict.  Deterministic            and byte-identical at any $(b,--jobs).")
-
-  (* Hand-rolled argv versions of --jobs/--store for binaries that link
-     no cmdliner (bench).  First occurrence wins and is consumed;
-     "--flag value" and "--flag=value" are both accepted. *)
-  let extract_value ~names ~missing args =
-    let split a =
-      List.find_map
-        (fun name ->
-          let prefix = name ^ "=" in
-          let n = String.length prefix in
-          if String.length a > n && String.sub a 0 n = prefix then
-            Some (String.sub a n (String.length a - n))
-          else None)
-        names
-    in
-    let rec go acc = function
-      | [] -> (None, List.rev acc)
-      | a :: rest when List.mem a names -> (
-          match rest with
-          | value :: rest -> (Some value, List.rev_append acc rest)
-          | [] -> missing ())
-      | a :: rest -> (
-          match split a with
-          | Some value -> (Some value, List.rev_append acc rest)
-          | None -> go (a :: acc) rest)
-    in
-    go [] args
-
-  let extract_jobs args =
-    let fail () =
-      prerr_endline "estima: --jobs expects an integer >= 1";
-      exit 1
-    in
-    match extract_value ~names:[ "--jobs"; "-j" ] ~missing:fail args with
-    | None, rest -> (None, rest)
-    | Some value, rest -> (
-        match int_of_string_opt value with Some n when n >= 1 -> (Some n, rest) | _ -> fail ())
-
-  let extract_store args =
-    let fail () =
-      prerr_endline "estima: --store expects a directory";
-      exit 1
-    in
-    extract_value ~names:[ "--store" ] ~missing:fail args
 end
 
 (* The fields that decide the numbers, and nothing else: trace is

@@ -71,13 +71,11 @@ val validate : t -> (unit, Diag.t) result
     exists so services can reject a bad configuration at admission time
     with a typed {!Diag.t}. *)
 
-(** The shared command-line vocabulary of the three binaries.
+(** The shared command-line vocabulary of the two binaries.
 
-    [estima_cli], [estima_serve] and [bench/main.exe] historically each
-    spelled their own [--jobs]/[--store]/[--trace]/[--window] parsing;
-    the terms live here now so the spellings, defaults, documentation
-    and error messages cannot drift.  The [extract_*] functions are the
-    cmdliner-free equivalents for hand-rolled argv loops (bench). *)
+    [estima_cli] and [estima_serve] take their [--jobs]/[--store]/
+    [--trace]/[--window] terms from here, so the spellings, defaults,
+    documentation and error messages cannot drift. *)
 module Args : sig
   val jobs : int option Cmdliner.Term.t
   (** [--jobs N] / [-j N]; [None] leaves the binary's default in force. *)
@@ -107,13 +105,6 @@ module Args : sig
 
   val confidence : int option Cmdliner.Term.t
   (** [--confidence[=RESAMPLES]]; bare [--confidence] means 100. *)
-
-  val extract_jobs : string list -> int option * string list
-  (** Consume the first [--jobs N]/[-j N]/[--jobs=N] from an argv list;
-      malformed values print the shared error and [exit 1]. *)
-
-  val extract_store : string list -> string option * string list
-  (** Consume the first [--store DIR]/[--store=DIR] likewise. *)
 end
 
 val fingerprint : t -> string

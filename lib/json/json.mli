@@ -4,7 +4,7 @@
     Everything the system writes as JSON comes out of this module: the
     service's newline-delimited wire protocol (one value per line), the
     fit-selection trace ([--trace=json]), the accuracy reports and golden
-    files, and the [BENCH_*.json] trajectories.  It covers objects,
+    files, and the load harness's [--json] report.  It covers objects,
     arrays, strings, integers, floats, booleans and null.
 
     Printing is canonical enough for tests to byte-compare output:
@@ -35,7 +35,7 @@ val pretty : t -> string
 (** Multi-line rendering with 2-space indentation, ending in a newline.
     Scalars print exactly as in {!to_string}, so
     [parse (pretty v) = parse (to_string v)].  Golden files and
-    [BENCH_*.json] are written in this form so that drifts show as
+    [validate --json] are written in this form so that drifts show as
     reviewable diffs. *)
 
 (** {1 Accessors} *)

@@ -11,10 +11,6 @@ val pp_audit : Format.formatter -> Audit.t -> unit
 val pp_events : Format.formatter -> Trace.event list -> unit
 (** Flat chronological event listing. *)
 
-val pp_span_stats : Format.formatter -> Recorder.span_stat list -> unit
-
-val pp_counters : Format.formatter -> (string * int) list -> unit
-
 val pp_recorder : Format.formatter -> Recorder.t -> unit
 (** The full text report: audit, span timings, counters. *)
 

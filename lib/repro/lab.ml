@@ -30,8 +30,6 @@ let truth_seed_offset = 7919
    ESTIMA_STORE — persists the series across processes. *)
 let store () = Estima_store.Store.default ()
 
-let reset_cache () = Estima_store.Store.reset_memory (store ())
-
 let collect_cached ~seed ~entry ~machine ~max_threads =
   Estima_store.Store.Cached.collect ~store:(store ())
     ~options:

@@ -70,9 +70,3 @@ val cache_stats : unit -> int * int
     distinct keys collected, and a requester that waits on an in-flight
     collection counts as a hit.  With a disk store attached, entries
     found on disk count as hits. *)
-
-val reset_cache : unit -> unit
-(** Drop every in-memory store entry and zero {!cache_stats} — used by
-    the scaling benchmarks to time cold runs back to back.  Disk entries
-    are untouched.  Raises [Invalid_argument] if a collection is in
-    flight. *)

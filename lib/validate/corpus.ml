@@ -71,15 +71,3 @@ let source { entry; protocol } =
     config;
     protocol;
   }
-
-let run specs =
-  let outcomes =
-    Estima_par.Fanout.map (Array.of_list specs) ~f:(fun spec -> Backtest.run (source spec))
-  in
-  Array.fold_right
-    (fun outcome acc ->
-      match (outcome, acc) with
-      | Ok r, Ok rs -> Ok (r :: rs)
-      | Error d, _ -> Error d
-      | _, (Error _ as e) -> e)
-    outcomes (Ok [])

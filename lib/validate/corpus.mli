@@ -33,7 +33,3 @@ val source : spec -> Backtest.source
     {!Estima_repro.Lab}; the first call per workload simulates, later
     calls are free).  Raises [Invalid_argument] when the protocol names
     an unknown machine. *)
-
-val run : spec list -> (Report.t list, Estima.Diag.t) result
-(** Backtest every spec — fanned out on {!Estima_par.Fanout}, results in
-    input order — stopping at the first diagnostic. *)

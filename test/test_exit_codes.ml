@@ -14,11 +14,15 @@
 open Estima_machine
 open Estima_service
 
-let bin_exe name = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name)
+let bin_exe = Test_service.bin_exe
 
-let cli_exe = bin_exe "estima_cli.exe"
+let cli_exe = Test_service.cli_exe
 
-let serve_exe = bin_exe "estima_serve.exe"
+let serve_exe = Test_service.serve_exe
+
+let contains = Test_service.contains
+
+let spawn_serve = Test_service.spawn_serve
 
 (* Runs the CLI (or [exe]) with no input, returns (exit code, combined
    stdout+stderr). *)
@@ -36,11 +40,6 @@ let run_cli ?(exe = cli_exe) args =
     | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "%s killed by signal %d" exe n
   in
   (code, Buffer.contents buf)
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
 
 let check_exit ~msg ~code ~substring args =
   let got, output = run_cli args in
@@ -200,16 +199,6 @@ let test_serve_wire_overload_is_4 () =
           Alcotest.(check string) "cause" "overloaded" cause;
           Alcotest.(check int) "wire exit_code" 4 code)
         shed)
-
-let spawn_serve args =
-  let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
-  let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
-  let pid =
-    Unix.create_process serve_exe (Array.of_list (serve_exe :: args)) stdin_r stdout_w Unix.stderr
-  in
-  Unix.close stdin_r;
-  Unix.close stdout_w;
-  (pid, Unix.out_channel_of_descr stdin_w, Unix.in_channel_of_descr stdout_r)
 
 let test_serve_wire_internal_is_5 () =
   (* The real binary with an armed fault: the poisoned request is served

@@ -332,6 +332,46 @@ let test_span_timings_cover_pipeline () =
   Alcotest.(check bool) "category span" true
     (List.mem [ "predict"; "extrapolate"; "category:0D2h" ] paths)
 
+(* A traced run uses one domain whatever the jobs knob says, so its spans
+   nest as in a sequential run: each span's direct children together
+   take no longer than it does, and the root [predict] span accounts for
+   the wall time of the recording. *)
+let test_spans_nest_at_jobs_2 () =
+  let series = synthetic_series () in
+  let r = Recorder.create () in
+  let wall_ns =
+    Fun.protect
+      ~finally:(fun () -> Estima_par.Fanout.set_jobs None)
+      (fun () ->
+        Estima_par.Fanout.set_jobs (Some 2);
+        let t0 = Estima_obs.Clock.now_ns () in
+        ignore (Recorder.record r (fun () -> predict_ok ~series ~target_max:20));
+        Int64.sub (Estima_obs.Clock.now_ns ()) t0)
+  in
+  let stats = Recorder.span_stats r in
+  List.iter
+    (fun (parent : Recorder.span_stat) ->
+      let depth = List.length parent.path in
+      let children_ns =
+        List.fold_left
+          (fun acc (s : Recorder.span_stat) ->
+            if List.length s.path = depth + 1 && List.filteri (fun i _ -> i < depth) s.path = parent.path
+            then Int64.add acc s.total_ns
+            else acc)
+          0L stats
+      in
+      if Int64.compare children_ns parent.total_ns > 0 then
+        Alcotest.failf "children of %s take %Ld ns, more than its %Ld ns"
+          (String.concat "/" parent.path) children_ns parent.total_ns)
+    stats;
+  match List.find_opt (fun (s : Recorder.span_stat) -> s.path = [ "predict" ]) stats with
+  | None -> Alcotest.fail "no predict span"
+  | Some root ->
+      if Int64.compare root.total_ns wall_ns > 0 || Int64.compare (Int64.mul 2L root.total_ns) wall_ns < 0
+      then
+        Alcotest.failf "predict span %Ld ns is not between half and all of the %Ld ns wall time"
+          root.total_ns wall_ns
+
 let suite =
   [
     ("disabled without sink", `Quick, test_disabled_without_sink);
@@ -351,4 +391,5 @@ let suite =
     ("audit explains rejections", `Quick, test_audit_explains_rejections);
     ("fit attempt counters", `Quick, test_fit_attempt_counters);
     ("span timings cover pipeline", `Quick, test_span_timings_cover_pipeline);
+    ("traced spans nest inside their parent at jobs 2", `Quick, test_spans_nest_at_jobs_2);
   ]

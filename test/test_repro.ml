@@ -1,5 +1,6 @@
 (* Tests for the reproduction harness: rendering, the lab cache, and the
-   cheap end-to-end experiments (the full suite runs in bench/main.exe). *)
+   cheap end-to-end experiments (the full suite runs in
+   `estima_cli repro`). *)
 
 open Estima_workloads
 open Estima_repro
