@@ -57,13 +57,9 @@ let sockets_arg =
    same spellings and print the same errors. *)
 let window_arg = Config.Args.window
 
-let software_arg =
-  Arg.(
-    value & flag
-    & info [ "software"; "s" ]
-        ~doc:"Include software stalled cycles (SwissTM statistics / pthread wrapper) when available.")
+let seed_info = Arg.info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed."
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
+let seed_arg = Arg.(value & opt int 42 seed_info)
 
 let trace_arg = Config.Args.trace
 
@@ -76,8 +72,9 @@ let print_trace (config : Config.t) rendered =
   | Some Config.Json, Some trace -> print_string trace
   | _ -> ()
 
-let reps_arg =
-  Arg.(value & opt int 5 & info [ "repetitions" ] ~docv:"N" ~doc:"Averaged runs per measured point.")
+let reps_info = Arg.info [ "repetitions" ] ~docv:"N" ~doc:"Averaged runs per measured point."
+
+let reps_arg = Arg.(value & opt int 5 reps_info)
 
 let jobs_arg = Config.Args.jobs
 let apply_jobs = Config.Args.apply_jobs
@@ -103,9 +100,9 @@ let restrict machine = function
 
 (* Through Api.collect_checked so an out-of-range --window is a typed
    diagnostic (exit 2), not an allocator exception. *)
-let collect_series ~entry ~machine ~max_threads ~seed ~repetitions =
+let collect_series ?seed ?repetitions ~entry ~machine ~max_threads () =
   unwrap_diag
-    (Api.collect_checked ~seed ~repetitions ~plugins:entry.Suite.plugins ~machine
+    (Api.collect_checked ?seed ?repetitions ~plugins:entry.Suite.plugins ~machine
        ~spec:entry.Suite.spec ~max_threads ())
 
 (* ---------------------------- list ------------------------------- *)
@@ -197,7 +194,7 @@ let from_arg =
     & opt (some string) None
     & info [ "from" ] ~docv:"FILE.csv"
         ~doc:
-          "Skip simulated collection and predict from an externally measured series in $(docv)            (the schema `collect --csv` writes: threads, time_seconds, counter and plugin            columns).  The WORKLOAD argument is not needed; the measurements machine            ($(b,--machine)) supplies the vendor and clock of the machine the CSV was            collected on.")
+          "Skip simulated collection and predict from an externally measured series in $(docv)            (the schema `collect --csv` writes: threads, time_seconds, counter and plugin            columns).  A WORKLOAD argument, $(b,--window), $(b,--seed) and            $(b,--repetitions) only shape a simulated collection and are refused here; the            measurements machine ($(b,--machine)) supplies the vendor and clock of the machine            the CSV was collected on.")
 
 let expr_arg =
   Arg.(
@@ -264,6 +261,17 @@ let print_confidence ~config ~series ~target_max ~resamples prediction =
       List.iter print_endline (Api.render_confidence_rows prediction c);
       Printf.printf "\nconfidence: %s\n" (Api.render_confidence_verdict c)
 
+(* --from predicts the file's measurements as they are, so a flag that
+   only shapes a simulated collection would be silently ignored: refuse
+   the first one given, by name. *)
+let refuse_with_from given =
+  match List.find_opt snd given with
+  | None -> ()
+  | Some (flag, _) ->
+      Printf.eprintf
+        "estima_cli predict: %s does not apply with --from: the file holds the measurements\n" flag;
+      exit 2
+
 let predict_cmd =
   let run entry from measure_machine sockets window target software expr seed reps trace jobs
       store confidence =
@@ -272,10 +280,18 @@ let predict_cmd =
     let measure_machine = restrict measure_machine sockets in
     let series, include_software =
       match (from, entry) with
-      | Some path, _ -> ingested_series ~path ~machine:measure_machine ~software ~expr
+      | Some path, _ ->
+          refuse_with_from
+            [
+              ("a WORKLOAD argument", Option.is_some entry);
+              ("--window", Option.is_some window);
+              ("--seed", Option.is_some seed);
+              ("--repetitions", Option.is_some reps);
+            ];
+          ingested_series ~path ~machine:measure_machine ~software ~expr
       | None, Some entry ->
           let max_threads = Option.value ~default:(Topology.cores measure_machine) window in
-          ( collect_series ~entry ~machine:measure_machine ~max_threads ~seed ~repetitions:reps,
+          ( collect_series ?seed ?repetitions:reps ~entry ~machine:measure_machine ~max_threads (),
             Option.is_some software && entry.Suite.plugins <> [] )
       | None, None ->
           prerr_endline "estima_cli predict: a WORKLOAD name or --from FILE.csv is required";
@@ -315,29 +331,24 @@ let predict_cmd =
           [ "machine"; "m" ] "Measurements machine."
       $ sockets_arg $ window_arg
       $ machine_arg ~default:Machines.opteron48 [ "target"; "t" ] "Target machine."
-      $ predict_software_arg $ expr_arg $ seed_arg $ reps_arg $ trace_arg $ jobs_arg
+      $ predict_software_arg $ expr_arg
+      $ Arg.(value & opt (some ~none:"42" int) None seed_info)
+      $ Arg.(value & opt (some ~none:"5" int) None reps_info)
+      $ trace_arg $ jobs_arg
       $ store_arg $ confidence_arg)
 
 (* --------------------------- compare ------------------------------ *)
 
 let compare_cmd =
-  let run entry target software seed reps jobs store confidence =
+  let run entry target seed reps jobs store confidence =
     apply_jobs jobs;
     apply_store store;
-    ignore software;
     unwrap_diag (Api.validate_repetitions ~spec:entry.Suite.spec ~repetitions:reps);
-    let setup =
-      {
-        (Experiment.default_setup ~entry
-           ~measure_machine:(Machines.restrict_sockets target ~sockets:1)
-           ~target_machine:target)
-        with
-        Experiment.seed;
-        repetitions = reps;
-        config = Config.predictor (Config.make ~include_software:(entry.Suite.plugins <> []) ());
-      }
+    let measure_machine = Machines.restrict_sockets target ~sockets:1 in
+    let o =
+      unwrap_diag
+        (Experiment.run ~seed ~repetitions:reps ~entry ~measure_machine ~target_machine:target ())
     in
-    let o = unwrap_diag (Experiment.run setup) in
     let truth = Series.times o.Experiment.truth in
     Printf.printf "cores  estima(s)  time-extrap(s)  measured(s)\n";
     Array.iteri
@@ -359,15 +370,10 @@ let compare_cmd =
     match confidence with
     | None -> ()
     | Some resamples -> (
-        (* The bootstrap re-predicts under the Api config (same machines,
-           same window), so its verdict is directly comparable to the
-           ESTIMA row above. *)
-        let config =
-          Config.make
-            ~include_software:(entry.Suite.plugins <> [])
-            ~measured_on:(Machines.restrict_sockets target ~sockets:1)
-            ~target ()
-        in
+        (* The bootstrap re-predicts under the protocol's config (same
+           machines, same window), so its verdict is directly comparable
+           to the ESTIMA row above. *)
+        let config = Experiment.config ~entry ~measure_machine ~target_machine:target () in
         match
           Api.predict_with_confidence ~config ~resamples ~series:o.Experiment.measurements
             ~target_max:(Topology.cores target) ()
@@ -382,7 +388,7 @@ let compare_cmd =
     Term.(
       const run $ workload_arg
       $ machine_arg ~default:Machines.opteron48 [ "target"; "t" ] "Machine (measure 1 socket, predict all)."
-      $ software_arg $ seed_arg $ reps_arg $ jobs_arg $ store_arg $ confidence_arg)
+      $ seed_arg $ reps_arg $ jobs_arg $ store_arg $ confidence_arg)
 
 (* -------------------------- bottleneck ---------------------------- *)
 
@@ -392,7 +398,9 @@ let bottleneck_cmd =
     apply_store store;
     let measure_machine = restrict target (Some (Option.value ~default:1 sockets)) in
     let max_threads = Option.value ~default:(Topology.cores measure_machine) window in
-    let series = collect_series ~entry ~machine:measure_machine ~max_threads ~seed ~repetitions:reps in
+    let series =
+      collect_series ~seed ~repetitions:reps ~entry ~machine:measure_machine ~max_threads ()
+    in
     let config = Config.make ~include_software:true ?trace () in
     let result, rendered_trace =
       Api.predict_traced ~config ~series ~target_max:(Topology.cores target) ()

@@ -2,29 +2,43 @@ open Estima_machine
 open Estima_counters
 open Estima_workloads
 
-type setup = {
-  entry : Suite.entry;
-  measure_machine : Topology.t;
-  target_machine : Topology.t;
-  measure_threads : int list;
-  config : Predictor.config;
-  seed : int;
-  repetitions : int;
-}
+let repetitions = 5
 
-let default_setup ~entry ~measure_machine ~target_machine =
-  {
-    entry;
-    measure_machine;
-    target_machine;
-    measure_threads = Collector.default_thread_counts ~max:(Topology.cores measure_machine);
-    config = Predictor.default_config;
-    seed = 42;
-    repetitions = 5;
-  }
+let measure ?seed ?(repetitions = repetitions) ~entry ~machine ~max_threads () =
+  Api.collect ?seed ~repetitions ~plugins:entry.Suite.plugins ~machine ~spec:entry.Suite.spec
+    ~max_threads ()
+
+let sweep ?(seed = 42) ?repetitions ?max_threads ~entry ~machine () =
+  let max_threads = Option.value ~default:(Topology.cores machine) max_threads in
+  measure ~seed:(seed + 7919) ?repetitions ~entry ~machine ~max_threads ()
+
+let config ?software ?checkpoints ?dataset_factor ~entry ~measure_machine ~target_machine () =
+  let include_software = Option.value ~default:(entry.Suite.plugins <> []) software in
+  Config.make ?checkpoints ?dataset_factor ~include_software ~measured_on:measure_machine
+    ~target:target_machine ()
+
+let evaluate ?from_threads ~grid ~predicted truth =
+  Diag.Quality.evaluate ~predicted ~measured:(Series.times truth) ~target_grid:grid ?from_threads ()
+
+let score ?from_threads ~prediction ~truth () =
+  evaluate ?from_threads ~grid:prediction.Predictor.target_grid
+    ~predicted:prediction.Predictor.predicted_times truth
+
+let max_error_upto (error : Diag.Quality.t) ~threads =
+  List.fold_left
+    (fun acc (n, e) -> if n <= threads then Float.max acc e else acc)
+    0.0 error.Diag.Quality.per_point
+
+let baseline ~config ~series ~target_max =
+  Time_extrapolation.predict ~config:(Config.approximation config) ~subject:series.Series.spec_name
+    ~threads:(Series.threads series) ~times:(Series.times series) ~target_max
+    ~frequency_scale:config.Config.frequency_scale ()
+
+let score_baseline ~baseline ~truth =
+  evaluate ~grid:baseline.Time_extrapolation.target_grid
+    ~predicted:baseline.Time_extrapolation.predicted_times truth
 
 type outcome = {
-  setup : setup;
   measurements : Series.t;
   prediction : Predictor.t;
   truth : Series.t;
@@ -33,55 +47,24 @@ type outcome = {
   baseline_error : Diag.Quality.t;
 }
 
-let collector_options setup =
-  {
-    Collector.default_options with
-    Collector.seed = setup.seed;
-    plugins = setup.entry.Suite.plugins;
-    repetitions = setup.repetitions;
-  }
-
-let measure setup =
-  Collector.collect ~options:(collector_options setup) ~machine:setup.measure_machine
-    ~spec:setup.entry.Suite.spec ~thread_counts:setup.measure_threads ()
-
-let ground_truth ?max_threads setup =
-  let max = Option.value ~default:(Topology.cores setup.target_machine) max_threads in
-  Collector.collect
-    ~options:{ (collector_options setup) with Collector.seed = setup.seed + 7919 }
-    ~machine:setup.target_machine ~spec:setup.entry.Suite.spec
-    ~thread_counts:(Collector.default_thread_counts ~max)
-    ()
-
 let ( let* ) = Result.bind
 
-let run ?target_max setup =
-  let target_max = Option.value ~default:(Topology.cores setup.target_machine) target_max in
-  let measurements = measure setup in
-  let frequency_scale =
-    Frequency.time_scale ~measured_on:setup.measure_machine ~target:setup.target_machine
+let run ?seed ?repetitions ~entry ~measure_machine ~target_machine () =
+  let measurements =
+    measure ?seed ?repetitions ~entry ~machine:measure_machine
+      ~max_threads:(Topology.cores measure_machine) ()
   in
-  let config = { setup.config with Predictor.frequency_scale } in
-  let* prediction = Predictor.predict ~config ~series:measurements ~target_max () in
-  let truth = ground_truth ~max_threads:target_max setup in
-  let measured_times = Series.times truth in
-  let error =
-    Diag.Quality.evaluate ~predicted:prediction.Predictor.predicted_times ~measured:measured_times
-      ~target_grid:prediction.Predictor.target_grid ()
-  in
-  let* time_baseline =
-    Time_extrapolation.predict ~config:setup.config.Predictor.approximation
-      ~subject:measurements.Series.spec_name
-      ~threads:(Series.threads measurements) ~times:(Series.times measurements) ~target_max
-      ~frequency_scale ()
-  in
-  let baseline_error =
-    Diag.Quality.evaluate ~predicted:time_baseline.Time_extrapolation.predicted_times
-      ~measured:measured_times ~target_grid:time_baseline.Time_extrapolation.target_grid ()
-  in
-  Ok { setup; measurements; prediction; truth; error; time_baseline; baseline_error }
-
-let max_error_from outcome ~from_threads =
-  List.fold_left
-    (fun acc (threads, e) -> if threads >= from_threads then Float.max acc e else acc)
-    0.0 outcome.error.Diag.Quality.per_point
+  let config = config ~entry ~measure_machine ~target_machine () in
+  let target_max = Topology.cores target_machine in
+  let* prediction = Api.predict ~config ~series:measurements ~target_max () in
+  let truth = sweep ?seed ?repetitions ~entry ~machine:target_machine () in
+  let* time_baseline = baseline ~config ~series:measurements ~target_max in
+  Ok
+    {
+      measurements;
+      prediction;
+      truth;
+      error = score ~prediction ~truth ();
+      time_baseline;
+      baseline_error = score_baseline ~baseline:time_baseline ~truth;
+    }

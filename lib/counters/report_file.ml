@@ -77,9 +77,3 @@ let scan ~expression text =
   let prefix, suffix = split_expression expression in
   String.split_on_char '\n' text
   |> List.concat_map (fun line -> scan_line ~prefix ~suffix line)
-
-let write_to ~path result =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render result))

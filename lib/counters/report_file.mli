@@ -20,6 +20,3 @@ val scan : expression:string -> string -> float list
     e.g. ["stm-abort-cycles %d"].  Matching is per line, and a line
     holding several matches yields all of them, left to right; raises
     [Invalid_argument] if the expression contains no (or several) [%d]. *)
-
-val write_to : path:string -> Estima_sim.Engine.result -> unit
-(** Render into an actual file (for the CLI and tests). *)

@@ -13,17 +13,8 @@ let suite_payloads ?(seed = 42) ?(repetitions = 3) ?(max_threads = 12) ~machine 
       | None -> invalid_arg (Printf.sprintf "Generator.suite_payloads: unknown workload %S" name)
       | Some entry ->
           let series =
-            Estima_counters.Collector.collect
-              ~options:
-                {
-                  Estima_counters.Collector.default_options with
-                  Estima_counters.Collector.seed;
-                  plugins = entry.Estima_workloads.Suite.plugins;
-                  repetitions;
-                }
-              ~machine ~spec:entry.Estima_workloads.Suite.spec
-              ~thread_counts:(Estima_counters.Collector.default_thread_counts ~max:max_threads)
-              ()
+            Api.collect ~seed ~repetitions ~plugins:entry.Estima_workloads.Suite.plugins ~machine
+              ~spec:entry.Estima_workloads.Suite.spec ~max_threads ()
           in
           { spec_name = name; csv = Estima_counters.Csv_export.series_to_csv series })
     names

@@ -54,8 +54,6 @@ let pp ppf t =
     (if t.smt > 1 then Printf.sprintf ", SMT%d" t.smt else "")
     t.frequency_ghz
 
-let pp_location ppf l = Format.fprintf ppf "s%d.c%d.k%d.t%d" l.socket l.chip l.core l.thread
-
 let numa_hops a b =
   if a.socket <> b.socket then 2 else if a.chip <> b.chip then 1 else 0
 

@@ -53,8 +53,6 @@ val validate : t -> (unit, string) result
 
 val pp : Format.formatter -> t -> unit
 
-val pp_location : Format.formatter -> location -> unit
-
 val numa_hops : location -> location -> int
 (** 0 within a chip, 1 across chips in one socket, 2 across sockets. *)
 

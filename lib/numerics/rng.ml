@@ -86,8 +86,6 @@ let[@inline always] gaussian t ~mu ~sigma =
   let u2 = float t in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let[@inline always] lognormal_factor t ~sigma = exp (gaussian t ~mu:0.0 ~sigma)
-
 let zipf t ~n ~s =
   if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
   (* Inverse-transform sampling over the normalised harmonic mass.  Linear in

@@ -38,9 +38,6 @@ val exponential : t -> float -> float
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Box-Muller normal sample. *)
 
-val lognormal_factor : t -> sigma:float -> float
-(** A multiplicative noise factor with median 1.0: [exp (gaussian 0 sigma)]. *)
-
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] samples a rank in [0, n) under a Zipf distribution with
     exponent [s], by inverse transform over the precomputed harmonic mass.

@@ -66,8 +66,6 @@ let stall_stage = "stall-fit"
 
 let factor_stage = "factor-fit"
 
-let fit_stage = "kernel-fit"
-
 let factor_subject = "scaling-factor"
 
 let default_clock = Clock.now_ns

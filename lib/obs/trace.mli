@@ -102,9 +102,6 @@ val stall_stage : string
 val factor_stage : string
 (** ["factor-fit"]: the stalls-to-time scaling factor ({!Estima.Scaling_factor}). *)
 
-val fit_stage : string
-(** ["kernel-fit"]: raw kernel fits ({!Estima_kernels.Fit}). *)
-
 val factor_subject : string
 (** ["scaling-factor"]: the single subject of the factor stage. *)
 

@@ -42,40 +42,6 @@ let pp_audit ppf audit =
     audit;
   Format.fprintf ppf "@]"
 
-let fit_status_to_string = function
-  | Trace.Fitted { rmse; lm_converged } ->
-      Printf.sprintf "fitted rmse=%.4g%s" rmse (if lm_converged then "" else " (lm not converged)")
-  | Trace.Not_applicable -> "not-applicable"
-  | Trace.No_guesses -> "no-guesses"
-  | Trace.Diverged -> "diverged"
-
-let pp_event ppf (e : Trace.event) =
-  let where = match e.Trace.span with [] -> "" | path -> String.concat "/" path ^ " " in
-  match e.Trace.payload with
-  | Trace.Fit_attempt { kernel; points; status } ->
-      Format.fprintf ppf "#%-4d %sfit %s on %d points: %s" e.Trace.seq where kernel points
-        (fit_status_to_string status)
-  | Trace.Candidate { stage; subject; kernel; prefix; verdict; score; detail } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: %s@%d %s score=%s %s" e.Trace.seq where stage subject
-        kernel prefix (verdict_to_string verdict) (score_to_string score) detail
-  | Trace.Decision { stage; subject; incumbent; challenger; winner; rule; detail } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: %s vs %s -> %s by %s (%s)" e.Trace.seq where stage
-        subject incumbent challenger winner rule detail
-  | Trace.Winner { stage; subject; kernel; prefix; score; correlation } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: winner %s@%d score=%s%s" e.Trace.seq where stage subject
-        kernel prefix (score_to_string score)
-        (if Float.is_finite correlation then Printf.sprintf " corr=%.4f" correlation else "")
-  | Trace.Note { stage; subject; text } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: %s" e.Trace.seq where stage subject text
-  | Trace.Diagnostic { stage; subject; cause; detail } ->
-      Format.fprintf ppf "#%-4d %s[%s] %s: DIAGNOSTIC %s: %s" e.Trace.seq where stage subject cause
-        detail
-
-let pp_events ppf events =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun e -> Format.fprintf ppf "%a@," pp_event e) events;
-  Format.fprintf ppf "@]"
-
 let pp_span_stats ppf stats =
   Format.fprintf ppf "@[<v>";
   List.iter

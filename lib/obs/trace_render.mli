@@ -8,9 +8,6 @@ val pp_audit : Format.formatter -> Audit.t -> unit
 (** Per-subject detail: the winner line followed by every candidate with
     its verdict (and rejection gate), score and explanation. *)
 
-val pp_events : Format.formatter -> Trace.event list -> unit
-(** Flat chronological event listing. *)
-
 val pp_recorder : Format.formatter -> Recorder.t -> unit
 (** The full text report: audit, span timings, counters. *)
 

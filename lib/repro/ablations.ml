@@ -39,12 +39,12 @@ let aggregate_series (series : Series.t) =
   in
   { series with Series.samples }
 
-let truth_for entry = Lab.sweep ~entry ~machine:Machines.opteron48 ()
+let truth_for entry = Experiment.sweep ~entry ~machine:Machines.opteron48 ()
 
-let error_of prediction truth = (Lab.errors_against_truth ~prediction ~truth ()).Diag.Quality.max_error
+let error_of prediction truth = (Experiment.score ~prediction ~truth ()).Diag.Quality.max_error
 
 let agrees_of prediction truth =
-  (Lab.errors_against_truth ~prediction ~truth ()).Diag.Quality.verdict_agrees
+  (Experiment.score ~prediction ~truth ()).Diag.Quality.verdict_agrees
 
 let aggregate_row name =
   let entry = Option.get (Suite.find name) in
@@ -53,7 +53,7 @@ let aggregate_row name =
       ~target_machine:Machines.opteron48 ()
   in
   let series =
-    aggregate_series (Lab.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:12 ())
+    aggregate_series (Experiment.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:12 ())
   in
   let agg = Lab.ok (Predictor.predict ~series ~target_max:48 ()) in
   {
@@ -68,7 +68,7 @@ let sensitivity_row name =
   let entry = Option.get (Suite.find name) in
   let truth = truth_for entry in
   let with_config ~checkpoints ~min_prefix =
-    let series = Lab.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:12 () in
+    let series = Experiment.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:12 () in
     let config =
       {
         Predictor.default_config with

@@ -21,8 +21,8 @@ let experiments =
 
 let find id = List.assoc_opt (String.uppercase_ascii id) experiments
 
-(* The experiments are independent (they share only the Lab measurement
-   cache, which is compute-once across domains), so with jobs > 1 they
+(* The experiments are independent (they share only the measurement
+   store, which is compute-once across domains), so with jobs > 1 they
    fan out on the domain pool with each one's renderer output captured
    in-task; the buffers are printed in submission order, making the
    parallel run's stdout byte-identical to the sequential run's.  With

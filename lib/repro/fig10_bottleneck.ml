@@ -33,8 +33,8 @@ let one ~name ~fixed_name =
   let hint = Option.bind dominant_software Bottleneck.hint_for in
   (* Figure 11: measure original and fixed variants on the full machine. *)
   let fixed_entry = Option.get (Suite.find fixed_name) in
-  let original = Series.times (Lab.sweep ~entry ~machine:Machines.opteron48 ()) in
-  let fixed = Series.times (Lab.sweep ~entry:fixed_entry ~machine:Machines.opteron48 ()) in
+  let original = Series.times (Experiment.sweep ~entry ~machine:Machines.opteron48 ()) in
+  let fixed = Series.times (Experiment.sweep ~entry:fixed_entry ~machine:Machines.opteron48 ()) in
   let improvement i = 1.0 -. (fixed.(i) /. original.(i)) in
   let best = ref 0.0 in
   Array.iteri (fun i _ -> best := Float.max !best (improvement i)) original;

@@ -16,7 +16,7 @@ type result = case list
 
 let one name machine =
   let entry = Option.get (Suite.find name) in
-  let truth = Lab.sweep ~entry ~machine () in
+  let truth = Estima.Experiment.sweep ~entry ~machine () in
   let include_software = entry.Suite.plugins <> [] in
   let times = Series.times truth in
   let stalls_per_core = Series.stalls_per_core truth ~include_frontend:false ~include_software in

@@ -21,8 +21,8 @@ let error_with_software entry software =
     Lab.predict ~software ~entry ~measure_machine:Lab.opteron_1socket ~measure_max:12
       ~target_machine:Machines.opteron48 ()
   in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
-  (Lab.errors_against_truth ~prediction ~truth ()).Estima.Diag.Quality.max_error
+  let truth = Estima.Experiment.sweep ~entry ~machine:Machines.opteron48 () in
+  (Estima.Experiment.score ~prediction ~truth ()).Estima.Diag.Quality.max_error
 
 let one entry =
   let error_without = error_with_software entry false in
@@ -36,7 +36,7 @@ let one entry =
 
 let streamcluster_detail () =
   let entry = Option.get (Suite.find "streamcluster") in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
+  let truth = Estima.Experiment.sweep ~entry ~machine:Machines.opteron48 () in
   let times = Series.times truth in
   let spc_hw = Series.stalls_per_core truth ~include_frontend:false ~include_software:false in
   let spc_hw_sw = Series.stalls_per_core truth ~include_frontend:false ~include_software:true in

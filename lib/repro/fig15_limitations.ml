@@ -22,7 +22,7 @@ let window entry truth ~measure_machine ~measure_max =
     Lab.predict ~software:true ~entry ~measure_machine ~measure_max
       ~target_machine:Machines.opteron48 ()
   in
-  let error = Lab.errors_against_truth ~prediction ~truth () in
+  let error = Experiment.score ~prediction ~truth () in
   {
     measure_max;
     max_error = error.Diag.Quality.max_error;
@@ -32,7 +32,7 @@ let window entry truth ~measure_machine ~measure_max =
 
 let compute () =
   let entry = Option.get (Suite.find "streamcluster") in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
+  let truth = Experiment.sweep ~entry ~machine:Machines.opteron48 () in
   {
     grid = Series.threads truth;
     measured = Series.times truth;

@@ -10,8 +10,8 @@ let error_with_window entry ~measure_machine ~measure_max =
   let prediction =
     Lab.predict ~entry ~measure_machine ~measure_max ~target_machine:Machines.xeon20 ()
   in
-  let truth = Lab.sweep ~entry ~machine:Machines.xeon20 () in
-  (Lab.errors_against_truth ~prediction ~truth ~from_threads:(measure_max + 1) ()).Diag.Quality.max_error
+  let truth = Experiment.sweep ~entry ~machine:Machines.xeon20 () in
+  (Experiment.score ~from_threads:(measure_max + 1) ~prediction ~truth ()).Diag.Quality.max_error
 
 let one name =
   let entry = Option.get (Suite.find name) in

@@ -17,7 +17,7 @@ let compute () =
     Lab.baseline ~entry ~measure_machine:Lab.opteron_1socket ~measure_max:12
       ~target_machine:Machines.opteron48 ()
   in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
+  let truth = Experiment.sweep ~entry ~machine:Machines.opteron48 () in
   let grid = baseline.Time_extrapolation.target_grid in
   let measured_times = Series.times truth in
   {

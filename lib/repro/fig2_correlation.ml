@@ -15,7 +15,7 @@ type result = workload_result list
 
 let one name =
   let entry = Option.get (Suite.find name) in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
+  let truth = Estima.Experiment.sweep ~entry ~machine:Machines.opteron48 () in
   let include_software = entry.Suite.plugins <> [] in
   let times = Series.times truth in
   let stalls_per_core = Series.stalls_per_core truth ~include_frontend:false ~include_software in

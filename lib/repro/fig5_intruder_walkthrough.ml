@@ -16,7 +16,7 @@ let compute () =
     Lab.predict ~software:true ~entry ~measure_machine:Lab.opteron_1socket ~measure_max:12
       ~target_machine:Machines.opteron48 ()
   in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
+  let truth = Experiment.sweep ~entry ~machine:Machines.opteron48 () in
   let truth_times = Series.times truth in
   let spc = prediction.Predictor.stalls_per_core in
   (* Minimum of predicted stalls per core: at or below the window, and the
@@ -44,7 +44,7 @@ let compute () =
      with Exit -> ());
     !verdict
   in
-  let error = Lab.errors_against_truth ~prediction ~truth () in
+  let error = Experiment.score ~prediction ~truth () in
   { prediction; truth_times; per_core_minimum_inside_window; error }
 
 let run () =

@@ -31,8 +31,8 @@ let one name measure_threads =
     Lab.predict ~checkpoints:2 ~entry ~measure_machine:Machines.haswell_desktop
       ~measure_max:measure_threads ~target_machine:server_socket ~target_threads:20 ()
   in
-  let truth = Lab.sweep_threads ~entry ~machine:server_socket ~max_threads:20 () in
-  let error = Lab.errors_against_truth ~prediction ~truth () in
+  let truth = Experiment.sweep ~max_threads:20 ~entry ~machine:server_socket () in
+  let error = Experiment.score ~prediction ~truth () in
   {
     name;
     measure_threads;

@@ -21,16 +21,13 @@ let one name =
     Lab.predict ~entry ~measure_machine:Lab.opteron_1socket ~measure_max:12
       ~target_machine:Machines.opteron48 ()
   in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
-  let error = Lab.errors_against_truth ~prediction ~truth () in
+  let truth = Experiment.sweep ~entry ~machine:Machines.opteron48 () in
+  let error = Experiment.score ~prediction ~truth () in
   let baseline =
     Lab.baseline ~entry ~measure_machine:Lab.opteron_1socket ~measure_max:12
       ~target_machine:Machines.opteron48 ()
   in
-  let baseline_error =
-    Diag.Quality.evaluate ~predicted:baseline.Time_extrapolation.predicted_times
-      ~measured:(Series.times truth) ~target_grid:baseline.Time_extrapolation.target_grid ()
-  in
+  let baseline_error = Experiment.score_baseline ~baseline ~truth in
   {
     name;
     estima_error = error.Diag.Quality.max_error;

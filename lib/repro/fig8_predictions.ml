@@ -26,14 +26,14 @@ let one name =
     Lab.baseline ~entry ~measure_machine:Lab.opteron_1socket ~measure_max:12
       ~target_machine:Machines.opteron48 ()
   in
-  let truth = Lab.sweep ~entry ~machine:Machines.opteron48 () in
+  let truth = Experiment.sweep ~entry ~machine:Machines.opteron48 () in
   {
     name;
     grid = prediction.Predictor.target_grid;
     predicted = prediction.Predictor.predicted_times;
     baseline = baseline.Time_extrapolation.predicted_times;
     measured = Series.times truth;
-    error = Lab.errors_against_truth ~prediction ~truth ();
+    error = Experiment.score ~prediction ~truth ();
   }
 
 let compute () = List.map one workloads

@@ -28,8 +28,10 @@ let one name =
     let s = Spec.dataset_scale entry.Suite.spec dataset_factor in
     { s with Spec.name = s.Spec.name ^ "@2x" }
   in
-  let truth = Lab.sweep ~entry:{ entry with Suite.spec = scaled_spec } ~machine:Machines.xeon20 () in
-  let error = Lab.errors_against_truth ~prediction ~truth ~from_threads:2 () in
+  let truth =
+    Experiment.sweep ~entry:{ entry with Suite.spec = scaled_spec } ~machine:Machines.xeon20 ()
+  in
+  let error = Experiment.score ~from_threads:2 ~prediction ~truth () in
   {
     name;
     grid = prediction.Predictor.target_grid;

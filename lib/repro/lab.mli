@@ -1,9 +1,9 @@
-(** Shared machinery for the reproduction experiments: standard machine
-    setups, a memoised measurement cache (several tables reuse the same
-    ground-truth sweeps), and the standard prediction protocol. *)
+(** What the reproduction experiments share beyond the evaluation
+    protocol ({!Estima.Experiment}, which measures, sweeps and scores
+    them): the standard machine setups, and predictions that print their
+    fit-selection audit under [ESTIMA_TRACE]. *)
 
 open Estima_machine
-open Estima_counters
 open Estima_workloads
 open Estima
 
@@ -11,20 +11,10 @@ val opteron_1socket : Topology.t
 val xeon20_1socket : Topology.t
 val opteron_2sockets : Topology.t
 
-val repetitions : int
-(** Averaged simulator runs per measured point (5). *)
-
 val ok : ('a, Diag.t) result -> 'a
 (** Unwrap a pipeline stage result.  The repro experiments run on
     known-good suite inputs, so a diagnostic is a harness bug: raises
     [Failure] with the rendered diagnostic. *)
-
-val measure : ?seed:int -> entry:Suite.entry -> machine:Topology.t -> max_threads:int -> unit -> Series.t
-(** Cached collection at 1..max_threads. *)
-
-val sweep : ?seed:int -> entry:Suite.entry -> machine:Topology.t -> unit -> Series.t
-(** Cached full-machine ground-truth sweep (distinct seed base from
-    {!measure}, as in a separate validation campaign). *)
 
 val predict :
   ?software:bool ->
@@ -37,21 +27,12 @@ val predict :
   target_machine:Topology.t ->
   unit ->
   Predictor.t
-(** The standard protocol: measure on [measure_machine] (cached), apply the
-    frequency scale towards [target_machine], predict up to its core count
-    (or [target_threads] when given, e.g. all SMT contexts of a socket).
-    [software] defaults to true when the workload has plugins. *)
-
-val sweep_threads :
-  ?seed:int -> entry:Suite.entry -> machine:Topology.t -> max_threads:int -> unit -> Series.t
-(** Ground-truth sweep up to an explicit thread count (SMT included). *)
-
-val errors_against_truth :
-  prediction:Predictor.t -> truth:Series.t -> ?from_threads:int -> unit -> Diag.Quality.t
-
-val max_error_upto : Diag.Quality.t -> threads:int -> float
-(** Maximum per-point error restricted to core counts <= [threads] —
-    Table 4's "2 CPUs / 3 CPUs / 4 CPUs" columns. *)
+(** {!Experiment.measure} at 1..[measure_max] on [measure_machine], then
+    predict [target_machine] up to its core count (or [target_threads]
+    when given, e.g. all SMT contexts of a socket) under
+    {!Experiment.config}.  With [ESTIMA_TRACE] set (to anything but [""]
+    or ["0"]) the prediction runs under a recorder and prints its
+    fit-selection audit. *)
 
 val baseline :
   entry:Suite.entry ->
@@ -60,13 +41,5 @@ val baseline :
   target_machine:Topology.t ->
   unit ->
   Time_extrapolation.t
-(** Time-extrapolation comparator under the same protocol. *)
-
-val cache_stats : unit -> int * int
-(** (hits, misses) of the shared measurement store
-    ({!Estima_store.Store.stats} of the default store), for diagnostics.
-    The in-memory tier holds compute-once promise entries shared across
-    domains, so the counts do not depend on the jobs setting: misses =
-    distinct keys collected, and a requester that waits on an in-flight
-    collection counts as a hit.  With a disk store attached, entries
-    found on disk count as hits. *)
+(** {!Experiment.baseline} of the same measurements, up to every core of
+    [target_machine]. *)

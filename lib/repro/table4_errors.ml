@@ -24,8 +24,8 @@ let errors_for entry ~measure_machine ~measure_max ~target_machine =
   let prediction =
     Lab.predict ~entry ~measure_machine ~measure_max ~target_machine ()
   in
-  let truth = Lab.sweep ~entry ~machine:target_machine () in
-  let error = Lab.errors_against_truth ~prediction ~truth ~from_threads:(measure_max + 1) () in
+  let truth = Experiment.sweep ~entry ~machine:target_machine () in
+  let error = Experiment.score ~from_threads:(measure_max + 1) ~prediction ~truth () in
   (prediction, error)
 
 let one entry =
@@ -41,10 +41,10 @@ let one entry =
   {
     name;
     family = Suite.family_label entry.Suite.family;
-    opteron_2cpu = Lab.max_error_upto opteron_error ~threads:24;
-    opteron_3cpu = Lab.max_error_upto opteron_error ~threads:36;
-    opteron_4cpu = Lab.max_error_upto opteron_error ~threads:48;
-    xeon20_2cpu = Lab.max_error_upto xeon_error ~threads:20;
+    opteron_2cpu = Experiment.max_error_upto opteron_error ~threads:24;
+    opteron_3cpu = Experiment.max_error_upto opteron_error ~threads:36;
+    opteron_4cpu = Experiment.max_error_upto opteron_error ~threads:48;
+    xeon20_2cpu = Experiment.max_error_upto xeon_error ~threads:20;
     opteron_agrees = opteron_error.Diag.Quality.verdict_agrees;
     xeon20_agrees = xeon_error.Diag.Quality.verdict_agrees;
   }

@@ -12,7 +12,7 @@ type result = {
 }
 
 let correlation entry machine =
-  let truth = Lab.sweep ~entry ~machine () in
+  let truth = Estima.Experiment.sweep ~entry ~machine () in
   let include_software = entry.Suite.plugins <> [] in
   Stats.pearson
     (Series.stalls_per_core truth ~include_frontend:false ~include_software)

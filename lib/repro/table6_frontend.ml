@@ -8,7 +8,7 @@ type row = { name : string; opteron : float; xeon20 : float; xeon48 : float }
 type result = { rows : row list; average : float * float * float }
 
 let delta entry machine =
-  let truth = Lab.sweep ~entry ~machine () in
+  let truth = Estima.Experiment.sweep ~entry ~machine () in
   let include_software = entry.Suite.plugins <> [] in
   let times = Series.times truth in
   let corr ~include_frontend =

@@ -17,8 +17,8 @@ let one entry =
       Lab.predict ~entry ~measure_machine:Lab.xeon20_1socket ~measure_max:10
         ~target_machine:Machines.xeon20 ()
     in
-    let truth = Lab.sweep ~entry ~machine:Machines.xeon20 () in
-    (Lab.errors_against_truth ~prediction ~truth ~from_threads:11 ()).Diag.Quality.max_error
+    let truth = Experiment.sweep ~entry ~machine:Machines.xeon20 () in
+    (Experiment.score ~from_threads:11 ~prediction ~truth ()).Diag.Quality.max_error
   in
   (* Both Xeon20 sockets (20 cores, NUMA captured) to the 48-core Xeon48. *)
   let xeon48_error =
@@ -26,8 +26,8 @@ let one entry =
       Lab.predict ~entry ~measure_machine:Machines.xeon20 ~measure_max:20
         ~target_machine:Machines.xeon48 ()
     in
-    let truth = Lab.sweep ~entry ~machine:Machines.xeon48 () in
-    (Lab.errors_against_truth ~prediction ~truth ~from_threads:21 ()).Diag.Quality.max_error
+    let truth = Experiment.sweep ~entry ~machine:Machines.xeon48 () in
+    (Experiment.score ~from_threads:21 ~prediction ~truth ()).Diag.Quality.max_error
   in
   { name; xeon20_error; xeon48_error }
 

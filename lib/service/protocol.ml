@@ -17,16 +17,6 @@ type request =
   | Metrics of { id : Json.t; v : int }
   | Shutdown of { id : Json.t; v : int }
 
-let request_id = function
-  | Predict { id; _ } -> id
-  | Metrics { id; _ } -> id
-  | Shutdown { id; _ } -> id
-
-let request_version = function
-  | Predict { v; _ } -> v
-  | Metrics { v; _ } -> v
-  | Shutdown { v; _ } -> v
-
 let bad_request id msg =
   Error (id, Diag.make ~stage:Diag.Serve ~subject:"request" (Diag.Parse_error { file = "<wire>"; line = 0; msg }))
 

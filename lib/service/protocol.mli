@@ -84,10 +84,6 @@ type request =
   | Metrics of { id : Json.t; v : int }
   | Shutdown of { id : Json.t; v : int }
 
-val request_id : request -> Json.t
-
-val request_version : request -> int
-
 val parse_request : string -> (request, Json.t * Estima.Diag.t) result
 (** Parse one request line.  On failure the diagnostic has stage
     [Serve] and cause {!Estima.Diag.Parse_error} (malformed request) or

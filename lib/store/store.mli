@@ -1,10 +1,11 @@
 (** The shared measurement plane: a content-addressed, versioned store of
     measurement series.
 
-    Every measurement consumer — the repro harness ({!Estima_repro.Lab}),
-    the validation corpus, the benchmarks, the examples and the CLI —
-    resolves series through this store instead of re-running the
-    simulator per process.  The store has two tiers:
+    Every measurement consumer — the evaluation protocol
+    ({!Estima.Experiment}: the repro harness, the validation corpus and
+    [compare]), the benchmark, the examples, the CLI and the load
+    generator's payloads — resolves series through this store instead of
+    re-running the simulator per process.  The store has two tiers:
 
     - an {b in-memory tier}: compute-once promise entries shared across
       domains (the first requester of a key collects; concurrent

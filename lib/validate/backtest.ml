@@ -12,13 +12,6 @@ type source = {
   protocol : Report.protocol;
 }
 
-let quality_of source (prediction : Estima.Predictor.t) =
-  Quality.evaluate
-    ~predicted:prediction.Estima.Predictor.predicted_times
-    ~measured:(Series.times source.truth)
-    ~target_grid:prediction.Estima.Predictor.target_grid
-    ~from_threads:(source.protocol.Report.window + 1) ()
-
 let stop_of = function Quality.Scales -> None | Quality.Stops_at k -> Some k
 
 let check_source source =
@@ -48,7 +41,9 @@ let run source =
   let target_max = source.protocol.Report.target_max in
   let series = Series.truncate source.measured ~max_threads:window in
   let* prediction = Estima.Api.predict ~config:source.config ~series ~target_max () in
-  let q = quality_of source prediction in
+  let q =
+    Estima.Experiment.score ~from_threads:(window + 1) ~prediction ~truth:source.truth ()
+  in
   let errs = Array.of_list (List.map snd q.Quality.per_point) in
   let errors =
     {

@@ -33,8 +33,3 @@ val run : source -> (Report.t, Estima.Diag.t) result
     exception.  On success the report's error statistics cover only the
     {e extrapolated} region — core counts strictly above the measurement
     window — matching the paper's Table 4 columns. *)
-
-val quality_of : source -> Estima.Predictor.t -> Estima.Diag.Quality.t
-(** Score an already-computed prediction against [source.truth] over the
-    extrapolated region (used by {!run}; exposed for the bench driver).
-    Raises [Invalid_argument] on misaligned curves. *)

@@ -1,5 +1,5 @@
 open Estima_workloads
-module Lab = Estima_repro.Lab
+module Experiment = Estima.Experiment
 module Machines = Estima_machine.Machines
 module Topology = Estima_machine.Topology
 
@@ -13,7 +13,7 @@ let opteron_protocol (entry : Suite.entry) =
     window = 12;
     target_max = Topology.cores Machines.opteron48;
     seed = 42;
-    repetitions = Lab.repetitions;
+    repetitions = Experiment.repetitions;
     include_software = entry.Suite.plugins <> [];
   }
 
@@ -54,14 +54,15 @@ let source { entry; protocol } =
     | Some sockets -> Machines.restrict_sockets base ~sockets
   in
   let target_machine = machine_exn protocol.Report.target in
+  let seed = protocol.Report.seed and repetitions = protocol.Report.repetitions in
   let measured =
-    Lab.measure ~seed:protocol.Report.seed ~entry ~machine:measure_machine
+    Experiment.measure ~seed ~repetitions ~entry ~machine:measure_machine
       ~max_threads:protocol.Report.window ()
   in
-  let truth = Lab.sweep ~seed:protocol.Report.seed ~entry ~machine:target_machine () in
+  let truth = Experiment.sweep ~seed ~repetitions ~entry ~machine:target_machine () in
   let config =
-    Estima.Config.make ~include_software:protocol.Report.include_software
-      ~measured_on:measure_machine ~target:target_machine ()
+    Experiment.config ~software:protocol.Report.include_software ~entry ~measure_machine
+      ~target_machine ()
   in
   {
     Backtest.name = entry.Suite.spec.Estima_sim.Spec.name;

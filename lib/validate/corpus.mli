@@ -1,7 +1,7 @@
 (** The standing validation corpus: which workloads the accuracy gate
     backtests, under which protocol, and how to turn each into a
-    {!Backtest.source} backed by the simulator via
-    {!Estima_repro.Lab}'s measurement cache.
+    {!Backtest.source} measured and swept by {!Estima.Experiment}, the
+    evaluation protocol the repro experiments and [compare] share.
 
     The default corpus is a deliberate subset of Table 4's 19 workloads —
     large enough to pin the error structure (it includes the worst-case
@@ -29,7 +29,8 @@ val of_names : string list -> (spec list, string) result
     protocol; the error names the first unknown workload. *)
 
 val source : spec -> Backtest.source
-(** Materialise the measurements and ground-truth sweep (cached in
-    {!Estima_repro.Lab}; the first call per workload simulates, later
-    calls are free).  Raises [Invalid_argument] when the protocol names
+(** Materialise the measurements and ground-truth sweep through
+    {!Estima.Experiment} under the protocol's seed and repetitions (the
+    shared store makes the first call per workload simulate and later
+    calls free).  Raises [Invalid_argument] when the protocol names
     an unknown machine. *)

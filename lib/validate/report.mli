@@ -19,7 +19,7 @@ type protocol = {
   target : string;  (** Target machine name. *)
   window : int;  (** Highest core count measured (the truncation point). *)
   target_max : int;  (** Highest core count predicted and scored. *)
-  seed : int;  (** Measurement campaign seed (ground truth uses Lab's offset). *)
+  seed : int;  (** Measurement campaign seed; {!Estima.Experiment.sweep} offsets it. *)
   repetitions : int;  (** Averaged runs per measured point. *)
   include_software : bool;  (** Software stall plugins enabled. *)
 }

@@ -520,34 +520,35 @@ let test_bottleneck_hints () =
 (* Experiment protocol                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let blackscholes_experiment () =
+  ok_or_fail "experiment"
+    (Experiment.run ~entry:(entry "blackscholes") ~measure_machine:opteron1s
+       ~target_machine:Machines.opteron48 ())
+
 let test_experiment_runs_end_to_end () =
-  let setup =
-    Experiment.default_setup ~entry:(entry "blackscholes") ~measure_machine:opteron1s
-      ~target_machine:Machines.opteron48
-  in
-  let o = ok_or_fail "experiment" (Experiment.run setup) in
+  let o = blackscholes_experiment () in
   Alcotest.(check bool) "verdicts agree for blackscholes" true o.Experiment.error.Diag.Quality.verdict_agrees;
   Alcotest.(check bool) "error under 30%" true (o.Experiment.error.Diag.Quality.max_error < 0.30);
   Alcotest.(check int) "truth sweeps full machine" 48 (Array.length o.Experiment.truth.Series.samples)
 
 let test_experiment_max_error_from () =
-  let setup =
-    Experiment.default_setup ~entry:(entry "blackscholes") ~measure_machine:opteron1s
-      ~target_machine:Machines.opteron48
+  let o = blackscholes_experiment () in
+  let max_error_from from_threads =
+    let { Experiment.prediction; truth; _ } = o in
+    (Experiment.score ~from_threads ~prediction ~truth ()).Diag.Quality.max_error
   in
-  let o = ok_or_fail "experiment" (Experiment.run setup) in
-  let all = Experiment.max_error_from o ~from_threads:1 in
-  let tail = Experiment.max_error_from o ~from_threads:13 in
+  let all = max_error_from 1 and tail = max_error_from 13 in
+  Alcotest.(check (float 0.0)) "from 1 is the whole run" o.Experiment.error.Diag.Quality.max_error
+    all;
   Alcotest.(check bool) "restricting cannot raise the max" true (tail <= all +. 1e-12)
 
 let test_experiment_cross_machine_frequency () =
   (* Desktop -> server prediction applies the clock ratio automatically. *)
-  let setup =
-    Experiment.default_setup ~entry:(entry "memcached") ~measure_machine:Machines.haswell_desktop
-      ~target_machine:Machines.xeon20
+  let o =
+    ok_or_fail "experiment"
+      (Experiment.run ~entry:(entry "memcached") ~measure_machine:Machines.haswell_desktop
+         ~target_machine:Machines.xeon20 ())
   in
-  let setup = { setup with Experiment.measure_threads = [ 1; 2; 3 ] } in
-  let o = ok_or_fail "experiment" (Experiment.run setup) in
   Alcotest.(check (float 1e-9)) "frequency scale recorded" (3.4 /. 2.8)
     o.Experiment.prediction.Predictor.config.Predictor.frequency_scale
 

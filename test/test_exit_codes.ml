@@ -113,7 +113,23 @@ let test_cli_exit_2_bad_window () =
     [ "collect"; "kmeans"; "-w"; "4"; "--repetitions"; "1"; "--sockets"; "9" ];
   check_exit ~msg:"bottleneck --sockets 0" ~code:2
     ~substring:"socket count 0 (the machine has 4 sockets)"
-    [ "bottleneck"; "kmeans"; "-w"; "4"; "--repetitions"; "1"; "--sockets"; "0" ]
+    [ "bottleneck"; "kmeans"; "-w"; "4"; "--repetitions"; "1"; "--sockets"; "0" ];
+  (* --from predicts the file as it is: the flags that only shape a
+     simulated collection, and a WORKLOAD argument, were accepted and
+     ignored (exit 0, identical output).  Each is refused by name. *)
+  let path = write_temp "from_flags" (benign_csv ()) in
+  List.iter
+    (fun (flag, args) ->
+      check_exit ~msg:("predict --from with " ^ flag) ~code:2 ~substring:(flag ^ " does not apply")
+        ([ "predict"; "--from"; path ] @ args))
+    [
+      ("--window", [ "--window"; "0" ]);
+      ("--window", [ "--window"; "1" ]);
+      ("--seed", [ "--seed"; "9" ]);
+      ("--repetitions", [ "--repetitions"; "0" ]);
+      ("a WORKLOAD argument", [ "kmeans" ]);
+    ];
+  Sys.remove path
 
 (* estima_serve and estima_load restrict their measurements machine the
    same way; they refuse the count at start-up (exit 1, as for their other

@@ -153,7 +153,18 @@ let test_generator_deterministic () =
     String.concat "\n"
       (Array.to_list (Array.map (fun r -> r.Generator.line) plan.Generator.streams.(0)))
   in
-  Alcotest.(check string) "client 0 independent of client count" (first a) (first wider)
+  Alcotest.(check string) "client 0 independent of client count" (first a) (first wider);
+  (* Payloads resolve through the shared store: collecting them again
+     reads the entries the plans above wrote, simulating nothing. *)
+  let stats () = Estima_store.Store.stats (Estima_store.Store.default ()) in
+  let before = stats () in
+  let again = Generator.suite_payloads ~machine:opteron1s [ "kmeans" ] in
+  let after = stats () in
+  Alcotest.(check bool) "same payloads" true (again = Lazy.force payloads);
+  Alcotest.(check bool) "store hits" true
+    (after.Estima_store.Store.hits > before.Estima_store.Store.hits);
+  Alcotest.(check int) "no store miss" before.Estima_store.Store.misses
+    after.Estima_store.Store.misses
 
 let test_malformed_frames_rejected () =
   (* Every malformed frame in a plan must fail to parse (that is what

@@ -310,8 +310,8 @@ let test_traces_byte_identical () =
 let test_repro_output_byte_identical () =
   (* Two experiments through [run_many], so the jobs=4 run exercises the
      real experiment-level fan-out: concurrent experiments, captured
-     output printed in submission order, the Lab cache shared across
-     domains. *)
+     output printed in submission order, the measurement store shared
+     across domains. *)
   let entries =
     List.map (fun id -> (id, Option.get (Estima_repro.All.find id))) [ "F1"; "F2" ]
   in

@@ -4,6 +4,7 @@
 
 open Estima_workloads
 open Estima_repro
+module Experiment = Estima.Experiment
 
 let test_render_table () =
   (* Just exercise alignment and the ragged-row guard. *)
@@ -20,24 +21,26 @@ let test_render_series_guard () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Render.series: column x length mismatch")
     (fun () -> Render.series ~title:"t" ~grid:[| 1.0; 2.0 |] ~columns:[ ("x", [| 1.0 |]) ])
 
+(* The experiments measure through the shared store: the in-memory tier
+   is compute-once, so a repeated measurement is a hit on the same
+   series. *)
 let test_lab_cache_hits () =
   let entry = Option.get (Suite.find "swaptions") in
-  let _, misses0 = Lab.cache_stats () in
-  let a = Lab.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:4 () in
-  let b = Lab.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:4 () in
-  let hits1, misses1 = Lab.cache_stats () in
-  Alcotest.(check bool) "one miss" true (misses1 >= misses0 + 1);
-  Alcotest.(check bool) "second call hits" true (hits1 >= 1);
+  let stats () = Estima_store.Store.stats (Estima_store.Store.default ()) in
+  let misses0 = (stats ()).Estima_store.Store.misses in
+  let a = Experiment.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:4 () in
+  let b = Experiment.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:4 () in
+  let s = stats () in
+  Alcotest.(check bool) "one miss" true (s.Estima_store.Store.misses >= misses0 + 1);
+  Alcotest.(check bool) "second call hits" true (s.Estima_store.Store.hits >= 1);
   Alcotest.(check bool) "same series" true (a == b)
 
 let test_lab_sweep_distinct_seed () =
   (* Measurement and ground truth use different seed bases so the
      validation never sees the exact training runs. *)
   let entry = Option.get (Suite.find "swaptions") in
-  let m = Lab.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:4 () in
-  let t =
-    Lab.sweep_threads ~entry ~machine:Lab.opteron_1socket ~max_threads:4 ()
-  in
+  let m = Experiment.measure ~entry ~machine:Lab.opteron_1socket ~max_threads:4 () in
+  let t = Experiment.sweep ~max_threads:4 ~entry ~machine:Lab.opteron_1socket () in
   let tm = Estima_counters.Series.times m and tt = Estima_counters.Series.times t in
   Alcotest.(check bool) "different runs" true (tm <> tt)
 

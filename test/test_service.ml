@@ -305,14 +305,9 @@ let response_text response =
 
 let collect_csv ?(max = 12) name =
   let entry = Option.get (Suite.find name) in
-  let series =
-    Collector.collect
-      ~options:{ Collector.default_options with Collector.seed = 42; repetitions = 3 }
-      ~machine:opteron1s ~spec:entry.Suite.spec
-      ~thread_counts:(Collector.default_thread_counts ~max)
-      ()
-  in
-  Csv_export.series_to_csv series
+  Csv_export.series_to_csv
+    (Estima.Api.collect ~seed:42 ~repetitions:3 ~machine:opteron1s ~spec:entry.Suite.spec
+       ~max_threads:max ())
 
 let predict_line ?(id = 1) ?v ?confidence ?spec csv =
   Json.to_string

@@ -317,6 +317,32 @@ let test_reset_memory () =
          collect_real ()));
   Alcotest.(check int) "entry dropped" 1 !calls
 
+(* compare resolves its measurements and its ground-truth sweep through
+   the store like every other consumer: a fresh directory gains exactly
+   those two entries, and a second run reads them back to the same
+   bytes without writing another. *)
+let test_compare_through_store () =
+  with_dir (fun dir ->
+      let compare () =
+        let ic =
+          Unix.open_process_in
+            (Filename.quote_command Test_service.cli_exe
+               [ "compare"; "kmeans"; "--store"; dir; "--repetitions"; "1" ])
+        in
+        let out = In_channel.input_all ic in
+        (match Unix.close_process_in ic with
+        | Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "estima_cli compare failed");
+        out
+      in
+      let entries () = Store.disk_entries (Store.create ~dir ()) in
+      let cold = compare () in
+      let written = entries () in
+      Alcotest.(check int) "measurements + truth entries" 2 (List.length written);
+      let warm = compare () in
+      Alcotest.(check string) "warm stdout = cold stdout" cold warm;
+      Alcotest.(check (list (pair string int))) "entry set unchanged" written (entries ()))
+
 let suite =
   [
     Alcotest.test_case "memory tier: compute once" `Quick test_memory_tier;
@@ -333,4 +359,5 @@ let suite =
     Alcotest.test_case "repro warm/cold/disabled byte-identity" `Slow test_repro_warm_cold_identity;
     Alcotest.test_case "corpus warm/cold/disabled byte-identity" `Slow test_corpus_warm_cold_identity;
     Alcotest.test_case "reset_memory drops entries and stats" `Quick test_reset_memory;
+    Alcotest.test_case "compare reads and writes through the store" `Quick test_compare_through_store;
   ]
