@@ -16,19 +16,6 @@ open Estima_workloads
 open Estima_counters
 open Estima
 
-let machine_conv =
-  let parse s =
-    match Machines.find s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown machine %S (known: %s)" s
-                (String.concat ", " (List.map (fun m -> m.Topology.name) Machines.all))))
-  in
-  let print ppf m = Format.fprintf ppf "%s" m.Topology.name in
-  Arg.conv (parse, print)
-
 let entry_conv =
   let parse s =
     match Suite.find s with
@@ -43,18 +30,12 @@ let entry_conv =
 let workload_arg =
   Arg.(required & pos 0 (some entry_conv) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
 
-let machine_arg ~default names doc =
-  Arg.(value & opt machine_conv default & info names ~docv:"MACHINE" ~doc)
-
-let sockets_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sockets" ] ~docv:"N" ~doc:"Restrict the measurements machine to its first $(docv) sockets.")
-
-(* The cross-binary flags (--jobs/--store/--trace/--window/--confidence)
-   come from Config.Args so estima_cli, estima_serve and bench accept the
-   same spellings and print the same errors. *)
+(* The cross-binary flags (the machines, --sockets, --jobs, --store,
+   --trace, --window, --confidence) come from Config.Args so estima_cli,
+   estima_serve and estima_load accept the same spellings and print the
+   same errors. *)
+let machine_arg = Config.Args.machine
+let sockets_arg = Config.Args.sockets
 let window_arg = Config.Args.window
 
 let seed_info = Arg.info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed."
@@ -308,10 +289,7 @@ let predict_cmd =
         print_trace config rendered_trace;
         fail_diag d
     | Ok prediction ->
-        Printf.printf "%s\n\n" (Api.render_summary prediction);
-        print_endline Api.rows_header;
-        List.iter print_endline (Api.render_rows prediction);
-        Printf.printf "\nprediction: %s\n" (Api.render_verdict prediction);
+        print_string (Api.render_text prediction);
         (match confidence with
         | None -> ()
         | Some resamples ->

@@ -1,12 +1,12 @@
 (* estima_load: deterministic load testing for estima_serve.
 
    Builds a seeded request plan (Estima_load.Generator) whose expected
-   response bytes are precomputed through Estima.Api and the shared
-   Protocol builders, plays it against a server over TCP, a Unix socket
-   or spawned stdio processes (Estima_load.Driver), and verifies every
-   response by string equality.  Exit 0 iff the run is clean: every
-   request answered with exactly its expected bytes — which are in turn
-   byte-identical to `estima_cli predict --from` output.
+   response bytes are precomputed through Estima_service.Server.answer,
+   the function the server answers with, plays it against a server over
+   TCP, a Unix socket or spawned stdio processes (Estima_load.Driver),
+   and verifies every response by string equality.  Exit 0 iff the run
+   is clean: every request answered with exactly its expected bytes —
+   which are in turn byte-identical to `estima_cli predict` output.
 
    The plan's --machine/--sockets/--target must mirror the server's
    flags; the defaults match estima_serve's defaults, so against a
@@ -20,38 +20,14 @@ module Generator = Estima_load.Generator
 module Driver = Estima_load.Driver
 module Report = Estima_load.Report
 
-let machine_conv =
-  let parse s =
-    match Machines.find s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown machine %S (known: %s)" s
-                (String.concat ", " (List.map (fun m -> m.Topology.name) Machines.all))))
-  in
-  let print ppf m = Format.fprintf ppf "%s" m.Topology.name in
-  Arg.conv (parse, print)
-
 let machine_arg =
-  Arg.(
-    value
-    & opt machine_conv (Machines.restrict_sockets Machines.opteron48 ~sockets:1)
-    & info [ "machine"; "m" ] ~docv:"MACHINE"
-        ~doc:"Measurements machine the server was started with (must match its $(b,--machine)).")
-
-let sockets_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sockets" ] ~docv:"N" ~doc:"Restrict the measurements machine to its first $(docv) sockets.")
+  Config.Args.machine ~default:(Machines.restrict_sockets Machines.opteron48 ~sockets:1)
+    [ "machine"; "m" ]
+    "Measurements machine the server was started with (must match its $(b,--machine))."
 
 let target_arg =
-  Arg.(
-    value
-    & opt machine_conv Machines.opteron48
-    & info [ "target"; "t" ] ~docv:"MACHINE"
-        ~doc:"Target machine the server was started with (must match its $(b,--target)).")
+  Config.Args.machine ~default:Machines.opteron48 [ "target"; "t" ]
+    "Target machine the server was started with (must match its $(b,--target))."
 
 let tcp_conv =
   let parse s =
@@ -100,14 +76,6 @@ let serve_jobs_arg =
     & opt (some int) None
     & info [ "serve-jobs" ] ~docv:"N"
         ~doc:"Pass $(b,--jobs) $(docv) to the spawned server (spawning modes only).")
-
-let serve_args_arg =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "serve-arg" ] ~docv:"ARG"
-        ~doc:
-          "Extra argument for the spawned server, repeatable (use $(b,--serve-arg=--flag)            for arguments that start with a dash).")
 
 let clients_arg =
   Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
@@ -181,8 +149,8 @@ let require_serve_exe = function
             "estima_load: cannot find estima_serve next to this binary; pass --serve-exe";
           exit 1)
 
-let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs serve_args clients
-    requests seed payloads workloads mix resamples timeout_s json =
+let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs clients requests seed
+    payloads workloads mix resamples timeout_s json =
   if clients < 1 then begin
     prerr_endline "estima_load: --clients must be >= 1";
     exit 1
@@ -208,9 +176,7 @@ let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs serve_a
   let base = Config.make ~measured_on:machine ~target () in
   let payload_names = match payloads with [] -> [ "kmeans"; "genome" ] | names -> names in
   let workloads = match workloads with [] -> [ "kmeans" ] | names -> names in
-  let serve_args =
-    serve_args @ match serve_jobs with None -> [] | Some n -> [ "--jobs"; string_of_int n ]
-  in
+  let serve_args = match serve_jobs with None -> [] | Some n -> [ "--jobs"; string_of_int n ] in
   let plan =
     try
       let payloads = Generator.suite_payloads ~machine payload_names in
@@ -257,8 +223,8 @@ let cmd =
   Cmd.v
     (Cmd.info "estima_load" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const run $ machine_arg $ sockets_arg $ target_arg $ tcp_arg $ socket_arg $ spawn_tcp_arg
-      $ serve_exe_arg $ serve_jobs_arg $ serve_args_arg $ clients_arg $ requests_arg $ seed_arg
+      const run $ machine_arg $ Config.Args.sockets $ target_arg $ tcp_arg $ socket_arg
+      $ spawn_tcp_arg $ serve_exe_arg $ serve_jobs_arg $ clients_arg $ requests_arg $ seed_arg
       $ payload_arg $ workload_arg $ mix_arg $ resamples_arg $ timeout_arg $ json_arg)
 
 let () = exit (Cmd.eval cmd)

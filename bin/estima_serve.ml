@@ -13,43 +13,18 @@ open Estima
 module Server = Estima_service.Server
 module Wire = Estima_service.Wire
 
-let machine_conv =
-  let parse s =
-    match Machines.find s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown machine %S (known: %s)" s
-                (String.concat ", " (List.map (fun m -> m.Topology.name) Machines.all))))
-  in
-  let print ppf m = Format.fprintf ppf "%s" m.Topology.name in
-  Arg.conv (parse, print)
-
+(* The cross-binary flags (the machines, --sockets, --jobs, --store)
+   come from Config.Args so all three binaries accept the same spellings
+   and print the same errors; the pool wants a concrete size, so the
+   shared optional --jobs resolves through require_jobs. *)
 let machine_arg =
-  Arg.(
-    value
-    & opt machine_conv (Machines.restrict_sockets Machines.opteron48 ~sockets:1)
-    & info [ "machine"; "m" ] ~docv:"MACHINE"
-        ~doc:"Machine the served CSV measurements were collected on.")
-
-let sockets_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sockets" ] ~docv:"N" ~doc:"Restrict the measurements machine to its first $(docv) sockets.")
+  Config.Args.machine ~default:(Machines.restrict_sockets Machines.opteron48 ~sockets:1)
+    [ "machine"; "m" ] "Machine the served CSV measurements were collected on."
 
 let target_arg =
-  Arg.(
-    value
-    & opt machine_conv Machines.opteron48
-    & info [ "target"; "t" ] ~docv:"MACHINE"
-        ~doc:"Machine to extrapolate to; its core count is the default target_max.")
+  Config.Args.machine ~default:Machines.opteron48 [ "target"; "t" ]
+    "Machine to extrapolate to; its core count is the default target_max."
 
-(* The cross-binary flags (--jobs/--store) come from Config.Args so all
-   three binaries accept the same spellings and print the same errors;
-   the pool wants a concrete size, so the shared optional flag resolves
-   through require_jobs. *)
 let jobs_arg = Config.Args.jobs
 
 let queue_arg =
@@ -236,8 +211,8 @@ let cmd =
   Cmd.v
     (Cmd.info "estima_serve" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const serve $ machine_arg $ sockets_arg $ target_arg $ jobs_arg $ queue_arg $ cache_arg
-      $ timeout_arg $ socket_arg $ tcp_arg $ max_buffer_arg $ max_conns_arg $ inject_fault_arg
-      $ store_arg)
+      const serve $ machine_arg $ Config.Args.sockets $ target_arg $ jobs_arg $ queue_arg
+      $ cache_arg $ timeout_arg $ socket_arg $ tcp_arg $ max_buffer_arg $ max_conns_arg
+      $ inject_fault_arg $ store_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -170,6 +170,11 @@ let verdict (p : Prediction.t) =
 
 let render_verdict p = "the application " ^ Quality.verdict_to_string (verdict p)
 
+let render_text p =
+  Printf.sprintf "%s\n\n%s\n%s\nprediction: %s\n" (render_summary p) rows_header
+    (String.concat "" (List.map (fun row -> row ^ "\n") (render_rows p)))
+    (render_verdict p)
+
 let render_confidence_summary (c : Confidence.t) =
   Printf.sprintf "confidence: %g%% bands from %d/%d bootstrap resamples (seed %d)"
     (100.0 *. c.Confidence.level) c.Confidence.succeeded c.Confidence.resamples

@@ -10,10 +10,10 @@
     - {b predict} (stages B and C): {!predict} and {!predict_traced},
       both driven by a single {!Config.t} knob record;
     - {b judge and render}: {!Quality} scores a prediction against ground
-      truth, {!render_summary}/{!render_rows}/{!render_verdict} produce
-      the exact text [estima_cli predict] prints — which is also what the
-      prediction service returns on the wire, so the two surfaces are
-      byte-identical by construction.
+      truth, {!render_text} is the exact text [estima_cli predict] prints,
+      and {!render_summary}/{!render_rows}/{!render_verdict} are its parts
+      — which is what the prediction service returns on the wire, so the
+      two surfaces are byte-identical by construction.
 
     Programs should depend on this module (and the re-exported
     {!Config}/{!Diag}/{!Quality}) rather than reaching into the
@@ -197,6 +197,12 @@ val verdict : Prediction.t -> Quality.verdict
 val render_verdict : Prediction.t -> string
 (** ["the application scales"] / ["the application stops at N cores"] —
     the phrase both binaries print. *)
+
+val render_text : Prediction.t -> string
+(** Everything [estima_cli predict] prints for a prediction: the
+    summary, a blank line, {!rows_header}, one line per {!render_rows}
+    row, a blank line and ["prediction: "] followed by
+    {!render_verdict}, each line newline-terminated. *)
 
 val render_confidence_summary : Confidence.t -> string
 (** One line describing the ensemble:

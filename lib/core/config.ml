@@ -68,12 +68,27 @@ let validate t =
     bad (Printf.sprintf "dataset_factor = %g (need > 0)" t.dataset_factor)
   else Ok ()
 
-(* Shared command-line vocabulary.  estima_cli and estima_serve both
-   accept --jobs/--store (and the CLI --trace, --window, --confidence);
-   defining the terms once here is what keeps the two binaries'
-   spellings, defaults and error messages from drifting apart. *)
+(* Shared command-line vocabulary: defining each term once is what keeps
+   the three binaries' spellings, defaults and error messages from
+   drifting apart. *)
 module Args = struct
   open Cmdliner
+  open Estima_machine
+
+  let machine ~default names doc =
+    let parse s =
+      Option.to_result (Machines.find s)
+        ~none:
+          (`Msg
+            (Printf.sprintf "unknown machine %S (known: %s)" s
+               (String.concat ", " (List.map (fun m -> m.Topology.name) Machines.all))))
+    in
+    let print ppf m = Format.pp_print_string ppf m.Topology.name in
+    Arg.(value & opt (conv (parse, print)) default & info names ~docv:"MACHINE" ~doc)
+
+  let sockets =
+    let doc = "Restrict the measurements machine to its first $(docv) sockets." in
+    Arg.(value & opt (some int) None & info [ "sockets" ] ~docv:"N" ~doc)
 
   let jobs =
     Arg.(
@@ -81,7 +96,12 @@ module Args = struct
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Run parallel work on $(docv) domains (the fit search and the paper experiments in $(b,estima_cli), the request worker pool in $(b,estima_serve)).  Defaults to            $(b,ESTIMA_JOBS), or the binary's own default when unset.  Results are            byte-identical to a sequential run regardless of $(docv).")
+            "Run parallel work on $(docv) domains.  In $(b,estima_cli) that is the fit \
+             search, the confidence bootstrap and the paper experiments, and the default is \
+             $(b,ESTIMA_JOBS), else the host's available parallelism.  In $(b,estima_serve) it \
+             is the request worker pool, default 1; $(b,ESTIMA_JOBS) has no effect there, \
+             because each request's pipeline runs inside one pool task.  Results are \
+             byte-identical to a sequential run regardless of $(docv).")
 
   (* --jobs beats ESTIMA_JOBS; without it the env default stays in force. *)
   let apply_jobs = function

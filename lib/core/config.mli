@@ -10,8 +10,10 @@
     the two binaries cannot drift apart on defaults.
 
     The fan-out width is not a field: it is the process-wide knob of
-    {!Estima_par.Fanout}, which each binary pins once from [--jobs]
-    ({!Args.apply_jobs}) and which never changes the numbers. *)
+    {!Estima_par.Fanout}, which [estima_cli] pins once from [--jobs]
+    ({!Args.apply_jobs}) and which never changes the numbers.
+    [estima_serve]'s [--jobs] sizes its request pool instead
+    ({!Args.require_jobs}). *)
 
 open Estima_kernels
 
@@ -71,12 +73,19 @@ val validate : t -> (unit, Diag.t) result
     exists so services can reject a bad configuration at admission time
     with a typed {!Diag.t}. *)
 
-(** The shared command-line vocabulary of the two binaries.
-
-    [estima_cli] and [estima_serve] take their [--jobs]/[--store]/
-    [--trace]/[--window] terms from here, so the spellings, defaults,
-    documentation and error messages cannot drift. *)
+(** The shared command-line vocabulary of [estima_cli], [estima_serve]
+    and [estima_load], so their spellings, defaults, documentation and
+    error messages cannot drift. *)
 module Args : sig
+  val machine :
+    default:Estima_machine.Topology.t -> string list -> string ->
+    Estima_machine.Topology.t Cmdliner.Term.t
+  (** [machine ~default names doc]: an option spelled [names] taking a
+      {!Estima_machine.Machines} name. *)
+
+  val sockets : int option Cmdliner.Term.t
+  (** [--sockets N]; each binary checks [N] against its machine. *)
+
   val jobs : int option Cmdliner.Term.t
   (** [--jobs N] / [-j N]; [None] leaves the binary's default in force. *)
 

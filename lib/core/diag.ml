@@ -36,6 +36,7 @@ let cause_label = function
   | Frame_too_large _ -> "frame-too-large"
   | Internal_error _ -> "internal"
 
+(* Human rendering of the cause alone. *)
 let cause_message = function
   | Parse_error { file; line; msg } ->
       if line > 0 then Printf.sprintf "%s:%d: %s" file line msg

@@ -74,9 +74,6 @@ val cause_label : cause -> string
 (** Stable machine-readable label, e.g. ["parse-error"],
     ["no-realistic-fit"] — what trace events and tests key on. *)
 
-val cause_message : cause -> string
-(** Human rendering of the cause alone. *)
-
 type t = { stage : stage; subject : string; cause : cause }
 
 val make : stage:stage -> subject:string -> cause -> t

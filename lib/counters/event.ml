@@ -33,6 +33,7 @@ let intel_frontend =
 
 let backend_events = function Topology.Amd -> amd_backend | Topology.Intel -> intel_backend
 
+(* Backend plus the frontend event. *)
 let all_events vendor =
   backend_events vendor @ [ (match vendor with Topology.Amd -> amd_frontend | Topology.Intel -> intel_frontend) ]
 

@@ -24,11 +24,6 @@ val intel_backend : t list
 val amd_frontend : t
 val intel_frontend : t
 
-val backend_events : Estima_machine.Topology.vendor -> t list
-
-val all_events : Estima_machine.Topology.vendor -> t list
-(** Backend plus the frontend event. *)
-
 val find : Estima_machine.Topology.vendor -> string -> t option
 
 val attribution : Estima_machine.Topology.vendor -> Estima_sim.Stall.cause -> (string * float) list
@@ -39,4 +34,5 @@ val attribution : Estima_machine.Topology.vendor -> Estima_sim.Stall.cause -> (s
 val attribute_ledger :
   Estima_machine.Topology.vendor -> Estima_sim.Ledger.t -> (string * float) list
 (** Full counter readout for one run: every event of the vendor (frontend
-    included) with its attributed cycle count, in [all_events] order. *)
+    included) with its attributed cycle count: the backend events in
+    table order, then the frontend event. *)

@@ -5,6 +5,7 @@ type entry = {
   combine : Plugin.combine;
 }
 
+(* "sum" | "average" | "min" | "max" (case-insensitive). *)
 let combine_of_string s =
   match String.lowercase_ascii s with
   | "sum" -> Ok Plugin.Sum

@@ -33,9 +33,6 @@ val parse : string -> (entry list, string) result
 
 val load : path:string -> (entry list, string) result
 
-val combine_of_string : string -> (Plugin.combine, string) result
-(** "sum" | "average" | "min" | "max" (case-insensitive). *)
-
 val apply : entry -> report:string -> float
 (** Extract the entry's values from a report and combine them.  Returns 0
     when nothing matches (a silent runtime reported no stalls). *)

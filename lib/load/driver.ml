@@ -249,7 +249,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let spawn_tcp_server ?(wait_s = 10.0) ?(args = []) ~exe () =
+let spawn_tcp_server ?(args = []) ~exe () =
   let stderr_path = Filename.temp_file "estima_load_serve" ".stderr" in
   let stderr_fd =
     Unix.openfile stderr_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
@@ -262,6 +262,7 @@ let spawn_tcp_server ?(wait_s = 10.0) ?(args = []) ~exe () =
   (* stderr goes to a file, not a pipe: nothing to drain, no deadlock if
      the server logs more than we read, and the listening line survives
      for the error message if the server dies at startup. *)
+  let wait_s = 10.0 in
   let deadline = Clock.now_s () +. wait_s in
   let rec wait () =
     let contents = try read_file stderr_path with Sys_error _ -> "" in
@@ -289,7 +290,8 @@ let spawn_tcp_server ?(wait_s = 10.0) ?(args = []) ~exe () =
   in
   wait ()
 
-let stop_server ?(grace_s = 5.0) server =
+let stop_server server =
+  let grace_s = 5.0 in
   (try
      let fd = connect_tcp ~host:server.host ~port:server.port in
      write_all fd (Bytes.of_string "{\"id\":0,\"op\":\"shutdown\"}\n");

@@ -59,18 +59,17 @@ val run : ?timeout_s:float -> target -> Generator.plan -> outcome
 
 type server = { pid : int; host : string; port : int }
 
-val spawn_tcp_server :
-  ?wait_s:float -> ?args:string list -> exe:string -> unit -> server
+val spawn_tcp_server : ?args:string list -> exe:string -> unit -> server
 (** Start [exe --tcp 127.0.0.1:0 args] with stderr captured to a
-    temporary file, and poll that file (up to [wait_s], default 10 s)
-    for the ["estima_serve: listening on HOST:PORT"] line — the
-    kernel-assigned port without a bind race.  Raises [Failure] if the
+    temporary file, and poll that file (for up to 10 s) for the
+    ["estima_serve: listening on HOST:PORT"] line — the kernel-assigned
+    port without a bind race.  Raises [Failure] if the
     line does not appear (the captured stderr is included). *)
 
-val stop_server : ?grace_s:float -> server -> unit
+val stop_server : server -> unit
 (** Shut the server down: connect, send a [shutdown] request, and wait
-    up to [grace_s] (default 5 s) for the process to exit — the graceful
-    path, exercising the drain.  A server that ignores it is killed. *)
+    up to 5 s for the process to exit — the graceful path, exercising
+    the drain.  A server that ignores it is killed. *)
 
 val locate_serve_exe : unit -> string option
 (** Best-effort path to the [estima_serve] binary built alongside the

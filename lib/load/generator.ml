@@ -3,6 +3,7 @@ module Rng = Estima_numerics.Rng
 module Topology = Estima_machine.Topology
 module Json = Estima_json.Json
 module Protocol = Estima_service.Protocol
+module Server = Estima_service.Server
 
 type payload = { spec_name : string; csv : string }
 
@@ -41,124 +42,47 @@ type plan = {
   streams : request array array;
 }
 
-(* Server-side bootstrap policy (Server.confidence_level/seed): fixed by
-   the service so equal requests are byte-identical across servers; the
-   expectation must be computed under the same constants. *)
-let server_confidence_level = 0.90
-
-let server_confidence_seed = 42
-
 (* ------------------------------------------------------------------ *)
 (* Expected-response computation                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* The response parts for one distinct prediction, computed through the
-   same Api calls the server makes and rendered with the same Protocol
-   builders — byte-identity by construction, memoised per key so a
-   10 000-request plan runs each unique pipeline once. *)
-type parts = {
-  summary : string;
-  rows : string list;
-  verdict : string;
-  confidence_block : Protocol.confidence option;
-}
-
-let predict_parts ~base ~confidence series ~target_max =
-  match confidence with
-  | None -> (
-      match Api.predict ~config:base ~series ~target_max () with
-      | Ok p ->
-          {
-            summary = Api.render_summary p;
-            rows = Api.render_rows p;
-            verdict = Api.render_verdict p;
-            confidence_block = None;
-          }
-      | Error d ->
-          invalid_arg
-            (Printf.sprintf "Generator.plan: payload %S does not predict: %s"
-               series.Estima_counters.Series.spec_name (Estima.Diag.render d)))
-  | Some resamples -> (
-      match
-        Api.predict_with_confidence ~config:base ~resamples ~level:server_confidence_level
-          ~seed:server_confidence_seed ~series ~target_max ()
-      with
-      | Ok (p, c) ->
-          {
-            summary = Api.render_summary p;
-            rows = Api.render_rows p;
-            verdict = Api.render_verdict p;
-            confidence_block = Some (Protocol.confidence_of_api p c);
-          }
-      | Error d ->
-          invalid_arg
-            (Printf.sprintf "Generator.plan: payload %S has no confidence bands: %s"
-               series.Estima_counters.Series.spec_name (Estima.Diag.render d)))
 
 type expectations = {
   machine : Topology.t;
   base : Estima.Config.t;
   target_max : int;
   confidence_resamples : int;
-  memo : (string, parts) Hashtbl.t;
+  memo : (string, Protocol.answer) Hashtbl.t;
 }
 
-let csv_parts ex (payload : payload) ~confidence =
-  let key =
-    Printf.sprintf "csv:%s:%s" payload.spec_name
-      (match confidence with None -> "-" | Some n -> string_of_int n)
+(* The answer for one distinct request, from the series [series_of]
+   yields, through the server's own Server.answer — memoised under
+   [what], so a 10 000-request plan runs each unique pipeline once. *)
+let expected_answer ex ~what ~confidence series_of =
+  match Hashtbl.find_opt ex.memo what with
+  | Some answer -> answer
+  | None -> (
+      match
+        Result.bind (series_of ()) (fun series ->
+            Server.answer ~base:ex.base ~series ~target_max:ex.target_max ~confidence)
+      with
+      | Ok answer ->
+          Hashtbl.replace ex.memo what answer;
+          answer
+      | Error d ->
+          invalid_arg (Printf.sprintf "Generator.plan: %s: %s" what (Estima.Diag.render d)))
+
+let csv_answer ex (payload : payload) ~confidence =
+  let what =
+    Printf.sprintf "payload %S%s" payload.spec_name
+      (match confidence with None -> "" | Some n -> Printf.sprintf " at %d resamples" n)
   in
-  match Hashtbl.find_opt ex.memo key with
-  | Some parts -> parts
-  | None ->
-      let series =
-        match
-          Api.series_of_csv ~file:"<wire>" ~spec_name:payload.spec_name ~machine:ex.machine
-            payload.csv
-        with
-        | Ok series -> series
-        | Error d ->
-            invalid_arg
-              (Printf.sprintf "Generator.plan: payload %S is not a valid CSV: %s"
-                 payload.spec_name (Estima.Diag.render d))
-      in
-      let parts = predict_parts ~base:ex.base ~confidence series ~target_max:ex.target_max in
-      Hashtbl.replace ex.memo key parts;
-      parts
+  expected_answer ex ~what ~confidence (fun () ->
+      Api.series_of_csv ~file:"<wire>" ~spec_name:payload.spec_name ~machine:ex.machine
+        payload.csv)
 
-(* A "workload" predict collects under the server's collect defaults
-   (Server.collect_workload: seed 42, 5 repetitions, the workload's
-   plugins, the full measurements machine as the window). *)
-let workload_parts ex name =
-  let key = "workload:" ^ name in
-  match Hashtbl.find_opt ex.memo key with
-  | Some parts -> parts
-  | None ->
-      let entry =
-        match Estima_workloads.Suite.find name with
-        | Some entry -> entry
-        | None -> invalid_arg (Printf.sprintf "Generator.plan: unknown workload %S" name)
-      in
-      let series =
-        match
-          Api.collect_checked ~seed:42 ~repetitions:5
-            ~plugins:entry.Estima_workloads.Suite.plugins ~machine:ex.machine
-            ~spec:entry.Estima_workloads.Suite.spec
-            ~max_threads:(Topology.cores ex.machine) ()
-        with
-        | Ok series -> series
-        | Error d ->
-            invalid_arg
-              (Printf.sprintf "Generator.plan: workload %S does not collect: %s" name
-                 (Estima.Diag.render d))
-      in
-      let parts = predict_parts ~base:ex.base ~confidence:None series ~target_max:ex.target_max in
-      Hashtbl.replace ex.memo key parts;
-      parts
-
-let response_of_parts ~id ~v parts =
-  Protocol.predict_response ~id:(Json.Int id) ~v ~confidence:parts.confidence_block
-    ~summary:parts.summary ~header:Api.rows_header ~rows:parts.rows ~verdict:parts.verdict
+let workload_answer ex name =
+  expected_answer ex ~what:(Printf.sprintf "workload %S" name) ~confidence:None (fun () ->
+      Server.collect_workload ~machine:ex.machine name)
 
 (* ------------------------------------------------------------------ *)
 (* Frame construction                                                  *)
@@ -290,8 +214,10 @@ let plan ?(mix = default_mix) ?(confidence_resamples = 25) ?(workloads = [ "kmea
                 let payload = payload_array.(Rng.int rng (Array.length payload_array)) in
                 let v = if kind = Predict_v2 then Some 2 else None in
                 let line = predict_line ~id ?v ~spec:payload.spec_name ~csv:payload.csv () in
-                let parts = csv_parts ex payload ~confidence:None in
-                let expected = response_of_parts ~id ~v:(Option.value ~default:1 v) parts in
+                let expected =
+                  Protocol.answer_response ~id:(Json.Int id) ~v:(Option.value ~default:1 v)
+                    (csv_answer ex payload ~confidence:None)
+                in
                 { id; kind; line; expected }
             | Confidence ->
                 (* Confidence is a full refit per resample: always the
@@ -302,14 +228,17 @@ let plan ?(mix = default_mix) ?(confidence_resamples = 25) ?(workloads = [ "kmea
                   predict_line ~id ~v:2 ~spec:payload.spec_name ~csv:payload.csv
                     ~confidence:ex.confidence_resamples ()
                 in
-                let parts = csv_parts ex payload ~confidence:(Some ex.confidence_resamples) in
-                let expected = response_of_parts ~id ~v:2 parts in
+                let expected =
+                  Protocol.answer_response ~id:(Json.Int id) ~v:2
+                    (csv_answer ex payload ~confidence:(Some ex.confidence_resamples))
+                in
                 { id; kind; line; expected }
             | Workload ->
                 let name = workload_array.(Rng.int rng (Array.length workload_array)) in
                 let line = predict_line ~id ~workload:name () in
-                let parts = workload_parts ex name in
-                let expected = response_of_parts ~id ~v:1 parts in
+                let expected =
+                  Protocol.answer_response ~id:(Json.Int id) ~v:1 (workload_answer ex name)
+                in
                 { id; kind; line; expected }
             | Malformed ->
                 let line = malformed_line rng ~id ~sample_line in

@@ -2,15 +2,16 @@
     [estima_serve].
 
     A {!plan} is a function of its inputs only: the same seed, mix and
-    payload set produce byte-identical request frames — and, because
-    every expected response is computed here through {!Estima.Api} and
-    rendered with the exact {!Estima_service.Protocol} builders the
-    server uses, byte-identical {e expected} response lines too.  A
+    payload set produce byte-identical request frames — and
+    byte-identical {e expected} response lines too, because every
+    expected predict response is {!Estima_service.Server.answer} (the
+    function the server answers with, without its dispatcher, cache or
+    coalescing) framed by {!Estima_service.Protocol.answer_response}.  A
     driver ({!Driver}) can therefore verify a live server by plain
     string equality, with no tolerance and no reference process: the
     server is correct iff every response matches its precomputed bytes,
-    which are in turn byte-identical to what [estima_cli predict --from]
-    prints (the Api/CLI/server identity proven by the validation
+    which are in turn byte-identical to what [estima_cli predict] prints
+    (the Api/CLI/server identity proven by the validation
     differential).
 
     The stream mixes the protocol's request shapes — v1 and v2 predict

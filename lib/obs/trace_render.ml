@@ -33,6 +33,8 @@ let pp_record ppf (r : Audit.record) =
     r.Audit.decisions;
   Format.fprintf ppf "@]"
 
+(* Per-subject detail: the winner line followed by every candidate with
+   its verdict (and rejection gate), score and explanation. *)
 let pp_audit ppf audit =
   Format.fprintf ppf "@[<v>";
   List.iteri

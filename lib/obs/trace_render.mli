@@ -4,10 +4,6 @@
     escaped and printed exactly like the wire protocol and the golden
     files: non-finite floats render as [null]. *)
 
-val pp_audit : Format.formatter -> Audit.t -> unit
-(** Per-subject detail: the winner line followed by every candidate with
-    its verdict (and rejection gate), score and explanation. *)
-
 val pp_recorder : Format.formatter -> Recorder.t -> unit
 (** The full text report: audit, span timings, counters. *)
 

@@ -38,6 +38,9 @@ let one name =
 
 let compute () = List.map one workloads
 
+(* Number of workloads where ESTIMA has both a (weakly) lower error and a
+   correct verdict when the baseline's is wrong, or strictly lower error
+   otherwise. *)
 let estima_wins rows =
   List.length
     (List.filter

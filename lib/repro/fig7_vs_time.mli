@@ -17,9 +17,4 @@ type result = row list
 
 val compute : unit -> result
 
-val estima_wins : result -> int
-(** Number of workloads where ESTIMA has both a (weakly) lower error and a
-    correct verdict when the baseline's is wrong, or strictly lower error
-    otherwise. *)
-
 val run : unit -> unit

@@ -92,10 +92,13 @@ type confidence = {
   verdict_line : string;
 }
 
-(* The one mapping from the Api's confidence estimate to its wire form,
-   shared by the server (rendering responses) and the load harness
-   (computing the exact bytes a response must carry) — one construction
-   site, so the two cannot drift. *)
+type answer = {
+  summary : string;
+  rows : string list;
+  verdict : string;
+  confidence : confidence option;
+}
+
 let confidence_of_api prediction (c : Estima.Api.Confidence.t) =
   let module C = Estima.Api.Confidence in
   let bands f = Array.to_list (Array.map f c.C.bands) in
@@ -120,7 +123,15 @@ let confidence_of_api prediction (c : Estima.Api.Confidence.t) =
     verdict_line = Estima.Api.render_confidence_verdict c;
   }
 
-let confidence_member c =
+let answer prediction confidence =
+  {
+    summary = Estima.Api.render_summary prediction;
+    rows = Estima.Api.render_rows prediction;
+    verdict = Estima.Api.render_verdict prediction;
+    confidence = Option.map (confidence_of_api prediction) confidence;
+  }
+
+let confidence_member (c : confidence) =
   let opt_int = function None -> Json.Null | Some n -> Json.Int n in
   let floats xs = Json.List (List.map (fun x -> Json.Float x) xs) in
   ( "confidence",
@@ -154,6 +165,10 @@ let predict_response ~id ~v ~confidence ~summary ~header ~rows ~verdict =
              ("verdict", Json.String verdict);
            ]
           @ match confidence with None -> [] | Some c -> [ confidence_member c ])))
+
+let answer_response ~id ~v (a : answer) =
+  predict_response ~id ~v ~confidence:a.confidence ~summary:a.summary
+    ~header:Estima.Api.rows_header ~rows:a.rows ~verdict:a.verdict
 
 let metrics_response ~id ~v ~dump =
   Json.to_string

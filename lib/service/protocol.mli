@@ -115,15 +115,18 @@ type confidence = {
   rows : string list;
   verdict_line : string;
 }
-(** The wire form of one {!Estima.Api.Confidence.t}, pre-rendered by the
-    server so cache hits replay exact bytes. *)
+(** The wire form of one {!Estima.Api.Confidence.t}. *)
 
-val confidence_of_api : Estima.Predictor.t -> Estima.Api.Confidence.t -> confidence
-(** The canonical mapping from an Api confidence estimate (and the
-    prediction it annotates) to its wire form — the single construction
-    site shared by {!Server} and the load harness ({!Estima_load}), so a
-    response computed independently through {!Estima.Api} renders to the
-    exact bytes the server puts on the wire. *)
+type answer = {
+  summary : string;
+  rows : string list;
+  verdict : string;
+  confidence : confidence option;
+}
+(** A rendered prediction, without id or version: what the server
+    caches and the load generator memoises. *)
+
+val answer : Estima.Predictor.t -> Estima.Api.Confidence.t option -> answer
 
 val predict_response :
   id:Json.t ->
@@ -134,6 +137,9 @@ val predict_response :
   rows:string list ->
   verdict:string ->
   string
+
+val answer_response : id:Json.t -> v:int -> answer -> string
+(** {!predict_response} under {!Estima.Api.rows_header}. *)
 
 val metrics_response : id:Json.t -> v:int -> dump:string -> string
 

@@ -27,19 +27,6 @@ let default_config ~machine =
     store_dir = None;
   }
 
-(* The cache stores the rendered response parts, not the prediction: a
-   hit then replays the exact bytes of the run that filled it, and the
-   byte-identity guarantee needs no argument about re-rendering.  The
-   confidence block (v2 requests that asked for one) is cached the same
-   way; it is part of the cache key, so plain and confidence requests
-   for the same series never collide. *)
-type rendered = {
-  summary : string;
-  rows : string list;
-  verdict : string;
-  confidence : Protocol.confidence option;
-}
-
 (* Server-side bootstrap policy: requests choose only the resample
    count (capped — each resample is a full pipeline refit); level and
    seed are fixed so equal requests are byte-identical across servers. *)
@@ -53,7 +40,11 @@ type t = {
   config : config;
   clock : unit -> float;
   pool : Estima_par.Pool.t;
-  cache : rendered Fit_cache.t;
+  (* The cache stores the rendered answer, not the prediction: a hit
+     then replays the exact bytes of the run that filled it.  The
+     confidence resample count is part of the key, so plain and
+     confidence requests for the same series never collide. *)
+  cache : Protocol.answer Fit_cache.t;
   registry : Metrics.t;
   faults : (string, fault) Hashtbl.t;
   mutable alive : bool;
@@ -143,12 +134,10 @@ let cache_key t ~series ~target_max ~confidence =
             | Some n -> Printf.sprintf "confidence=%d" n);
           ]))
 
-(* A "workload" predict collects the named suite workload on the
-   server's measurements machine under the CLI's collect defaults (seed
-   42, 5 repetitions, the workload's plugins), resolved through the
-   shared measurement store — with a disk tier attached, repeats across
-   restarts read the persisted series instead of re-simulating. *)
-let collect_workload t name =
+(* Resolved through the shared measurement store: with a disk tier
+   attached, repeats across restarts read the persisted series instead
+   of re-simulating. *)
+let collect_workload ~machine name =
   match Estima_workloads.Suite.find name with
   | None ->
       Error
@@ -162,9 +151,8 @@ let collect_workload t name =
                     (String.concat ", " (Estima_workloads.Suite.names Estima_workloads.Suite.all));
               }))
   | Some entry ->
-      Api.collect_checked ~seed:42 ~repetitions:5 ~plugins:entry.Estima_workloads.Suite.plugins
-        ~machine:t.config.machine ~spec:entry.Estima_workloads.Suite.spec
-        ~max_threads:(Topology.cores t.config.machine) ()
+      Api.collect_checked ~plugins:entry.Estima_workloads.Suite.plugins ~machine
+        ~spec:entry.Estima_workloads.Suite.spec ~max_threads:(Topology.cores machine) ()
 
 let resolve_series t ~(file : string option) ~csv ~workload ~spec_name =
   match csv with
@@ -174,20 +162,18 @@ let resolve_series t ~(file : string option) ~csv ~workload ~spec_name =
       | Some file -> Api.load_series ?spec_name ~machine:t.config.machine file
       | None -> (
           match workload with
-          | Some name -> collect_workload t name
+          | Some name -> collect_workload ~machine:t.config.machine name
           | None -> assert false (* Protocol.parse_request rejects this shape *)))
 
-let render prediction confidence =
-  {
-    summary = Api.render_summary prediction;
-    rows = Api.render_rows prediction;
-    verdict = Api.render_verdict prediction;
-    confidence = Option.map (Protocol.confidence_of_api prediction) confidence;
-  }
-
-let respond_rendered ~id ~v (rendered : rendered) =
-  Protocol.predict_response ~id ~v ~confidence:rendered.confidence ~summary:rendered.summary
-    ~header:Api.rows_header ~rows:rendered.rows ~verdict:rendered.verdict
+let answer ~base ~series ~target_max ~confidence =
+  match confidence with
+  | None ->
+      Result.map (fun p -> Protocol.answer p None) (Api.predict ~config:base ~series ~target_max ())
+  | Some resamples ->
+      Result.map
+        (fun (p, c) -> Protocol.answer p (Some c))
+        (Api.predict_with_confidence ~config:base ~resamples ~level:confidence_level
+           ~seed:confidence_seed ~series ~target_max ())
 
 (* Admission and resolution of one predict request.  [admitted] counts
    predict requests already admitted from this batch — the bounded
@@ -233,10 +219,10 @@ let admit t ~admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name ~target_ma
             in
             let key = cache_key t ~series ~target_max ~confidence in
             (match Fit_cache.find t.cache key with
-            | Some rendered ->
+            | Some answer ->
                 count t "estima_cache_hits_total";
                 observe_latency t arrival;
-                Ready (respond_rendered ~id ~v rendered)
+                Ready (Protocol.answer_response ~id ~v answer)
             | None ->
                 if Hashtbl.mem pending key then count t "estima_cache_hits_total"
                 else begin
@@ -267,22 +253,12 @@ let run_pipeline t job =
   | Some (Fault_raise msg) -> failwith msg
   | Some (Fault_delay seconds) -> Unix.sleepf seconds
   | Some Fault_garbage | None -> ());
-  match job.confidence with
-  | None -> (
-      match Api.predict ~config:t.config.base ~series:job.series ~target_max:job.target_max () with
-      | Ok p -> Ok (p, None)
-      | Error _ as e -> e)
-  | Some resamples -> (
-      match
-        Api.predict_with_confidence ~config:t.config.base ~resamples ~level:confidence_level
-          ~seed:confidence_seed ~series:job.series ~target_max:job.target_max ()
-      with
-      | Ok (p, c) -> Ok (p, Some c)
-      | Error _ as e -> e)
+  answer ~base:t.config.base ~series:job.series ~target_max:job.target_max
+    ~confidence:job.confidence
 
-let garbage_rendered =
+let garbage_answer =
   {
-    summary = "\x01garbage summary\x02";
+    Protocol.summary = "\x01garbage summary\x02";
     rows = [ "NaN garbage NaN"; "\xff\xfe" ];
     verdict = "garbage verdict";
     confidence = None;
@@ -379,8 +355,8 @@ let handle_batch t lines =
       match outcome with
       | Ok (result, elapsed) ->
           (match result with
-          | Ok (_, Some (c : Api.Confidence.t)) ->
-              Metrics.Counter.incr ~by:c.Api.Confidence.resamples
+          | Ok { Protocol.confidence = Some c; _ } ->
+              Metrics.Counter.incr ~by:c.Protocol.resamples
                 (Metrics.counter t.registry "estima_confidence_resamples_total");
               Metrics.Histogram.observe
                 (Metrics.histogram t.registry "estima_confidence_seconds")
@@ -398,19 +374,18 @@ let handle_batch t lines =
     | Bye { id; v } -> Protocol.shutdown_response ~v ~id
     | Run { id; v; job } -> (
         match Hashtbl.find results job.key with
-        | Ok (prediction, confidence) ->
+        | Ok answer ->
             if Hashtbl.find_opt t.faults (spec_of job) = Some Fault_garbage then begin
               (* Injected garbage is served (that is the fault being
                  simulated) but never cached: the cache must stay clean
                  for the same key once the fault is cleared. *)
               observe_latency t job.arrival;
-              respond_rendered ~id ~v garbage_rendered
+              Protocol.answer_response ~id ~v garbage_answer
             end
             else begin
-              let rendered = render prediction confidence in
-              Fit_cache.add t.cache job.key rendered;
+              Fit_cache.add t.cache job.key answer;
               observe_latency t job.arrival;
-              respond_rendered ~id ~v rendered
+              Protocol.answer_response ~id ~v answer
             end
         | Error diag ->
             (* Internal errors are counted here, per request slot, so

@@ -43,8 +43,9 @@
       rest of the batch and for every batch after.
 
     The dispatcher owns the cache and the metrics registry; worker
-    domains only run the pure pipeline.  [handle_batch] is therefore not
-    re-entrant — one transport loop calls it sequentially. *)
+    domains only run {!answer}, the pure pipeline and its rendering.
+    [handle_batch] is therefore not re-entrant — one transport loop
+    calls it sequentially. *)
 
 type config = {
   machine : Estima_machine.Topology.t;  (** Machine the CSVs were measured on. *)
@@ -81,6 +82,21 @@ val create : ?clock:(unit -> float) -> config -> t
     deterministically. *)
 
 val metrics : t -> Estima_obs.Metrics.t
+
+val answer :
+  base:Estima.Config.t ->
+  series:Estima_counters.Series.t ->
+  target_max:int ->
+  confidence:int option ->
+  (Protocol.answer, Estima.Diag.t) result
+(** What a predict of [series] is answered with, before any cache,
+    queue or fault: {!Estima.Api.predict}, or for [Some resamples] the
+    bootstrap at the server's fixed level 0.90 and seed 42. *)
+
+val collect_workload :
+  machine:Estima_machine.Topology.t -> string -> (Estima_counters.Series.t, Estima.Diag.t) result
+(** The series of a ["workload"] predict: the named suite workload on
+    all of [machine]'s cores, through {!Estima.Api.collect_checked}. *)
 
 val handle_batch : t -> string list -> string list * [ `Continue | `Shutdown ]
 (** Process one batch of request lines; returns one response line per

@@ -19,6 +19,7 @@ type grant = {
 let make_grant () =
   { acquired_at = 0.0; released_at = 0.0; spin_cycles = 0.0; handoff_coherence = 0.0; cold_restart_cycles = 0.0 }
 
+(* Cycles a Mutex spins before blocking (adaptive-mutex model). *)
 let mutex_spin_threshold = 600.0
 
 let mutex_wake_penalty = 1500.0

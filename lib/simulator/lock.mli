@@ -48,8 +48,5 @@ val reset : t -> unit
 val contended_acquisitions : t -> int
 (** Acquisitions that had to wait, since creation/reset. *)
 
-val mutex_spin_threshold : float
-(** Cycles a Mutex spins before blocking (adaptive-mutex model). *)
-
 val mutex_wake_penalty : float
 (** Extra cycles between lock release and a blocked waiter resuming. *)

@@ -33,6 +33,8 @@ let create ~reads ~writes ~key_space ~abort_penalty_cycles ~line_transfer_cycles
 let[@inline always] record_commit t =
   t.committed_writes.(0) <- t.committed_writes.(0) +. float_of_int t.writes
 
+(* Committed writes per cycle across all threads, averaged from time 0
+   to [at]; 0 when [at <= 0]. *)
 let[@inline always] observed_write_rate t ~at =
   if at <= 0.0 then 0.0 else t.committed_writes.(0) /. at
 

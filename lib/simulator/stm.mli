@@ -52,7 +52,3 @@ val run_transaction :
 val record_commit : t -> unit
 (** Tell the runtime a commit happened, feeding the global write-rate
     estimate used for conflict probabilities. *)
-
-val observed_write_rate : t -> at:float -> float
-(** Committed writes per cycle across all threads, averaged from time 0
-    to [at]; 0 when [at <= 0]. *)

@@ -20,7 +20,12 @@ type t = {
   passed : bool;
 }
 
-let default_threshold = 0.85
+(* The band level scored, and the aggregate held-out coverage it must
+   reach: a 90% band may miss a little more than 10% of points, not
+   systematically more. *)
+let level = 0.90
+
+let threshold = 0.85
 
 let default_resamples = 100
 
@@ -28,7 +33,7 @@ let default_resamples = 100
    held-out truth points — the region above the window is exactly what
    Backtest.run scores for accuracy, so calibration and accuracy talk
    about the same points. *)
-let score ~level ~resamples ~residual_scale (source : Backtest.source) =
+let score ~resamples ~residual_scale (source : Backtest.source) =
   let window = source.Backtest.protocol.Report.window in
   let target_max = source.Backtest.protocol.Report.target_max in
   let series = Series.truncate source.Backtest.measured ~max_threads:window in
@@ -58,11 +63,9 @@ let score ~level ~resamples ~residual_scale (source : Backtest.source) =
           coverage = (if held_out = 0 then 1.0 else float_of_int covered /. float_of_int held_out);
         }
 
-let run ?(level = 0.90) ?(resamples = default_resamples) ?(threshold = default_threshold)
-    ?(residual_scale = 1.0) sources =
+let run ?(resamples = default_resamples) ?(residual_scale = 1.0) sources =
   let outcomes =
-    Estima_par.Fanout.map (Array.of_list sources)
-      ~f:(score ~level ~resamples ~residual_scale)
+    Estima_par.Fanout.map (Array.of_list sources) ~f:(score ~resamples ~residual_scale)
   in
   match
     Array.fold_right

@@ -5,10 +5,10 @@
     same region the accuracy gate scores) fall inside the [level] band.
 
     A well-calibrated 90% band should cover roughly 90% of held-out
-    points; the gate demands at least {!default_threshold} in aggregate,
-    so bands that are systematically too narrow (overconfident) fail the
-    run.  The [residual_scale] knob exists to prove that detection
-    works: shrinking it collapses the bands without touching the point
+    points; the gate demands at least 85% in aggregate, so bands that
+    are systematically too narrow (overconfident) fail the run.  The
+    [residual_scale] knob exists to prove that detection works:
+    shrinking it collapses the bands without touching the point
     predictions, and the gate must then fail. *)
 
 type workload = {
@@ -29,23 +29,19 @@ type t = {
   passed : bool;  (** [coverage >= threshold]. *)
 }
 
-val default_threshold : float
-(** 0.85: the aggregate coverage a 90% band must reach. *)
-
 val default_resamples : int
 (** 100 bootstrap resamples per workload. *)
 
 val run :
-  ?level:float ->
   ?resamples:int ->
-  ?threshold:float ->
   ?residual_scale:float ->
   Backtest.source list ->
   (t, Estima.Diag.t) result
-(** Score every source (fanned out on {!Estima_par.Fanout}, results in
-    input order, deterministic at any jobs setting).  Defaults: level
-    0.90, {!default_resamples}, {!default_threshold}, residual scale
-    1.0.  Errors are the underlying pipeline diagnostics. *)
+(** Score every source's 90% band (fanned out on {!Estima_par.Fanout},
+    results in input order, deterministic at any jobs setting) against
+    the 0.85 aggregate threshold.  Defaults: {!default_resamples},
+    residual scale 1.0.  Errors are the underlying pipeline
+    diagnostics. *)
 
 val render_lines : t -> string
 (** Human-readable block: one line per workload plus the aggregate

@@ -5,6 +5,10 @@ module Topology = Estima_machine.Topology
 
 type spec = { entry : Suite.entry; protocol : Report.protocol }
 
+(* The paper's headline protocol: measure 1 Opteron socket up to 12
+   cores, predict the full 48-core machine (seed 42, 5 repetitions,
+   software plugins on exactly when the workload has them — the Table 4
+   configuration). *)
 let opteron_protocol (entry : Suite.entry) =
   {
     Report.machine = "opteron48";

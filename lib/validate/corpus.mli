@@ -13,20 +13,16 @@ open Estima_workloads
 
 type spec = { entry : Suite.entry; protocol : Report.protocol }
 
-val opteron_protocol : Suite.entry -> Report.protocol
-(** The paper's headline protocol: measure 1 Opteron socket up to 12
-    cores, predict the full 48-core machine ([seed 42], 5 repetitions,
-    software plugins on exactly when the workload has them — the Table 4
-    configuration). *)
-
 val default_names : string list
 (** The 8 default corpus workloads, in run order. *)
 
 val default : spec list
 
 val of_names : string list -> (spec list, string) result
-(** Resolve workload names against {!Suite.all} under the opteron
-    protocol; the error names the first unknown workload. *)
+(** Resolve workload names against {!Suite.all} under the paper's
+    headline protocol (one Opteron socket measured up to 12 cores, the
+    48-core machine predicted, seed 42, 5 repetitions: the Table 4
+    configuration); the error names the first unknown workload. *)
 
 val source : spec -> Backtest.source
 (** Materialise the measurements and ground-truth sweep through

@@ -25,17 +25,6 @@ let first_divergence a b =
     in
     go 1 (la, lb)
 
-(* The exact text `estima_cli predict` prints for a successful
-   prediction (and that Protocol.predict_response splits onto the
-   wire). *)
-let assemble prediction =
-  Estima.Api.render_summary prediction
-  ^ "\n\n" ^ Estima.Api.rows_header ^ "\n"
-  ^ String.concat "\n" (Estima.Api.render_rows prediction)
-  ^ "\n\nprediction: "
-  ^ Estima.Api.render_verdict prediction
-  ^ "\n"
-
 let read_all ic =
   let buf = Buffer.create 4096 in
   (try
@@ -140,9 +129,9 @@ let api_text ~jobs ~path (source : Backtest.source) =
         Estima.Api.predict ~config ~series ~target_max:(Topology.cores target) ()
       with
       | Error d -> Error (Printf.sprintf "api predict: %s" (Estima.Diag.render d))
-      | Ok prediction -> Ok (assemble prediction))
+      | Ok prediction -> Ok (Estima.Api.render_text prediction))
 
-let run ?(jobs_settings = default_jobs) ?cli_bin ?serve_bin ~dir sources =
+let run ?cli_bin ?serve_bin ~dir sources =
   let cli_bin = match cli_bin with Some b -> b | None -> default_bin "estima_cli.exe" in
   let serve_bin = match serve_bin with Some b -> b | None -> default_bin "estima_serve.exe" in
   (* One serve process answers the whole corpus, so every source must
@@ -263,7 +252,7 @@ let run ?(jobs_settings = default_jobs) ?cli_bin ?serve_bin ~dir sources =
                     observations := { workload = name; jobs; api; cli; server } :: !observations
               | _ -> ())
             sources)
-        jobs_settings;
+        default_jobs;
       match !mismatches with
       | [] -> Ok (List.rev !observations)
       | ms -> Error (List.rev ms))

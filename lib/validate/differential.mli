@@ -19,21 +19,20 @@ val default_jobs : int list
 type observation = {
   workload : string;
   jobs : int;
-  api : string;  (** Assembled exactly as the CLI prints it. *)
+  api : string;  (** {!Estima.Api.render_text} of an in-process prediction. *)
   cli : string;  (** Captured [estima_cli predict --from] stdout. *)
   server : string;  (** Reassembled from the NDJSON response members. *)
 }
 
 val run :
-  ?jobs_settings:int list ->
   ?cli_bin:string ->
   ?serve_bin:string ->
   dir:string ->
   Backtest.source list ->
   (observation list, string list) result
-(** Execute the differential over every source × jobs setting.  [dir]
-    must exist and is where the CSV inputs are written ([<name>.csv],
-    overwritten freely).  [cli_bin]/[serve_bin] default to ["estima_cli"]
+(** Execute the differential over every source × {!default_jobs}
+    setting.  [dir] must exist and is where the CSV inputs are written
+    ([<name>.csv], overwritten freely).  [cli_bin]/[serve_bin] default to ["estima_cli"]
     and ["estima_serve"] next to the running executable's [../bin]
     directory — the layout of a dune build tree.  [Ok] returns every
     observation (all three texts equal, non-empty); [Error] lists one

@@ -8,7 +8,6 @@ type options = {
   bless : bool;
   names : string list;
   differential : bool;
-  jobs_settings : int list;
   cli_bin : string option;
   serve_bin : string option;
   work_dir : string option;
@@ -25,7 +24,6 @@ let default_options ~golden_dir =
     bless = false;
     names = Corpus.default_names;
     differential = true;
-    jobs_settings = Differential.default_jobs;
     cli_bin = None;
     serve_bin = None;
     work_dir = None;
@@ -164,8 +162,7 @@ let run options =
       else begin
         let dir = match options.work_dir with Some d -> d | None -> fresh_temp_dir () in
         match
-          Differential.run ~jobs_settings:options.jobs_settings ?cli_bin:options.cli_bin
-            ?serve_bin:options.serve_bin ~dir sources
+          Differential.run ?cli_bin:options.cli_bin ?serve_bin:options.serve_bin ~dir sources
         with
         | Ok _ -> []
         | Error mismatches -> mismatches

@@ -13,7 +13,6 @@ type options = {
   bless : bool;  (** Write golden files instead of comparing. *)
   names : string list;  (** Corpus workloads ({!Corpus.default_names}). *)
   differential : bool;  (** Also run the CLI/Api/server differential. *)
-  jobs_settings : int list;  (** Jobs values the differential covers. *)
   cli_bin : string option;  (** Override the CLI binary path. *)
   serve_bin : string option;  (** Override the serve binary path. *)
   work_dir : string option;

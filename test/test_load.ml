@@ -206,7 +206,18 @@ let test_expected_matches_cli () =
   Alcotest.(check string) "generator expectation is the CLI text"
     (Test_service.cli_predict path)
     (Test_service.response_text request.Generator.expected);
-  Sys.remove path
+  Sys.remove path;
+  (* A workload-by-name request: the server collects the series itself,
+     so the expectation must be what `estima_cli predict kmeans` prints. *)
+  let by_name =
+    Generator.plan
+      ~mix:{ Generator.v1 = 0; v2 = 0; workload = 1; confidence = 0; malformed = 0 }
+      ~workloads:[ "kmeans" ] ~payloads:[] ~machine:opteron1s ~target ~base ~seed:1 ~clients:1
+      ~requests_per_client:1 ()
+  in
+  Alcotest.(check string) "workload expectation is the CLI text"
+    (Test_service.cli_stdout [ "predict"; "kmeans" ])
+    (Test_service.response_text by_name.Generator.streams.(0).(0).Generator.expected)
 
 (* ------------------------------------------------------------------ *)
 (* Driver determinism across runs and --jobs                           *)

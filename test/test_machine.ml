@@ -99,53 +99,33 @@ let test_validate_catches_bad_machines () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "inverted cache latencies accepted"
 
-let cpuinfo_fixture =
-  "processor\t: 0\n\
-   vendor_id\t: GenuineIntel\n\
-   model name\t: Intel(R) Xeon(R) CPU E5-2680 v2 @ 2.80GHz\n\
-   cpu MHz\t\t: 2800.000\n\
-   physical id\t: 0\n\
-   cpu cores\t: 10\n\
-   \n\
-   processor\t: 1\n\
-   vendor_id\t: GenuineIntel\n\
-   physical id\t: 1\n\
-   cpu cores\t: 10\n\
-   \n\
-   processor\t: 2\nphysical id\t: 0\ncpu cores\t: 10\n\
-   processor\t: 3\nphysical id\t: 1\ncpu cores\t: 10\n"
-
-let test_host_parse_cpuinfo () =
-  match Host.read_proc_cpuinfo cpuinfo_fixture with
-  | None -> Alcotest.fail "fixture unparsed"
-  | Some raw ->
-      Alcotest.(check int) "sockets" 2 raw.Host.sockets;
-      Alcotest.(check int) "cores per socket" 10 raw.Host.cores_per_socket;
-      Alcotest.(check bool) "intel" true (raw.Host.vendor = Topology.Intel);
-      let topo = Host.of_raw raw in
-      (match Topology.validate topo with Ok () -> () | Error e -> Alcotest.fail e);
-      Alcotest.(check int) "20 cores" 20 (Topology.cores topo);
-      Alcotest.(check (float 1e-9)) "2.8 GHz" 2.8 topo.Topology.frequency_ghz
-
-let test_host_rejects_garbage () =
-  Alcotest.(check bool) "empty" true (Host.read_proc_cpuinfo "" = None);
-  Alcotest.(check bool) "no cores field" true (Host.read_proc_cpuinfo "processor: 0\n" = None)
-
 (* ------------------------------------------------------------------ *)
 (* Topology edge cases: out-of-range measurement requests must be      *)
 (* typed diagnostics (exit 2), never an exception from the allocator.  *)
 (* ------------------------------------------------------------------ *)
 
 let single_core_host =
-  Host.of_raw
-    {
-      Host.sockets = 1;
-      cores_per_socket = 1;
-      threads_per_core = 1;
-      model_name = "uniprocessor";
-      vendor = Topology.Intel;
-      mhz = 2000.0;
-    }
+  {
+    Topology.name = "host:uniprocessor";
+    vendor = Topology.Intel;
+    sockets = 1;
+    chips_per_socket = 1;
+    cores_per_chip = 1;
+    smt = 1;
+    frequency_ghz = 2.0;
+    timing =
+      {
+        Topology.l1_hit_cycles = 4;
+        llc_hit_cycles = 36;
+        local_memory_cycles = 200;
+        remote_chip_penalty_cycles = 0;
+        remote_socket_penalty_cycles = 150;
+        memory_ports_per_controller = 2;
+        memory_service_cycles = 20;
+        private_cache_lines = 4096;
+        llc_lines_per_socket = 262144;
+      };
+  }
 
 let kmeans_spec =
   match Estima_workloads.Suite.find "kmeans" with
@@ -227,8 +207,6 @@ let test_non_contiguous_grid () =
 let suite =
   [
     ("machine inventory", `Quick, test_machine_inventory);
-    ("host parse cpuinfo", `Quick, test_host_parse_cpuinfo);
-    ("host rejects garbage", `Quick, test_host_rejects_garbage);
     ("core counts", `Quick, test_core_counts);
     ("find", `Quick, test_find);
     ("restrict sockets", `Quick, test_restrict_sockets);

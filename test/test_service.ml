@@ -617,10 +617,9 @@ let write_temp_csv name csv =
   close_out oc;
   path
 
-(* What `estima_cli predict --from path` prints (same machine defaults as
-   the served setup). *)
-let cli_predict path =
-  let ic = Unix.open_process_in (Filename.quote_command cli_exe [ "predict"; "--from"; path ]) in
+(* What `estima_cli ARGS` prints; a failing run fails the test. *)
+let cli_stdout args =
+  let ic = Unix.open_process_in (Filename.quote_command cli_exe args) in
   let buf = Buffer.create 4096 in
   (try
      while true do
@@ -629,8 +628,12 @@ let cli_predict path =
    with End_of_file -> ());
   (match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.failf "estima_cli predict --from %s failed" path);
+  | _ -> Alcotest.failf "estima_cli %s failed" (String.concat " " args));
   Buffer.contents buf
+
+(* What `estima_cli predict --from path` prints (same machine defaults as
+   the served setup). *)
+let cli_predict path = cli_stdout [ "predict"; "--from"; path ]
 
 
 let spawn_serve args =

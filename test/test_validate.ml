@@ -198,7 +198,7 @@ let test_differential_byte_identity () =
   let dir = Filename.temp_file "estima_diff_" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  match Differential.run ~jobs_settings:[ 1; 4 ] ~dir sources with
+  match Differential.run ~dir sources with
   | Error mismatches -> Alcotest.failf "surfaces diverged:\n%s" (String.concat "\n" mismatches)
   | Ok observations ->
       Alcotest.(check int) "one workload x two jobs settings" 2 (List.length observations);

@@ -253,7 +253,8 @@ let test_tcp_mutual_exclusion () =
 
 let test_tcp_load_soak () =
   (* The load harness against the TCP transport: a seeded plan with
-     malformed frames mixed in, two concurrent clients, byte-exact
+     every request kind mixed in (workload-by-name and confidence
+     requests included), two concurrent clients, byte-exact
      verification, graceful shutdown afterwards. *)
   let machine =
     Estima_machine.Machines.restrict_sockets Estima_machine.Machines.opteron48 ~sockets:1
@@ -264,9 +265,15 @@ let test_tcp_load_soak () =
   let payloads = [ { Estima_load.Generator.spec_name = "kmeans"; csv } ] in
   let plan =
     Estima_load.Generator.plan
-      ~mix:{ Estima_load.Generator.v1 = 4; v2 = 2; workload = 0; confidence = 0; malformed = 2 }
-      ~payloads ~machine ~target ~base ~seed:11 ~clients:2 ~requests_per_client:10 ()
+      ~mix:{ Estima_load.Generator.v1 = 4; v2 = 2; workload = 2; confidence = 1; malformed = 2 }
+      ~confidence_resamples:5 ~payloads ~machine ~target ~base ~seed:11 ~clients:2
+      ~requests_per_client:10 ()
   in
+  List.iter
+    (fun kind ->
+      if Estima_load.Generator.count_kind plan kind = 0 then
+        Alcotest.failf "the soak plays no %s request" (Estima_load.Generator.kind_label kind))
+    Estima_load.Generator.[ Workload; Confidence ];
   let server = start_tcp_serve [ "--jobs"; "2" ] in
   let outcome =
     Fun.protect
