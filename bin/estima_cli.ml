@@ -421,14 +421,6 @@ let validate_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the machine-readable JSON report instead of text.")
   in
-  let epsilon_arg =
-    Arg.(
-      value
-      & opt float Estima_validate.Golden.default_epsilon
-      & info [ "epsilon" ] ~docv:"E"
-          ~doc:
-            "Tolerance on error statistics (absolute, on relative-error fractions).  Verdicts,            stop points and the confusion matrix must always match exactly.")
-  in
   let only_arg =
     Arg.(
       value & pos_all string []
@@ -440,25 +432,6 @@ let validate_cmd =
       value & flag
       & info [ "no-differential" ]
           ~doc:"Skip the CLI/Api/server byte-identity differential (golden comparison only).")
-  in
-  let work_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "work-dir" ] ~docv:"DIR"
-          ~doc:"Existing directory for the differential's CSV inputs (default: a fresh temp dir).")
-  in
-  let cli_bin_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cli-bin" ] ~docv:"PATH" ~doc:"estima_cli binary for the differential.")
-  in
-  let serve_bin_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "serve-bin" ] ~docv:"PATH" ~doc:"estima_serve binary for the differential.")
   in
   let perturb_flag =
     Arg.(
@@ -488,20 +461,16 @@ let validate_cmd =
           ~doc:
             "DEV ONLY.  Shrink the bootstrap residuals so the bands are deliberately            overconfident, to demonstrate that the calibration check fails when the bands            are mis-calibrated.  Implies $(b,--calibration).")
   in
-  let run golden bless json epsilon only no_differential work_dir cli_bin serve_bin perturb
-      calibration calibration_resamples perturb_calibration jobs store =
+  let run golden bless json only no_differential perturb calibration calibration_resamples
+      perturb_calibration jobs store =
     apply_jobs jobs;
     apply_store store;
     let options =
       {
         (Estima_validate.Gate.default_options ~golden_dir:golden) with
         Estima_validate.Gate.bless;
-        epsilon;
         names = (match only with [] -> Estima_validate.Corpus.default_names | names -> names);
         differential = not no_differential;
-        work_dir;
-        cli_bin;
-        serve_bin;
         perturb;
         calibration;
         calibration_resamples;
@@ -522,9 +491,8 @@ let validate_cmd =
        ~doc:
          "Backtest the validation corpus against held-out ground truth, compare the accuracy          reports with the golden snapshots under test/golden/, and prove estima_cli,          Estima.Api and estima_serve byte-identical.  Exits 1 when the gate fails.")
     Term.(
-      const run $ golden_arg $ bless_flag $ json_flag $ epsilon_arg $ only_arg
-      $ no_differential_flag $ work_dir_arg $ cli_bin_arg $ serve_bin_arg $ perturb_flag
-      $ calibration_flag $ calibration_resamples_arg $ perturb_calibration_flag
+      const run $ golden_arg $ bless_flag $ json_flag $ only_arg $ no_differential_flag
+      $ perturb_flag $ calibration_flag $ calibration_resamples_arg $ perturb_calibration_flag
       $ jobs_arg $ store_arg)
 
 (* ---------------------------- repro ------------------------------- *)

@@ -8,10 +8,9 @@
    is clean: every request answered with exactly its expected bytes —
    which are in turn byte-identical to `estima_cli predict` output.
 
-   The plan's --machine/--sockets/--target must mirror the server's
-   flags; the defaults match estima_serve's defaults, so against a
-   default server (or one this tool spawns itself) nothing needs to be
-   passed. *)
+   The plan's --machine/--sockets/--target must mirror a running
+   server's flags (the defaults match estima_serve's defaults); a server
+   this tool spawns itself is started with them. *)
 
 open Cmdliner
 open Estima_machine
@@ -23,30 +22,13 @@ module Report = Estima_load.Report
 let machine_arg =
   Config.Args.machine ~default:(Machines.restrict_sockets Machines.opteron48 ~sockets:1)
     [ "machine"; "m" ]
-    "Measurements machine the server was started with (must match its $(b,--machine))."
+    "Measurements machine the server was started with (must match its $(b,--machine)); a      spawned server is started with it."
 
 let target_arg =
   Config.Args.machine ~default:Machines.opteron48 [ "target"; "t" ]
-    "Target machine the server was started with (must match its $(b,--target))."
+    "Target machine the server was started with (must match its $(b,--target)); a spawned      server is started with it."
 
-let tcp_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | None -> Error (`Msg (Printf.sprintf "bad TCP address %S (expected HOST:PORT)" s))
-    | Some i -> (
-        let host = String.sub s 0 i and port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p >= 1 && p <= 65535 && host <> "" -> Ok (host, p)
-        | _ -> Error (`Msg (Printf.sprintf "bad TCP address %S (expected HOST:PORT)" s)))
-  in
-  let print ppf (host, port) = Format.fprintf ppf "%s:%d" host port in
-  Arg.conv (parse, print)
-
-let tcp_arg =
-  Arg.(
-    value
-    & opt (some tcp_conv) None
-    & info [ "tcp" ] ~docv:"HOST:PORT" ~doc:"Connect to a running estima_serve at TCP $(docv).")
+let tcp_arg = Config.Args.tcp "Connect to a running estima_serve at TCP $(docv)."
 
 let socket_arg =
   Arg.(
@@ -163,6 +145,11 @@ let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs clients
     prerr_endline "estima_load: --tcp, --socket and --spawn-tcp are mutually exclusive";
     exit 1
   end;
+  (match tcp with
+  | Some (host, 0) ->
+      prerr_endline (Printf.sprintf "estima_load: --tcp %s:0: the port must be 1..65535" host);
+      exit 1
+  | _ -> ());
   let machine =
     match sockets with
     | None -> machine
@@ -176,7 +163,11 @@ let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs clients
   let base = Config.make ~measured_on:machine ~target () in
   let payload_names = match payloads with [] -> [ "kmeans"; "genome" ] | names -> names in
   let workloads = match workloads with [] -> [ "kmeans" ] | names -> names in
-  let serve_args = match serve_jobs with None -> [] | Some n -> [ "--jobs"; string_of_int n ] in
+  (* A spawned server answers for the plan's machines. *)
+  let serve_args =
+    [ "--machine"; machine.Topology.name; "--target"; target.Topology.name ]
+    @ match serve_jobs with None -> [] | Some n -> [ "--jobs"; string_of_int n ]
+  in
   let plan =
     try
       let payloads = Generator.suite_payloads ~machine payload_names in

@@ -57,29 +57,9 @@ let socket_arg =
         ~doc:
           "Listen on a Unix domain socket at $(docv) (serving concurrent connections)            instead of stdin/stdout.")
 
-(* HOST:PORT, split at the last ':' so a future bracketed-IPv6 host
-   still has a chance; PORT may be 0 (kernel-assigned, reported on
-   stderr once the listener is bound). *)
-let tcp_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | None -> Error (`Msg (Printf.sprintf "bad TCP address %S (expected HOST:PORT)" s))
-    | Some i -> (
-        let host = String.sub s 0 i and port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p >= 0 && p <= 65535 && host <> "" -> Ok (host, p)
-        | _ -> Error (`Msg (Printf.sprintf "bad TCP address %S (expected HOST:PORT)" s)))
-  in
-  let print ppf (host, port) = Format.fprintf ppf "%s:%d" host port in
-  Arg.conv (parse, print)
-
 let tcp_arg =
-  Arg.(
-    value
-    & opt (some tcp_conv) None
-    & info [ "tcp" ] ~docv:"HOST:PORT"
-        ~doc:
-          "Listen on TCP $(docv) (serving concurrent connections) instead of stdin/stdout.            PORT 0 asks the kernel for a free port; the actually bound address is printed            on stderr either way.  Mutually exclusive with $(b,--socket).")
+  Config.Args.tcp
+    "Listen on TCP $(docv) (serving concurrent connections) instead of stdin/stdout.  PORT 0    asks the kernel for a free port; the actually bound address is printed on stderr either    way.  Mutually exclusive with $(b,--socket)."
 
 let max_buffer_arg =
   Arg.(

@@ -90,6 +90,25 @@ module Args = struct
     let doc = "Restrict the measurements machine to its first $(docv) sockets." in
     Arg.(value & opt (some int) None & info [ "sockets" ] ~docv:"N" ~doc)
 
+  (* HOST:PORT, split at the last ':' so a future bracketed-IPv6 host
+     still has a chance; PORT is decimal digits only (int_of_string alone
+     would read 0x50 or 8_0 as 80), and 0 is a listener's request for a
+     kernel-assigned port. *)
+  let tcp doc =
+    let parse s =
+      let bad = Error (`Msg (Printf.sprintf "bad TCP address %S (expected HOST:PORT)" s)) in
+      match String.rindex_opt s ':' with
+      | None -> bad
+      | Some i -> (
+          let host = String.sub s 0 i and port = String.sub s (i + 1) (String.length s - i - 1) in
+          let digits = String.for_all (fun c -> c >= '0' && c <= '9') port in
+          match int_of_string_opt port with
+          | Some p when digits && p <= 65535 && host <> "" -> Ok (host, p)
+          | _ -> bad)
+    in
+    let print ppf (host, port) = Format.fprintf ppf "%s:%d" host port in
+    Arg.(value & opt (some (conv (parse, print))) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
+
   let jobs =
     Arg.(
       value

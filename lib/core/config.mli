@@ -86,6 +86,11 @@ module Args : sig
   val sockets : int option Cmdliner.Term.t
   (** [--sockets N]; each binary checks [N] against its machine. *)
 
+  val tcp : string -> (string * int) option Cmdliner.Term.t
+  (** [tcp doc]: [--tcp HOST:PORT] with PORT decimal in 0..65535, 0
+      being a listener's request for a kernel-assigned port; a client
+      refuses it itself. *)
+
   val jobs : int option Cmdliner.Term.t
   (** [--jobs N] / [-j N]; [None] leaves the binary's default in force. *)
 

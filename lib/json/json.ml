@@ -320,9 +320,3 @@ let member_opt ~what conv key json =
       match conv v with
       | Some x -> Ok (Some x)
       | None -> Error (Printf.sprintf "%S must be %s" key what))
-
-let member_req ~what conv key json =
-  match member_opt ~what conv key json with
-  | Ok None -> Error (Printf.sprintf "missing %S" key)
-  | Ok (Some x) -> Ok x
-  | Error msg -> Error msg

@@ -60,9 +60,5 @@ val member_opt :
 (** [member_opt ~what conv key json] reads an optional member: [Ok None]
     when [key] is absent or [null], [Ok (Some x)] when [conv] accepts
     it, and otherwise [Error "\"key\" must be what"] (with [what] such
-    as ["a string"]).  Decoders chain these with [Result.bind], so the
+    as ["a string"]).  Decoders chain it with [Result.bind], so the
     first malformed member names itself. *)
-
-val member_req : what:string -> (t -> 'a option) -> string -> t -> ('a, string) result
-(** Like {!member_opt} for a required member: absent or [null] is
-    [Error "missing \"key\""]. *)

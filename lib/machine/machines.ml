@@ -102,8 +102,16 @@ let xeon48 =
 
 let all = [ haswell_desktop; opteron48; xeon20; xeon48 ]
 
-let find name = List.find_opt (fun m -> String.equal m.name name) all
-
 let restrict_sockets t ~sockets =
   if sockets <= 0 || sockets > t.sockets then invalid_arg "Machines.restrict_sockets: bad socket count";
   { t with name = Printf.sprintf "%s/%ds" t.name sockets; sockets }
+
+(* A restricted machine's name, "NAME/Ns", reads back as that machine. *)
+let rec find name =
+  match List.find_opt (fun m -> String.equal m.name name) all with
+  | Some m -> Some m
+  | None ->
+      Option.bind (String.rindex_opt name '/') (fun i ->
+          Option.bind (find (String.sub name 0 i)) (fun base ->
+              List.init base.sockets (fun s -> restrict_sockets base ~sockets:(s + 1))
+              |> List.find_opt (fun m -> String.equal m.name name)))

@@ -23,7 +23,9 @@ val xeon48 : Topology.t
 val all : Topology.t list
 
 val find : string -> Topology.t option
-(** Lookup by name ("haswell", "opteron48", "xeon20", "xeon48"). *)
+(** Lookup by name ("haswell", "opteron48", "xeon20", "xeon48"), or by
+    the name {!restrict_sockets} gives a part of one ("opteron48/1s"), so
+    every machine's name is a valid [--machine]. *)
 
 val restrict_sockets : Topology.t -> sockets:int -> Topology.t
 (** A measurements machine carved out of a larger one: same per-socket

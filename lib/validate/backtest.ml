@@ -69,3 +69,10 @@ let run source =
       verdict_agrees = q.Quality.verdict_agrees;
       stop_delta;
     }
+
+(* Array.fold_right meets the lowest index's error last, so it wins. *)
+let fan_out ~f sources =
+  Array.fold_right
+    (fun outcome acc -> Result.bind outcome (fun x -> Result.map (List.cons x) acc))
+    (Estima_par.Fanout.map (Array.of_list sources) ~f)
+    (Ok [])

@@ -33,3 +33,8 @@ val run : source -> (Report.t, Estima.Diag.t) result
     exception.  On success the report's error statistics cover only the
     {e extrapolated} region — core counts strictly above the measurement
     window — matching the paper's Table 4 columns. *)
+
+val fan_out :
+  f:(source -> ('a, Estima.Diag.t) result) -> source list -> ('a list, Estima.Diag.t) result
+(** [f] on every source, fanned out on {!Estima_par.Fanout}: the results
+    in input order, or the error of the first source that failed. *)

@@ -64,18 +64,7 @@ let score ~resamples ~residual_scale (source : Backtest.source) =
         }
 
 let run ?(resamples = default_resamples) ?(residual_scale = 1.0) sources =
-  let outcomes =
-    Estima_par.Fanout.map (Array.of_list sources) ~f:(score ~resamples ~residual_scale)
-  in
-  match
-    Array.fold_right
-      (fun outcome acc ->
-        match (outcome, acc) with
-        | Ok w, Ok ws -> Ok (w :: ws)
-        | Error d, _ -> Error d
-        | _, (Error _ as e) -> e)
-      outcomes (Ok [])
-  with
+  match Backtest.fan_out ~f:(score ~resamples ~residual_scale) sources with
   | Error _ as e -> e
   | Ok workloads ->
       let held_out = List.fold_left (fun acc (w : workload) -> acc + w.held_out) 0 workloads in

@@ -45,19 +45,20 @@ let default =
   | Ok specs -> specs
   | Error msg -> invalid_arg ("Corpus.default: " ^ msg)
 
-let machine_exn name =
-  match Machines.find name with
-  | Some m -> m
-  | None -> invalid_arg (Printf.sprintf "Corpus.source: unknown machine %S" name)
+let machines (protocol : Report.protocol) =
+  let find name =
+    match Machines.find name with
+    | Some m -> m
+    | None -> invalid_arg (Printf.sprintf "Corpus.machines: unknown machine %S" name)
+  in
+  let base = find protocol.Report.machine in
+  ( (match protocol.Report.sockets with
+    | None -> base
+    | Some sockets -> Machines.restrict_sockets base ~sockets),
+    find protocol.Report.target )
 
 let source { entry; protocol } =
-  let base = machine_exn protocol.Report.machine in
-  let measure_machine =
-    match protocol.Report.sockets with
-    | None -> base
-    | Some sockets -> Machines.restrict_sockets base ~sockets
-  in
-  let target_machine = machine_exn protocol.Report.target in
+  let measure_machine, target_machine = machines protocol in
   let seed = protocol.Report.seed and repetitions = protocol.Report.repetitions in
   let measured =
     Experiment.measure ~seed ~repetitions ~entry ~machine:measure_machine

@@ -24,9 +24,13 @@ val of_names : string list -> (spec list, string) result
     48-core machine predicted, seed 42, 5 repetitions: the Table 4
     configuration); the error names the first unknown workload. *)
 
+val machines : Report.protocol -> Estima_machine.Topology.t * Estima_machine.Topology.t
+(** The protocol's measurements machine (its base restricted to
+    [sockets], when set) and its target.  Raises [Invalid_argument] when
+    the protocol names an unknown machine. *)
+
 val source : spec -> Backtest.source
 (** Materialise the measurements and ground-truth sweep through
     {!Estima.Experiment} under the protocol's seed and repetitions (the
     shared store makes the first call per workload simulate and later
-    calls free).  Raises [Invalid_argument] when the protocol names
-    an unknown machine. *)
+    calls free).  Raises [Invalid_argument] as {!machines} does. *)

@@ -1,6 +1,5 @@
 open Estima_counters
 module Json = Estima_json.Json
-module Machines = Estima_machine.Machines
 module Topology = Estima_machine.Topology
 
 let default_jobs = [ 1; 4 ]
@@ -89,20 +88,6 @@ let machine_args (p : Report.protocol) =
   @ (match p.Report.sockets with None -> [] | Some s -> [ "--sockets"; string_of_int s ])
   @ [ "-t"; p.Report.target ]
 
-let resolve (p : Report.protocol) =
-  let find name =
-    match Machines.find name with
-    | Some m -> m
-    | None -> invalid_arg (Printf.sprintf "Differential.run: unknown machine %S" name)
-  in
-  let base = find p.Report.machine in
-  let measured_on =
-    match p.Report.sockets with
-    | None -> base
-    | Some sockets -> Machines.restrict_sockets base ~sockets
-  in
-  (measured_on, find p.Report.target)
-
 let csv_path ~dir (source : Backtest.source) = Filename.concat dir (source.Backtest.name ^ ".csv")
 
 let write_inputs ~dir sources =
@@ -119,7 +104,7 @@ let write_inputs ~dir sources =
    configures itself: default knobs (hardware counters only) plus the
    machine pair, with the jobs override pinned as --jobs pins it. *)
 let api_text ~jobs ~path (source : Backtest.source) =
-  let measured_on, target = resolve source.Backtest.protocol in
+  let measured_on, target = Corpus.machines source.Backtest.protocol in
   let config = Estima.Config.make ~measured_on ~target () in
   Estima_par.Fanout.set_jobs (Some jobs);
   match Estima.Api.load_series ~machine:measured_on path with
@@ -131,9 +116,18 @@ let api_text ~jobs ~path (source : Backtest.source) =
       | Error d -> Error (Printf.sprintf "api predict: %s" (Estima.Diag.render d))
       | Ok prediction -> Ok (Estima.Api.render_text prediction))
 
-let run ?cli_bin ?serve_bin ~dir sources =
-  let cli_bin = match cli_bin with Some b -> b | None -> default_bin "estima_cli.exe" in
-  let serve_bin = match serve_bin with Some b -> b | None -> default_bin "estima_serve.exe" in
+(* The CSV inputs get a directory of their own, removed with its files
+   on return, whether the differential passed, failed or raised. *)
+let with_work_dir f =
+  let dir = Filename.temp_dir (Printf.sprintf "estima_validate_%d_" (Unix.getpid ())) "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let run sources =
+  let cli_bin = default_bin "estima_cli.exe" and serve_bin = default_bin "estima_serve.exe" in
   (* One serve process answers the whole corpus, so every source must
      agree on the machine pair it is served under. *)
   (match sources with
@@ -147,6 +141,7 @@ let run ?cli_bin ?serve_bin ~dir sources =
               (Printf.sprintf "Differential.run: %s and %s use different machine protocols"
                  first.Backtest.name s.Backtest.name))
         rest);
+  with_work_dir @@ fun dir ->
   write_inputs ~dir sources;
   let saved_jobs = Estima_par.Fanout.jobs () in
   Fun.protect

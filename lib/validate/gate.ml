@@ -4,13 +4,9 @@ module Lm = Estima_numerics.Lm
 
 type options = {
   golden_dir : string;
-  epsilon : float;
   bless : bool;
   names : string list;
   differential : bool;
-  cli_bin : string option;
-  serve_bin : string option;
-  work_dir : string option;
   perturb : bool;
   calibration : bool;
   calibration_resamples : int;
@@ -20,13 +16,9 @@ type options = {
 let default_options ~golden_dir =
   {
     golden_dir;
-    epsilon = Golden.default_epsilon;
     bless = false;
     names = Corpus.default_names;
     differential = true;
-    cli_bin = None;
-    serve_bin = None;
-    work_dir = None;
     perturb = false;
     calibration = false;
     calibration_resamples = Calibration.default_resamples;
@@ -81,18 +73,6 @@ let perturbed_kernels () =
         ~objective:(skewed_objective k) ~initial_guesses:k.Kernel.initial_guesses ~linear:k.Kernel.linear)
     Estima.Config.default.Estima.Config.kernels
 
-let fresh_temp_dir () =
-  let base = Filename.get_temp_dir_name () in
-  let rec claim i =
-    let dir = Filename.concat base (Printf.sprintf "estima_validate_%d_%d" (Unix.getpid ()) i) in
-    if Sys.file_exists dir then claim (i + 1)
-    else begin
-      Sys.mkdir dir 0o700;
-      dir
-    end
-  in
-  claim 0
-
 let ( let* ) = Result.bind
 
 let run options =
@@ -116,18 +96,7 @@ let run options =
           })
         sources
   in
-  let outcomes =
-    Estima_par.Fanout.map (Array.of_list backtest_sources) ~f:Backtest.run
-  in
-  let* reports =
-    Array.fold_right
-      (fun outcome acc ->
-        match (outcome, acc) with
-        | Ok r, Ok rs -> Ok (r :: rs)
-        | Error d, _ -> Error d
-        | _, (Error _ as e) -> e)
-      outcomes (Ok [])
-  in
+  let* reports = Backtest.fan_out ~f:Backtest.run backtest_sources in
   let summary = Report.summarize reports in
   let subset = options.names <> Corpus.default_names in
   let invariant_mismatch =
@@ -153,20 +122,13 @@ let run options =
       }
   else
     let golden_mismatches =
-      Golden.compare_run ~epsilon:options.epsilon ~dir:options.golden_dir reports
+      Golden.compare_run ~dir:options.golden_dir reports
         (if subset then None else Some summary)
       @ invariant_mismatch
     in
     let differential_mismatches =
       if not options.differential then []
-      else begin
-        let dir = match options.work_dir with Some d -> d | None -> fresh_temp_dir () in
-        match
-          Differential.run ?cli_bin:options.cli_bin ?serve_bin:options.serve_bin ~dir sources
-        with
-        | Ok _ -> []
-        | Error mismatches -> mismatches
-      end
+      else match Differential.run sources with Ok _ -> [] | Error mismatches -> mismatches
     in
     (* The calibration invariant: held-out coverage of the 90% bands.
        Always scored on the honest sources — --perturb skews the point

@@ -1,23 +1,20 @@
 (** The accuracy gate: corpus backtest + golden comparison +
-    surface differential, as one pass/fail decision.
+    surface differential (+ band calibration on request), as one
+    pass/fail decision.
 
     This is what [estima_cli validate] and the CI accuracy step run.  A
-    gate passes when every corpus workload's fresh report matches its
-    blessed golden file within tolerance {e and} (unless disabled) the
-    three prediction surfaces agree byte for byte.  [--bless] turns the
-    same run into the snapshot writer. *)
+    gate passes when every corpus workload's fresh report agrees with its
+    blessed golden file under {!Golden.diff}'s rule (numbers within 0.01,
+    [per_point] informational, everything else exact), the Table 4
+    invariant holds, {e and} (unless disabled) the three prediction
+    surfaces agree byte for byte.  [--bless] turns the same run into the
+    snapshot writer. *)
 
 type options = {
   golden_dir : string;  (** Where the blessed JSON corpus lives. *)
-  epsilon : float;  (** Error-statistic tolerance ({!Golden.default_epsilon}). *)
   bless : bool;  (** Write golden files instead of comparing. *)
   names : string list;  (** Corpus workloads ({!Corpus.default_names}). *)
-  differential : bool;  (** Also run the CLI/Api/server differential. *)
-  cli_bin : string option;  (** Override the CLI binary path. *)
-  serve_bin : string option;  (** Override the serve binary path. *)
-  work_dir : string option;
-      (** Directory for differential CSV inputs; a fresh temp directory
-          when [None]. *)
+  differential : bool;  (** Also run the CLI/Api/server differential ({!Differential.run}). *)
   perturb : bool;
       (** DEV ONLY: swap every fit kernel for a deliberately skewed
           variant, to prove the gate catches an engine regression.  A
@@ -33,8 +30,8 @@ type options = {
 }
 
 val default_options : golden_dir:string -> options
-(** Compare (not bless) the default corpus at {!Golden.default_epsilon}
-    with the differential on at {!Differential.default_jobs}. *)
+(** Compare (not bless) the default corpus, with the differential on at
+    {!Differential.default_jobs} and calibration off. *)
 
 type outcome = {
   reports : Report.t list;

@@ -1,6 +1,7 @@
 module Json = Estima_json.Json
 
-let default_epsilon = 0.01
+(* One percentage point of relative error. *)
+let epsilon = 0.01
 
 let workload_file ~dir name = Filename.concat dir (name ^ ".json")
 
@@ -30,111 +31,65 @@ let bless ~dir reports summary =
   write_file spath (Json.pretty (Report.summary_to_json summary));
   paths @ [ spath ]
 
-let load_report path =
+let load path =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "missing golden file %s (bless it with estima_cli validate --bless)" path)
-  else
-    match Json.parse (read_file path) with
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Ok json -> (
-        match Report.of_json json with
-        | Ok r -> Ok r
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-
-let load_summary path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "missing golden file %s (bless it with estima_cli validate --bless)" path)
-  else
-    match Json.parse (read_file path) with
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Ok json -> (
-        match Report.summary_of_json json with
-        | Ok s -> Ok s
-        | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  else Result.map_error (Printf.sprintf "%s: %s" path) (Json.parse (read_file path))
 
 (* --- comparison --- *)
 
-let close ~epsilon a b = Float.abs (a -. b) <= epsilon
+let line path detail = if path = "" then detail else path ^ ": " ^ detail
 
-let exact what render golden fresh =
-  if golden = fresh then []
-  else [ Printf.sprintf "%s: golden %s, got %s" what (render golden) (render fresh) ]
+let differs path golden fresh =
+  let render = function None -> "missing" | Some v -> Json.to_string v in
+  [ line path (Printf.sprintf "golden %s, got %s" (render golden) (render fresh)) ]
 
-let within ~epsilon what golden fresh =
-  if close ~epsilon golden fresh then []
-  else
-    [
-      Printf.sprintf "%s: golden %.17g, got %.17g (|delta| %.3g > epsilon %.3g)" what golden
-        fresh
-        (Float.abs (golden -. fresh))
-        epsilon;
-    ]
+(* An integer is discrete (a window, a stop delta); a number with a float
+   on either side is a measured statistic, and its line says how far it
+   drifted. *)
+let measured = function Json.Float _ -> true | _ -> false
 
-let str s = Printf.sprintf "%S" s
+let rec walk path golden fresh =
+  match (golden, fresh) with
+  | Json.Obj g, Json.Obj f ->
+      let fresh_only = List.filter (fun (key, _) -> not (List.mem_assoc key g)) f in
+      List.concat_map
+        (fun (key, _) ->
+          let path = if path = "" then key else path ^ "." ^ key in
+          match (List.assoc_opt key g, List.assoc_opt key f) with
+          | _ when key = "per_point" -> []
+          | Some g, Some f -> walk path g f
+          | g, f -> differs path g f)
+        (g @ fresh_only)
+  | Json.List g, Json.List f when List.compare_lengths g f = 0 ->
+      List.concat
+        (List.mapi (fun i (g, f) -> walk (Printf.sprintf "%s[%d]" path i) g f) (List.combine g f))
+  | _ -> (
+      match (Json.to_float_opt golden, Json.to_float_opt fresh) with
+      | Some g, Some f when Float.abs (g -. f) <= epsilon -> []
+      | Some g, Some f when measured golden || measured fresh ->
+          [
+            line path
+              (Printf.sprintf "golden %.17g, got %.17g (|delta| %.3g > epsilon %.3g)" g f
+                 (Float.abs (g -. f))
+                 epsilon);
+          ]
+      | _ -> if golden = fresh then [] else differs path (Some golden) (Some fresh))
 
-let opt_int = function None -> "null" | Some i -> string_of_int i
+let diff ~golden fresh = walk "" golden fresh
 
-let compare_protocol (g : Report.protocol) (f : Report.protocol) =
-  exact "protocol.machine" str g.Report.machine f.Report.machine
-  @ exact "protocol.sockets" opt_int g.Report.sockets f.Report.sockets
-  @ exact "protocol.target" str g.Report.target f.Report.target
-  @ exact "protocol.window" string_of_int g.Report.window f.Report.window
-  @ exact "protocol.target_max" string_of_int g.Report.target_max f.Report.target_max
-  @ exact "protocol.seed" string_of_int g.Report.seed f.Report.seed
-  @ exact "protocol.repetitions" string_of_int g.Report.repetitions f.Report.repetitions
-  @ exact "protocol.include_software" string_of_bool g.Report.include_software
-      f.Report.include_software
+let compare_file ~name path fresh =
+  match load path with
+  | Error msg -> [ name ^ ": " ^ msg ]
+  | Ok golden -> List.map (fun line -> name ^ ": " ^ line) (diff ~golden fresh)
 
-let compare_report ?(epsilon = default_epsilon) ~golden fresh =
-  let g = golden and f = fresh in
-  exact "workload" str g.Report.workload f.Report.workload
-  @ exact "family" str g.Report.family f.Report.family
-  @ compare_protocol g.Report.protocol f.Report.protocol
-  @ within ~epsilon "errors.max" g.Report.errors.Report.max_error f.Report.errors.Report.max_error
-  @ within ~epsilon "errors.mean" g.Report.errors.Report.mean_error
-      f.Report.errors.Report.mean_error
-  @ within ~epsilon "errors.std" g.Report.errors.Report.std_error f.Report.errors.Report.std_error
-  @ exact "predicted_verdict" Report.verdict_to_json_string g.Report.predicted_verdict
-      f.Report.predicted_verdict
-  @ exact "measured_verdict" Report.verdict_to_json_string g.Report.measured_verdict
-      f.Report.measured_verdict
-  @ exact "verdict_agrees" string_of_bool g.Report.verdict_agrees f.Report.verdict_agrees
-  @ exact "stop_delta" opt_int g.Report.stop_delta f.Report.stop_delta
-
-let compare_summary ?(epsilon = default_epsilon) ~golden fresh =
-  let g = golden and f = fresh in
-  let gc = g.Report.confusion and fc = f.Report.confusion in
-  exact "workloads"
-    (fun ws -> String.concat "," ws)
-    g.Report.workloads f.Report.workloads
-  @ within ~epsilon "errors.avg_max" g.Report.avg_max_error f.Report.avg_max_error
-  @ within ~epsilon "errors.std_max" g.Report.std_max_error f.Report.std_max_error
-  @ within ~epsilon "errors.worst" g.Report.worst_error f.Report.worst_error
-  @ exact "worst_workload" str g.Report.worst_workload f.Report.worst_workload
-  @ exact "confusion.scales_scales" string_of_int gc.Report.scales_scales fc.Report.scales_scales
-  @ exact "confusion.scales_stops" string_of_int gc.Report.scales_stops fc.Report.scales_stops
-  @ exact "confusion.stops_scales" string_of_int gc.Report.stops_scales fc.Report.stops_scales
-  @ exact "confusion.stops_stops" string_of_int gc.Report.stops_stops fc.Report.stops_stops
-  @ exact "invariant_ok" string_of_bool g.Report.invariant_ok f.Report.invariant_ok
-
-let prefixed prefix lines = List.map (fun l -> prefix ^ ": " ^ l) lines
-
-let compare_run ?(epsilon = default_epsilon) ~dir reports summary =
-  let per_workload =
-    List.concat_map
-      (fun (fresh : Report.t) ->
-        let name = fresh.Report.workload in
-        match load_report (workload_file ~dir name) with
-        | Error msg -> [ name ^ ": " ^ msg ]
-        | Ok golden -> prefixed name (compare_report ~epsilon ~golden fresh))
-      reports
-  in
-  let summary_mismatches =
-    match summary with
-    | None -> []
-    | Some fresh -> (
-        match load_summary (summary_file ~dir) with
-        | Error msg -> [ "summary: " ^ msg ]
-        | Ok golden -> prefixed "summary" (compare_summary ~epsilon ~golden fresh))
-  in
-  per_workload @ summary_mismatches
+let compare_run ~dir reports summary =
+  List.concat_map
+    (fun (r : Report.t) ->
+      let name = r.Report.workload in
+      compare_file ~name (workload_file ~dir name) (Report.to_json r))
+    reports
+  @
+  match summary with
+  | None -> []
+  | Some s -> compare_file ~name:"summary" (summary_file ~dir) (Report.summary_to_json s)

@@ -1,17 +1,17 @@
 (** The golden accuracy corpus under [test/golden/]: blessed per-workload
     reports plus a corpus summary, stored as pretty-printed canonical
-    JSON so accuracy drift shows up as a reviewable diff.
+    JSON ({!Report.to_json}, {!Report.summary_to_json}) so accuracy drift
+    shows up as a reviewable diff.
 
-    Comparison is tolerance-aware: everything discrete — verdicts, the
-    confusion matrix, stop deltas, the protocol — must match exactly,
-    while error statistics may move within [epsilon] (absolute, on
-    relative-error fractions; the default {!default_epsilon} is one
-    percentage point).  [per_point] curves are informational and never
-    compared.  A missing golden file is a mismatch telling the developer
-    to run the bless flow, never an auto-pass. *)
-
-val default_epsilon : float
-(** 0.01 — one percentage point of relative error. *)
+    A golden file is never decoded back into a record: it is parsed as
+    {!Estima_json.Json.t} and diffed against the fresh run's own JSON.
+    Two numbers agree when they differ by at most 0.01 (one percentage
+    point of relative error), so integers agree only when equal;
+    [per_point] curves are informational and never compared; every other
+    value, the verdicts and the protocol included, must be equal.  A
+    missing golden file is a
+    mismatch telling the developer to run the bless flow, never an
+    auto-pass. *)
 
 val workload_file : dir:string -> string -> string
 (** [dir/<workload>.json]. *)
@@ -23,20 +23,19 @@ val bless : dir:string -> Report.t list -> Report.summary -> string list
 (** Write (or overwrite) every golden file for the run; creates [dir] if
     needed.  Returns the paths written. *)
 
-val load_report : string -> (Report.t, string) result
-(** Read and decode one golden workload file. *)
+val load : string -> (Estima_json.Json.t, string) result
+(** Read and parse one golden file; the error names the file (and says
+    how to bless it when it is missing). *)
 
-val load_summary : string -> (Report.summary, string) result
-(** Read and decode the golden corpus summary. *)
+val diff : golden:Estima_json.Json.t -> Estima_json.Json.t -> string list
+(** One line per disagreement between a golden document and a fresh one,
+    each naming its path (["errors.max: golden …, got …"]); a member
+    present on one side only reads ["missing"] on the other.  Empty
+    means within tolerance. *)
 
-val compare_report : ?epsilon:float -> golden:Report.t -> Report.t -> string list
-(** Field-by-field mismatches between a fresh report and its golden
-    counterpart; empty means within tolerance. *)
-
-val compare_run :
-  ?epsilon:float -> dir:string -> Report.t list -> Report.summary option -> string list
-(** Compare every fresh report against [dir]'s golden files — and, when
-    a summary is given (full-corpus runs), the fresh summary against
+val compare_run : dir:string -> Report.t list -> Report.summary option -> string list
+(** Diff every fresh report against [dir]'s golden files — and, when a
+    summary is given (full-corpus runs), the fresh summary against
     [summary.json].  Subset runs pass [None]: their aggregate covers
     fewer workloads than the blessed corpus, so only the per-workload
     files are meaningful.  Every mismatch line is prefixed with the

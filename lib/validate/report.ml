@@ -48,17 +48,6 @@ let verdict_to_json_string = function
   | Quality.Scales -> "scales"
   | Quality.Stops_at k -> Printf.sprintf "stops@%d" k
 
-let verdict_of_json_string s =
-  if s = "scales" then Ok Quality.Scales
-  else
-    match String.index_opt s '@' with
-    | Some i when String.sub s 0 i = "stops" -> (
-        let rest = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt rest with
-        | Some k when k > 0 -> Ok (Quality.Stops_at k)
-        | _ -> Error (Printf.sprintf "bad stop point in verdict %S" s))
-    | _ -> Error (Printf.sprintf "unknown verdict %S (want \"scales\" or \"stops@N\")" s)
-
 let summarize reports =
   if reports = [] then invalid_arg "Report.summarize: empty corpus";
   let maxes = Array.of_list (List.map (fun r -> r.errors.max_error) reports) in
@@ -161,122 +150,6 @@ let summary_to_json (s : summary) =
       ("confusion", confusion_to_json s.confusion);
       ("invariant_ok", Json.Bool s.invariant_ok);
     ]
-
-(* Decoding.  The codec's accessors name the offending member in their
-   error, so a mismatching golden file says which field is wrong. *)
-
-let ( let* ) = Result.bind
-
-let string = Json.member_req ~what:"a string" Json.to_string_opt
-
-let int = Json.member_req ~what:"an integer" Json.to_int_opt
-
-let number = Json.member_req ~what:"a number" Json.to_float_opt
-
-let bool = Json.member_req ~what:"a boolean" Json.to_bool_opt
-
-let list = Json.member_req ~what:"a list" Json.to_list_opt
-
-let obj = Json.member_req ~what:"an object" (function Json.Obj _ as o -> Some o | _ -> None)
-
-let check_schema json =
-  let* v = int "schema" json in
-  if v = schema_version then Ok ()
-  else Error (Printf.sprintf "schema version %d, this build reads %d" v schema_version)
-
-let protocol_of_json json =
-  let* machine = string "machine" json in
-  let* sockets = Json.member_opt ~what:"an integer" Json.to_int_opt "sockets" json in
-  let* target = string "target" json in
-  let* window = int "window" json in
-  let* target_max = int "target_max" json in
-  let* seed = int "seed" json in
-  let* repetitions = int "repetitions" json in
-  let* include_software = bool "include_software" json in
-  Ok { machine; sockets; target; window; target_max; seed; repetitions; include_software }
-
-let errors_of_json json =
-  let* max_error = number "max" json in
-  let* mean_error = number "mean" json in
-  let* std_error = number "std" json in
-  Ok { max_error; mean_error; std_error }
-
-let verdict_member name json =
-  let* s = string name json in
-  Result.map_error (Printf.sprintf "%S: %s" name) (verdict_of_json_string s)
-
-(* Decode every item of a list, stopping at the first error. *)
-let map_items f items =
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* x = f item in
-      Ok (x :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-let of_json json =
-  let* () = check_schema json in
-  let* workload = string "workload" json in
-  let* family = string "family" json in
-  let* protocol = Result.bind (obj "protocol" json) protocol_of_json in
-  let* errors = Result.bind (obj "errors" json) errors_of_json in
-  let* per_point =
-    Result.bind (list "per_point" json)
-      (map_items (fun item ->
-           let* threads = int "threads" item in
-           let* error = number "error" item in
-           Ok (threads, error)))
-  in
-  let* predicted_verdict = verdict_member "predicted_verdict" json in
-  let* measured_verdict = verdict_member "measured_verdict" json in
-  let* verdict_agrees = bool "verdict_agrees" json in
-  let* stop_delta = Json.member_opt ~what:"an integer" Json.to_int_opt "stop_delta" json in
-  Ok
-    {
-      workload;
-      family;
-      protocol;
-      errors;
-      per_point;
-      predicted_verdict;
-      measured_verdict;
-      verdict_agrees;
-      stop_delta;
-    }
-
-let confusion_of_json json =
-  let* scales_scales = int "scales_scales" json in
-  let* scales_stops = int "scales_stops" json in
-  let* stops_scales = int "stops_scales" json in
-  let* stops_stops = int "stops_stops" json in
-  Ok { scales_scales; scales_stops; stops_scales; stops_stops }
-
-let summary_of_json json =
-  let* () = check_schema json in
-  let* workloads =
-    Result.bind (list "workloads" json)
-      (map_items (fun item ->
-           Option.to_result ~none:"\"workloads\" must be a list of strings"
-             (Json.to_string_opt item)))
-  in
-  let* ej = obj "errors" json in
-  let* avg_max_error = number "avg_max" ej in
-  let* std_max_error = number "std_max" ej in
-  let* worst_error = number "worst" ej in
-  let* worst_workload = string "worst_workload" json in
-  let* confusion = Result.bind (obj "confusion" json) confusion_of_json in
-  let* invariant_ok = bool "invariant_ok" json in
-  Ok
-    {
-      workloads;
-      avg_max_error;
-      std_max_error;
-      worst_error;
-      worst_workload;
-      confusion;
-      invariant_ok;
-    }
 
 (* --- text rendering --- *)
 

@@ -8,10 +8,11 @@
     never predicts scaling when the application does not" claim into an
     executable assertion.
 
-    Every shape has a canonical JSON form (stable key order, [%.17g]
-    floats, so encoding is deterministic and bit-exact) with a decoder
-    that inverts it; the golden corpus under [test/golden/] stores
-    exactly these documents, printed by {!Estima_json.Json.pretty}. *)
+    Every shape has one canonical JSON form (stable key order, [%.17g]
+    floats, so encoding is deterministic and bit-exact) and no decoder:
+    the golden corpus under [test/golden/] stores exactly these
+    documents, printed by {!Estima_json.Json.pretty}, and {!Golden}
+    diffs them as JSON. *)
 
 type protocol = {
   machine : string;  (** Base measurements machine name ({!Estima_machine.Machines.find}). *)
@@ -69,8 +70,6 @@ type summary = {
 val verdict_to_json_string : Estima.Diag.Quality.verdict -> string
 (** ["scales"] or ["stops@N"] — the compact exact form golden files store. *)
 
-val verdict_of_json_string : string -> (Estima.Diag.Quality.verdict, string) result
-
 val summarize : t list -> summary
 (** Aggregate a corpus run.  Raises [Invalid_argument] on an empty list. *)
 
@@ -78,12 +77,7 @@ val summarize : t list -> summary
 
 val to_json : t -> Estima_json.Json.t
 
-val of_json : Estima_json.Json.t -> (t, string) result
-(** Inverts {!to_json}; the error names the offending member. *)
-
 val summary_to_json : summary -> Estima_json.Json.t
-
-val summary_of_json : Estima_json.Json.t -> (summary, string) result
 
 (** {1 Text rendering} *)
 

@@ -41,8 +41,8 @@ let run_cli ?(exe = cli_exe) args =
   in
   (code, Buffer.contents buf)
 
-let check_exit ~msg ~code ~substring args =
-  let got, output = run_cli args in
+let check_exit ?exe ~msg ~code ~substring args =
+  let got, output = run_cli ?exe args in
   Alcotest.(check int) (msg ^ ": exit code") code got;
   if not (contains ~sub:substring output) then
     Alcotest.failf "%s: output %S does not mention %S" msg output substring
@@ -283,6 +283,50 @@ let test_diag_exit_code_table () =
       (5, Internal_error { exn = "e"; backtrace = "b" });
     ]
 
+(* estima_load computes its plan for --machine/--sockets/--target and
+   starts the servers it spawns with the same machines, so a non-default
+   target is answered as planned in both spawning modes: one TCP server,
+   or one stdio server per client. *)
+let test_load_spawns_servers_for_its_plan () =
+  let load = bin_exe "estima_load.exe" in
+  List.iter
+    (fun mode ->
+      let code, output =
+        run_cli ~exe:load
+          (mode
+          @ [ "--target"; "xeon20"; "--payload"; "kmeans"; "--mix"; "1,0,0,0,0"; "--clients"; "1";
+              "--requests"; "4"; "--json" ])
+      in
+      let what = String.concat " " ("estima_load" :: mode) in
+      Alcotest.(check int) (what ^ ": exit code") 0 code;
+      match Json.parse output with
+      | Error e -> Alcotest.failf "%s: output %S: %s" what output e
+      | Ok report ->
+          let count key = Option.bind (Json.member key report) Json.to_int_opt in
+          Alcotest.(check (option int)) (what ^ ": sent") (Some 4) (count "sent");
+          Alcotest.(check (option int))
+            (what ^ ": matched = sent") (count "sent") (count "matched"))
+    [ [ "--spawn-tcp" ]; [] ]
+
+(* estima_serve and estima_load read --tcp with one parser: a port is
+   decimal digits in 0..65535, or the address is refused (cmdliner's exit
+   124) before anything listens or connects.  Port 0 asks a listener for
+   a kernel-assigned port, so the load tool refuses it itself, with
+   exit 1 as for its other bad flags. *)
+let test_tcp_addresses () =
+  let load = bin_exe "estima_load.exe" in
+  List.iter
+    (fun exe ->
+      List.iter
+        (fun address ->
+          check_exit ~exe ~msg:(exe ^ " --tcp " ^ address) ~code:124
+            ~substring:"bad TCP address" [ "--tcp"; address ])
+        [ "127.0.0.1:0x50"; "127.0.0.1:8_0"; "127.0.0.1:+80"; "127.0.0.1:-1"; "127.0.0.1:65536";
+          ":80"; "127.0.0.1" ])
+    [ serve_exe; load ];
+  check_exit ~exe:load ~msg:"estima_load --tcp with port 0" ~code:1
+    ~substring:"port must be 1..65535" [ "--tcp"; "127.0.0.1:0" ]
+
 let suite =
   [
     ("cli: well-formed input exits 0", `Quick, test_cli_exit_0);
@@ -294,4 +338,8 @@ let suite =
     ("diag: exit-code table is exhaustive", `Quick, test_diag_exit_code_table);
     ("cli: an overflowing value exits 2", `Quick, test_cli_exit_2_overflow);
     ("serve and load refuse an out-of-range --sockets", `Quick, test_tools_refuse_bad_sockets);
+    ( "load spawns its servers with the plan's machines",
+      `Quick,
+      test_load_spawns_servers_for_its_plan );
+    ("serve and load read --tcp with one parser", `Quick, test_tcp_addresses);
   ]

@@ -204,6 +204,20 @@ let test_non_contiguous_grid () =
       Alcotest.(check int) "full target grid" 48 (Array.length p.Estima.Predictor.target_grid)
   | Error d -> Alcotest.failf "non-contiguous grid must predict: %s" (Estima.Diag.render d)
 
+(* Every machine's name is a valid --machine: a socket restriction's
+   "NAME/Ns" reads back as that restriction, and nothing else does. *)
+let test_find_restricted () =
+  List.iter
+    (fun (base : Topology.t) ->
+      for sockets = 1 to base.Topology.sockets do
+        let m = Machines.restrict_sockets base ~sockets in
+        Alcotest.(check bool) m.Topology.name true (Machines.find m.Topology.name = Some m)
+      done)
+    Machines.all;
+  List.iter
+    (fun name -> Alcotest.(check bool) name true (Machines.find name = None))
+    [ "opteron48/0s"; "opteron48/5s"; "opteron48/01s"; "opteron48/1"; "sparc/1s"; "/1s" ]
+
 let suite =
   [
     ("machine inventory", `Quick, test_machine_inventory);
@@ -221,4 +235,5 @@ let suite =
     ("single-core host predicts without exceptions", `Quick, test_single_core_host);
     ("window larger than machine: typed Bad_config", `Quick, test_window_larger_than_machine);
     ("non-contiguous core grid collects and predicts", `Quick, test_non_contiguous_grid);
+    ("find reads a socket restriction's name", `Quick, test_find_restricted);
   ]

@@ -1,8 +1,10 @@
 (* Tests for the accuracy backtesting subsystem (Estima_validate):
 
-   - the Report JSON codec round-trips bit-exactly and rejects damage;
-   - Golden comparison honours its tolerance contract (discrete fields
-     exact, error statistics within epsilon, missing files a mismatch);
+   - a blessed report reads back as the bytes it was written from, and
+     the golden diff flags a damaged file by the member it names;
+   - the golden diff honours its tolerance contract (numbers within
+     0.01, per_point informational, everything else exact, missing files
+     a mismatch);
    - a live subset backtest of the simulated corpus reproduces the
      blessed golden files under test/golden/ and upholds the paper's
      "never predicts scaling when the app does not" invariant;
@@ -13,8 +15,6 @@
      noise. *)
 
 open Estima_validate
-
-let quality_verdict = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Report.verdict_to_json_string v)) ( = )
 
 (* A synthetic report with deliberately awkward floats: golden files
    must survive values that stress %.17g round-tripping. *)
@@ -57,76 +57,167 @@ let synthetic_summary =
       };
     ]
 
-let test_verdict_strings () =
-  let open Estima.Diag.Quality in
-  List.iter
-    (fun (v, s) ->
-      Alcotest.(check string) "to" s (Report.verdict_to_json_string v);
-      match Report.verdict_of_json_string s with
-      | Ok back -> Alcotest.check quality_verdict "back" v back
-      | Error e -> Alcotest.fail e)
-    [ (Scales, "scales"); (Stops_at 7, "stops@7"); (Stops_at 48, "stops@48") ];
-  List.iter
-    (fun bad ->
-      match Report.verdict_of_json_string bad with
-      | Ok _ -> Alcotest.failf "accepted %S" bad
-      | Error _ -> ())
-    [ ""; "stops@"; "stops@x"; "climbs"; "stops@-3" ]
-
-let test_report_roundtrip () =
-  (match Report.of_json (Report.to_json synthetic_report) with
-  | Ok back -> Alcotest.(check bool) "report round-trips bit-exactly" true (back = synthetic_report)
-  | Error e -> Alcotest.fail e);
-  match Report.summary_of_json (Report.summary_to_json synthetic_summary) with
-  | Ok back -> Alcotest.(check bool) "summary round-trips" true (back = synthetic_summary)
-  | Error e -> Alcotest.fail e
-
-let test_report_rejects_damage () =
-  let reject json = match Report.of_json json with Ok _ -> Alcotest.fail "accepted damaged report" | Error _ -> () in
-  let open Estima_json.Json in
-  reject Null;
-  reject (Obj [ ("schema", Int 999) ]);
-  (* Drop one required member. *)
-  (match Report.to_json synthetic_report with
-  | Obj members -> reject (Obj (List.remove_assoc "errors" members))
-  | _ -> Alcotest.fail "report JSON is not an object");
-  (* Pretty text re-parses to the same document. *)
-  match parse (pretty (Report.to_json synthetic_report)) with
-  | Ok json -> (
-      match Report.of_json json with
-      | Ok back -> Alcotest.(check bool) "pretty re-parses" true (back = synthetic_report)
-      | Error e -> Alcotest.fail e)
-  | Error e -> Alcotest.fail e
-
-let test_golden_tolerance () =
-  let golden = synthetic_report in
-  let check_mismatches msg expected fresh =
-    Alcotest.(check int) msg expected (List.length (Golden.compare_report ~golden fresh))
-  in
-  check_mismatches "identical report matches" 0 golden;
-  let nudge e =
-    { golden with Report.errors = { golden.Report.errors with Report.max_error = golden.Report.errors.Report.max_error +. e } }
-  in
-  check_mismatches "error drift within epsilon passes" 0 (nudge 0.005);
-  check_mismatches "error drift beyond epsilon fails" 1 (nudge 0.02);
-  Alcotest.(check int) "tight epsilon rejects the same drift" 1
-    (List.length (Golden.compare_report ~epsilon:0.001 ~golden (nudge 0.005)));
-  check_mismatches "verdict flip fails exactly" 1
-    { golden with Report.predicted_verdict = Estima.Diag.Quality.Scales };
-  check_mismatches "protocol drift fails" 1
-    { golden with Report.protocol = { golden.Report.protocol with Report.window = 10 } };
-  (* per_point is informational: a different curve alone is no mismatch. *)
-  check_mismatches "per_point never compared" 0 { golden with Report.per_point = [] };
-  match Golden.load_report (Golden.workload_file ~dir:"golden" "does-not-exist") with
-  | Ok _ -> Alcotest.fail "loaded a missing golden file"
-  | Error e ->
-      Alcotest.(check bool) "missing file tells the developer to bless" true
-        (String.length e > 0)
+module Json = Estima_json.Json
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
+
+(* A fresh scratch directory for golden files written by a test. *)
+let scratch_dir () =
+  let dir = Filename.temp_file "estima_golden_" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+(* What the diff reads: the document as a golden file stores it. *)
+let as_golden json =
+  match Json.parse (Json.pretty json) with Ok golden -> golden | Error e -> Alcotest.fail e
+
+let check_one_mismatch msg ~path lines =
+  match lines with
+  | [ line ] ->
+      if not (String.starts_with ~prefix:(path ^ ": ") line) then
+        Alcotest.failf "%s: %S does not name %s" msg line path
+  | lines ->
+      Alcotest.failf "%s: want one mismatch at %s, got [%s]" msg path (String.concat "; " lines)
+
+let test_verdict_strings () =
+  let open Estima.Diag.Quality in
+  List.iter
+    (fun (v, s) -> Alcotest.(check string) "to" s (Report.verdict_to_json_string v))
+    [ (Scales, "scales"); (Stops_at 7, "stops@7"); (Stops_at 48, "stops@48") ];
+  (* A verdict is a string in the golden file, compared exactly: a stop
+     point one core away is as much a mismatch as a flip to "scales". *)
+  let golden = as_golden (Report.to_json synthetic_report) in
+  Alcotest.(check (list string)) "same verdict" []
+    (Golden.diff ~golden (Report.to_json synthetic_report));
+  List.iter
+    (fun v ->
+      let fresh = { synthetic_report with Report.measured_verdict = v } in
+      check_one_mismatch (Report.verdict_to_json_string v) ~path:"measured_verdict"
+        (Golden.diff ~golden (Report.to_json fresh)))
+    [ Scales; Stops_at 19; Stops_at 21 ];
+  (* A golden file whose verdict is no verdict string matches nothing. *)
+  List.iter
+    (fun bad ->
+      match golden with
+      | Json.Obj members ->
+          let damaged =
+            Json.Obj
+              (List.map
+                 (fun (k, v) -> if k = "measured_verdict" then (k, Json.String bad) else (k, v))
+                 members)
+          in
+          check_one_mismatch bad ~path:"measured_verdict"
+            (Golden.diff ~golden:damaged (Report.to_json synthetic_report))
+      | _ -> Alcotest.fail "report JSON is not an object")
+    [ ""; "stops@"; "stops@x"; "climbs"; "stops@-3" ]
+
+let test_report_roundtrip () =
+  let dir = scratch_dir () in
+  let paths = Golden.bless ~dir [ synthetic_report ] synthetic_summary in
+  Alcotest.(check int) "one report and the summary" 2 (List.length paths);
+  List.iter2
+    (fun path fresh ->
+      match Golden.load path with
+      | Error e -> Alcotest.fail e
+      | Ok golden ->
+          Alcotest.(check (list string)) (path ^ ": diff is empty") [] (Golden.diff ~golden fresh);
+          (* Bit-exact: the parsed file prints back to the bytes written. *)
+          Alcotest.(check string) (path ^ ": reads back bit-exactly") (Json.pretty fresh)
+            (Json.pretty golden))
+    paths
+    [ Report.to_json synthetic_report; Report.summary_to_json synthetic_summary ];
+  Alcotest.(check (list string)) "compare_run agrees" []
+    (Golden.compare_run ~dir [ synthetic_report ] (Some synthetic_summary));
+  List.iter Sys.remove paths;
+  Sys.rmdir dir
+
+let test_report_rejects_damage () =
+  let dir = scratch_dir () in
+  let path = Golden.workload_file ~dir synthetic_report.Report.workload in
+  let fresh = Report.to_json synthetic_report in
+  let mismatches contents =
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
+    Golden.compare_run ~dir [ synthetic_report ] None
+  in
+  let names_member what ~member contents =
+    let lines = mismatches contents in
+    if
+      not
+        (List.exists
+           (String.starts_with ~prefix:(Printf.sprintf "synthetic: %s: " member))
+           lines)
+    then Alcotest.failf "%s: no mismatch names %s in [%s]" what member (String.concat "; " lines)
+  in
+  Alcotest.(check bool) "null is a mismatch" true (mismatches "null" <> []);
+  names_member "schema 999" ~member:"schema" {|{"schema": 999}|};
+  names_member "schema 999" ~member:"errors" {|{"schema": 999}|};
+  (match fresh with
+  | Json.Obj members ->
+      names_member "errors removed" ~member:"errors"
+        (Json.pretty (Json.Obj (List.remove_assoc "errors" members)));
+      names_member "a member the report lacks" ~member:"extra"
+        (Json.pretty (Json.Obj (members @ [ ("extra", Json.Int 1) ])))
+  | _ -> Alcotest.fail "report JSON is not an object");
+  Alcotest.(check bool) "unparseable text is a mismatch naming the file" true
+    (List.exists (String.starts_with ~prefix:("synthetic: " ^ path)) (mismatches "{"));
+  (* The undamaged file passes. *)
+  Alcotest.(check (list string)) "pretty text passes" [] (mismatches (Json.pretty fresh));
+  Sys.remove path;
+  Sys.rmdir dir
+
+let test_golden_tolerance () =
+  let golden = as_golden (Report.to_json synthetic_report) in
+  let diff fresh = Golden.diff ~golden (Report.to_json fresh) in
+  Alcotest.(check (list string)) "identical report matches" [] (diff synthetic_report);
+  let nudge e =
+    {
+      synthetic_report with
+      Report.errors =
+        {
+          synthetic_report.Report.errors with
+          Report.max_error = synthetic_report.Report.errors.Report.max_error +. e;
+        };
+    }
+  in
+  Alcotest.(check (list string)) "error drift within 0.01 passes" [] (diff (nudge 0.005));
+  check_one_mismatch "error drift beyond 0.01" ~path:"errors.max" (diff (nudge 0.02));
+  check_one_mismatch "verdict flip" ~path:"predicted_verdict"
+    (diff { synthetic_report with Report.predicted_verdict = Estima.Diag.Quality.Scales });
+  check_one_mismatch "protocol drift" ~path:"protocol.window"
+    (diff
+       {
+         synthetic_report with
+         Report.protocol = { synthetic_report.Report.protocol with Report.window = 10 };
+       });
+  check_one_mismatch "protocol machine" ~path:"protocol.machine"
+    (diff
+       {
+         synthetic_report with
+         Report.protocol = { synthetic_report.Report.protocol with Report.machine = "xeon48" };
+       });
+  (* per_point is informational: a different curve alone is no mismatch. *)
+  Alcotest.(check (list string)) "per_point never compared" []
+    (diff { synthetic_report with Report.per_point = [] });
+  (* An integral float prints, and so reads back, as an integer. *)
+  let whole =
+    {
+      synthetic_report with
+      Report.errors = { Report.max_error = 1.0; mean_error = 0.0; std_error = 0.0 };
+    }
+  in
+  Alcotest.(check (list string)) "integral floats agree with their integers" []
+    (Golden.diff ~golden:(as_golden (Report.to_json whole)) (Report.to_json whole));
+  match Golden.load (Golden.workload_file ~dir:"golden" "does-not-exist") with
+  | Ok _ -> Alcotest.fail "loaded a missing golden file"
+  | Error e ->
+      Alcotest.(check bool) "missing file tells the developer to bless" true
+        (contains ~sub:"--bless" e)
 
 let test_first_divergence () =
   let d = Differential.first_divergence "a\nb\nc" "a\nX\nc" in
@@ -180,13 +271,20 @@ let test_subset_matches_golden () =
 let test_blessed_summary_upholds_invariant () =
   (* The committed full-corpus summary must itself record a clean
      confusion matrix: the paper's claim, checked into the tree. *)
-  match Golden.load_summary (Golden.summary_file ~dir:"golden") with
+  match Golden.load (Golden.summary_file ~dir:"golden") with
   | Error e -> Alcotest.fail e
   | Ok summary ->
-      Alcotest.(check bool) "blessed invariant" true summary.Report.invariant_ok;
-      Alcotest.(check int) "blessed scales_stops cell" 0 summary.Report.confusion.Report.scales_stops;
-      Alcotest.(check int) "full corpus blessed" 8 (List.length summary.Report.workloads);
-      Alcotest.(check string) "worst workload is the paper's" "streamcluster" summary.Report.worst_workload
+      let at path =
+        List.fold_left (fun json key -> Option.bind json (Json.member key)) (Some summary) path
+      in
+      Alcotest.(check (option bool)) "blessed invariant" (Some true)
+        (Option.bind (at [ "invariant_ok" ]) Json.to_bool_opt);
+      Alcotest.(check (option int)) "blessed scales_stops cell" (Some 0)
+        (Option.bind (at [ "confusion"; "scales_stops" ]) Json.to_int_opt);
+      Alcotest.(check (option int)) "full corpus blessed" (Some 8)
+        (Option.map List.length (Option.bind (at [ "workloads" ]) Json.to_list_opt));
+      Alcotest.(check (option string)) "worst workload is the paper's" (Some "streamcluster")
+        (Option.bind (at [ "worst_workload" ]) Json.to_string_opt)
 
 let test_differential_byte_identity () =
   let specs =
@@ -195,10 +293,7 @@ let test_differential_byte_identity () =
     | Error e -> Alcotest.fail e
   in
   let sources = List.map Corpus.source specs in
-  let dir = Filename.temp_file "estima_diff_" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  match Differential.run ~dir sources with
+  match Differential.run sources with
   | Error mismatches -> Alcotest.failf "surfaces diverged:\n%s" (String.concat "\n" mismatches)
   | Ok observations ->
       Alcotest.(check int) "one workload x two jobs settings" 2 (List.length observations);
@@ -271,6 +366,19 @@ let test_miscalibrated_bands_fail_gate () =
       Alcotest.(check bool) "strictly worse than the blessed threshold" true
         (c.Calibration.coverage < c.Calibration.threshold)
 
+(* The differential writes its CSV inputs under the temporary directory,
+   in estima_validate_<pid>_*, and removes them when it returns. *)
+let test_gate_leaves_no_work_dir () =
+  let outcome = run_gate ~differential:true [ "kmeans" ] in
+  Alcotest.(check bool) "differential ran" true outcome.Gate.differential_ran;
+  Alcotest.(check (list string)) "surfaces agree" [] outcome.Gate.differential_mismatches;
+  let prefix = Printf.sprintf "estima_validate_%d_" (Unix.getpid ()) in
+  let left =
+    List.filter (String.starts_with ~prefix)
+      (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+  in
+  Alcotest.(check (list string)) "no work directory left behind" [] left
+
 let suite =
   [
     ("verdict <-> json strings", `Quick, test_verdict_strings);
@@ -285,4 +393,5 @@ let suite =
     ("perturbed engine fails the gate", `Slow, test_perturbed_engine_fails_gate);
     ("calibration passes on honest bands", `Slow, test_calibration_passes_on_honest_bands);
     ("miscalibrated bands fail the gate", `Slow, test_miscalibrated_bands_fail_gate);
+    ("validate removes the differential's work directory", `Slow, test_gate_leaves_no_work_dir);
   ]
