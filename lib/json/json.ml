@@ -44,14 +44,25 @@ let parse_literal cur word value =
   end
   else fail cur (Printf.sprintf "expected %s" word)
 
+(* The end of the run of plain bytes from [i]: the offset of the next
+   quote or backslash, or the end of the input. *)
+let rec run_end input i =
+  if i < String.length input && input.[i] <> '"' && input.[i] <> '\\' then run_end input (i + 1)
+  else i
+
+(* Each run of plain bytes between escapes is copied whole, with one
+   [Buffer.add_substring]. *)
 let parse_string_body cur =
   expect cur '"';
   let buf = Buffer.create 16 in
   let rec loop () =
+    let stop = run_end cur.input cur.pos in
+    Buffer.add_substring buf cur.input cur.pos (stop - cur.pos);
+    cur.pos <- stop;
     match peek cur with
     | None -> fail cur "unterminated string"
     | Some '"' -> advance cur
-    | Some '\\' -> (
+    | Some _ (* the backslash that ended the run *) -> (
         advance cur;
         match peek cur with
         | None -> fail cur "unterminated escape"
@@ -99,10 +110,6 @@ let parse_string_body cur =
                 end
             | _ -> fail cur "unknown escape");
             loop ())
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        loop ()
   in
   loop ();
   Buffer.contents buf

@@ -1,11 +1,13 @@
-(** An LRU cache for finished predictions.
+(** An LRU cache for finished predictions, and for the ingest memo in
+    front of them.
 
     The service keys results by a canonical hash of the ingested series
     plus the numeric slice of the configuration
     ({!Estima.Config.fingerprint}), so a hit is guaranteed to return
-    exactly the bytes a fresh pipeline run would produce.  Capacity is
-    bounded; inserting into a full cache evicts the least recently used
-    entry ({!find} counts as a use).
+    exactly the bytes a fresh pipeline run would produce; its ingest
+    memo keys ingested series by the request bytes they came from.
+    Capacity is bounded; inserting into a full cache evicts the least
+    recently used entry ({!find} counts as a use).
 
     Not thread-safe by itself — the service accesses it from the
     dispatcher only, which is the design: workers compute, the

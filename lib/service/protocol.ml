@@ -69,11 +69,24 @@ let parse_request line =
                      { id; v; file; csv; workload; spec_name; target_max; timeout_ms; confidence })
           | Some op -> bad_request id (Printf.sprintf "unknown op %S" op)))
 
-(* Responses open with ("id", ...) and — from v2 on — ("v", ...): a v1
-   request (or an unparseable line, which has no version) gets exactly
-   the bytes the unversioned protocol produced. *)
-let base_members ~id ~v rest =
-  ("id", id) :: (if v >= 2 then [ ("v", Json.Int v) ] else []) @ rest
+(* Responses open with the envelope ("id", ...) and — from v2 on —
+   ("v", ...): a v1 request (or an unparseable line, which has no
+   version) gets exactly the bytes the unversioned protocol produced.
+   The members after the envelope are rendered on their own, as one
+   object, and spliced on after its opening brace, so a cached answer is
+   rendered once for every request it serves; the bytes are those of
+   one [Json.Obj] holding the envelope and the members. *)
+let splice ~id ~v members =
+  let version = if v >= 2 then ",\"v\":" ^ string_of_int v else "" in
+  let head = String.concat "" [ "{\"id\":"; Json.to_string id; version; "," ] in
+  let n = String.length head in
+  let response = Bytes.create (n + String.length members - 1) in
+  Bytes.blit_string head 0 response 0 n;
+  Bytes.blit_string members 1 response n (String.length members - 1);
+  Bytes.unsafe_to_string response
+
+(* [members] is never empty. *)
+let respond ~id ~v members = splice ~id ~v (Json.to_string (Json.Obj members))
 
 type confidence = {
   level : float;
@@ -153,44 +166,47 @@ let confidence_member (c : confidence) =
         ("verdict_line", Json.String c.verdict_line);
       ] )
 
+let predict_members ~confidence ~summary ~header ~rows ~verdict =
+  [
+    ("ok", Json.Bool true);
+    ("summary", Json.String summary);
+    ("header", Json.String header);
+    ("rows", Json.List (List.map (fun r -> Json.String r) rows));
+    ("verdict", Json.String verdict);
+  ]
+  @ match confidence with None -> [] | Some c -> [ confidence_member c ]
+
 let predict_response ~id ~v ~confidence ~summary ~header ~rows ~verdict =
+  respond ~id ~v (predict_members ~confidence ~summary ~header ~rows ~verdict)
+
+type rendered = string
+
+let render (a : answer) =
   Json.to_string
     (Json.Obj
-       (base_members ~id ~v
-          ([
-             ("ok", Json.Bool true);
-             ("summary", Json.String summary);
-             ("header", Json.String header);
-             ("rows", Json.List (List.map (fun r -> Json.String r) rows));
-             ("verdict", Json.String verdict);
-           ]
-          @ match confidence with None -> [] | Some c -> [ confidence_member c ])))
+       (predict_members ~confidence:a.confidence ~summary:a.summary ~header:Estima.Api.rows_header
+          ~rows:a.rows ~verdict:a.verdict))
 
-let answer_response ~id ~v (a : answer) =
-  predict_response ~id ~v ~confidence:a.confidence ~summary:a.summary
-    ~header:Estima.Api.rows_header ~rows:a.rows ~verdict:a.verdict
+let rendered_response = splice
+
+let answer_response ~id ~v a = splice ~id ~v (render a)
 
 let metrics_response ~id ~v ~dump =
-  Json.to_string
-    (Json.Obj (base_members ~id ~v [ ("ok", Json.Bool true); ("metrics", Json.String dump) ]))
+  respond ~id ~v [ ("ok", Json.Bool true); ("metrics", Json.String dump) ]
 
-let shutdown_response ~v ~id =
-  Json.to_string
-    (Json.Obj (base_members ~id ~v [ ("ok", Json.Bool true); ("bye", Json.Bool true) ]))
+let shutdown_response ~v ~id = respond ~id ~v [ ("ok", Json.Bool true); ("bye", Json.Bool true) ]
 
 let error_response ~id ~v (diag : Diag.t) =
-  Json.to_string
-    (Json.Obj
-       (base_members ~id ~v
+  respond ~id ~v
+    [
+      ("ok", Json.Bool false);
+      ( "error",
+        Json.Obj
           [
-            ("ok", Json.Bool false);
-            ( "error",
-              Json.Obj
-                [
-                  ("stage", Json.String (Diag.stage_label diag.Diag.stage));
-                  ("subject", Json.String diag.Diag.subject);
-                  ("cause", Json.String (Diag.cause_label diag.Diag.cause));
-                  ("message", Json.String (Diag.render diag));
-                  ("exit_code", Json.Int (Diag.exit_code diag));
-                ] );
-          ]))
+            ("stage", Json.String (Diag.stage_label diag.Diag.stage));
+            ("subject", Json.String diag.Diag.subject);
+            ("cause", Json.String (Diag.cause_label diag.Diag.cause));
+            ("message", Json.String (Diag.render diag));
+            ("exit_code", Json.Int (Diag.exit_code diag));
+          ] );
+    ]

@@ -97,7 +97,14 @@ val parse_request : string -> (request, Json.t * Estima.Diag.t) result
     Every builder takes the request's negotiated [~v]; responses echo
     ["v"] only from 2 on, keeping v1 bytes untouched.  Paths with no
     negotiated version (unparseable lines, transport-level sheds) pass
-    [~v:1]. *)
+    [~v:1].  A response is its envelope — [{"id":…] and, from v2 on,
+    [,"v":N] — spliced onto the members that follow it, which are
+    rendered on their own: the bytes are those of one JSON object
+    holding both.
+
+    A [metrics] response is rendered after every other response of its
+    batch is built, so its dump counts every request of the batch,
+    including the latency of the batch's cache misses. *)
 
 type confidence = {
   level : float;
@@ -123,8 +130,9 @@ type answer = {
   verdict : string;
   confidence : confidence option;
 }
-(** A rendered prediction, without id or version: what the server
-    caches and the load generator memoises. *)
+(** A rendered prediction, without id or version: what the load
+    generator memoises, and what the server renders once into the
+    {!rendered} members it caches. *)
 
 val answer : Estima.Predictor.t -> Estima.Api.Confidence.t option -> answer
 
@@ -140,6 +148,17 @@ val predict_response :
 
 val answer_response : id:Json.t -> v:int -> answer -> string
 (** {!predict_response} under {!Estima.Api.rows_header}. *)
+
+type rendered
+(** An answer's response members — everything a predict response holds
+    after its envelope, from ["ok":true] on — rendered as one object. *)
+
+val render : answer -> rendered
+(** Render the members once; the server caches the result. *)
+
+val rendered_response : id:Json.t -> v:int -> rendered -> string
+(** The envelope spliced onto [rendered]:
+    [rendered_response ~id ~v (render a) = answer_response ~id ~v a]. *)
 
 val metrics_response : id:Json.t -> v:int -> dump:string -> string
 

@@ -40,11 +40,20 @@ type t = {
   config : config;
   clock : unit -> float;
   pool : Estima_par.Pool.t;
-  (* The cache stores the rendered answer, not the prediction: a hit
-     then replays the exact bytes of the run that filled it.  The
-     confidence resample count is part of the key, so plain and
-     confidence requests for the same series never collide. *)
-  cache : Protocol.answer Fit_cache.t;
+  fingerprint : string;  (* [Config.fingerprint config.base], for every cache key *)
+  (* The fit cache holds each answer's response members, rendered once
+     when the entry is filled: a hit splices its own envelope onto the
+     exact bytes of the run that filled it.  It is keyed by the series'
+     values ([cache_key]); the confidence resample count is part of the
+     key, so plain and confidence requests for the same series never
+     collide. *)
+  cache : Protocol.rendered Fit_cache.t;
+  (* The ingest memo, as bounded as the cache: an inline CSV's series
+     and its [series_digest], keyed by the request's bytes ([memo_key]),
+     so a repeated frame parses no CSV.  Only "csv" predicts use it: a
+     "file" can change on disk, and a "workload" already comes from the
+     store. *)
+  memo : (Estima_counters.Series.t * Digest.t) Fit_cache.t;
   registry : Metrics.t;
   faults : (string, fault) Hashtbl.t;
   mutable alive : bool;
@@ -71,7 +80,9 @@ let create ?(clock = Estima_obs.Clock.now_s) config =
     config;
     clock;
     pool = Estima_par.Pool.create ~jobs:config.jobs;
+    fingerprint = Config.fingerprint config.base;
     cache = Fit_cache.create ~capacity:config.cache_capacity;
+    memo = Fit_cache.create ~capacity:config.cache_capacity;
     registry = Metrics.create ();
     faults = Hashtbl.create 4;
     alive = true;
@@ -98,6 +109,7 @@ type job = {
 type slot =
   | Ready of string  (* response already known: parse error, shed, cache hit *)
   | Run of { id : Json.t; v : int; job : job }  (* needs the pipeline *)
+  | Scrape of { id : Json.t; v : int }  (* metrics dump, built after every other response *)
   | Bye of { id : Json.t; v : int }  (* shutdown acknowledgement, built late *)
 
 let count t name = Metrics.Counter.incr (Metrics.counter t.registry name) [@@inline]
@@ -113,7 +125,7 @@ let shed t ~id ~v ~arrival cause counter_name =
   observe_latency t arrival;
   Ready (Protocol.error_response ~id ~v (Diag.make ~stage:Diag.Serve ~subject:"request" cause))
 
-let cache_key t ~series ~target_max ~confidence =
+let cache_key t ~series ~digest ~target_max ~confidence =
   Digest.to_hex
     (Digest.string
        (String.concat "\n"
@@ -123,8 +135,8 @@ let cache_key t ~series ~target_max ~confidence =
                two requests differing only in "spec" would collide and
                one would replay the other's summary line. *)
             Printf.sprintf "spec=%s" series.Estima_counters.Series.spec_name;
-            Digest.to_hex (Estima_counters.Csv_export.series_digest series);
-            Config.fingerprint t.config.base;
+            Digest.to_hex digest;
+            t.fingerprint;
             Printf.sprintf "target_max=%d" target_max;
             (* The protocol version is deliberately absent: it only
                changes the response envelope, which is built per request
@@ -154,16 +166,43 @@ let collect_workload ~machine name =
       Api.collect_checked ~plugins:entry.Estima_workloads.Suite.plugins ~machine
         ~spec:entry.Estima_workloads.Suite.spec ~max_threads:(Topology.cores machine) ()
 
+(* The ingest memo's key: what ingest reads from an inline predict —
+   its spec, its file label and its CSV text — encoded injectively, each
+   optional field as "-" when absent and as its length-prefixed bytes
+   otherwise, the CSV last.  Two requests share an entry only when
+   ingest would read the same bytes, whatever their id or version. *)
+let memo_key ~spec_name ~file ~csv =
+  let field = function None -> "-" | Some s -> Printf.sprintf "+%d:%s" (String.length s) s in
+  Digest.string (String.concat "" [ field spec_name; field file; csv ])
+
+(* The request's series and its [series_digest]. *)
 let resolve_series t ~(file : string option) ~csv ~workload ~spec_name =
+  let with_digest =
+    Result.map (fun series -> (series, Estima_counters.Csv_export.series_digest series))
+  in
   match csv with
-  | Some csv -> Api.series_of_csv ~file:(Option.value ~default:"<wire>" file) ?spec_name ~machine:t.config.machine csv
-  | None -> (
-      match file with
-      | Some file -> Api.load_series ?spec_name ~machine:t.config.machine file
-      | None -> (
-          match workload with
-          | Some name -> collect_workload ~machine:t.config.machine name
-          | None -> assert false (* Protocol.parse_request rejects this shape *)))
+  | Some csv -> (
+      let key = memo_key ~spec_name ~file ~csv in
+      match Fit_cache.find t.memo key with
+      | Some entry ->
+          count t "estima_ingest_memo_hits_total";
+          Ok entry
+      | None ->
+          let resolved =
+            with_digest
+              (Api.series_of_csv ~file:(Option.value ~default:"<wire>" file) ?spec_name
+                 ~machine:t.config.machine csv)
+          in
+          Result.iter (Fit_cache.add t.memo key) resolved;
+          resolved)
+  | None ->
+      with_digest
+        (match file with
+        | Some file -> Api.load_series ?spec_name ~machine:t.config.machine file
+        | None -> (
+            match workload with
+            | Some name -> collect_workload ~machine:t.config.machine name
+            | None -> assert false (* Protocol.parse_request rejects this shape *)))
 
 let answer ~base ~series ~target_max ~confidence =
   match confidence with
@@ -213,16 +252,16 @@ let admit t ~admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name ~target_ma
             count t "estima_errors_total";
             observe_latency t arrival;
             Ready (Protocol.error_response ~id ~v diag)
-        | Ok series ->
+        | Ok (series, digest) ->
             let target_max =
               Option.value ~default:(Topology.cores (target_machine t)) target_max
             in
-            let key = cache_key t ~series ~target_max ~confidence in
+            let key = cache_key t ~series ~digest ~target_max ~confidence in
             (match Fit_cache.find t.cache key with
-            | Some answer ->
+            | Some rendered ->
                 count t "estima_cache_hits_total";
                 observe_latency t arrival;
-                Ready (Protocol.answer_response ~id ~v answer)
+                Ready (Protocol.rendered_response ~id ~v rendered)
             | None ->
                 if Hashtbl.mem pending key then count t "estima_cache_hits_total"
                 else begin
@@ -279,14 +318,7 @@ let handle_batch t lines =
             (* Parse and version failures have no negotiated version, so
                the error keeps the v1 envelope. *)
             Ready (Protocol.error_response ~id ~v:1 diag)
-        | Ok (Protocol.Metrics { id; v }) ->
-            (* The server's own counters plus the shared measurement
-               store's (estima_store_*_total) in one dump. *)
-            let dump =
-              Metrics.render t.registry
-              ^ Metrics.render (Estima_store.Store.metrics (Estima_store.Store.default ()))
-            in
-            Ready (Protocol.metrics_response ~id ~v ~dump)
+        | Ok (Protocol.Metrics { id; v }) -> Scrape { id; v }
         | Ok (Protocol.Shutdown { id; v }) ->
             shutdown_seen := true;
             Bye { id; v }
@@ -339,7 +371,8 @@ let handle_batch t lines =
     Estima_par.Pool.run t.pool jobs ~f:(fun job ->
         let t0 = t.clock () in
         let result = run_pipeline t job in
-        (result, Float.max 0.0 (t.clock () -. t0)))
+        let elapsed = Float.max 0.0 (t.clock () -. t0) in
+        (Result.map (fun answer -> (answer, Protocol.render answer)) result, elapsed))
   in
   (* Crash containment: a worker exception is an outcome, not a batch
      failure.  Pool.run already captured exception and backtrace per
@@ -355,14 +388,14 @@ let handle_batch t lines =
       match outcome with
       | Ok (result, elapsed) ->
           (match result with
-          | Ok { Protocol.confidence = Some c; _ } ->
+          | Ok ({ Protocol.confidence = Some c; _ }, _) ->
               Metrics.Counter.incr ~by:c.Protocol.resamples
                 (Metrics.counter t.registry "estima_confidence_resamples_total");
               Metrics.Histogram.observe
                 (Metrics.histogram t.registry "estima_confidence_seconds")
                 elapsed
           | _ -> ());
-          Hashtbl.replace results jobs.(i).key result
+          Hashtbl.replace results jobs.(i).key (Result.map snd result)
       | Error (exn, bt) ->
           Hashtbl.replace results jobs.(i).key
             (Error (Diag.of_exn ~subject:(spec_of jobs.(i)) exn bt)))
@@ -371,10 +404,18 @@ let handle_batch t lines =
   let build slot =
     match slot with
     | Ready response -> response
+    | Scrape { id; v } ->
+        (* The server's own counters plus the shared measurement
+           store's (estima_store_*_total) in one dump. *)
+        let dump =
+          Metrics.render t.registry
+          ^ Metrics.render (Estima_store.Store.metrics (Estima_store.Store.default ()))
+        in
+        Protocol.metrics_response ~id ~v ~dump
     | Bye { id; v } -> Protocol.shutdown_response ~v ~id
     | Run { id; v; job } -> (
         match Hashtbl.find results job.key with
-        | Ok answer ->
+        | Ok rendered ->
             if Hashtbl.find_opt t.faults (spec_of job) = Some Fault_garbage then begin
               (* Injected garbage is served (that is the fault being
                  simulated) but never cached: the cache must stay clean
@@ -383,9 +424,9 @@ let handle_batch t lines =
               Protocol.answer_response ~id ~v garbage_answer
             end
             else begin
-              Fit_cache.add t.cache job.key answer;
+              Fit_cache.add t.cache job.key rendered;
               observe_latency t job.arrival;
-              Protocol.answer_response ~id ~v answer
+              Protocol.rendered_response ~id ~v rendered
             end
         | Error diag ->
             (* Internal errors are counted here, per request slot, so
@@ -400,19 +441,26 @@ let handle_batch t lines =
             observe_latency t job.arrival;
             Protocol.error_response ~id ~v diag)
   in
-  let responses =
+  let respond slot =
+    match build slot with
+    | response -> response
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        let id =
+          match slot with
+          | Run { id; _ } | Scrape { id; _ } | Bye { id; _ } -> id
+          | Ready _ -> Json.Null
+        in
+        internal_error t ~id ~subject:"request" ~arrival exn bt
+  in
+  (* Metrics dumps are built last, so they count every other request of
+     their batch, the latency of its misses included. *)
+  let built =
     List.map
-      (fun slot ->
-        match build slot with
-        | response -> response
-        | exception exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            let id =
-              match slot with Run { id; _ } -> id | Bye { id; _ } -> id | Ready _ -> Json.Null
-            in
-            internal_error t ~id ~subject:"request" ~arrival exn bt)
+      (function Scrape _ as slot -> lazy (respond slot) | slot -> Lazy.from_val (respond slot))
       slots
   in
+  let responses = List.map Lazy.force built in
   (responses, if !shutdown_seen then `Shutdown else `Continue)
 
 let shutdown t =

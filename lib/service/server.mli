@@ -17,19 +17,36 @@
       of the ingested series' exact values
       ({!Estima_counters.Csv_export.series_digest}: equal exactly when
       the series' canonical CSVs are equal, but computed without
-      rendering them) plus the spec name, {!Estima.Config.fingerprint},
-      the target core count and the confidence resample count, so a hit
-      returns byte-identical text to a fresh run, the same series sent
-      as differently formatted CSV text is one entry, and configs
-      differing only in observationally-neutral knobs share entries;
+      rendering them) plus the spec name, {!Estima.Config.fingerprint}
+      (computed once, in {!create}), the target core count and the
+      confidence resample count, so a hit returns byte-identical text
+      to a fresh run, the same series sent as differently formatted CSV
+      text is one entry, and configs differing only in
+      observationally-neutral knobs share entries.  An entry is the
+      answer's response members ({!Protocol.rendered}), rendered once
+      when it is filled; every predict response, hit or miss, is the
+      request's envelope spliced onto them;
+    - {b ingest memo}: a second LRU, of [cache_capacity] entries, maps
+      the bytes an inline ["csv"] predict hands to ingest — its
+      ["spec"], its ["file"] label and its CSV text — to the ingested
+      series and its digest, so a frame that repeats an earlier CSV
+      byte for byte parses no CSV: a cache hit is then one JSON parse,
+      one digest of the request's bytes, two table lookups and one
+      splice.  It is filled only after a successful ingest and
+      consulted only for ["csv"] requests (a ["file"] can change on
+      disk, and a ["workload"] already comes from the store); each
+      predict whose series came from it counts once in
+      [estima_ingest_memo_hits_total];
     - {b worker pool}: uncached work (deduplicated within the batch by
       cache key — a duplicate payload coalesces onto the in-flight
       computation and counts as a cache hit) fans out on an
       {!Estima_par.Pool} of [jobs] domains; responses are byte-identical
       for any [jobs];
-    - {b metrics}: counters for requests, cache hits/misses, sheds and
-      failures, plus a latency histogram, rendered by the [metrics]
-      command via {!Estima_obs.Metrics.render};
+    - {b metrics}: counters for requests, cache hits/misses, ingest
+      memo hits, sheds and failures, plus a latency histogram, rendered
+      by the [metrics] command via {!Estima_obs.Metrics.render} after
+      every other response of its batch is built, so a scrape counts
+      every request of its batch, the latency of its misses included;
     - {b crash containment}: an exception escaping the pipeline (or the
       dispatcher itself) is captured per request — outcome by outcome
       from {!Estima_par.Pool.run}, which runs every task to completion —

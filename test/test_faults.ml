@@ -183,8 +183,7 @@ let test_stdio_fault_injection () =
   flush to_server;
   Alcotest.(check string) "served after the shed frame" expected_a
     (response_text (input_line from_server));
-  (* Metrics prove the counts; the dump arrives in a later batch so the
-     internal error of the first one is visible. *)
+  (* Metrics prove the counts. *)
   output_string to_server "{\"id\":5,\"op\":\"metrics\"}\n";
   flush to_server;
   let dump =

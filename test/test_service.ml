@@ -98,6 +98,47 @@ let test_json_strictness () =
       ("-1.5e-3", Json.Float (-0.0015));
     ]
 
+(* Strings are copied run by run between escapes: escapes at either end
+   or next to each other decode as before, and a malformed string fails
+   with the same message at the same offset. *)
+let test_json_string_escapes () =
+  List.iter
+    (fun (text, want) ->
+      match Json.parse text with
+      | Ok v -> Alcotest.(check bool) ("decode " ^ text) true (v = Json.String want)
+      | Error e -> Alcotest.failf "rejected %s: %s" text e)
+    [
+      ({|""|}, "");
+      ({|"\n"|}, "\n");
+      ({|"\tabc"|}, "\tabc");
+      ({|"abc\\"|}, "abc\\");
+      ({|"a\"\\\/b"|}, "a\"\\/b");
+      ({|"\u0041\u00e9\r\n"|}, "A\xc3\xa9\r\n");
+      ({|"x\by\fz"|}, "x\by\012z");
+    ];
+  List.iter
+    (fun (text, want) -> Alcotest.(check (result reject string)) text (Error want) (Json.parse text))
+    [
+      ({|"abc|}, "unterminated string at offset 4");
+      ({|"abc\|}, "unterminated escape at offset 5");
+      ({|"\u12|}, "truncated \\u escape at offset 3");
+      ({|"a\qb"|}, "unknown escape at offset 4");
+      ({|"\u12g4"|}, "bad \\u escape at offset 3");
+      ({|{"a\qb":1}|}, "unknown escape at offset 5");
+    ]
+
+(* Any bytes but a quote or a backslash, raw control bytes and invalid
+   UTF-8 included, parse back as themselves between quotes — bytes the
+   printer never emits unescaped, so "json parse inverts print" never
+   feeds them. *)
+let prop_json_plain_string =
+  let plain =
+    QCheck.Gen.(map (fun n -> match Char.chr n with '"' | '\\' -> 'x' | c -> c) (int_range 0 255))
+  in
+  QCheck.Test.make ~count:500 ~name:"json strings without escapes parse back"
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:plain (int_range 0 64)))
+    (fun s -> Json.parse ("\"" ^ s ^ "\"") = Ok (Json.String s))
+
 (* ------------------------------------------------------------------ *)
 (* Wire framing                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -181,6 +222,89 @@ let prop_json_print_fixpoint =
     (fun v ->
       let s = Json.to_string v in
       match Json.parse s with Ok v' -> Json.to_string v' = s | Error _ -> false)
+
+(* A predict response as one JSON object, member by member: the bytes
+   the spliced responses must keep. *)
+let reference_response ~id ~v (a : Protocol.answer) =
+  let strings xs = Json.List (List.map (fun x -> Json.String x) xs) in
+  let floats xs = Json.List (List.map (fun x -> Json.Float x) xs) in
+  let opt_int = function None -> Json.Null | Some n -> Json.Int n in
+  let confidence (c : Protocol.confidence) =
+    Json.Obj
+      [
+        ("level", Json.Float c.level);
+        ("resamples", Json.Int c.resamples);
+        ("succeeded", Json.Int c.succeeded);
+        ("seed", Json.Int c.seed);
+        ("scaling_fraction", Json.Float c.scaling_fraction);
+        ("verdict", Json.String c.verdict);
+        ("stop_lo", opt_int c.stop_lo);
+        ("stop_hi", opt_int c.stop_hi);
+        ("p_lo", floats c.p_lo);
+        ("p50", floats c.p50);
+        ("p_hi", floats c.p_hi);
+        ("header", Json.String c.header);
+        ("rows", strings c.rows);
+        ("verdict_line", Json.String c.verdict_line);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("id", id) ]
+       @ (if v >= 2 then [ ("v", Json.Int v) ] else [])
+       @ [
+           ("ok", Json.Bool true);
+           ("summary", Json.String a.summary);
+           ("header", Json.String Estima.Api.rows_header);
+           ("rows", strings a.rows);
+           ("verdict", Json.String a.verdict);
+         ]
+       @ match a.confidence with None -> [] | Some c -> [ ("confidence", confidence c) ]))
+
+let answer_gen =
+  let open QCheck.Gen in
+  let text = string_size (int_range 0 12) in
+  let texts = list_size (int_range 0 4) text in
+  let floats = list_size (int_range 0 4) float in
+  let confidence =
+    map
+      (fun ((level, resamples, succeeded, seed), (scaling_fraction, verdict, stop_lo, stop_hi),
+            (p_lo, p50, p_hi), (header, rows, verdict_line)) ->
+        {
+          Protocol.level;
+          resamples;
+          succeeded;
+          seed;
+          scaling_fraction;
+          verdict;
+          stop_lo;
+          stop_hi;
+          p_lo;
+          p50;
+          p_hi;
+          header;
+          rows;
+          verdict_line;
+        })
+      (quad (quad float nat nat nat) (quad float text (opt nat) (opt nat)) (triple floats floats floats)
+         (triple text texts text))
+  in
+  map
+    (fun (summary, rows, verdict, confidence) -> { Protocol.summary; rows; verdict; confidence })
+    (quad text texts text (opt confidence))
+
+(* Any id, either version, with and without a confidence block: the
+   envelope spliced onto an answer's members is the one object above. *)
+let prop_answer_response_splice =
+  QCheck.Test.make ~count:500 ~name:"predict responses splice the envelope onto one rendering"
+    (QCheck.make QCheck.Gen.(triple (json_gen ~with_floats:true) (int_range 1 2) answer_gen))
+    (fun (id, v, a) ->
+      let want = reference_response ~id ~v a in
+      Protocol.answer_response ~id ~v a = want
+      && Protocol.rendered_response ~id ~v (Protocol.render a) = want
+      && Protocol.predict_response ~id ~v ~confidence:a.confidence ~summary:a.summary
+           ~header:Estima.Api.rows_header ~rows:a.rows ~verdict:a.verdict
+         = want)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -309,13 +433,14 @@ let collect_csv ?(max = 12) name =
     (Estima.Api.collect ~seed:42 ~repetitions:3 ~machine:opteron1s ~spec:entry.Suite.spec
        ~max_threads:max ())
 
-let predict_line ?(id = 1) ?v ?confidence ?spec csv =
+let predict_line ?(id = 1) ?v ?confidence ?spec ?file csv =
   Json.to_string
     (Json.Obj
        ([ ("id", Json.Int id); ("op", Json.String "predict") ]
        @ (match v with None -> [] | Some v -> [ ("v", Json.Int v) ])
        @ (match confidence with None -> [] | Some n -> [ ("confidence", Json.Int n) ])
        @ (match spec with None -> [] | Some spec -> [ ("spec", Json.String spec) ])
+       @ (match file with None -> [] | Some file -> [ ("file", Json.String file) ])
        @ [ ("csv", Json.String csv) ]))
 
 (* A CSV as its header cells and its rows of cells, and back. *)
@@ -341,6 +466,11 @@ let make_server ?clock ?(jobs = 1) ?(queue = 64) ?(cache = 16) ?timeout_ms () =
 let with_server ?clock ?jobs ?queue ?cache ?timeout_ms f =
   let server = make_server ?clock ?jobs ?queue ?cache ?timeout_ms () in
   Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
+
+let parse_response r =
+  match Json.parse r with
+  | Ok json -> json
+  | Error e -> Alcotest.failf "unparseable response %s: %s" r e
 
 let error_cause response =
   match Json.parse response with
@@ -376,6 +506,8 @@ let test_server_cache_and_identity () =
       let again, _ = Server.handle_batch server [ predict_line csv ] in
       Alcotest.(check int) "one miss" 1 (counter_value server "estima_cache_misses_total");
       Alcotest.(check int) "one hit" 1 (counter_value server "estima_cache_hits_total");
+      Alcotest.(check int) "a resent frame skips ingest" 1
+        (counter_value server "estima_ingest_memo_hits_total");
       Alcotest.(check string) "hit byte-identical to miss" (List.hd first) (List.hd again);
       (* A duplicate payload within one batch coalesces onto the single
          in-flight computation: one miss, one hit, identical responses. *)
@@ -410,6 +542,8 @@ let test_server_cache_and_identity () =
       let other, _ = Server.handle_batch server [ predict_line respelled ] in
       Alcotest.(check int) "canonical text is a miss" 3 (counter_value server "estima_cache_misses_total");
       Alcotest.(check int) "respelled text is a hit" 3 (counter_value server "estima_cache_hits_total");
+      Alcotest.(check int) "respelled text is ingested" 2
+        (counter_value server "estima_ingest_memo_hits_total");
       Alcotest.(check string) "respelled hit byte-identical" (List.hd canonical) (List.hd other);
       let nudged =
         csv_text header
@@ -427,6 +561,63 @@ let test_server_cache_and_identity () =
       Alcotest.(check int) "one ulp is a miss" 4 (counter_value server "estima_cache_misses_total");
       Alcotest.(check int) "and no hit" 3 (counter_value server "estima_cache_hits_total"))
 
+(* The ingest memo keys on the request's name as well as its CSV bytes:
+   one CSV text under four specs (an empty one and none among them) and
+   two file labels is six workloads, each a fit-cache miss answered with
+   its own name, and each frame sent again is a hit. *)
+let test_server_memo_names () =
+  let csv = collect_csv "kmeans" in
+  let requests =
+    [
+      ("a", predict_line ~spec:"a" csv);
+      ("b", predict_line ~spec:"b" csv);
+      ("", predict_line ~spec:"" csv);
+      ("<wire>", predict_line csv);
+      ("one", predict_line ~file:"x/one.csv" csv);
+      ("two", predict_line ~file:"y/two.csv" csv);
+    ]
+  in
+  with_server (fun server ->
+      let summary response =
+        match Option.bind (Json.member "summary" (parse_response response)) Json.to_string_opt with
+        | Some summary -> summary
+        | None -> Alcotest.failf "no summary in %s" response
+      in
+      let send (name, line) =
+        let misses = counter_value server "estima_cache_misses_total" in
+        let response = List.hd (fst (Server.handle_batch server [ line ])) in
+        if not (String.starts_with ~prefix:(Printf.sprintf "prediction for %s on " name) (summary response))
+        then Alcotest.failf "the answer for %S names another workload: %s" name (summary response);
+        counter_value server "estima_cache_misses_total" - misses
+      in
+      List.iter
+        (fun ((name, _) as request) ->
+          Alcotest.(check int) (Printf.sprintf "%S misses" name) 1 (send request))
+        requests;
+      List.iter
+        (fun ((name, _) as request) ->
+          Alcotest.(check int) (Printf.sprintf "%S again hits" name) 0 (send request))
+        requests;
+      Alcotest.(check int) "six hits" 6 (counter_value server "estima_cache_hits_total");
+      Alcotest.(check int) "from the memo" 6 (counter_value server "estima_ingest_memo_hits_total"))
+
+(* A metrics dump is built after the rest of its batch, so it counts the
+   batch's own miss, whose latency is observed only once its response is
+   built. *)
+let test_server_scrape_counts_its_batch () =
+  let csv = collect_csv "kmeans" in
+  with_server (fun server ->
+      match Server.handle_batch server [ predict_line csv; {|{"id":2,"op":"metrics"}|} ] with
+      | [ _; scrape ], _ -> (
+          match Option.bind (Json.member "metrics" (parse_response scrape)) Json.to_string_opt with
+          | Some dump ->
+              Alcotest.(check bool) "the miss's latency is in the dump" true
+                (contains ~sub:"histogram estima_latency_seconds count=1 " dump);
+              Alcotest.(check bool) "and its miss" true
+                (contains ~sub:"counter estima_cache_misses_total 1\n" dump)
+          | None -> Alcotest.failf "no dump in %s" scrape)
+      | _ -> Alcotest.fail "expected two responses")
+
 let test_server_jobs_byte_identical () =
   let payloads =
     List.mapi (fun i name -> predict_line ~id:i (collect_csv name)) [ "kmeans"; "genome"; "ssca2"; "vacation-low" ]
@@ -437,11 +628,6 @@ let test_server_jobs_byte_identical () =
 (* ------------------------------------------------------------------ *)
 (* Protocol version negotiation (v1 default, v2 opt-in)                *)
 (* ------------------------------------------------------------------ *)
-
-let parse_response r =
-  match Json.parse r with
-  | Ok json -> json
-  | Error e -> Alcotest.failf "unparseable response %s: %s" r e
 
 let test_protocol_v1_bytes_unchanged () =
   (* A request without "v" negotiates v1: the response carries no "v"
@@ -891,4 +1077,9 @@ let suite =
     ("soak: concurrent clients over a socket", `Slow, test_socket_concurrent_clients);
     ("server predicts a CSV with an unquotable column name", `Quick, test_server_unquotable_column);
     ("server answers an overflowing value with bad-value", `Quick, test_server_overflowing_value);
+    ("json string escapes and their errors", `Quick, test_json_string_escapes);
+    QCheck_alcotest.to_alcotest prop_json_plain_string;
+    QCheck_alcotest.to_alcotest prop_answer_response_splice;
+    ("server memo keys on the request's name", `Quick, test_server_memo_names);
+    ("server scrape counts its own batch", `Quick, test_server_scrape_counts_its_batch);
   ]
