@@ -210,8 +210,7 @@ let expression_category expression =
       | name -> name)
 
 let ingested_series ~path ~machine ~software ~expr =
-  let spec_name = Filename.remove_extension (Filename.basename path) in
-  let series = unwrap_diag (Ingest.load_series ~machine ~spec_name path) in
+  let series = unwrap_diag (Api.load_series ~machine path) in
   match software with
   | None | Some "" -> (series, false)
   | Some report_path ->
@@ -222,10 +221,10 @@ let ingested_series ~path ~machine ~software ~expr =
             prerr_endline "estima_cli predict: --software REPORT requires --expr EXPR";
             exit 2
       in
-      let report = unwrap_diag (Ingest.load_report report_path) in
+      let report = unwrap_diag (Api.load_report report_path) in
       let series =
         unwrap_diag
-          (Ingest.attach_software ~name:(expression_category expression) ~expression ~report series)
+          (Api.attach_software ~name:(expression_category expression) ~expression ~report series)
       in
       (series, true)
 
@@ -504,22 +503,14 @@ let repro_cmd =
     apply_store store;
     match ids with
     | [] -> Estima_repro.All.run_all ()
-    | ids ->
+    | ids -> (
         (* Resolve every id before running anything, then fan the subset
            out like run_all does. *)
-        let entries =
-          List.map
-            (fun id ->
-              match Estima_repro.All.find id with
-              | Some run -> (id, run)
-              | None ->
-                  prerr_endline
-                    (Printf.sprintf "unknown experiment %S; valid ids: %s" id
-                       (String.concat ", " (List.map fst Estima_repro.All.experiments)));
-                  exit 1)
-            ids
-        in
-        Estima_repro.All.run_many entries
+        match Estima_repro.All.resolve ids with
+        | Ok entries -> Estima_repro.All.run_many entries
+        | Error msg ->
+            prerr_endline msg;
+            exit 1)
   in
   Cmd.v (Cmd.info "repro" ~doc:"Run paper experiments (see `estima_cli list` for ids).")
     Term.(const run $ ids $ jobs_arg $ store_arg)

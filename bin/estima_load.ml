@@ -194,9 +194,8 @@ let run machine sockets target tcp socket spawn_tcp serve_exe serve_jobs clients
         let exe = require_serve_exe serve_exe in
         play (Driver.Stdio (Array.of_list (exe :: serve_args)))
   in
-  let report = Report.make plan outcome in
-  print_string (if json then Report.to_json report ^ "\n" else Report.to_text report);
-  exit (if Report.clean report then 0 else 1)
+  print_string (if json then Report.to_json plan outcome ^ "\n" else Report.to_text plan outcome);
+  exit (if Driver.clean outcome then 0 else 1)
 
 let cmd =
   let doc = "deterministic load testing for estima_serve" in

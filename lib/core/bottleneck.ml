@@ -36,8 +36,6 @@ let dominant t =
   | [] -> invalid_arg "Bottleneck.dominant: empty analysis"
   | f :: _ -> f
 
-let growing t = List.filter (fun f -> f.share_at_target > f.share_now) t.findings
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>stall-category shares (at %d cores -> at %d cores):@," t.window t.target;
   List.iter

@@ -28,10 +28,6 @@ val dominant : t -> finding
 (** The top-ranked category.  Raises [Invalid_argument] on an empty
     analysis (cannot happen for predictions from real series). *)
 
-val growing : t -> finding list
-(** Categories whose share at target exceeds their share in the
-    measurement window — the "will appear at scale" set. *)
-
 val hint_for : string -> string option
 (** The built-in code-site hints table, exposed for tests. *)
 

@@ -150,11 +150,6 @@ let predict ?(config = default_config) ~series ~target_max () =
   end
   else predict_untraced ~config ~series ~target_max ()
 
-let predicted_time_at t ~threads =
-  if threads < 1 || threads > Array.length t.predicted_times then
-    invalid_arg "Predictor.predicted_time_at: outside target grid";
-  t.predicted_times.(threads - 1)
-
 let measured_window t = Series.max_threads t.series
 
 let factor_kernel t = t.factor.Scaling_factor.fitted.Fit.kernel_name

@@ -55,9 +55,6 @@ val predict :
     emitted as a {!Estima_obs.Trace.Diagnostic} event before the stage
     returns. *)
 
-val predicted_time_at : t -> threads:int -> float
-(** Raises [Invalid_argument] outside the target grid. *)
-
 val measured_window : t -> int
 (** Highest core count used for measurements (the vertical line in the
     paper's figures). *)

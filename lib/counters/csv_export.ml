@@ -78,25 +78,6 @@ let series_digest (series : Series.t) =
     series.Series.samples;
   Digest.string (Buffer.contents buffer)
 
-let prediction_to_csv ~grid ~columns =
-  List.iter
-    (fun (name, values) ->
-      if Array.length values <> Array.length grid then
-        invalid_arg (Printf.sprintf "Csv_export.prediction_to_csv: column %s length mismatch" name))
-    columns;
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer (String.concat "," ("cores" :: List.map fst columns));
-  Buffer.add_char buffer '\n';
-  Array.iteri
-    (fun i n ->
-      let cells =
-        Printf.sprintf "%.0f" n :: List.map (fun (_, v) -> Printf.sprintf "%.9g" v.(i)) columns
-      in
-      Buffer.add_string buffer (String.concat "," cells);
-      Buffer.add_char buffer '\n')
-    grid;
-  Buffer.contents buffer
-
 let write ~path content =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)

@@ -1,6 +1,6 @@
-(** CSV export of measurement series, for plotting the paper-style figures
-    with external tools (gnuplot, pandas, ...) — and the exact format
-    {!Series_io.parse} reads back. *)
+(** The measurement-series CSV: what [estima_cli collect --csv] prints
+    and the store writes, the exact format {!Series_io.parse} reads back,
+    and the digest the server's fit cache keys on. *)
 
 val series_to_csv : Series.t -> string
 (** One row per measured core count; columns: [threads], [time_seconds],
@@ -24,10 +24,5 @@ val series_digest : Series.t -> Digest.t
     [series_to_csv a = series_to_csv b] — [%.17g] round-trips and
     prints [-0] apart from [0], so equal text is equal bits.  Unlike
     {!series_to_csv} it accepts any column name. *)
-
-val prediction_to_csv :
-  grid:float array -> columns:(string * float array) list -> string
-(** Generic numeric table: [cores] followed by the named columns.  Raises
-    [Invalid_argument] on length mismatches. *)
 
 val write : path:string -> string -> unit

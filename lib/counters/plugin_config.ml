@@ -90,5 +90,3 @@ let apply entry ~report =
       | Plugin.Average -> List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
       | Plugin.Min -> List.fold_left Float.min first values
       | Plugin.Max -> List.fold_left Float.max first values)
-
-let read_from_run entry result = apply entry ~report:(Report_file.render result)

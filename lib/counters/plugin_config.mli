@@ -36,8 +36,3 @@ val load : path:string -> (entry list, string) result
 val apply : entry -> report:string -> float
 (** Extract the entry's values from a report and combine them.  Returns 0
     when nothing matches (a silent runtime reported no stalls). *)
-
-val read_from_run : entry -> Estima_sim.Engine.result -> float
-(** The full loop on the simulated substrate: render the run's report
-    (as the instrumented runtime would write it to [entry.source]) and
-    apply the entry. *)

@@ -217,20 +217,33 @@ let parse input =
       else Ok value
   | exception Parse msg -> Error msg
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
+(* The end of the run of bytes at [i] that print as themselves: anything
+   but a quote, a backslash or a control character. *)
+let rec plain_end s i =
+  if i < String.length s && s.[i] <> '"' && s.[i] <> '\\' && Char.code s.[i] >= 0x20 then
+    plain_end s (i + 1)
+  else i
+
+(* Escaped straight into the output: each run of plain bytes is copied
+   whole, with one [Buffer.add_substring], as the parser copies its. *)
+let write_string buf s =
+  Buffer.add_char buf '"';
+  let rec loop i =
+    let stop = plain_end s i in
+    Buffer.add_substring buf s i (stop - i);
+    if stop < String.length s then begin
+      (match s.[stop] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      loop (stop + 1)
+    end
+  in
+  loop 0;
+  Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -239,10 +252,7 @@ let rec write buf = function
   | Float f ->
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
       else Buffer.add_string buf "null"
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+  | String s -> write_string buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri

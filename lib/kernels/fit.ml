@@ -100,5 +100,3 @@ let realistic fitted ~x_min ~x_max ~require_nonnegative =
      else if require_nonnegative && v < neg_slack then ok := false
    done);
   !ok
-
-let evaluate_many fitted grid = Array.map fitted.eval grid

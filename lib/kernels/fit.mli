@@ -28,6 +28,3 @@ val realistic : fitted -> x_min:float -> x_max:float -> require_nonnegative:bool
     approximation".  A fit is realistic over the extrapolation range when a
     dense sample of it is finite, within an explosion bound relative to the
     fitted magnitude, and (for cycle counts) not materially negative. *)
-
-val evaluate_many : fitted -> float array -> float array
-(** Map [eval] over a grid. *)

@@ -249,16 +249,20 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let with_fd fd f = Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
 let spawn_tcp_server ?(args = []) ~exe () =
   let stderr_path = Filename.temp_file "estima_load_serve" ".stderr" in
-  let stderr_fd =
-    Unix.openfile stderr_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-  in
+  (* Removed on every path: listening, exited, timed out, or not started. *)
+  Fun.protect ~finally:(fun () -> try Sys.remove stderr_path with Sys_error _ -> ())
+  @@ fun () ->
   let argv = Array.of_list ((exe :: [ "--tcp"; "127.0.0.1:0" ]) @ args) in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid = Unix.create_process exe argv devnull Unix.stdout stderr_fd in
-  Unix.close devnull;
-  Unix.close stderr_fd;
+  let pid =
+    with_fd (Unix.openfile stderr_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600)
+      (fun stderr_fd ->
+        with_fd (Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) (fun devnull ->
+            Unix.create_process exe argv devnull Unix.stdout stderr_fd))
+  in
   (* stderr goes to a file, not a pipe: nothing to drain, no deadlock if
      the server logs more than we read, and the listening line survives
      for the error message if the server dies at startup. *)
@@ -267,9 +271,7 @@ let spawn_tcp_server ?(args = []) ~exe () =
   let rec wait () =
     let contents = try read_file stderr_path with Sys_error _ -> "" in
     match parse_listening_line contents with
-    | Some (host, port) ->
-        Sys.remove stderr_path;
-        { pid; host; port }
+    | Some (host, port) -> { pid; host; port }
     | None ->
         let stopped, _ = Unix.waitpid [ Unix.WNOHANG ] pid in
         if stopped <> 0 then

@@ -1,23 +1,6 @@
 module Metrics = Estima_obs.Metrics
 module Json = Estima_json.Json
 
-type t = {
-  seed : int;
-  clients : int;
-  requests : int;
-  kind_counts : (Generator.kind * int) list;
-  stream_bytes : int;
-  sent : int;
-  received : int;
-  matched : int;
-  mismatched : int;
-  timed_out : int;
-  mismatches : Driver.mismatch list;
-  elapsed_s : float;
-  throughput_rps : float;
-  latency : Metrics.Histogram.snapshot;
-}
-
 let all_kinds =
   [
     Generator.Predict_v1;
@@ -27,99 +10,81 @@ let all_kinds =
     Generator.Malformed;
   ]
 
-let make (plan : Generator.plan) (outcome : Driver.outcome) =
-  {
-    seed = plan.Generator.seed;
-    clients = Array.length plan.Generator.streams;
-    requests = Generator.total_requests plan;
-    kind_counts = List.map (fun k -> (k, Generator.count_kind plan k)) all_kinds;
-    stream_bytes = String.length (Generator.stream_bytes plan);
-    sent = outcome.Driver.sent;
-    received = outcome.Driver.received;
-    matched = outcome.Driver.matched;
-    mismatched = outcome.Driver.mismatched;
-    timed_out = outcome.Driver.timed_out;
-    mismatches = outcome.Driver.mismatches;
-    elapsed_s = outcome.Driver.elapsed_s;
-    throughput_rps =
-      (if outcome.Driver.elapsed_s > 0.0 then
-         float_of_int outcome.Driver.received /. outcome.Driver.elapsed_s
-       else 0.0);
-    latency = outcome.Driver.latency;
-  }
+let kind_counts plan =
+  List.map (fun k -> (Generator.kind_label k, Generator.count_kind plan k)) all_kinds
 
-let clean t =
-  t.sent = t.received && t.received = t.matched && t.mismatched = 0 && t.timed_out = 0
+let throughput_rps (o : Driver.outcome) =
+  if o.Driver.elapsed_s > 0.0 then float_of_int o.Driver.received /. o.Driver.elapsed_s else 0.0
 
-let deterministic_summary t =
+let deterministic_summary (plan : Generator.plan) (o : Driver.outcome) =
   let buf = Buffer.create 256 in
-  Printf.bprintf buf "seed=%d\n" t.seed;
-  Printf.bprintf buf "clients=%d\n" t.clients;
-  Printf.bprintf buf "requests=%d\n" t.requests;
-  List.iter
-    (fun (kind, count) -> Printf.bprintf buf "%s=%d\n" (Generator.kind_label kind) count)
-    t.kind_counts;
-  Printf.bprintf buf "stream_bytes=%d\n" t.stream_bytes;
-  Printf.bprintf buf "sent=%d\n" t.sent;
-  Printf.bprintf buf "received=%d\n" t.received;
-  Printf.bprintf buf "matched=%d\n" t.matched;
-  Printf.bprintf buf "mismatched=%d\n" t.mismatched;
-  Printf.bprintf buf "timed_out=%d\n" t.timed_out;
+  Printf.bprintf buf "seed=%d\n" plan.Generator.seed;
+  Printf.bprintf buf "clients=%d\n" (Array.length plan.Generator.streams);
+  Printf.bprintf buf "requests=%d\n" (Generator.total_requests plan);
+  List.iter (fun (label, count) -> Printf.bprintf buf "%s=%d\n" label count) (kind_counts plan);
+  Printf.bprintf buf "stream_bytes=%d\n" (String.length (Generator.stream_bytes plan));
+  Printf.bprintf buf "sent=%d\n" o.Driver.sent;
+  Printf.bprintf buf "received=%d\n" o.Driver.received;
+  Printf.bprintf buf "matched=%d\n" o.Driver.matched;
+  Printf.bprintf buf "mismatched=%d\n" o.Driver.mismatched;
+  Printf.bprintf buf "timed_out=%d\n" o.Driver.timed_out;
   Buffer.contents buf
 
-let quantiles t =
-  let q p = Metrics.Histogram.snapshot_quantile t.latency p in
-  (q 0.5, q 0.9, q 0.99, t.latency.Metrics.Histogram.max)
+(* [None] while no latency was recorded. *)
+let quantiles (o : Driver.outcome) =
+  let s : Metrics.Histogram.snapshot = o.Driver.latency in
+  if s.count = 0 then None
+  else
+    let q = Metrics.Histogram.snapshot_quantile s in
+    Some (q 0.5, q 0.9, q 0.99, s.max)
 
-let to_text t =
-  let p50, p90, p99, max = quantiles t in
+let to_text plan (o : Driver.outcome) =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf (deterministic_summary t);
-  Printf.bprintf buf "elapsed_s=%.3f\n" t.elapsed_s;
-  Printf.bprintf buf "throughput_rps=%.1f\n" t.throughput_rps;
-  if t.latency.Metrics.Histogram.count > 0 then
-    Printf.bprintf buf "latency_s p50=%.6f p90=%.6f p99=%.6f max=%.6f\n" p50 p90 p99 max;
+  Buffer.add_string buf (deterministic_summary plan o);
+  Printf.bprintf buf "elapsed_s=%.3f\n" o.Driver.elapsed_s;
+  Printf.bprintf buf "throughput_rps=%.1f\n" (throughput_rps o);
+  Option.iter
+    (fun (p50, p90, p99, max) ->
+      Printf.bprintf buf "latency_s p50=%.6f p90=%.6f p99=%.6f max=%.6f\n" p50 p90 p99 max)
+    (quantiles o);
   List.iter
     (fun (m : Driver.mismatch) ->
       Printf.bprintf buf "mismatch client=%d id=%d kind=%s\n  expected: %s\n  got:      %s\n"
         m.Driver.client m.Driver.id
         (Generator.kind_label m.Driver.kind)
         m.Driver.expected m.Driver.got)
-    t.mismatches;
+    o.Driver.mismatches;
   Buffer.contents buf
 
-let to_json t =
-  let p50, p90, p99, max = quantiles t in
+let to_json (plan : Generator.plan) (o : Driver.outcome) =
   let latency =
-    if t.latency.Metrics.Histogram.count = 0 then Json.Null
-    else
-      Json.Obj
-        [
-          ("p50", Json.Float p50);
-          ("p90", Json.Float p90);
-          ("p99", Json.Float p99);
-          ("max", Json.Float max);
-        ]
+    match quantiles o with
+    | None -> Json.Null
+    | Some (p50, p90, p99, max) ->
+        Json.Obj
+          [
+            ("p50", Json.Float p50);
+            ("p90", Json.Float p90);
+            ("p99", Json.Float p99);
+            ("max", Json.Float max);
+          ]
   in
   Json.to_string
     (Json.Obj
        [
-         ("seed", Json.Int t.seed);
-         ("clients", Json.Int t.clients);
-         ("requests", Json.Int t.requests);
+         ("seed", Json.Int plan.Generator.seed);
+         ("clients", Json.Int (Array.length plan.Generator.streams));
+         ("requests", Json.Int (Generator.total_requests plan));
          ( "kinds",
-           Json.Obj
-             (List.map
-                (fun (kind, count) -> (Generator.kind_label kind, Json.Int count))
-                t.kind_counts) );
-         ("stream_bytes", Json.Int t.stream_bytes);
-         ("sent", Json.Int t.sent);
-         ("received", Json.Int t.received);
-         ("matched", Json.Int t.matched);
-         ("mismatched", Json.Int t.mismatched);
-         ("timed_out", Json.Int t.timed_out);
-         ("clean", Json.Bool (clean t));
-         ("elapsed_s", Json.Float t.elapsed_s);
-         ("throughput_rps", Json.Float t.throughput_rps);
+           Json.Obj (List.map (fun (label, count) -> (label, Json.Int count)) (kind_counts plan)) );
+         ("stream_bytes", Json.Int (String.length (Generator.stream_bytes plan)));
+         ("sent", Json.Int o.Driver.sent);
+         ("received", Json.Int o.Driver.received);
+         ("matched", Json.Int o.Driver.matched);
+         ("mismatched", Json.Int o.Driver.mismatched);
+         ("timed_out", Json.Int o.Driver.timed_out);
+         ("clean", Json.Bool (Driver.clean o));
+         ("elapsed_s", Json.Float o.Driver.elapsed_s);
+         ("throughput_rps", Json.Float (throughput_rps o));
          ("latency", latency);
        ])

@@ -21,12 +21,3 @@ let place machine ~threads =
 
 let sockets_used placement =
   placement |> Array.to_list |> List.map (fun l -> l.socket) |> List.sort_uniq compare |> List.length
-
-let chips_used placement =
-  placement
-  |> Array.to_list
-  |> List.map (fun l -> (l.socket, l.chip))
-  |> List.sort_uniq compare
-  |> List.length
-
-let crosses_socket placement = sockets_used placement > 1

@@ -11,10 +11,3 @@ val place : Topology.t -> threads:int -> Topology.location array
     non-positive or exceeds the machine's hardware threads. *)
 
 val sockets_used : Topology.location array -> int
-
-val chips_used : Topology.location array -> int
-(** Distinct (socket, chip) pairs touched by the placement. *)
-
-val crosses_socket : Topology.location array -> bool
-(** True when the placement spans more than one socket, i.e. cross-socket
-    NUMA effects are visible in measurements taken with it. *)

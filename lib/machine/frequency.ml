@@ -1,6 +1,2 @@
 let time_scale ~measured_on ~target =
   measured_on.Topology.frequency_ghz /. target.Topology.frequency_ghz
-
-let scale_times ~measured_on ~target times =
-  let s = time_scale ~measured_on ~target in
-  Array.map (fun t -> t *. s) times

@@ -8,5 +8,3 @@ val time_scale : measured_on:Topology.t -> target:Topology.t -> float
 (** Multiplier applied to execution times measured on [measured_on] to
     express them in [target]'s clock domain:
     [measured_freq / target_freq]. *)
-
-val scale_times : measured_on:Topology.t -> target:Topology.t -> float array -> float array

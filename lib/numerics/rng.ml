@@ -24,8 +24,6 @@ let of_state s : t =
 
 let create seed = of_state (Int64.of_int seed)
 
-let copy (t : t) = of_state (get_state t)
-
 (* splitmix64 finaliser (Steele, Lea, Flood 2014). *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -76,37 +74,7 @@ let[@inline always] bool t p =
   else if p >= 1.0 then true
   else float t < p
 
-let[@inline always] exponential t mean =
-  if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
-  let u = 1.0 -. float t in
-  -. mean *. log u
-
 let[@inline always] gaussian t ~mu ~sigma =
   let u1 = 1.0 -. float t in
   let u2 = float t in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let zipf t ~n ~s =
-  if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  (* Inverse-transform sampling over the normalised harmonic mass.  Linear in
-     [n]; callers cache nothing, so keep [n] modest. *)
-  let total = ref 0.0 in
-  for k = 1 to n do
-    total := !total +. (1.0 /. Float.pow (float_of_int k) s)
-  done;
-  let target = float t *. !total in
-  let rec walk k acc =
-    if k > n then n - 1
-    else
-      let acc = acc +. (1.0 /. Float.pow (float_of_int k) s) in
-      if acc >= target then k - 1 else walk (k + 1) acc
-  in
-  walk 1 0.0
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -28,14 +28,6 @@ let rmse predicted actual =
   done;
   sqrt (!acc /. float_of_int n)
 
-let max_abs_relative_error predicted actual =
-  check_same_length "max_abs_relative_error" predicted actual;
-  let best = ref 0.0 in
-  Array.iteri
-    (fun i a -> if a <> 0.0 then best := Float.max !best (Float.abs ((predicted.(i) -. a) /. a)))
-    actual;
-  !best
-
 let pearson a b =
   check_same_length "pearson" a b;
   if Array.length a < 2 then invalid_arg "Stats.pearson: need at least two points";
@@ -48,30 +40,6 @@ let pearson a b =
     sbb := !sbb +. (db *. db)
   done;
   if !saa = 0.0 || !sbb = 0.0 then Float.nan else !sab /. sqrt (!saa *. !sbb)
-
-(* Fractional ranks: ties get the average rank, as in standard Spearman. *)
-let ranks xs =
-  let n = Array.length xs in
-  let order = Array.init n Fun.id in
-  Array.sort (fun i j -> Float.compare xs.(i) xs.(j)) order;
-  let r = Array.make n 0.0 in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j + 1 < n && xs.(order.(!j + 1)) = xs.(order.(!i)) do
-      incr j
-    done;
-    let avg = float_of_int (!i + !j) /. 2.0 in
-    for k = !i to !j do
-      r.(order.(k)) <- avg
-    done;
-    i := !j + 1
-  done;
-  r
-
-let spearman a b =
-  check_same_length "spearman" a b;
-  pearson (ranks a) (ranks b)
 
 let quantile q xs =
   check_nonempty "quantile" xs;

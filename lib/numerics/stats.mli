@@ -3,27 +3,18 @@
 val mean : float array -> float
 (** Raises [Invalid_argument] on an empty array. *)
 
-val variance : float array -> float
-(** Population variance.  Raises [Invalid_argument] on an empty array. *)
-
 val std_dev : float array -> float
+(** Population standard deviation.  Raises [Invalid_argument] on an empty
+    array. *)
 
 val rmse : float array -> float array -> float
 (** [rmse predicted actual] is the root mean square error.  Raises
     [Invalid_argument] on length mismatch or empty input. *)
 
-val max_abs_relative_error : float array -> float array -> float
-(** [max_abs_relative_error predicted actual] is
-    [max_i |p_i - a_i| / |a_i|], skipping points where [a_i = 0].  This is
-    the "maximum prediction error" metric of the paper's Table 4. *)
-
 val pearson : float array -> float array -> float
 (** Pearson product-moment correlation.  Returns [nan] when either input is
     constant (zero variance); raises [Invalid_argument] on length mismatch
     or fewer than two points. *)
-
-val spearman : float array -> float array -> float
-(** Spearman rank correlation (Pearson on fractional ranks). *)
 
 val quantile : float -> float array -> float
 (** [quantile q xs] with [q] in [0,1]; linear interpolation between order

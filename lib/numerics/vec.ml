@@ -1,7 +1,5 @@
 type t = float array
 
-let create n x = Array.make n x
-
 let init = Array.init
 
 let dim = Array.length
@@ -9,10 +7,6 @@ let dim = Array.length
 let copy = Array.copy
 
 let of_list = Array.of_list
-
-let to_list = Array.to_list
-
-let map = Array.map
 
 let check_dims name a b =
   if Array.length a <> Array.length b then
@@ -63,14 +57,3 @@ let max_elt a =
 let min_elt a =
   if Array.length a = 0 then invalid_arg "Vec.min_elt: empty vector";
   Array.fold_left Float.min a.(0) a
-
-let axpy alpha x y =
-  check_dims "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (alpha *. x.(i))
-  done
-
-let pp ppf a =
-  Format.fprintf ppf "[|";
-  Array.iteri (fun i x -> if i > 0 then Format.fprintf ppf "; %g" x else Format.fprintf ppf "%g" x) a;
-  Format.fprintf ppf "|]"

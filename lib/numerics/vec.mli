@@ -6,9 +6,6 @@
 
 type t = float array
 
-val create : int -> float -> t
-(** [create n x] is the n-vector filled with [x]. *)
-
 val init : int -> (int -> float) -> t
 
 val dim : t -> int
@@ -16,13 +13,6 @@ val dim : t -> int
 val copy : t -> t
 
 val of_list : float list -> t
-
-val to_list : t -> float list
-
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Raises [Invalid_argument] on dimension mismatch. *)
 
 val add : t -> t -> t
 
@@ -45,10 +35,5 @@ val max_elt : t -> float
 val min_elt : t -> float
 (** Raises [Invalid_argument] on the empty vector. *)
 
-val axpy : float -> t -> t -> unit
-(** [axpy a x y] updates [y <- a*x + y] in place. *)
-
 val all_finite : t -> bool
 (** True when no component is NaN or infinite. *)
-
-val pp : Format.formatter -> t -> unit

@@ -80,7 +80,7 @@ module Histogram = struct
 
   let snapshot_quantile s q =
     if not (Float.is_finite q && q >= 0.0 && q <= 1.0) then
-      invalid_arg (Printf.sprintf "Metrics.Histogram.quantile: q = %g not in [0, 1]" q);
+      invalid_arg (Printf.sprintf "Metrics.Histogram.snapshot_quantile: q = %g not in [0, 1]" q);
     if s.count = 0 then Float.nan
     else if q = 0.0 then s.min
     else if q = 1.0 then s.max
@@ -94,16 +94,6 @@ module Histogram = struct
       in
       walk 0 s.buckets
     end
-
-  let count t = (snapshot t).count
-
-  let sum t = (snapshot t).sum
-
-  let quantile t q = snapshot_quantile (snapshot t) q
-
-  let min_value t = (snapshot t).min
-
-  let max_value t = (snapshot t).max
 end
 
 type instrument = Counter of Counter.t | Histogram of Histogram.t
@@ -158,7 +148,7 @@ let render t =
            the line describe the same multiset of samples even when
            observers are running concurrently — no torn lines. *)
         let s = Histogram.snapshot h in
-        if s.Histogram.count = 0 then Printf.sprintf "histogram %s count=0" name
+        if s.count = 0 then Printf.sprintf "histogram %s count=0" name
         else
           let q p = Histogram.snapshot_quantile s p in
           (* p50..p99 are bucket upper bounds (clamped to the exact max);
@@ -166,8 +156,7 @@ let render t =
              lock — the tail a load report must not under-state. *)
           Printf.sprintf
             "histogram %s count=%d sum=%.6g min=%.6g max=%.6g p50=%.6g p90=%.6g p95=%.6g p99=%.6g p100=%.17g"
-            name s.Histogram.count s.Histogram.sum (q 0.0) (q 1.0) (q 0.5) (q 0.9) (q 0.95)
-            (q 0.99) s.Histogram.max
+            name s.count s.sum (q 0.0) (q 1.0) (q 0.5) (q 0.9) (q 0.95) (q 0.99) s.max
   in
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
   String.concat "\n" (List.map line sorted) ^ if sorted = [] then "" else "\n"

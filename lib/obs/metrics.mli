@@ -8,8 +8,9 @@
     - {b counters}: monotonically increasing integers (requests served,
       cache hits and misses, requests shed);
     - {b histograms}: positive samples (latencies in seconds) bucketed
-      geometrically — 8 buckets per decade from 1 ns up — from which
-      count, sum, exact min/max and deterministic quantiles are read.
+      geometrically — 8 buckets per decade from 1 ns up — read through
+      one {!Histogram.snapshot}: count, sum, exact min/max and, by
+      {!Histogram.snapshot_quantile}, deterministic quantiles.
 
     Instruments live in a {!t} registry keyed by name; asking twice for
     the same name returns the same instrument, so call sites need no
@@ -36,28 +37,6 @@ module Histogram : sig
   (** Record one sample.  Non-finite samples are dropped; values below
       the first bucket boundary (1 ns) land in the first bucket. *)
 
-  val count : t -> int
-
-  val sum : t -> float
-
-  val quantile : t -> float -> float
-  (** [quantile h q] for [0 <= q <= 1]: an upper bound on the value at
-      rank [ceil (q * count)], read from the bucket boundaries — except
-      that [q = 0] returns the exact minimum and [q = 1] the exact
-      maximum.  [nan] while the histogram is empty.
-      Raises [Invalid_argument] outside [0, 1]. *)
-
-  val min_value : t -> float
-  (** The exact smallest observed sample — not a bucket boundary.
-      [infinity] while the histogram is empty. *)
-
-  val max_value : t -> float
-  (** The exact largest observed sample (p100) — not a bucket upper
-      bound, so tail-latency reports built on it can never under- or
-      over-state the maximum.  Tracked under the same single lock as the
-      bucket counts ({!snapshot} captures all of them atomically).
-      [neg_infinity] while the histogram is empty. *)
-
   (** A consistent point-in-time capture of the histogram state, taken
       under a single lock acquisition.  Derive anything that combines
       count, sum and quantiles — a rendered metrics line, an assertion in
@@ -66,16 +45,25 @@ module Histogram : sig
   type snapshot = {
     count : int;
     sum : float;
-    min : float;  (** [infinity] while empty. *)
-    max : float;  (** [neg_infinity] while empty. *)
+    min : float;
+        (** The exact smallest observed sample — not a bucket boundary.
+            [infinity] while empty. *)
+    max : float;
+        (** The exact largest observed sample (p100) — not a bucket
+            upper bound, so tail-latency reports built on it can never
+            under- or over-state the maximum.  [neg_infinity] while
+            empty. *)
     buckets : (int * int) list;  (** (bucket index, count), sorted. *)
   }
 
   val snapshot : t -> snapshot
 
   val snapshot_quantile : snapshot -> float -> float
-  (** {!quantile} computed from a snapshot; [quantile h q] is
-      [snapshot_quantile (snapshot h) q]. *)
+  (** [snapshot_quantile s q] for [0 <= q <= 1]: an upper bound on the
+      value at rank [ceil (q * count)], read from the bucket boundaries
+      — except that [q = 0] returns the exact minimum and [q = 1] the
+      exact maximum.  [nan] while the histogram is empty.  Raises
+      [Invalid_argument] outside [0, 1]. *)
 end
 
 type t

@@ -46,10 +46,6 @@ let span_stats t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.spans []
   |> List.sort (fun a b -> Int64.compare b.total_ns a.total_ns)
 
-let clear t =
-  t.events_rev <- [];
-  Hashtbl.reset t.spans
-
 let tee a b =
   {
     Trace.on_event =

@@ -27,8 +27,6 @@ val counters : t -> (string * int) list
 val span_stats : t -> span_stat list
 (** Per-span timing, sorted by total time descending. *)
 
-val clear : t -> unit
-
 val record : t -> (unit -> 'a) -> 'a
 (** [record t f] runs [f] with [t] installed as the trace sink and
     restores the previously installed sink afterwards (also on raise).

@@ -39,12 +39,15 @@ let run_many entries =
 
 let run_all () = run_many experiments
 
-let run_one id =
-  match find id with
-  | Some run ->
-      run ();
-      Ok ()
-  | None ->
-      Error
-        (Printf.sprintf "unknown experiment %S; valid ids: %s" id
-           (String.concat ", " (List.map fst experiments)))
+let resolve ids =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | id :: rest -> (
+        match find id with
+        | Some run -> go ((id, run) :: acc) rest
+        | None ->
+            Error
+              (Printf.sprintf "unknown experiment %S; valid ids: %s" id
+                 (String.concat ", " (List.map fst experiments))))
+  in
+  go [] ids

@@ -16,6 +16,7 @@ val run_many : (string * (unit -> unit)) list -> unit
 val run_all : unit -> unit
 (** [run_many experiments]. *)
 
-val run_one : string -> (unit, string) result
-(** Run a single experiment by id (e.g. "T4", "F8"); [Error] lists the
-    valid ids when unknown. *)
+val resolve : string list -> ((string * (unit -> unit)) list, string) result
+(** The experiments named by [ids] (e.g. ["T4"; "f8"], looked up with
+    {!find}), in the given order, ready for {!run_many}; nothing runs.
+    [Error] names the first unknown id and lists the valid ones. *)

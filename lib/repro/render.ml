@@ -128,8 +128,6 @@ let audit_summary (audit : Estima_obs.Audit.t) =
 
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
-let time_s x = Printf.sprintf "%.4gs" x
-
 let float3 x = Printf.sprintf "%.3g" x
 
 let verdict = Estima.Diag.Quality.verdict_to_string

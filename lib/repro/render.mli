@@ -17,8 +17,6 @@ val printf : ('a, unit, string, unit) format4 -> 'a
 (** [Printf.printf] through the sink.  [%!] is accepted but only flushes
     when writing to real stdout. *)
 
-val newline : unit -> unit
-
 val flush_out : unit -> unit
 (** Flush stdout; a no-op while capturing. *)
 
@@ -48,9 +46,6 @@ val audit_summary : Estima_obs.Audit.t -> unit
 
 val pct : float -> string
 (** [pct 0.123] is ["12.3%"]. *)
-
-val time_s : float -> string
-(** Seconds with engineering-friendly precision. *)
 
 val float3 : float -> string
 (** Three significant digits. *)

@@ -9,21 +9,13 @@ type 'a t = {
   capacity : int;
   entries : (string, 'a entry) Hashtbl.t;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg (Printf.sprintf "Fit_cache.create: capacity = %d" capacity);
-  { capacity; entries = Hashtbl.create (2 * capacity); clock = 0; hits = 0; misses = 0 }
-
-let capacity t = t.capacity
+  { capacity; entries = Hashtbl.create (2 * capacity); clock = 0 }
 
 let length t = Hashtbl.length t.entries
-
-let hits t = t.hits
-
-let misses t = t.misses
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -31,11 +23,8 @@ let tick t =
 
 let find t key =
   match Hashtbl.find_opt t.entries key with
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  | None -> None
   | Some entry ->
-      t.hits <- t.hits + 1;
       entry.stamp <- tick t;
       Some entry.value
 

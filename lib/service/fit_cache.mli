@@ -7,7 +7,10 @@
     exactly the bytes a fresh pipeline run would produce; its ingest
     memo keys ingested series by the request bytes they came from.
     Capacity is bounded; inserting into a full cache evicts the least
-    recently used entry ({!find} counts as a use).
+    recently used entry ({!find} counts as a use).  It keeps no hit or
+    miss counters: the server counts its lookups in its metrics registry
+    ([estima_cache_hits_total], [estima_cache_misses_total],
+    [estima_ingest_memo_hits_total]).
 
     Not thread-safe by itself — the service accesses it from the
     dispatcher only, which is the design: workers compute, the
@@ -18,16 +21,7 @@ type 'a t
 val create : capacity:int -> 'a t
 (** [capacity >= 1]; [Invalid_argument] otherwise. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
-
-val hits : 'a t -> int
-(** {!find} calls that returned a value, since creation. *)
-
-val misses : 'a t -> int
-(** {!find} calls that returned [None], since creation.  [hits + misses]
-    is exactly the number of [find] calls ({!add} never counts). *)
 
 val find : 'a t -> string -> 'a option
 (** Look up a key and mark it most recently used. *)

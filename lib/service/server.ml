@@ -220,8 +220,8 @@ let answer ~base ~series ~target_max ~confidence =
    duplicate payload coalesces onto the in-flight computation and counts
    as a cache hit, so hit/miss counters depend only on the request
    stream, not on how it happened to clump into batches. *)
-let admit t ~admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name ~target_max ~timeout_ms:_
-    ~confidence ~arrival =
+let admit t ~admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name ~target_max ~confidence
+    ~arrival =
   count t "estima_predict_total";
   if admitted >= t.config.queue_capacity then
     shed t ~id ~v ~arrival
@@ -327,7 +327,7 @@ let handle_batch t lines =
               { id; v; file; csv; workload; spec_name; target_max; timeout_ms; confidence }) ->
             let slot =
               admit t ~admitted:!admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name
-                ~target_max ~timeout_ms ~confidence ~arrival
+                ~target_max ~confidence ~arrival
             in
             (match slot with
             | Run { id; v; job } -> (

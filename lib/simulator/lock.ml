@@ -71,8 +71,4 @@ let[@inline always] acquire t ~into:g ~index ~now ~hold_for =
     g.cold_restart_cycles <- cold_restart
   end
 
-let reset t =
-  Array.fill t.free_at 0 (Array.length t.free_at) 0.0;
-  t.contended <- 0
-
 let contended_acquisitions t = t.contended

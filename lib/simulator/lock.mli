@@ -43,10 +43,8 @@ val acquire : t -> into:grant -> index:int -> now:float -> hold_for:float -> uni
     at time [now], holding it for [hold_for] cycles once granted.  Every
     field of [into] is overwritten with the grant. *)
 
-val reset : t -> unit
-
 val contended_acquisitions : t -> int
-(** Acquisitions that had to wait, since creation/reset. *)
+(** Acquisitions that had to wait, since creation. *)
 
 val mutex_wake_penalty : float
 (** Extra cycles between lock release and a blocked waiter resuming. *)

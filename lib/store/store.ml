@@ -272,14 +272,6 @@ let clear_disk t =
 
 (* --------------------------- resolution ---------------------------- *)
 
-let find t ~key =
-  let fp = Key.fingerprint key in
-  let in_memory =
-    Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.memory fp with Some (Ready s) -> Some s | _ -> None)
-  in
-  match in_memory with Some s -> Some s | None -> disk_find t key
-
 let find_or_collect t ~key ~collect =
   let fp = Key.fingerprint key in
   (* Memory tier: claim the key or wait for whoever holds it.  Entries

@@ -91,10 +91,6 @@ val find_or_collect : t -> key:Key.t -> collect:(unit -> Estima_counters.Series.
     same key share one collection.  If [collect] raises, the pending
     entry is dropped (waiters retry) and the exception propagates. *)
 
-val find : t -> key:Key.t -> Estima_counters.Series.t option
-(** Lookup without collecting: memory then disk.  Does not touch the
-    hit/miss counters (diagnostic use). *)
-
 val stats : t -> stats
 
 val metrics : t -> Metrics.t

@@ -2,6 +2,7 @@ open Estima_counters
 module Json = Estima_json.Json
 module Topology = Estima_machine.Topology
 
+(* The two settings CI runs the test suite under. *)
 let default_jobs = [ 1; 4 ]
 
 type observation = { workload : string; jobs : int; api : string; cli : string; server : string }

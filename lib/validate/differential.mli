@@ -15,9 +15,6 @@
     byte, and removes the work directory.  It has no knobs: the
     binaries, the jobs settings and the directory are its own. *)
 
-val default_jobs : int list
-(** [[1; 4]] — the same two settings CI runs the test suite under. *)
-
 type observation = {
   workload : string;
   jobs : int;
@@ -27,8 +24,8 @@ type observation = {
 }
 
 val run : Backtest.source list -> (observation list, string list) result
-(** Execute the differential over every source × {!default_jobs}
-    setting.  The CSV inputs ([<name>.csv]) are written to a fresh
+(** Execute the differential over every source at jobs 1 and 4, the
+    two settings CI runs the test suite under.  The CSV inputs ([<name>.csv]) are written to a fresh
     directory [estima_validate_<pid>_*] under the temporary directory,
     which is removed with them on return, on success and on error alike.
     The binaries are ["estima_cli.exe"] and ["estima_serve.exe"] in the

@@ -31,7 +31,7 @@ type options = {
 
 val default_options : golden_dir:string -> options
 (** Compare (not bless) the default corpus, with the differential on at
-    {!Differential.default_jobs} and calibration off. *)
+    jobs 1 and 4 and calibration off. *)
 
 type outcome = {
   reports : Report.t list;

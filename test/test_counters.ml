@@ -251,20 +251,6 @@ let test_plugin_config_errors () =
   | Error e -> Alcotest.(check bool) "unknown field named" true (astring_free_contains e "bogus")
   | Ok _ -> Alcotest.fail "unknown field accepted"
 
-let test_plugin_config_read_from_run () =
-  let r = run_once ~threads:6 () in
-  let entry =
-    {
-      Plugin_config.name = "aborts";
-      source = "stdout";
-      expression = "stm-abort-cycles %d";
-      combine = Plugin.Sum;
-    }
-  in
-  let v = Plugin_config.read_from_run entry r in
-  let expect = Estima_sim.Ledger.get r.Engine.ledger Estima_sim.Stall.Stm_abort in
-  if Float.abs (v -. expect) > 6.0 then Alcotest.failf "config loop off: %.0f vs %.0f" v expect
-
 let test_config_plugins_in_collector () =
   (* A configuration-file plugin travels the full loop: the simulated
      runtime's report is rendered per run, scanned by the expression, and
@@ -307,11 +293,6 @@ let test_csv_series () =
   Alcotest.(check bool) "header names columns" true (astring_free_contains (List.hd lines) "0D8h");
   Alcotest.(check bool) "software column present" true (astring_free_contains (List.hd lines) "stm-abort")
 
-let test_csv_prediction_guard () =
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Csv_export.prediction_to_csv: column y length mismatch") (fun () ->
-      ignore (Csv_export.prediction_to_csv ~grid:[| 1.0; 2.0 |] ~columns:[ ("y", [| 1.0 |]) ]))
-
 let suite =
   [
     ("event tables", `Quick, test_event_tables);
@@ -335,8 +316,6 @@ let suite =
     ("report scan suffix", `Quick, test_report_scan_suffix);
     ("plugin config parse", `Quick, test_plugin_config_parse);
     ("plugin config errors", `Quick, test_plugin_config_errors);
-    ("plugin config read from run", `Quick, test_plugin_config_read_from_run);
     ("config plugins in collector", `Quick, test_config_plugins_in_collector);
     ("csv series", `Quick, test_csv_series);
-    ("csv prediction guard", `Quick, test_csv_prediction_guard);
   ]

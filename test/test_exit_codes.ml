@@ -327,6 +327,20 @@ let test_tcp_addresses () =
   check_exit ~exe:load ~msg:"estima_load --tcp with port 0" ~code:1
     ~substring:"port must be 1..65535" [ "--tcp"; "127.0.0.1:0" ]
 
+(* An unknown experiment id is refused before any experiment runs, with
+   the message that lists every valid id. *)
+let test_repro_unknown_id () =
+  let code, output = run_cli [ "repro"; "F1"; "NOPE" ] in
+  Alcotest.(check int) "repro NOPE: exit code" 1 code;
+  if not (contains ~sub:"unknown experiment \"NOPE\"" output) then
+    Alcotest.failf "repro NOPE: output %S does not name the id" output;
+  List.iter
+    (fun (id, _) ->
+      if not (contains ~sub:id output) then
+        Alcotest.failf "repro NOPE: output %S omits valid id %s" output id)
+    Estima_repro.All.experiments;
+  if contains ~sub:"[F1]" output then Alcotest.failf "repro NOPE ran F1: %S" output
+
 let suite =
   [
     ("cli: well-formed input exits 0", `Quick, test_cli_exit_0);
@@ -342,4 +356,5 @@ let suite =
       `Quick,
       test_load_spawns_servers_for_its_plan );
     ("serve and load read --tcp with one parser", `Quick, test_tcp_addresses);
+    ("cli: repro with an unknown id exits 1 naming the valid ids", `Quick, test_repro_unknown_id);
   ]

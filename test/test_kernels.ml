@@ -151,13 +151,6 @@ let test_kernel_applicable () =
   Alcotest.(check bool) "5 points enough for rat22" true (Kernel.applicable Rational.rat22 ~npoints:5);
   Alcotest.(check bool) "4 points not enough" false (Kernel.applicable Rational.rat22 ~npoints:4)
 
-let test_evaluate_many () =
-  let fitted =
-    { Fit.kernel_name = "lin"; params = [||]; y_scale = 1.0; fit_rmse = 0.0; eval = (fun x -> 2.0 *. x) }
-  in
-  Alcotest.(check (array (float 1e-12))) "grid" [| 2.0; 4.0; 6.0 |]
-    (Fit.evaluate_many fitted [| 1.0; 2.0; 3.0 |])
-
 let suite =
   [
     ("rat22 gradient", `Quick, test_rat22_gradient);
@@ -181,5 +174,4 @@ let suite =
     ("fit noisy saturating curve", `Quick, test_fit_noisy_saturating_curve);
     ("rational make validation", `Quick, test_rational_make_validation);
     ("kernel applicable", `Quick, test_kernel_applicable);
-    ("evaluate many", `Quick, test_evaluate_many);
   ]

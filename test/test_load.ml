@@ -227,19 +227,45 @@ let test_driver_deterministic_across_jobs () =
   let plan = quick_plan () in
   let play jobs =
     let argv = [| Test_service.serve_exe; "--jobs"; string_of_int jobs |] in
-    let outcome = Driver.run ~timeout_s:60.0 (Driver.Stdio argv) plan in
-    Report.make plan outcome
+    Driver.run ~timeout_s:60.0 (Driver.Stdio argv) plan
   in
-  let r1 = play 1 in
-  Alcotest.(check bool) "jobs 1 clean" true (Report.clean r1);
-  let summary = Report.deterministic_summary r1 in
+  let o1 = play 1 in
+  Alcotest.(check bool) "jobs 1 clean" true (Driver.clean o1);
+  let summary = Report.deterministic_summary plan o1 in
   (* Across runs: same plan, same server, same aggregates. *)
   Alcotest.(check string) "stable across runs" summary
-    (Report.deterministic_summary (play 1));
+    (Report.deterministic_summary plan (play 1));
   (* Across --jobs: parallel dispatch must not change a single byte. *)
-  let r4 = play 4 in
-  Alcotest.(check bool) "jobs 4 clean" true (Report.clean r4);
-  Alcotest.(check string) "stable across jobs" summary (Report.deterministic_summary r4)
+  let o4 = play 4 in
+  Alcotest.(check bool) "jobs 4 clean" true (Driver.clean o4);
+  Alcotest.(check string) "stable across jobs" summary (Report.deterministic_summary plan o4)
+
+(* ------------------------------------------------------------------ *)
+(* Spawning a server that fails to start                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A server that exits before listening, or that cannot be started at
+   all, leaves no captured-stderr file behind in the temporary
+   directory. *)
+let test_failed_spawn_leaves_no_temp_file () =
+  let dir = Filename.temp_dir "estima_spawn_" "" in
+  let previous = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () -> Filename.set_temp_dir_name previous)
+    (fun () ->
+      List.iter
+        (fun exe ->
+          match Driver.spawn_tcp_server ~exe () with
+          | server ->
+              Driver.stop_server server;
+              Alcotest.failf "%s reported listening" exe
+          | exception (Failure _ | Unix.Unix_error _) -> ())
+        [ "/bin/false"; Filename.concat dir "no-such-server" ]);
+  let left = Sys.readdir dir in
+  Array.iter (fun name -> Sys.remove (Filename.concat dir name)) left;
+  Sys.rmdir dir;
+  Alcotest.(check (array string)) "files left in the temporary directory" [||] left
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -251,4 +277,5 @@ let suite =
     ("malformed frames never parse", `Quick, test_malformed_frames_rejected);
     ("expected bytes are the CLI bytes", `Slow, test_expected_matches_cli);
     ("driver aggregates stable across runs and jobs", `Slow, test_driver_deterministic_across_jobs);
+    ("a failed server spawn leaves no temporary file", `Quick, test_failed_spawn_leaves_no_temp_file);
   ]

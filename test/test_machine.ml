@@ -33,10 +33,8 @@ let test_restrict_sockets () =
 let test_placement_socket_first () =
   let p = Allocation.place Machines.opteron48 ~threads:12 in
   Alcotest.(check int) "12 threads fill one socket" 1 (Allocation.sockets_used p);
-  Alcotest.(check int) "both chips of the MCM used" 2 (Allocation.chips_used p);
   let p13 = Allocation.place Machines.opteron48 ~threads:13 in
-  Alcotest.(check int) "13th thread spills to socket 2" 2 (Allocation.sockets_used p13);
-  Alcotest.(check bool) "crosses socket" true (Allocation.crosses_socket p13)
+  Alcotest.(check int) "13th thread spills to socket 2" 2 (Allocation.sockets_used p13)
 
 let test_placement_smt_last () =
   (* On xeon20 (10 cores/socket, SMT2) the first 20 threads must use 20
@@ -83,9 +81,7 @@ let test_opteron_intra_socket_numa () =
 
 let test_frequency_scaling () =
   let s = Frequency.time_scale ~measured_on:Machines.haswell_desktop ~target:Machines.xeon20 in
-  Alcotest.(check (float 1e-9)) "3.4/2.8" (3.4 /. 2.8) s;
-  let scaled = Frequency.scale_times ~measured_on:Machines.haswell_desktop ~target:Machines.xeon20 [| 1.0; 2.0 |] in
-  Alcotest.(check (float 1e-9)) "scaled" (2.0 *. s) scaled.(1)
+  Alcotest.(check (float 1e-9)) "3.4/2.8" (3.4 /. 2.8) s
 
 let test_validate_catches_bad_machines () =
   let bad = { Machines.xeon20 with Topology.frequency_ghz = 0.0 } in

@@ -329,8 +329,8 @@ let test_repro_output_byte_identical () =
 (* ------------------------------------------------------------------ *)
 
 let test_run_one_unknown_lists_all_ids () =
-  match Estima_repro.All.run_one "NOPE" with
-  | Ok () -> Alcotest.fail "unknown id accepted"
+  match Estima_repro.All.resolve [ "F1"; "NOPE" ] with
+  | Ok _ -> Alcotest.fail "unknown id accepted"
   | Error msg ->
       Alcotest.(check bool) "names the offender" true (contains ~sub:"\"NOPE\"" msg);
       List.iter

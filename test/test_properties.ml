@@ -279,19 +279,16 @@ let prop_error_metric_zero_for_perfect_prediction =
 (* Reference model: an assoc list of (key, value), most recently used
    first, bounded at [capacity].  Both find and add move the key to the
    front; inserting a fresh key into a full cache drops the last
-   (least recently used) element.  Counters track find outcomes only. *)
+   (least recently used) element. *)
 module Cache_model = struct
-  type t = { capacity : int; mutable entries : (string * int) list; mutable hits : int; mutable misses : int }
+  type t = { capacity : int; mutable entries : (string * int) list }
 
-  let create ~capacity = { capacity; entries = []; hits = 0; misses = 0 }
+  let create ~capacity = { capacity; entries = [] }
 
   let find m key =
     match List.assoc_opt key m.entries with
-    | None ->
-        m.misses <- m.misses + 1;
-        None
+    | None -> None
     | Some v ->
-        m.hits <- m.hits + 1;
         m.entries <- (key, v) :: List.remove_assoc key m.entries;
         Some v
 
@@ -341,12 +338,7 @@ let prop_fit_cache_matches_model =
               Estima_service.Fit_cache.find cache key = Cache_model.find model key)
         ops
       && Estima_service.Fit_cache.length cache = List.length model.Cache_model.entries
-      && Estima_service.Fit_cache.length cache <= capacity
-      && Estima_service.Fit_cache.capacity cache = capacity
-      && Estima_service.Fit_cache.hits cache = model.Cache_model.hits
-      && Estima_service.Fit_cache.misses cache = model.Cache_model.misses
-      && Estima_service.Fit_cache.hits cache + Estima_service.Fit_cache.misses cache
-         = List.length (List.filter (function Cache_find _ -> true | _ -> false) ops))
+      && Estima_service.Fit_cache.length cache <= capacity)
 
 (* ------------------------------------------------------------------ *)
 (* CSV round trip on adversarial floats                                *)

@@ -71,9 +71,9 @@ let test_fig15_wider_window_helps () =
 
 let test_all_registry () =
   Alcotest.(check int) "17 experiments" 17 (List.length All.experiments);
-  (match All.run_one "nonsense" with
+  (match All.resolve [ "nonsense" ] with
   | Error msg -> Alcotest.(check bool) "lists valid ids" true (String.length msg > 20)
-  | Ok () -> Alcotest.fail "accepted bogus id")
+  | Ok _ -> Alcotest.fail "accepted bogus id")
 
 let suite =
   [

@@ -139,6 +139,30 @@ let prop_json_plain_string =
     (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:plain (int_range 0 64)))
     (fun s -> Json.parse ("\"" ^ s ^ "\"") = Ok (Json.String s))
 
+(* The printer escapes a string straight into its output, copying each
+   run of plain bytes whole.  The reference is the per-byte escape it
+   replaced, over raw bytes 0..255. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let prop_json_string_escape =
+  QCheck.Test.make ~count:500 ~name:"json strings print as the per-byte escape"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 300)))
+    (fun s -> Json.to_string (Json.String s) = "\"" ^ reference_escape s ^ "\"")
+
 (* ------------------------------------------------------------------ *)
 (* Wire framing                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -338,11 +362,12 @@ let test_metrics_histogram_deterministic () =
   let m = Estima_obs.Metrics.create () in
   let h = Estima_obs.Metrics.histogram m "lat" in
   List.iter (Estima_obs.Metrics.Histogram.observe h) samples;
-  Alcotest.(check int) "count" 1000 (Estima_obs.Metrics.Histogram.count h);
-  let q50 = Estima_obs.Metrics.Histogram.quantile h 0.5 in
-  let q95 = Estima_obs.Metrics.Histogram.quantile h 0.95 in
-  let mn = Estima_obs.Metrics.Histogram.quantile h 0.0 in
-  let mx = Estima_obs.Metrics.Histogram.quantile h 1.0 in
+  let s = Estima_obs.Metrics.Histogram.snapshot h in
+  Alcotest.(check int) "count" 1000 s.count;
+  let q50 = Estima_obs.Metrics.Histogram.snapshot_quantile s 0.5 in
+  let q95 = Estima_obs.Metrics.Histogram.snapshot_quantile s 0.95 in
+  let mn = Estima_obs.Metrics.Histogram.snapshot_quantile s 0.0 in
+  let mx = Estima_obs.Metrics.Histogram.snapshot_quantile s 1.0 in
   Alcotest.(check bool) "min <= p50 <= p95 <= max" true (mn <= q50 && q50 <= q95 && q95 <= mx);
   (* A log bucket is at most one factor of 10^(1/8) wide, so the p50
      upper bound stays within ~33% of the true median. *)
@@ -370,23 +395,22 @@ let test_metrics_histogram_exact_max () =
   List.iter Domain.join domains;
   Estima_obs.Metrics.Histogram.observe h true_max;
   Estima_obs.Metrics.Histogram.observe h true_min;
-  Alcotest.(check (float 0.0)) "exact max" true_max (Estima_obs.Metrics.Histogram.max_value h);
-  Alcotest.(check (float 0.0)) "exact min" true_min (Estima_obs.Metrics.Histogram.min_value h);
-  Alcotest.(check (float 0.0)) "q1 is the exact max" true_max
-    (Estima_obs.Metrics.Histogram.quantile h 1.0);
   let s = Estima_obs.Metrics.Histogram.snapshot h in
-  Alcotest.(check int) "snapshot count" 1002 s.Estima_obs.Metrics.Histogram.count;
-  Alcotest.(check (float 0.0)) "snapshot max" true_max s.Estima_obs.Metrics.Histogram.max;
+  Alcotest.(check (float 0.0)) "exact max" true_max s.max;
+  Alcotest.(check (float 0.0)) "exact min" true_min s.min;
+  Alcotest.(check (float 0.0)) "q1 is the exact max" true_max
+    (Estima_obs.Metrics.Histogram.snapshot_quantile s 1.0);
+  Alcotest.(check int) "snapshot count" 1002 s.count;
+  Alcotest.(check (float 0.0)) "snapshot max" true_max s.max;
   Alcotest.(check (float 0.0)) "snapshot quantile clamps to max" true_max
     (Estima_obs.Metrics.Histogram.snapshot_quantile s 1.0);
   Alcotest.(check bool) "render carries the exact p100" true
     (contains ~sub:(Printf.sprintf "p100=%.17g" true_max) (Estima_obs.Metrics.render m));
   (* Empty histograms stay well-defined. *)
   let empty = Estima_obs.Metrics.histogram (Estima_obs.Metrics.create ()) "e" in
-  Alcotest.(check (float 0.0)) "empty max" neg_infinity
-    (Estima_obs.Metrics.Histogram.max_value empty);
-  Alcotest.(check (float 0.0)) "empty min" infinity
-    (Estima_obs.Metrics.Histogram.min_value empty)
+  let e = Estima_obs.Metrics.Histogram.snapshot empty in
+  Alcotest.(check (float 0.0)) "empty max" neg_infinity e.max;
+  Alcotest.(check (float 0.0)) "empty min" infinity e.min
 
 (* ------------------------------------------------------------------ *)
 (* Fit_cache                                                           *)
@@ -1082,4 +1106,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_answer_response_splice;
     ("server memo keys on the request's name", `Quick, test_server_memo_names);
     ("server scrape counts its own batch", `Quick, test_server_scrape_counts_its_batch);
+    QCheck_alcotest.to_alcotest prop_json_string_escape;
   ]

@@ -90,15 +90,6 @@ let test_disk_tier_roundtrip () =
       check_stats "reader stats" reader ~hits:1 ~misses:0 ~writes:0 ~invalid:0;
       Alcotest.(check int) "clear_disk removes it" 1 (Store.clear_disk reader))
 
-let test_find_without_collect () =
-  with_dir (fun dir ->
-      let store = Store.create ~dir () in
-      Alcotest.(check bool) "absent key" true (Store.find store ~key:(key ()) = None);
-      let series = Store.find_or_collect store ~key:(key ()) ~collect:(fun () -> collect_real ()) in
-      match Store.find store ~key:(key ()) with
-      | None -> Alcotest.fail "present key not found"
-      | Some found -> Alcotest.(check string) "found bytes" (csv series) (csv found))
-
 (* --------------------- fingerprint sensitivity -------------------- *)
 
 (* Any semantic input changing must change the fingerprint: the store
@@ -347,7 +338,6 @@ let suite =
   [
     Alcotest.test_case "memory tier: compute once" `Quick test_memory_tier;
     Alcotest.test_case "disk tier: byte-identical round-trip" `Quick test_disk_tier_roundtrip;
-    Alcotest.test_case "find without collecting" `Quick test_find_without_collect;
     Alcotest.test_case "fingerprint covers every key component" `Quick test_fingerprint_sensitivity;
     Alcotest.test_case "changed fingerprint is a miss" `Quick test_fingerprint_change_is_miss;
     Alcotest.test_case "garbage entry: miss + invalid, no exception" `Quick test_garbage_entry;

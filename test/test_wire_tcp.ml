@@ -283,9 +283,8 @@ let test_tcp_load_soak () =
           (Driver.Tcp { host = server.Driver.host; port = server.Driver.port })
           plan)
   in
-  let report = Estima_load.Report.make plan outcome in
-  if not (Estima_load.Report.clean report) then
-    Alcotest.failf "unclean TCP soak:\n%s" (Estima_load.Report.to_text report)
+  if not (Driver.clean outcome) then
+    Alcotest.failf "unclean TCP soak:\n%s" (Estima_load.Report.to_text plan outcome)
 
 let suite =
   [
