@@ -31,11 +31,6 @@ let analyze (prediction : Predictor.t) =
   in
   { findings; target; window }
 
-let dominant t =
-  match t.findings with
-  | [] -> invalid_arg "Bottleneck.dominant: empty analysis"
-  | f :: _ -> f
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>stall-category shares (at %d cores -> at %d cores):@," t.window t.target;
   List.iter

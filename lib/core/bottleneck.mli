@@ -24,10 +24,6 @@ type t = {
 val analyze : Predictor.t -> t
 (** Uses the predictor's per-category fits. *)
 
-val dominant : t -> finding
-(** The top-ranked category.  Raises [Invalid_argument] on an empty
-    analysis (cannot happen for predictions from real series). *)
-
 val hint_for : string -> string option
 (** The built-in code-site hints table, exposed for tests. *)
 

@@ -55,7 +55,11 @@ let[@inline] norm2 a = sqrt (sum_of_squares a)
 let[@inline] norm_inf a =
   let acc = ref 0.0 in
   for i = 0 to Array.length a - 1 do
-    acc := Float.max !acc (Float.abs a.(i))
+    (* [Float.max !acc x] without its two [sign_bit] C calls: both are
+       absolute values, sign bit clear, so this returns the same value,
+       the same NaN included. *)
+    let x = Float.abs a.(i) in
+    if x > !acc || Float.is_nan x then acc := x
   done;
   !acc
 
@@ -98,20 +102,59 @@ let workspace ~m ~n =
     trial_residual = buf m;
   }
 
-(* J^T r and the column scales, each a sum from 0.0 in row order. *)
+(* [Float.max x floor] for a positive [floor], without its two [sign_bit]
+   C calls: any [x] below [floor], -0 included, gives [floor], and a NaN
+   gives [x], as there. *)
+let[@inline] at_least (floor : float) x = if x < floor then floor else x
+
+(* J^T r and the column scales, each a sum from 0.0 in row order; two
+   columns share a pass over the rows, so their four sums do not wait on
+   each other. *)
 let gradient_and_scales ws =
-  let n = ws.n in
-  for j = 0 to n - 1 do
+  let m = ws.m and n = ws.n and jac = ws.jacobian and r = ws.residual in
+  let j = ref 0 in
+  while !j + 1 < n do
+    let c = !j in
+    let g0 = ref 0.0 and d0 = ref 0.0 and g1 = ref 0.0 and d1 = ref 0.0 in
+    for i = 0 to m - 1 do
+      let ri = r.(i) and at = (i * n) + c in
+      let v0 = jac.(at) and v1 = jac.(at + 1) in
+      g0 := !g0 +. (v0 *. ri);
+      d0 := !d0 +. (v0 *. v0);
+      g1 := !g1 +. (v1 *. ri);
+      d1 := !d1 +. (v1 *. v1)
+    done;
+    ws.grad.(c) <- !g0;
+    ws.grad.(c + 1) <- !g1;
+    (* Guard against zero columns: damp against unit scale instead. *)
+    ws.diag.(c) <- at_least 1e-30 !d0;
+    ws.diag.(c + 1) <- at_least 1e-30 !d1;
+    j := c + 2
+  done;
+  if !j < n then begin
+    let c = !j in
     let g = ref 0.0 and d = ref 0.0 in
-    for i = 0 to ws.m - 1 do
-      let v = ws.jacobian.((i * n) + j) in
-      g := !g +. (v *. ws.residual.(i));
+    for i = 0 to m - 1 do
+      let v = jac.((i * n) + c) in
+      g := !g +. (v *. r.(i));
       d := !d +. (v *. v)
     done;
-    ws.grad.(j) <- !g;
-    (* Guard against zero columns: damp against unit scale instead. *)
-    ws.diag.(j) <- Float.max !d 1e-30
-  done
+    ws.grad.(c) <- !g;
+    ws.diag.(c) <- at_least 1e-30 !d
+  end
+
+(* Whether every entry of J is finite, read after [gradient_and_scales]:
+   an infinite or NaN entry makes its column's sum of squares infinite or
+   NaN, so only a column whose scale is not finite is read again. *)
+let jacobian_finite ws =
+  let ok = ref true in
+  for j = 0 to ws.n - 1 do
+    if not (Float.is_finite ws.diag.(j)) then
+      for i = 0 to ws.m - 1 do
+        if not (Float.is_finite ws.jacobian.((i * ws.n) + j)) then ok := false
+      done
+  done;
+  !ok
 
 (* Write the damped system [J; sqrt(lambda) * sqrt(diag)] and its
    right-hand side [-r; 0] into the stacked buffers; true when every
@@ -184,11 +227,11 @@ let minimize ?(options = default_options) objective ~init =
      while !iterations < options.max_iterations do
        incr iterations;
        objective.jacobian_into ws.params ws.jacobian;
-       if not (Vec.all_finite ws.jacobian) then begin
+       gradient_and_scales ws;
+       if not (jacobian_finite ws) then begin
          outcome := Stalled;
          raise Exit
        end;
-       gradient_and_scales ws;
        (* Gradient convergence test. *)
        if norm_inf ws.grad < options.tolerance_gradient then begin
          outcome := Converged;
@@ -204,13 +247,15 @@ let minimize ?(options = default_options) objective ~init =
                ws.trial.(j) <- ws.params.(j) +. ws.step.(j)
              done;
              objective.residual_into ws.trial ws.trial_residual;
-             let trial_ok = Vec.all_finite ws.trial_residual in
-             let trial_cost = if trial_ok then cost_of_residual ws.trial_residual else Float.infinity in
-             if trial_ok && trial_cost < !cost then begin
+             (* A non-finite residual makes this cost +inf or NaN, and
+                neither is below any cost: the compare rejects the trial
+                without a separate finiteness pass. *)
+             let trial_cost = cost_of_residual ws.trial_residual in
+             if trial_cost < !cost then begin
                let step_small =
                  norm2 ws.step < options.tolerance_step *. (norm2 ws.params +. options.tolerance_step)
                in
-               let cost_small = !cost -. trial_cost < options.tolerance_cost *. Float.max !cost 1e-300 in
+               let cost_small = !cost -. trial_cost < options.tolerance_cost *. at_least 1e-300 !cost in
                let previous = ws.params in
                ws.params <- ws.trial;
                ws.trial <- previous;
@@ -218,7 +263,7 @@ let minimize ?(options = default_options) objective ~init =
                ws.residual <- ws.trial_residual;
                ws.trial_residual <- previous;
                cost := trial_cost;
-               lambda := Float.max (!lambda /. options.lambda_decrease) 1e-12;
+               lambda := at_least 1e-12 (!lambda /. options.lambda_decrease);
                accepted := true;
                if step_small || cost_small then begin
                  outcome := Converged;

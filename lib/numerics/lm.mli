@@ -25,11 +25,14 @@
     nothing and need no locks.
 
     Bit-for-bit contract: every floating-point operation keeps its operands
-    and order (sums start from [0.0] and run in index order, no fused or
-    reassociated arithmetic).  The accepted steps decide which kernel wins
-    each fit, so a change in the last bit of a cost can change a printed
-    prediction; the goldens, the CLI/API/server differential and the
-    benchmark's output digest all rely on this. *)
+    and order (each sum starts from [0.0] and runs in index order, no fused
+    or reassociated arithmetic).  Independent sums may be interleaved: the
+    gradient entries and column scales of two columns share one pass over
+    J's rows, each in its own accumulator, as {!Qr.solve_in_place}
+    interleaves a reflector's dots.  The accepted steps decide which
+    kernel wins each fit, so a change in the last bit of a cost can change
+    a printed prediction; the goldens, the CLI/API/server differential and
+    the benchmark's output digest all rely on this. *)
 
 type objective = private {
   residuals : int;  (** [m], the number of residuals. *)

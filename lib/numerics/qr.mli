@@ -10,10 +10,14 @@
     One in-place factorization loop serves every entry point: it applies
     each reflector to the right-hand side as soon as the reflector is
     formed, so neither the reflectors nor Q are ever stored.  Its floating
-    point operations, and their order, are part of the contract: sums start
-    from [0.0] and run in index order, and nothing is fused or reassociated.
-    Fitted kernels, and through them the goldens and every byte the CLI and
-    server print, depend on those bits. *)
+    point operations, and their order, are part of the contract: each sum
+    starts from [0.0] and runs in index order, each update keeps its
+    operands, and nothing is fused or reassociated.  Independent sums may
+    be interleaved: a reflector's dots with up to four columns, or with
+    the right-hand side, share one pass over its rows, each in its own
+    accumulator, and that pass's updates share the next.  Fitted kernels,
+    and through them the goldens and every byte the CLI and server print,
+    depend on those bits. *)
 
 exception Singular
 (** Raised when the matrix is numerically rank-deficient. *)
@@ -30,8 +34,9 @@ val solve_in_place :
 (** [solve_in_place ~rows ~cols ~band a b ~reflector x] writes into [x]
     (length [>= cols]) the minimiser of [||A x - b||_2], where [a] holds [A]
     row-major ([rows * cols] entries, [rows >= cols]).  Allocates nothing:
-    [a] is overwritten with R in its upper triangle, [b] (length [rows])
-    with [Q^T b], and [reflector] (length [>= rows]) is working storage.
+    [a] is overwritten with R in its upper triangle (its strictly lower
+    part is left unspecified), [b] (length [rows]) with [Q^T b], and
+    [reflector] (length [>= rows]) is working storage.
     Raises {!Singular} as {!solve_least_squares} does, leaving [x] partly
     written.
 

@@ -12,8 +12,6 @@ type t
 
 val create : unit -> t
 
-val sink : t -> Trace.sink
-
 val events : t -> Trace.event list
 (** Recorded events in emission order. *)
 

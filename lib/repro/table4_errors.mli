@@ -28,6 +28,4 @@ type result = {
 
 val compute : unit -> result
 
-val summarize : (row -> float) -> row list -> summary
-
 val run : unit -> unit

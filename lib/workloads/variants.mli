@@ -11,9 +11,6 @@ val streamcluster_spinlock : Spec.t
     removes the serialised wake-up chain (paper: up to 74% faster). *)
 
 val intruder_batched : Spec.t
-(** Decoder processes [batch] elements per transaction instead of one:
-    fewer, larger transactions lower total conflict exposure (paper: up to
-    70% faster). *)
-
-val batch : int
-(** Elements per decode step in {!intruder_batched}. *)
+(** Decoder processes 4 elements per transaction instead of one: fewer,
+    larger transactions lower total conflict exposure (paper: up to 70%
+    faster). *)

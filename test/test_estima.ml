@@ -546,6 +546,45 @@ let test_experiment_cross_machine_frequency () =
   Alcotest.(check (float 1e-9)) "frequency scale recorded" (3.4 /. 2.8)
     o.Experiment.prediction.Predictor.config.Predictor.frequency_scale
 
+(* ------------------------------------------------------------------ *)
+(* Unit invariance                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The fit normalises its data and every Table 1 family is closed under
+   output scaling, so the unit of time must not change the answer: with
+   the time column scaled by 2^k, every predicted time scales by exactly
+   2^k, and every kernel, the factor's correlation (to the bit) and the
+   verdict stay.  At k = -560 the factor's sums of squares underflowed
+   and its correlation read nan. *)
+let test_time_unit_invariance () =
+  let config = Config.make ~measured_on:opteron1s ~target:Machines.opteron48 () in
+  let series =
+    ok_or_fail "ingest" (Api.load_series ~machine:opteron1s "../examples/data/kmeans_opteron.csv")
+  in
+  let predict series = ok_or_fail "predict" (Api.predict ~config ~series ~target_max:48 ()) in
+  let reference = predict series in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun k ->
+      let scale (s : Sample.t) = { s with Sample.time_seconds = Float.ldexp s.Sample.time_seconds k } in
+      let p = predict { series with Series.samples = Array.map scale series.Series.samples } in
+      let what = Printf.sprintf "2^%d" k in
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": category kernels") (Predictor.category_kernels reference) (Predictor.category_kernels p);
+      Alcotest.(check string) (what ^ ": factor kernel") (Predictor.factor_kernel reference) (Predictor.factor_kernel p);
+      Alcotest.(check int64)
+        (what ^ ": correlation bits")
+        (bits reference.Predictor.factor.Scaling_factor.correlation)
+        (bits p.Predictor.factor.Scaling_factor.correlation);
+      Array.iteri
+        (fun i t ->
+          let expected = Float.ldexp t k and got = p.Predictor.predicted_times.(i) in
+          if bits expected <> bits got then
+            Alcotest.failf "%s: time at %d cores is %h, expected %h" what (i + 1) got expected)
+        reference.Predictor.predicted_times;
+      Alcotest.(check bool) (what ^ ": verdict") true (Api.verdict reference = Api.verdict p))
+    [ -560; -450; -300; -100; -20; 20; 100 ]
+
 let suite =
   [
     ("checkpoint indices", `Quick, test_checkpoint_indices);
@@ -589,4 +628,5 @@ let suite =
     ("experiment end to end", `Slow, test_experiment_runs_end_to_end);
     ("experiment max error from", `Slow, test_experiment_max_error_from);
     ("experiment cross machine frequency", `Slow, test_experiment_cross_machine_frequency);
+    ("predictions do not depend on the unit of time", `Quick, test_time_unit_invariance);
   ]

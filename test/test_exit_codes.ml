@@ -154,6 +154,17 @@ let test_cli_exit_2_overflow () =
     [ "bad value"; "time_seconds at 6 cores" ];
   if contains ~sub:"nan" output then Alcotest.failf "output %S prints nan" output
 
+let test_cli_underflowing_times () =
+  (* data/underflow.csv is examples/data/kmeans_opteron.csv with every
+     time multiplied by 1e-200: the scaling factor's sums of squares
+     underflowed, and it printed "ConstantFactor (corr nan)" and exited 0.
+     It now predicts what the file in seconds predicts. *)
+  let code, output = run_cli [ "predict"; "--from"; "data/underflow.csv" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  if contains ~sub:"nan" output then Alcotest.failf "output %S prints nan" output;
+  if not (contains ~sub:"factor         ~ Poly25 (corr 0.992)" output) then
+    Alcotest.failf "output %S does not fit the factor as the unscaled file does" output
+
 let test_cli_exit_3_no_realistic_fit () =
   (* data/nofit.csv poisons one stall category with uniformly negative
      per-core values: every kernel fit, every full-series refit and even
@@ -357,4 +368,5 @@ let suite =
       test_load_spawns_servers_for_its_plan );
     ("serve and load read --tcp with one parser", `Quick, test_tcp_addresses);
     ("cli: repro with an unknown id exits 1 naming the valid ids", `Quick, test_repro_unknown_id);
+    ("cli: times in 1e-200 units predict without nan", `Quick, test_cli_underflowing_times);
   ]

@@ -125,12 +125,13 @@ let fit_core_agrees { xs; ys } =
 let prop_lm_bit_identical =
   QCheck.Test.make ~count:150 ~name:"lm matches the reference bit for bit" series fit_core_agrees
 
-(* Random systems, rank-deficient ones included (a repeated, scaled or zero
-   column), sometimes with a non-finite entry. *)
-let system_gen =
+(* Random systems of up to [cols] columns and [rows] rows, rank-deficient
+   ones included (a repeated, scaled or zero column), sometimes with a
+   non-finite entry. *)
+let system_gen_upto ~cols ~rows =
   let open QCheck.Gen in
-  let* n = int_range 1 7 in
-  let* m = int_range n 19 in
+  let* n = int_range 1 cols in
+  let* m = int_range n rows in
   let* cells = array_repeat (m * n) (float_range (-10.0) 10.0)
   and* rhs = array_repeat m (float_range (-10.0) 10.0)
   and* defect = int_range 0 5
@@ -146,9 +147,13 @@ let system_gen =
   in
   return (Mat.init m n entry, rhs)
 
-let system =
+let system_gen = system_gen_upto ~cols:7 ~rows:19
+
+let system_of gen =
   let rows a = String.concat " | " (Array.to_list (Array.map hex (Mat.to_arrays a))) in
-  QCheck.make ~print:(fun (a, b) -> Printf.sprintf "a = %s; b = %s" (rows a) (hex b)) system_gen
+  QCheck.make ~print:(fun (a, b) -> Printf.sprintf "a = %s; b = %s" (rows a) (hex b)) gen
+
+let system = system_of system_gen
 
 let solved solve (a, b) = match solve a b with x -> Some x | exception Qr.Singular -> None
 
@@ -281,6 +286,24 @@ let test_inputs_reach_every_branch () =
   if band = 0 || infinite = 0 || poisoned = 0 then
     Alcotest.failf "damped steps: %d band, %d infinite damping, %d poisoned band" band infinite poisoned
 
+(* Qr's reflectors take the trailing columns four at a time and the last
+   0-3 with the right-hand side: up to 12 columns put two full blocks and
+   every tail width through the dense solve. *)
+let prop_wide_qr_bit_identical =
+  QCheck.Test.make ~count:300 ~name:"wide qr matches the reference bit for bit"
+    (system_of (system_gen_upto ~cols:12 ~rows:24))
+    qr_agrees
+
+(* Lm's damped step against the reference's dense allocating solve of the
+   same stacked system: a fault the band and the dense solve shared would
+   pass "the banded damped step matches the dense one" but not this. *)
+let reference_step (jacobian, r, lambda) =
+  match Reference.solve_damped_step jacobian r lambda with x -> Some x | exception Qr.Singular -> None
+
+let prop_damped_step_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"the damped step matches the reference bit for bit" damped
+    (fun system -> same_step (lm_step system) (reference_step system))
+
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -321,4 +344,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_band_bit_identical;
     ("inputs reach every branch", `Quick, test_inputs_reach_every_branch);
     ("lm iterations allocate nothing", `Quick, test_lm_iterations_allocate_nothing);
+    QCheck_alcotest.to_alcotest prop_damped_step_matches_reference;
+    QCheck_alcotest.to_alcotest prop_wide_qr_bit_identical;
   ]

@@ -913,6 +913,21 @@ let test_server_overflowing_value () =
                 (counter_value server "estima_internal_errors_total"))
       | _ -> Alcotest.fail "expected one response")
 
+(* data/underflow.csv (times in 1e-200 units) through an in-process
+   server: it answered "ok":true with "corr nan"; the answer now holds no
+   nan. *)
+let test_server_underflowing_times () =
+  let csv = In_channel.with_open_bin "data/underflow.csv" In_channel.input_all in
+  with_server (fun server ->
+      match Server.handle_batch server [ predict_line ~id:7 ~spec:"underflow" csv ] with
+      | [ response ], _ ->
+          (match Json.parse response with
+          | Ok json -> Alcotest.(check bool) "ok" true (Json.member "ok" json = Some (Json.Bool true))
+          | Error e -> Alcotest.fail e);
+          if contains ~sub:"nan" response then Alcotest.failf "response %S holds nan" response;
+          Alcotest.(check int) "no internal error" 0 (counter_value server "estima_internal_errors_total")
+      | _ -> Alcotest.fail "expected one response")
+
 let test_soak_1000_requests () =
   let names = [ "kmeans"; "genome"; "ssca2"; "vacation-low"; "intruder"; "yada"; "labyrinth"; "kmeans-high" ] in
   let names = List.filter (fun n -> Suite.find n <> None) names in
@@ -1107,4 +1122,5 @@ let suite =
     ("server memo keys on the request's name", `Quick, test_server_memo_names);
     ("server scrape counts its own batch", `Quick, test_server_scrape_counts_its_batch);
     QCheck_alcotest.to_alcotest prop_json_string_escape;
+    ("server answers times in 1e-200 units without nan", `Quick, test_server_underflowing_times);
   ]
