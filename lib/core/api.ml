@@ -157,11 +157,20 @@ let render_summary prediction = Format.asprintf "%a" Predictor.pp_summary predic
 
 let rows_header = "cores  predicted-time(s)  stalls/core"
 
+(* A time in a 17-wide column: [%17.5f], unless that prints a nonzero
+   time with no nonzero digit (a time in 1e-200 units reads 0.00000),
+   which then prints as [%17.5e]. *)
+let render_time t =
+  let fixed = Printf.sprintf "%17.5f" t in
+  if t = 0.0 || String.exists (fun c -> c >= '1' && c <= '9') fixed then fixed
+  else Printf.sprintf "%17.5e" t
+
 let render_rows (p : Prediction.t) =
   Array.to_list
     (Array.mapi
        (fun i n ->
-         Printf.sprintf "%5.0f  %17.5f  %.4g" n p.Predictor.predicted_times.(i)
+         Printf.sprintf "%5.0f  %s  %.4g" n
+           (render_time p.Predictor.predicted_times.(i))
            p.Predictor.stalls_per_core.(i))
        p.Predictor.target_grid)
 
@@ -192,8 +201,8 @@ let render_confidence_rows (p : Prediction.t) (c : Confidence.t) =
     (Array.mapi
        (fun i n ->
          let b = c.Confidence.bands.(i) in
-         Printf.sprintf "%5.0f  %17.5f  %17.5f  %17.5f" n b.Confidence.lo b.Confidence.median
-           b.Confidence.hi)
+         Printf.sprintf "%5.0f  %s  %s  %s" n (render_time b.Confidence.lo)
+           (render_time b.Confidence.median) (render_time b.Confidence.hi))
        p.Predictor.target_grid)
 
 let render_confidence_verdict (c : Confidence.t) =

@@ -175,12 +175,3 @@ module Args = struct
           ~doc:
             "Attach bootstrap confidence bands to the prediction: refit the pipeline on $(docv)            residual resamples of the measured window (default 100) and report p5/p50/p95            predicted times, a stop-point interval and a risk-aware verdict.  Deterministic            and byte-identical at any $(b,--jobs).")
 end
-
-(* The fields that decide the numbers, and nothing else: trace is
-   observationally neutral by the Trace contract, so two configs
-   differing only there must hash to the same cache key. *)
-let fingerprint t =
-  Printf.sprintf "estima-config-v1 c=%d p=%d k=%s sw=%b fe=%b fs=%.17g df=%.17g" t.checkpoints
-    t.min_prefix
-    (String.concat "," (List.map (fun k -> k.Kernel.name) t.kernels))
-    t.include_software t.include_frontend t.frequency_scale t.dataset_factor

@@ -120,10 +120,3 @@ module Args : sig
   val confidence : int option Cmdliner.Term.t
   (** [--confidence[=RESAMPLES]]; bare [--confidence] means 100. *)
 end
-
-val fingerprint : t -> string
-(** Canonical one-line rendering of every field that can change the
-    numbers — deliberately excluding [trace], which is guaranteed
-    observationally neutral.  The service's result cache keys on this, so
-    a cache hit can never return numbers a different config would have
-    produced, while trace settings share entries. *)

@@ -44,75 +44,111 @@ let parse_literal cur word value =
   end
   else fail cur (Printf.sprintf "expected %s" word)
 
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+let ones = 0x0101010101010101L
+let high_bits = 0x8080808080808080L
+let quotes = 0x2222222222222222L
+let backslashes = 0x5C5C5C5C5C5C5C5CL
+
 (* The end of the run of plain bytes from [i]: the offset of the next
-   quote or backslash, or the end of the input. *)
-let rec run_end input i =
-  if i < String.length input && input.[i] <> '"' && input.[i] <> '\\' then run_end input (i + 1)
+   quote or backslash, or the end of the input.  Eight bytes at a time:
+   [x] has a zero byte exactly when [(x - 0x01..01) land (lnot x)] has a
+   high bit set, and [w lxor quotes] is zero in the lanes of [w] that
+   hold a quote.  The word that holds a hit, and the tail, go byte by
+   byte. *)
+let rec byte_run_end input i =
+  if i < String.length input && input.[i] <> '"' && input.[i] <> '\\' then byte_run_end input (i + 1)
   else i
 
-(* Each run of plain bytes between escapes is copied whole, with one
+let rec run_end input i =
+  if i + 8 > String.length input then byte_run_end input i
+  else
+    let w = get64u input i in
+    let q = Int64.logxor w quotes and b = Int64.logxor w backslashes in
+    let zeros =
+      Int64.logor
+        (Int64.logand (Int64.sub q ones) (Int64.lognot q))
+        (Int64.logand (Int64.sub b ones) (Int64.lognot b))
+    in
+    if Int64.logand zeros high_bits <> 0L then byte_run_end input i else run_end input (i + 8)
+
+let parse_escape cur buf =
+  match peek cur with
+  | None -> fail cur "unterminated escape"
+  | Some c -> (
+      advance cur;
+      match c with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+          if cur.pos + 4 > String.length cur.input then fail cur "truncated \\u escape";
+          (* Exactly four hex digits: [int_of_string_opt "0x…"]
+             alone would also accept OCaml-isms such as the
+             underscore in "\u1_23". *)
+          let digit c =
+            match c with
+            | '0' .. '9' -> Char.code c - Char.code '0'
+            | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+            | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+            | _ -> fail cur "bad \\u escape"
+          in
+          let code = ref 0 in
+          for i = 0 to 3 do
+            code := (!code * 16) + digit cur.input.[cur.pos + i]
+          done;
+          let code = !code in
+          cur.pos <- cur.pos + 4;
+          (* UTF-8 encode the BMP code point; surrogate pairs are
+             passed through as two 3-byte sequences, which round-trips
+             our own printer (it never emits \u). *)
+          if code < 0x80 then Buffer.add_char buf (Char.chr code)
+          else if code < 0x800 then begin
+            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+          end
+          else begin
+            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+          end
+      | _ -> fail cur "unknown escape")
+
+(* A string with no escape is one [String.sub] of the input; otherwise
+   each run of plain bytes between escapes is copied whole, with one
    [Buffer.add_substring]. *)
 let parse_string_body cur =
   expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    let stop = run_end cur.input cur.pos in
-    Buffer.add_substring buf cur.input cur.pos (stop - cur.pos);
-    cur.pos <- stop;
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some _ (* the backslash that ended the run *) -> (
-        advance cur;
+  let start = cur.pos in
+  cur.pos <- run_end cur.input start;
+  match peek cur with
+  | Some '"' ->
+      advance cur;
+      String.sub cur.input start (cur.pos - 1 - start)
+  | _ ->
+      let buf = Buffer.create (cur.pos - start + 16) in
+      Buffer.add_substring buf cur.input start (cur.pos - start);
+      (* [cur.pos] is at the byte that ended a run, or at the end. *)
+      let rec loop () =
         match peek cur with
-        | None -> fail cur "unterminated escape"
-        | Some c ->
+        | None -> fail cur "unterminated string"
+        | Some '"' -> advance cur
+        | Some _ (* the backslash that ended the run *) ->
             advance cur;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                if cur.pos + 4 > String.length cur.input then fail cur "truncated \\u escape";
-                (* Exactly four hex digits: [int_of_string_opt "0x…"]
-                   alone would also accept OCaml-isms such as the
-                   underscore in "\u1_23". *)
-                let digit c =
-                  match c with
-                  | '0' .. '9' -> Char.code c - Char.code '0'
-                  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                  | _ -> fail cur "bad \\u escape"
-                in
-                let code = ref 0 in
-                for i = 0 to 3 do
-                  code := (!code * 16) + digit cur.input.[cur.pos + i]
-                done;
-                let code = !code in
-                cur.pos <- cur.pos + 4;
-                (* UTF-8 encode the BMP code point; surrogate pairs are
-                   passed through as two 3-byte sequences, which round-trips
-                   our own printer (it never emits \u). *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-            | _ -> fail cur "unknown escape");
-            loop ())
-  in
-  loop ();
-  Buffer.contents buf
+            parse_escape cur buf;
+            let stop = run_end cur.input cur.pos in
+            Buffer.add_substring buf cur.input cur.pos (stop - cur.pos);
+            cur.pos <- stop;
+            loop ()
+      in
+      loop ();
+      Buffer.contents buf
 
 let parse_number cur =
   let start = cur.pos in

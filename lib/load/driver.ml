@@ -110,7 +110,7 @@ type client_result = {
 let run_client ~client ~timeout_s ~hist conn (stream : Generator.request array) =
   let n = Array.length stream in
   let pending : (Generator.request * float) Queue.t = Queue.create () in
-  let buf = Buffer.create 4096 in
+  let framing = Wire.new_stream () in
   let chunk = Bytes.create 65536 in
   let sent = ref 0 in
   let received = ref 0 in
@@ -158,8 +158,7 @@ let run_client ~client ~timeout_s ~hist conn (stream : Generator.request array) 
            let read = Unix.read conn.infd chunk 0 (Bytes.length chunk) in
            if read = 0 then eof := true
            else begin
-             Buffer.add_subbytes buf chunk 0 read;
-             let lines = Wire.split_lines buf in
+             let lines, _ = Wire.frames framing ~limit:max_int chunk read in
              List.iter
                (fun line ->
                  if not (Queue.is_empty pending) then begin

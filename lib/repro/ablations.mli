@@ -7,26 +7,4 @@
     - Checkpoint count c in {2, 4} (Section 3.1.2).
     - The anti-overfitting prefix sweep on/off. *)
 
-type aggregate_row = {
-  name : string;
-  fine_grain_error : float;
-  aggregate_error : float;
-  fine_grain_agrees : bool;
-  aggregate_agrees : bool;
-}
-
-type sensitivity_row = {
-  name : string;
-  c2_error : float;
-  c4_error : float;
-  single_prefix_error : float;
-}
-
-type result = {
-  aggregate : aggregate_row list;
-  sensitivity : sensitivity_row list;
-}
-
-val compute : unit -> result
-
 val run : unit -> unit

@@ -13,8 +13,6 @@ type case = {
   best_improvement : float;
 }
 
-type result = case list
-
 let one ~name ~fixed_name =
   let entry = Option.get (Suite.find name) in
   let prediction =

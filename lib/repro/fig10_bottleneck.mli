@@ -7,19 +7,4 @@
     Figure 11 re-measures the fixed variants (spinlock barriers; batched
     decode) on the full machine and reports the improvement. *)
 
-type case = {
-  name : string;
-  analysis : Estima.Bottleneck.t;
-  dominant_software : string option;
-      (** The top-ranked software category at the target, if any. *)
-  hint : string option;
-  fixed_name : string;
-  improvement_at_48 : float;  (** 1 - fixed_time/original_time at 48 cores. *)
-  best_improvement : float;  (** Maximum over all core counts. *)
-}
-
-type result = case list
-
-val compute : unit -> result
-
 val run : unit -> unit

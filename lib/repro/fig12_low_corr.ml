@@ -12,8 +12,6 @@ type case = {
   correlation : float;
 }
 
-type result = case list
-
 let one name machine =
   let entry = Option.get (Suite.find name) in
   let truth = Estima.Experiment.sweep ~entry ~machine () in

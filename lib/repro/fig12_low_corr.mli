@@ -5,17 +5,4 @@
     point-to-point changes depress the Pearson coefficient — without
     breaking the extrapolation (Table 4 still predicts them well). *)
 
-type case = {
-  name : string;
-  machine : string;
-  grid : float array;
-  times : float array;
-  stalls_per_core : float array;
-  correlation : float;
-}
-
-type result = case list
-
-val compute : unit -> result
-
 val run : unit -> unit

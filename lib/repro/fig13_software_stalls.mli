@@ -6,24 +6,4 @@
     hardware-only stalls miss the synchronisation bottleneck and correlate
     worse with time — is included as correlations. *)
 
-type row = {
-  name : string;
-  error_without : float;
-  error_with : float;
-  improvement : float;  (** 1 - with/without (positive = software helps). *)
-}
-
-type streamcluster_detail = {
-  corr_hw_only : float;
-  corr_hw_sw : float;
-  grid : float array;
-  times : float array;
-  spc_hw : float array;
-  spc_hw_sw : float array;
-}
-
-type result = { rows : row list; average_improvement : float; streamcluster : streamcluster_detail }
-
-val compute : unit -> result
-
 val run : unit -> unit

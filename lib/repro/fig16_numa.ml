@@ -4,8 +4,6 @@ open Estima
 
 type case = { name : string; error_from_10 : float; error_from_14 : float; improved : bool }
 
-type result = case list
-
 let error_with_window entry ~measure_machine ~measure_max =
   let prediction =
     Lab.predict ~entry ~measure_machine ~measure_max ~target_machine:Machines.xeon20 ()

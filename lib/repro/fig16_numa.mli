@@ -5,15 +5,4 @@
     few cores of the second socket (here 14) lets ESTIMA capture the NUMA
     trends and improves full-machine predictions. *)
 
-type case = {
-  name : string;
-  error_from_10 : float;
-  error_from_14 : float;
-  improved : bool;
-}
-
-type result = case list
-
-val compute : unit -> result
-
 val run : unit -> unit

@@ -12,8 +12,6 @@ type app_result = {
   error : Diag.Quality.t;
 }
 
-type result = app_result list
-
 (* The desktop exposes 8 hardware threads; the server process is measured
    on up to [measure_threads] of them while simulated clients occupy the
    rest (the paper used 3 server threads on the same box — we use 6 so the

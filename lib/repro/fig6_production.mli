@@ -6,17 +6,4 @@
     The paper reports errors below 30% (memcached) and 26% (SQLite), with
     the stop-scaling point predicted correctly. *)
 
-type app_result = {
-  name : string;
-  measure_threads : int;
-  grid : float array;
-  predicted : float array;
-  measured : float array;
-  error : Estima.Diag.Quality.t;
-}
-
-type result = app_result list
-
-val compute : unit -> result
-
 val run : unit -> unit

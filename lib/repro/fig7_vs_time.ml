@@ -1,6 +1,5 @@
 open Estima_machine
 open Estima_workloads
-open Estima_counters
 open Estima
 
 type row = {
@@ -10,8 +9,6 @@ type row = {
   estima_agrees : bool;
   baseline_agrees : bool;
 }
-
-type result = row list
 
 let workloads = [ "intruder"; "yada"; "kmeans"; "vacation-high"; "bodytrack"; "streamcluster" ]
 

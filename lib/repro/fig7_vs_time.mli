@@ -5,16 +5,4 @@
     prediction errors and the scalability verdicts of both methods on the
     full Opteron. *)
 
-type row = {
-  name : string;
-  estima_error : float;
-  baseline_error : float;
-  estima_agrees : bool;
-  baseline_agrees : bool;
-}
-
-type result = row list
-
-val compute : unit -> result
-
 val run : unit -> unit

@@ -12,8 +12,6 @@ type curve = {
   error : Diag.Quality.t;
 }
 
-type result = curve list
-
 let workloads = [ "raytrace"; "intruder"; "yada"; "kmeans" ]
 
 let one name =

@@ -2,17 +2,4 @@
     the Opteron (measure one processor, predict the full machine),
     including the time-extrapolation comparator. *)
 
-type curve = {
-  name : string;
-  grid : float array;
-  predicted : float array;
-  baseline : float array;
-  measured : float array;
-  error : Estima.Diag.Quality.t;
-}
-
-type result = curve list
-
-val compute : unit -> result
-
 val run : unit -> unit

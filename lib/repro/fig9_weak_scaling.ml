@@ -13,8 +13,6 @@ type curve = {
   verdict_agrees : bool;
 }
 
-type result = curve list
-
 let dataset_factor = 2.0
 
 let one name =

@@ -6,17 +6,4 @@
     As in the paper, the single-core point is excluded from the error
     statistics (the simple dataset scaling misses it). *)
 
-type curve = {
-  name : string;
-  grid : float array;
-  predicted : float array;
-  measured : float array;
-  max_error_excl_single : float;
-  verdict_agrees : bool;
-}
-
-type result = curve list
-
-val compute : unit -> result
-
 val run : unit -> unit

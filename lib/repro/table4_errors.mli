@@ -7,25 +7,4 @@
     size, with the summary statistics the paper prints (average, standard
     deviation, maximum). *)
 
-type row = {
-  name : string;
-  family : string;
-  opteron_2cpu : float;
-  opteron_3cpu : float;
-  opteron_4cpu : float;
-  xeon20_2cpu : float;
-  opteron_agrees : bool;  (** Scalability-verdict agreement on the full Opteron. *)
-  xeon20_agrees : bool;
-}
-
-type summary = { average : float; std_dev : float; maximum : float }
-
-type result = {
-  rows : row list;
-  opteron_4cpu_summary : summary;
-  xeon20_summary : summary;
-}
-
-val compute : unit -> result
-
 val run : unit -> unit

@@ -5,14 +5,4 @@
     justify the whole method; errors then stem from function
     approximation, not from the stalls-tell-the-story assumption. *)
 
-type row = { name : string; opteron : float; xeon20 : float; xeon48 : float }
-
-type result = {
-  rows : row list;
-  average : float * float * float;
-  minimum : float * float * float;
-}
-
-val compute : unit -> result
-
 val run : unit -> unit

@@ -5,11 +5,4 @@
     added to the backend set.  The paper finds the average improvement
     near zero or negative — the justification for backend-only ESTIMA. *)
 
-type row = { name : string; opteron : float; xeon20 : float; xeon48 : float }
-(** Percentage-point correlation change (positive = frontend helps). *)
-
-type result = { rows : row list; average : float * float * float }
-
-val compute : unit -> result
-
 val run : unit -> unit

@@ -6,16 +6,4 @@
     standard deviation and maximum) than the single-socket Table 4
     Xeon20 column. *)
 
-type row = { name : string; xeon20_error : float; xeon48_error : float }
-
-type summary = { average : float; std_dev : float; maximum : float }
-
-type result = {
-  rows : row list;
-  xeon20_summary : summary;  (** The Table 4 comparison column. *)
-  xeon48_summary : summary;
-}
-
-val compute : unit -> result
-
 val run : unit -> unit

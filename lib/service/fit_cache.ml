@@ -5,9 +5,9 @@
 
 type 'a entry = { value : 'a; mutable stamp : int }
 
-type 'a t = {
+type ('k, 'a) t = {
   capacity : int;
-  entries : (string, 'a entry) Hashtbl.t;
+  entries : ('k, 'a entry) Hashtbl.t;
   mutable clock : int;
 }
 

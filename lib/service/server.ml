@@ -36,24 +36,39 @@ let max_confidence_resamples = 1000
 
 type fault = Fault_raise of string | Fault_delay of float | Fault_garbage
 
+(* What decides a predict's answer besides the server's configuration,
+   which never varies for one server.  The series digest carries no
+   workload name, but the rendered summary does: without the spec name
+   two requests differing only in "spec" would collide, and one would
+   replay the other's summary line.  The protocol version is
+   deliberately absent: it only changes the response envelope, which is
+   built per request at respond time, so v1 and v2 requests share
+   entries. *)
+type cache_key = {
+  spec : string;
+  digest : Digest.t;  (* [Csv_export.series_digest]: the series' exact values *)
+  target_max : int;
+  confidence : int option;
+}
+
 type t = {
   config : config;
   clock : unit -> float;
   pool : Estima_par.Pool.t;
-  fingerprint : string;  (* [Config.fingerprint config.base], for every cache key *)
   (* The fit cache holds each answer's response members, rendered once
      when the entry is filled: a hit splices its own envelope onto the
-     exact bytes of the run that filled it.  It is keyed by the series'
-     values ([cache_key]); the confidence resample count is part of the
-     key, so plain and confidence requests for the same series never
-     collide. *)
-  cache : Protocol.rendered Fit_cache.t;
+     exact bytes of the run that filled it.  The confidence resample
+     count is part of its key, so plain and confidence requests for the
+     same series never collide. *)
+  cache : (cache_key, Protocol.rendered) Fit_cache.t;
   (* The ingest memo, as bounded as the cache: an inline CSV's series
-     and its [series_digest], keyed by the request's bytes ([memo_key]),
-     so a repeated frame parses no CSV.  Only "csv" predicts use it: a
-     "file" can change on disk, and a "workload" already comes from the
-     store. *)
-  memo : (Estima_counters.Series.t * Digest.t) Fit_cache.t;
+     and its [series_digest], keyed by what ingest reads from the
+     request — its "spec", its "file" label and its CSV text, compared
+     by value — so a repeated frame parses no CSV, whatever its id or
+     version.  An entry holds its CSV text.  Only "csv" predicts use
+     it: a "file" can change on disk, and a "workload" already comes
+     from the store. *)
+  memo : (string option * string option * string, Estima_counters.Series.t * Digest.t) Fit_cache.t;
   registry : Metrics.t;
   faults : (string, fault) Hashtbl.t;
   mutable alive : bool;
@@ -80,7 +95,6 @@ let create ?(clock = Estima_obs.Clock.now_s) config =
     config;
     clock;
     pool = Estima_par.Pool.create ~jobs:config.jobs;
-    fingerprint = Config.fingerprint config.base;
     cache = Fit_cache.create ~capacity:config.cache_capacity;
     memo = Fit_cache.create ~capacity:config.cache_capacity;
     registry = Metrics.create ();
@@ -98,13 +112,7 @@ let target_machine t = Option.value ~default:t.config.machine t.config.target
 
 (* One predict request, resolved by the dispatcher up to the point where
    only pipeline work is left. *)
-type job = {
-  arrival : float;
-  key : string;
-  series : Estima_counters.Series.t;
-  target_max : int;
-  confidence : int option;
-}
+type job = { arrival : float; key : cache_key; series : Estima_counters.Series.t }
 
 type slot =
   | Ready of string  (* response already known: parse error, shed, cache hit *)
@@ -124,27 +132,6 @@ let shed t ~id ~v ~arrival cause counter_name =
   count t "estima_errors_total";
   observe_latency t arrival;
   Ready (Protocol.error_response ~id ~v (Diag.make ~stage:Diag.Serve ~subject:"request" cause))
-
-let cache_key t ~series ~digest ~target_max ~confidence =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          [
-            (* The series digest carries no workload name, but the
-               rendered summary does — without the spec name in the key,
-               two requests differing only in "spec" would collide and
-               one would replay the other's summary line. *)
-            Printf.sprintf "spec=%s" series.Estima_counters.Series.spec_name;
-            Digest.to_hex digest;
-            t.fingerprint;
-            Printf.sprintf "target_max=%d" target_max;
-            (* The protocol version is deliberately absent: it only
-               changes the response envelope, which is built per request
-               at respond time — v1 and v2 requests share entries. *)
-            (match confidence with
-            | None -> "confidence=none"
-            | Some n -> Printf.sprintf "confidence=%d" n);
-          ]))
 
 (* Resolved through the shared measurement store: with a disk tier
    attached, repeats across restarts read the persisted series instead
@@ -166,15 +153,6 @@ let collect_workload ~machine name =
       Api.collect_checked ~plugins:entry.Estima_workloads.Suite.plugins ~machine
         ~spec:entry.Estima_workloads.Suite.spec ~max_threads:(Topology.cores machine) ()
 
-(* The ingest memo's key: what ingest reads from an inline predict —
-   its spec, its file label and its CSV text — encoded injectively, each
-   optional field as "-" when absent and as its length-prefixed bytes
-   otherwise, the CSV last.  Two requests share an entry only when
-   ingest would read the same bytes, whatever their id or version. *)
-let memo_key ~spec_name ~file ~csv =
-  let field = function None -> "-" | Some s -> Printf.sprintf "+%d:%s" (String.length s) s in
-  Digest.string (String.concat "" [ field spec_name; field file; csv ])
-
 (* The request's series and its [series_digest]. *)
 let resolve_series t ~(file : string option) ~csv ~workload ~spec_name =
   let with_digest =
@@ -182,7 +160,7 @@ let resolve_series t ~(file : string option) ~csv ~workload ~spec_name =
   in
   match csv with
   | Some csv -> (
-      let key = memo_key ~spec_name ~file ~csv in
+      let key = (spec_name, file, csv) in
       match Fit_cache.find t.memo key with
       | Some entry ->
           count t "estima_ingest_memo_hits_total";
@@ -256,7 +234,9 @@ let admit t ~admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name ~target_ma
             let target_max =
               Option.value ~default:(Topology.cores (target_machine t)) target_max
             in
-            let key = cache_key t ~series ~digest ~target_max ~confidence in
+            let key =
+              { spec = series.Estima_counters.Series.spec_name; digest; target_max; confidence }
+            in
             (match Fit_cache.find t.cache key with
             | Some rendered ->
                 count t "estima_cache_hits_total";
@@ -268,7 +248,7 @@ let admit t ~admitted ~pending ~id ~v ~file ~csv ~workload ~spec_name ~target_ma
                   count t "estima_cache_misses_total";
                   Hashtbl.replace pending key ()
                 end;
-                Run { id; v; job = { arrival; key; series; target_max; confidence } }))
+                Run { id; v; job = { arrival; key; series } }))
 
 let deadline_of t request_timeout =
   match request_timeout with Some ms -> Some ms | None -> t.config.default_timeout_ms
@@ -292,8 +272,8 @@ let run_pipeline t job =
   | Some (Fault_raise msg) -> failwith msg
   | Some (Fault_delay seconds) -> Unix.sleepf seconds
   | Some Fault_garbage | None -> ());
-  answer ~base:t.config.base ~series:job.series ~target_max:job.target_max
-    ~confidence:job.confidence
+  answer ~base:t.config.base ~series:job.series ~target_max:job.key.target_max
+    ~confidence:job.key.confidence
 
 let garbage_answer =
   {
@@ -366,7 +346,7 @@ let handle_batch t lines =
   let unique = Hashtbl.create 16 in
   List.iter (fun job -> if not (Hashtbl.mem unique job.key) then Hashtbl.add unique job.key job) pending;
   let jobs = Array.of_list (Hashtbl.fold (fun _ job acc -> job :: acc) unique []) in
-  Array.sort (fun a b -> String.compare a.key b.key) jobs;
+  Array.sort (fun a b -> compare a.key b.key) jobs;
   let outcomes =
     Estima_par.Pool.run t.pool jobs ~f:(fun job ->
         let t0 = t.clock () in

@@ -13,30 +13,32 @@
       default) is shed with {!Estima.Diag.Deadline_exceeded} instead of
       computing an answer nobody is waiting for — cache hits are exempt,
       they are served instantly regardless;
-    - {b result cache}: results are cached in an LRU keyed by a digest
-      of the ingested series' exact values
-      ({!Estima_counters.Csv_export.series_digest}: equal exactly when
-      the series' canonical CSVs are equal, but computed without
-      rendering them) plus the spec name, {!Estima.Config.fingerprint}
-      (computed once, in {!create}), the target core count and the
-      confidence resample count, so a hit returns byte-identical text
-      to a fresh run, the same series sent as differently formatted CSV
-      text is one entry, and configs differing only in
-      observationally-neutral knobs share entries.  An entry is the
+    - {b result cache}: results are cached in an LRU keyed by the
+      record of the spec name, a digest of the ingested series' exact
+      values ({!Estima_counters.Csv_export.series_digest}: equal exactly
+      when the series' canonical CSVs are equal, but computed without
+      rendering them), the target core count and the confidence
+      resample count, compared by value.  The pipeline knobs are not in
+      the key: one server's [base] never varies.  So a hit returns
+      byte-identical text to a fresh run, and the same series sent as
+      differently formatted CSV text is one entry.  An entry is the
       answer's response members ({!Protocol.rendered}), rendered once
       when it is filled; every predict response, hit or miss, is the
       request's envelope spliced onto them;
     - {b ingest memo}: a second LRU, of [cache_capacity] entries, maps
-      the bytes an inline ["csv"] predict hands to ingest — its
-      ["spec"], its ["file"] label and its CSV text — to the ingested
-      series and its digest, so a frame that repeats an earlier CSV
-      byte for byte parses no CSV: a cache hit is then one JSON parse,
-      one digest of the request's bytes, two table lookups and one
-      splice.  It is filled only after a successful ingest and
-      consulted only for ["csv"] requests (a ["file"] can change on
-      disk, and a ["workload"] already comes from the store); each
-      predict whose series came from it counts once in
-      [estima_ingest_memo_hits_total];
+      what an inline ["csv"] predict hands to ingest — its ["spec"], its
+      ["file"] label and its CSV text, compared by value — to the
+      ingested series and its digest, so a frame that repeats an
+      earlier CSV byte for byte parses no CSV: a cache hit is then one
+      JSON parse, two hash lookups and one splice, with no digest of the
+      request's bytes.  An entry holds its request's CSV text, so the
+      memo's memory is bounded by [cache_capacity] times the frame size
+      (a frame holds at most the transport's [max_buffer_bytes], the
+      [--max-buffer] cap, plus one read).  It is filled only
+      after a successful ingest and consulted only for ["csv"] requests
+      (a ["file"] can change on disk, and a ["workload"] already comes
+      from the store); each predict whose series came from it counts
+      once in [estima_ingest_memo_hits_total];
     - {b worker pool}: uncached work (deduplicated within the batch by
       cache key — a duplicate payload coalesces onto the in-flight
       computation and counts as a cache hit) fans out on an

@@ -1,30 +1,87 @@
-(* Line framing over a byte stream: accumulate reads in a per-stream
-   buffer, peel off every complete line.  [\r\n] is accepted as [\n] so
-   hand-typed sessions work from any terminal. *)
+(* Line framing over a byte stream: each read is scanned once for
+   newlines, and every line it completes is cut straight from it; the
+   stream keeps only the partial frame after the last newline.  [\r\n]
+   is accepted as [\n] so hand-typed sessions work from any terminal. *)
 
 module Metrics = Estima_obs.Metrics
 module Diag = Estima.Diag
 
-let split_lines buffer =
-  let data = Buffer.contents buffer in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear buffer;
-      Buffer.add_string buffer (String.sub data (last + 1) (String.length data - last - 1));
-      String.sub data 0 last |> String.split_on_char '\n'
-      |> List.map (fun line ->
-             let n = String.length line in
-             if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let rec byte_newline chunk i n =
+  if i < n && Bytes.unsafe_get chunk i <> '\n' then byte_newline chunk (i + 1) n else i
+
+(* The offset of the first newline in [chunk] from [i] on, or [n].
+   Eight bytes at a time: [x = w lxor 0x0A..0A] is zero in the lanes of
+   [w] that hold a newline, and [x] has a zero byte exactly when
+   [(x - 0x01..01) land (lnot x)] has a high bit set.  The word that
+   holds a hit, and the tail, go byte by byte. *)
+let rec newline chunk i n =
+  if i + 8 > n then byte_newline chunk i n
+  else
+    let x = Int64.logxor (get64u chunk i) 0x0A0A0A0A0A0A0A0AL in
+    if Int64.logand (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x)) 0x8080808080808080L
+       <> 0L
+    then byte_newline chunk i n
+    else newline chunk (i + 8) n
 
 let default_max_buffer_bytes = 1 lsl 20
 
-(* Per-stream framing state.  [discarding] is set after an oversized
-   frame was shed: its bytes are dropped (bounded memory) until the next
-   newline resynchronises the stream. *)
-type stream = { buffer : Buffer.t; mutable discarding : bool }
+(* Per-stream framing state: [partial] holds the bytes after the last
+   newline.  [discarding] is set after an oversized frame was shed: its
+   bytes are dropped (bounded memory) until the next newline
+   resynchronises the stream. *)
+type stream = { partial : Buffer.t; mutable discarding : bool }
 
-let new_stream () = { buffer = Buffer.create 4096; discarding = false }
+let new_stream () = { partial = Buffer.create 4096; discarding = false }
+
+(* The line that ends at [stop], less a trailing [\r]: the partial frame
+   completed by [chunk] from [start], or, with nothing buffered, a copy
+   straight from [chunk]. *)
+let cut stream chunk start stop =
+  if Buffer.length stream.partial = 0 then
+    let stop = if stop > start && Bytes.get chunk (stop - 1) = '\r' then stop - 1 else stop in
+    Bytes.sub_string chunk start (stop - start)
+  else begin
+    Buffer.add_subbytes stream.partial chunk start (stop - start);
+    let len = Buffer.length stream.partial in
+    let len = if Buffer.nth stream.partial (len - 1) = '\r' then len - 1 else len in
+    let line = Buffer.sub stream.partial 0 len in
+    Buffer.clear stream.partial;
+    line
+  end
+
+let frames stream ~limit chunk n =
+  if n = 0 then begin
+    (* EOF: a final line the peer never terminated is still a request;
+       the tail of a frame already shed as oversized stays dropped. *)
+    ((if Buffer.length stream.partial = 0 then [] else [ cut stream chunk 0 0 ]), None)
+  end
+  else begin
+    let rec split acc start =
+      let stop = newline chunk start n in
+      if stop = n then begin
+        Buffer.add_subbytes stream.partial chunk start (n - start);
+        List.rev acc
+      end
+      else split (cut stream chunk start stop :: acc) (stop + 1)
+    in
+    let start =
+      if not stream.discarding then 0
+      else
+        let stop = newline chunk 0 n in
+        if stop < n then stream.discarding <- false;
+        min n (stop + 1)
+    in
+    let lines = split [] start in
+    if Buffer.length stream.partial <= limit then (lines, None)
+    else begin
+      let buffered = Buffer.length stream.partial in
+      Buffer.reset stream.partial;
+      stream.discarding <- true;
+      (lines, Some buffered)
+    end
+  end
 
 let count server name =
   Metrics.Counter.incr (Metrics.counter (Server.metrics server) name)
@@ -36,74 +93,36 @@ let frame_too_large server ~buffered ~limit =
     (Diag.make ~stage:Diag.Serve ~subject:"connection"
        (Diag.Frame_too_large { buffered; limit }))
 
-(* Feed [n] freshly read bytes into the stream and return the complete
-   lines now available, plus at most one typed [frame-too-large] error
-   line when the residual (no newline yet) exceeded [limit]: the buffer
-   is dropped and the stream discards until the next newline — an
-   adversarial no-newline client costs one chunk of memory, not an
-   unbounded buffer.  The error is returned rather than written here so
-   the caller can emit it after the responses to the complete lines,
-   which arrived first on the wire. *)
-let ingest server stream ~limit chunk n =
-  let data = Bytes.sub_string chunk 0 n in
-  let data =
-    if not stream.discarding then data
-    else
-      match String.index_opt data '\n' with
-      | None -> ""
-      | Some i ->
-          stream.discarding <- false;
-          String.sub data (i + 1) (String.length data - i - 1)
-  in
-  if data = "" then ([], None)
-  else begin
-    Buffer.add_string stream.buffer data;
-    let lines = split_lines stream.buffer in
-    let shed =
-      if Buffer.length stream.buffer > limit then begin
-        let buffered = Buffer.length stream.buffer in
-        Buffer.clear stream.buffer;
-        stream.discarding <- true;
-        Some (frame_too_large server ~buffered ~limit)
-      end
-      else None
-    in
-    (lines, shed)
-  end
-
-(* EOF flush: a final line the peer never terminated is still a request
-   (satellite fix — it used to be dropped silently).  The tail of a
-   frame that was already shed as oversized stays dropped. *)
-let final_lines stream =
-  if stream.discarding then []
-  else begin
-    let lines = split_lines stream.buffer in
-    let tail = Buffer.contents stream.buffer in
-    Buffer.clear stream.buffer;
-    if tail = "" then lines
-    else
-      let tail =
-        let n = String.length tail in
-        if tail.[n - 1] = '\r' then String.sub tail 0 (n - 1) else tail
-      in
-      lines @ [ tail ]
-  end
-
 (* Answer what one read of [n] bytes completes ([n = 0] is the peer's
    EOF, which also flushes an unterminated final line): the responses to
    the complete lines, then the shed error if the read overflowed the
    cap — those lines arrived first, so positional clients see wire
-   order. *)
+   order.  The error is built (and counted) before the batch runs, so a
+   scrape in the same read counts it. *)
 let answer server stream ~limit chunk n =
-  let lines, shed =
-    if n = 0 then (final_lines stream, None) else ingest server stream ~limit chunk n
-  in
+  let lines, shed = frames stream ~limit chunk n in
+  let shed = Option.map (fun buffered -> frame_too_large server ~buffered ~limit) shed in
   let responses, verdict =
     match lines with [] -> ([], `Continue) | lines -> Server.handle_batch server lines
   in
   (responses @ Option.to_list shed, verdict)
 
-let payload responses = String.concat "\n" responses ^ "\n"
+(* The bytes to write: what is left of [rest] from [sent] on, then one
+   line per response, in one allocation. *)
+let payload ?(rest = "") ?(sent = 0) responses =
+  let kept = String.length rest - sent in
+  let out = Bytes.create (List.fold_left (fun n r -> n + String.length r + 1) kept responses) in
+  Bytes.blit_string rest sent out 0 kept;
+  let _ : int =
+    List.fold_left
+      (fun off r ->
+        let n = String.length r in
+        Bytes.blit_string r 0 out off n;
+        Bytes.set out (off + n) '\n';
+        off + n + 1)
+      kept responses
+  in
+  Bytes.unsafe_to_string out
 
 (* A blocking write: stdio's, whose one peer can only stall itself, and
    the listener's one-line refusal into a fresh socket's empty buffer. *)
@@ -191,9 +210,7 @@ let serve_listener ~max_buffer_bytes ~max_connections ~on_accept ~cleanup server
   in
   let send conn responses =
     if responses <> [] then begin
-      conn.pending <-
-        (if queued conn = 0 then payload responses
-         else String.sub conn.pending conn.sent (queued conn) ^ payload responses);
+      conn.pending <- payload ~rest:conn.pending ~sent:conn.sent responses;
       conn.sent <- 0
     end;
     flush conn

@@ -79,11 +79,23 @@ val serve_tcp :
 
 (** {1 Internals, exposed for tests and the load driver} *)
 
-val split_lines : Buffer.t -> string list
-(** Peel every complete line off the buffer, leaving the unterminated
-    tail in place: lines are separated by ['\n'], a trailing ['\r'] on a
-    line is stripped ([\r\n] framing), empty lines are preserved.
-    Returns [[]] (buffer untouched) when no newline has arrived yet. *)
+type stream
+(** One byte stream's framing state: the partial frame after its last
+    newline, and whether it is discarding the rest of a shed frame. *)
+
+val new_stream : unit -> stream
+
+val frames : stream -> limit:int -> Bytes.t -> int -> string list * int option
+(** [frames stream ~limit chunk n] feeds the [n] bytes just read into
+    [chunk] and returns every line they complete, in order, plus
+    [Some buffered] when the partial frame left after the last newline
+    has grown past [limit] bytes: it is dropped ([buffered] is its
+    length) and the stream discards input until the next newline.
+    Lines are separated by ['\n'], a trailing ['\r'] on a line is
+    stripped ([\r\n] framing), and empty lines are preserved.  The new
+    bytes are scanned once, eight at a time, and a line that arrived
+    whole in one read is one copy out of [chunk].  [n = 0] is the
+    stream's end: the unterminated final line, if any, is returned. *)
 
 val default_max_buffer_bytes : int
 (** 1 MiB. *)

@@ -163,7 +163,21 @@ let test_cli_underflowing_times () =
   Alcotest.(check int) "exit code" 0 code;
   if contains ~sub:"nan" output then Alcotest.failf "output %S prints nan" output;
   if not (contains ~sub:"factor         ~ Poly25 (corr 0.992)" output) then
-    Alcotest.failf "output %S does not fit the factor as the unscaled file does" output
+    Alcotest.failf "output %S does not fit the factor as the unscaled file does" output;
+  (* Each of the 48 rows prints its time with a nonzero digit, not as
+     0.00000. *)
+  let rows =
+    List.filter_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | cores :: cells when int_of_string_opt cores <> None -> Some cells
+        | _ -> None)
+      (String.split_on_char '\n' output)
+  in
+  Alcotest.(check int) "rows" 48 (List.length rows);
+  List.iter
+    (fun cells -> if List.mem "0.00000" cells then Alcotest.failf "a row reads 0.00000 in %S" output)
+    rows
 
 let test_cli_exit_3_no_realistic_fit () =
   (* data/nofit.csv poisons one stall category with uniformly negative

@@ -139,6 +139,120 @@ let prop_json_plain_string =
     (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:plain (int_range 0 64)))
     (fun s -> Json.parse ("\"" ^ s ^ "\"") = Ok (Json.String s))
 
+(* The per-byte string scanner [Json.parse] replaced, as a reference
+   model for a value that is one string: the run of plain bytes found one
+   byte at a time, each run and escape appended to a buffer, then the
+   trailing-input check. *)
+module Reference_string = struct
+  type cursor = { input : string; mutable pos : int }
+
+  let fail cur msg = failwith (Printf.sprintf "%s at offset %d" msg cur.pos)
+  let peek cur = if cur.pos < String.length cur.input then Some cur.input.[cur.pos] else None
+  let advance cur = cur.pos <- cur.pos + 1
+
+  let rec run_end input i =
+    if i < String.length input && input.[i] <> '"' && input.[i] <> '\\' then run_end input (i + 1)
+    else i
+
+  let body cur =
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      let stop = run_end cur.input cur.pos in
+      Buffer.add_substring buf cur.input cur.pos (stop - cur.pos);
+      cur.pos <- stop;
+      match peek cur with
+      | None -> fail cur "unterminated string"
+      | Some '"' -> advance cur
+      | Some _ -> (
+          advance cur;
+          match peek cur with
+          | None -> fail cur "unterminated escape"
+          | Some c ->
+              advance cur;
+              (match c with
+              | '"' -> Buffer.add_char buf '"'
+              | '\\' -> Buffer.add_char buf '\\'
+              | '/' -> Buffer.add_char buf '/'
+              | 'b' -> Buffer.add_char buf '\b'
+              | 'f' -> Buffer.add_char buf '\012'
+              | 'n' -> Buffer.add_char buf '\n'
+              | 'r' -> Buffer.add_char buf '\r'
+              | 't' -> Buffer.add_char buf '\t'
+              | 'u' ->
+                  if cur.pos + 4 > String.length cur.input then fail cur "truncated \\u escape";
+                  let digit c =
+                    match c with
+                    | '0' .. '9' -> Char.code c - Char.code '0'
+                    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                    | _ -> fail cur "bad \\u escape"
+                  in
+                  let code = ref 0 in
+                  for i = 0 to 3 do
+                    code := (!code * 16) + digit cur.input.[cur.pos + i]
+                  done;
+                  let code = !code in
+                  cur.pos <- cur.pos + 4;
+                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                  else if code < 0x800 then begin
+                    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+                  else begin
+                    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+              | _ -> fail cur "unknown escape");
+              loop ())
+    in
+    loop ();
+    Buffer.contents buf
+
+  (* [input] opens with a quote. *)
+  let parse input =
+    let cur = { input; pos = 1 } in
+    match body cur with
+    | s ->
+        while match peek cur with Some (' ' | '\t' | '\n' | '\r') -> true | _ -> false do
+          advance cur
+        done;
+        if cur.pos <> String.length input then
+          Error (Printf.sprintf "trailing input at offset %d" cur.pos)
+        else Ok (Json.String s)
+    | exception Failure msg -> Error msg
+end
+
+(* A string literal of plain runs (control bytes and non-ASCII among
+   them), quotes, backslashes, escapes good and bad, and \u escapes cut
+   short, after 0..7 plain bytes so that each lands at every offset mod
+   8 of the scanner's words: [Json.parse] returns the reference's value,
+   or its error message at its offset. *)
+let prop_json_string_matches_reference =
+  let open QCheck.Gen in
+  let plain =
+    map (fun n -> match Char.chr n with '"' | '\\' -> 'x' | c -> c) (int_range 0 255)
+  in
+  let piece =
+    frequency
+      [
+        (6, string_size ~gen:plain (int_range 0 20));
+        (2, oneofl [ "\""; "\\"; "\\\""; "\\\\"; "\\n"; "\\/"; "\\t"; "\\b"; "\\f"; "\\r" ]);
+        (1, oneofl [ "\\u0041"; "\\u00e9"; "\\uAbCd"; "\\u12g4"; "\\q"; "\\u"; "\\u1"; "\\u12"; "\\u123" ]);
+        (1, oneofl [ "\n"; " "; "\000"; "\255"; "\031" ]);
+      ]
+  in
+  let gen =
+    map3
+      (fun pad pieces close -> "\"" ^ String.make pad 'p' ^ String.concat "" pieces ^ close)
+      (int_range 0 7)
+      (list_size (int_range 0 12) piece)
+      (oneofl [ ""; "\"" ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"json strings parse as the per-byte scanner"
+    (QCheck.make ~print:String.escaped gen)
+    (fun input -> Json.parse input = Reference_string.parse input)
+
 (* The printer escapes a string straight into its output, copying each
    run of plain bytes whole.  The reference is the per-byte escape it
    replaced, over raw bytes 0..255. *)
@@ -167,32 +281,117 @@ let prop_json_string_escape =
 (* Wire framing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_split_lines () =
-  let mk s =
-    let b = Buffer.create 16 in
-    Buffer.add_string b s;
-    b
-  in
-  (* No newline yet: nothing peeled, the tail stays buffered. *)
-  let b = mk "partial" in
-  Alcotest.(check (list string)) "no newline" [] (Wire.split_lines b);
-  Alcotest.(check string) "tail kept" "partial" (Buffer.contents b);
+let test_frames () =
+  let feed stream text = fst (Wire.frames stream ~limit:max_int (Bytes.of_string text) (String.length text)) in
+  let eof stream = fst (Wire.frames stream ~limit:max_int (Bytes.create 0) 0) in
+  (* No newline yet: nothing cut, the tail stays buffered until EOF. *)
+  let s = Wire.new_stream () in
+  Alcotest.(check (list string)) "no newline" [] (feed s "partial");
+  Alcotest.(check (list string)) "tail kept" [ "partial" ] (eof s);
   (* CRLF framing, empty lines preserved, unterminated tail kept. *)
-  let b = mk "a\r\nb\n\nc\npart" in
-  Alcotest.(check (list string)) "mixed" [ "a"; "b"; ""; "c" ] (Wire.split_lines b);
-  Alcotest.(check string) "tail" "part" (Buffer.contents b);
+  let s = Wire.new_stream () in
+  Alcotest.(check (list string)) "mixed" [ "a"; "b"; ""; "c" ] (feed s "a\r\nb\n\nc\npart");
   (* The next chunk completes the buffered tail. *)
-  Buffer.add_string b "ial\n";
-  Alcotest.(check (list string)) "tail completed" [ "partial" ] (Wire.split_lines b);
-  Alcotest.(check string) "buffer drained" "" (Buffer.contents b);
+  Alcotest.(check (list string)) "tail completed" [ "partial" ] (feed s "ial\n");
+  Alcotest.(check (list string)) "buffer drained" [] (eof s);
   (* A lone \r is not a terminator; only \r\n is collapsed. *)
-  let b = mk "x\ry\n\r\n" in
-  Alcotest.(check (list string)) "lone CR kept" [ "x\ry"; "" ] (Wire.split_lines b);
+  Alcotest.(check (list string)) "lone CR kept" [ "x\ry"; "" ] (feed (Wire.new_stream ()) "x\ry\n\r\n");
   (* Entirely empty input. *)
-  let b = mk "" in
-  Alcotest.(check (list string)) "empty" [] (Wire.split_lines b);
-  let b = mk "\n" in
-  Alcotest.(check (list string)) "single newline" [ "" ] (Wire.split_lines b)
+  Alcotest.(check (list string)) "empty" [] (eof (Wire.new_stream ()));
+  Alcotest.(check (list string)) "single newline" [ "" ] (feed (Wire.new_stream ()) "\n")
+
+(* The Buffer-based framing [Wire.frames] replaced, as a reference
+   model: every read appended to one buffer, the complete lines split
+   off it, and the residual shed past [limit]. *)
+module Reference_framing = struct
+  let split_lines buffer =
+    let data = Buffer.contents buffer in
+    match String.rindex_opt data '\n' with
+    | None -> []
+    | Some last ->
+        Buffer.clear buffer;
+        Buffer.add_string buffer (String.sub data (last + 1) (String.length data - last - 1));
+        String.sub data 0 last |> String.split_on_char '\n'
+        |> List.map (fun line ->
+               let n = String.length line in
+               if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
+
+  type stream = { buffer : Buffer.t; mutable discarding : bool }
+
+  let ingest stream ~limit chunk n =
+    let data = Bytes.sub_string chunk 0 n in
+    let data =
+      if not stream.discarding then data
+      else
+        match String.index_opt data '\n' with
+        | None -> ""
+        | Some i ->
+            stream.discarding <- false;
+            String.sub data (i + 1) (String.length data - i - 1)
+    in
+    if data = "" then ([], None)
+    else begin
+      Buffer.add_string stream.buffer data;
+      let lines = split_lines stream.buffer in
+      let shed =
+        if Buffer.length stream.buffer > limit then begin
+          let buffered = Buffer.length stream.buffer in
+          Buffer.clear stream.buffer;
+          stream.discarding <- true;
+          Some buffered
+        end
+        else None
+      in
+      (lines, shed)
+    end
+
+  let final_lines stream =
+    if stream.discarding then []
+    else begin
+      let lines = split_lines stream.buffer in
+      let tail = Buffer.contents stream.buffer in
+      Buffer.clear stream.buffer;
+      if tail = "" then lines
+      else
+        let tail =
+          let n = String.length tail in
+          if tail.[n - 1] = '\r' then String.sub tail 0 (n - 1) else tail
+        in
+        lines @ [ tail ]
+    end
+end
+
+(* A byte stream of short lines over bytes the framing must pass
+   through ("\r", quotes, backslashes, NUL, 0xFF), cut into random
+   reads, each in a chunk whose bytes past the read are newlines.  Every
+   read gives the reference's lines and sheds, and so does the EOF. *)
+let prop_frames_match_reference =
+  let open QCheck.Gen in
+  let byte = frequency [ (6, char_range 'a' 'z'); (2, return '\n'); (1, oneofl [ '\r'; '"'; '\\'; '\000'; '\255' ]) ] in
+  let gen =
+    triple (int_range 1 24)
+      (string_size ~gen:byte (int_range 0 200))
+      (list_size (int_range 0 40) (int_range 1 40))
+  in
+  QCheck.Test.make ~count:1000 ~name:"wire frames match the buffered reference"
+    (QCheck.make ~print:QCheck.Print.(triple int String.escaped (list int)) gen)
+    (fun (limit, text, cuts) ->
+      let stream = Wire.new_stream () in
+      let reference = { Reference_framing.buffer = Buffer.create 16; discarding = false } in
+      let chunk = Bytes.make 64 '\n' in
+      let rec reads off = function
+        | _ when off >= String.length text -> true
+        | cut :: cuts ->
+            let n = min cut (String.length text - off) in
+            Bytes.fill chunk 0 (Bytes.length chunk) '\n';
+            Bytes.blit_string text off chunk 0 n;
+            let got = Wire.frames stream ~limit chunk n in
+            let want = Reference_framing.ingest reference ~limit chunk n in
+            got = want && reads (off + n) cuts
+        | [] -> reads off [ 40 ]
+      in
+      reads 0 cuts
+      && Wire.frames stream ~limit chunk 0 = (Reference_framing.final_lines reference, None))
 
 (* ------------------------------------------------------------------ *)
 (* Json round-trip property                                            *)
@@ -625,6 +824,44 @@ let test_server_memo_names () =
       Alcotest.(check int) "six hits" 6 (counter_value server "estima_cache_hits_total");
       Alcotest.(check int) "from the memo" 6 (counter_value server "estima_ingest_memo_hits_total"))
 
+(* The memo compares what ingest reads by value: a CSV one byte away
+   from a primed one (its last digit) is its own entry, answered as a
+   fresh server answers it (the fit-cache miss shows that its series is
+   its own), while the primed CSV under another id,
+   another version or another member order is a memo hit. *)
+let test_server_memo_by_value () =
+  let csv = String.trim (collect_csv "kmeans") in
+  let last = String.length csv - 1 in
+  let digit = csv.[last] in
+  if digit < '0' || digit > '9' then Alcotest.failf "CSV ends in %C, not a digit" digit;
+  let nudged = String.sub csv 0 last ^ String.make 1 (if digit = '9' then '8' else Char.chr (Char.code digit + 1)) in
+  let answer_of line = with_server (fun server -> List.hd (fst (Server.handle_batch server [ line ]))) in
+  with_server (fun server ->
+      let send line = List.hd (fst (Server.handle_batch server [ line ])) in
+      let memo () = counter_value server "estima_ingest_memo_hits_total" in
+      let primed = send (predict_line csv) in
+      Alcotest.(check int) "a first frame is ingested" 0 (memo ());
+      let other = send (predict_line nudged) in
+      Alcotest.(check int) "the last byte differs: no memo hit" 0 (memo ());
+      Alcotest.(check int) "and a fit-cache miss" 2 (counter_value server "estima_cache_misses_total");
+      Alcotest.(check string) "its own answer" (answer_of (predict_line nudged)) other;
+      let reordered =
+        Json.to_string
+          (Json.Obj [ ("csv", Json.String csv); ("op", Json.String "predict"); ("id", Json.Int 4) ])
+      in
+      List.iteri
+        (fun i (what, line) ->
+          let response = send line in
+          Alcotest.(check int) (what ^ ": a memo hit") (i + 1) (memo ());
+          Alcotest.(check string) (what ^ ": the primed answer") (response_text primed)
+            (response_text response))
+        [
+          ("another id", predict_line ~id:2 csv);
+          ("another version", predict_line ~id:3 ~v:2 csv);
+          ("another member order", reordered);
+        ];
+      Alcotest.(check int) "three fit-cache hits" 3 (counter_value server "estima_cache_hits_total"))
+
 (* A metrics dump is built after the rest of its batch, so it counts the
    batch's own miss, whose latency is observed only once its response is
    built. *)
@@ -915,18 +1152,40 @@ let test_server_overflowing_value () =
 
 (* data/underflow.csv (times in 1e-200 units) through an in-process
    server: it answered "ok":true with "corr nan"; the answer now holds no
-   nan. *)
+   nan, and no row of its 48, nor of its bands, reads 0.00000. *)
 let test_server_underflowing_times () =
   let csv = In_channel.with_open_bin "data/underflow.csv" In_channel.input_all in
+  let rows what json =
+    match Option.bind (Json.member "rows" json) Json.to_list_opt with
+    | Some rows ->
+        let rows = List.filter_map Json.to_string_opt rows in
+        Alcotest.(check int) (what ^ " rows") 48 (List.length rows);
+        List.iter
+          (fun row ->
+            if List.mem "0.00000" (String.split_on_char ' ' row) then
+              Alcotest.failf "%s row %S reads 0.00000" what row)
+          rows
+    | None -> Alcotest.failf "no %s rows" what
+  in
   with_server (fun server ->
-      match Server.handle_batch server [ predict_line ~id:7 ~spec:"underflow" csv ] with
-      | [ response ], _ ->
-          (match Json.parse response with
-          | Ok json -> Alcotest.(check bool) "ok" true (Json.member "ok" json = Some (Json.Bool true))
-          | Error e -> Alcotest.fail e);
-          if contains ~sub:"nan" response then Alcotest.failf "response %S holds nan" response;
+      match
+        Server.handle_batch server
+          [ predict_line ~id:7 ~spec:"underflow" csv; predict_line ~id:8 ~v:2 ~confidence:10 ~spec:"underflow" csv ]
+      with
+      | [ response; banded ], _ ->
+          List.iter
+            (fun response ->
+              (match Json.parse response with
+              | Ok json -> Alcotest.(check bool) "ok" true (Json.member "ok" json = Some (Json.Bool true))
+              | Error e -> Alcotest.fail e);
+              if contains ~sub:"nan" response then Alcotest.failf "response %S holds nan" response)
+            [ response; banded ];
+          rows "predicted" (parse_response response);
+          (match Json.member "confidence" (parse_response banded) with
+          | Some confidence -> rows "band" confidence
+          | None -> Alcotest.fail "no confidence block");
           Alcotest.(check int) "no internal error" 0 (counter_value server "estima_internal_errors_total")
-      | _ -> Alcotest.fail "expected one response")
+      | _ -> Alcotest.fail "expected two responses")
 
 let test_soak_1000_requests () =
   let names = [ "kmeans"; "genome"; "ssca2"; "vacation-low"; "intruder"; "yada"; "labyrinth"; "kmeans-high" ] in
@@ -1093,7 +1352,7 @@ let suite =
     ("json round-trip", `Quick, test_json_roundtrip);
     ("json rejects malformed input", `Quick, test_json_errors);
     ("json strictness: \\u escapes and number signs", `Quick, test_json_strictness);
-    ("wire split_lines edge cases", `Quick, test_split_lines);
+    ("wire framing edge cases", `Quick, test_frames);
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_print_fixpoint;
     ("metrics counters", `Quick, test_metrics_counters);
@@ -1123,4 +1382,7 @@ let suite =
     ("server scrape counts its own batch", `Quick, test_server_scrape_counts_its_batch);
     QCheck_alcotest.to_alcotest prop_json_string_escape;
     ("server answers times in 1e-200 units without nan", `Quick, test_server_underflowing_times);
+    QCheck_alcotest.to_alcotest prop_frames_match_reference;
+    QCheck_alcotest.to_alcotest prop_json_string_matches_reference;
+    ("server memo keys on the CSV's value", `Quick, test_server_memo_by_value);
   ]
