@@ -113,17 +113,15 @@ let predict_with_confidence ?(config = Config.default) ?(resamples = 100) ?(leve
     | Ok p ->
         let pc = Config.predictor config in
         let threads = p.Predictor.extrapolation.Extrapolation.threads in
+        let window = Estima_kernels.Kernel.grid threads in
         let curves =
           List.map
             (fun (f : Extrapolation.category_fit) ->
               {
                 Confidence.category = f.Extrapolation.category;
                 fitted =
-                  Array.map
-                    (fun x ->
-                      Float.max 0.0
-                        (f.Extrapolation.choice.Approximation.fitted.Estima_kernels.Fit.eval x))
-                    threads;
+                  Array.map (Float.max 0.0)
+                    (Estima_kernels.Fit.values f.Extrapolation.choice.Approximation.fitted window);
                 measured = f.Extrapolation.measured;
               })
             p.Predictor.extrapolation.Extrapolation.fits

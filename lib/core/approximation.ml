@@ -72,6 +72,7 @@ let fallback ?(subject = "series") ?(extra_ok = fun (_ : Fit.fitted) -> true) ~x
             y_scale = Float.max 1.0 (Vec.norm_inf ys);
             fit_rmse = Stats.rmse (Array.map eval xs) ys;
             eval;
+            values_into = Fit.pointwise eval;
           }
         in
         if not (Fit.realistic fitted ~x_min:1.0 ~x_max:target_max ~require_nonnegative) then begin
@@ -127,11 +128,14 @@ let approximate ?(config = default_config) ?(subject = "series") ~xs ~ys ~target
   let result =
   if n < config.min_prefix then fallback ~subject ~xs ~ys ~target_max ~require_nonnegative ()
   else begin
-    let checkpoint_xs = Array.sub xs n config.checkpoints in
+    (* Every candidate is evaluated over the same core counts: each
+       kernel stages its pass over these grids once per call. *)
+    let checkpoints = Kernel.grid (Array.sub xs n config.checkpoints) in
     let checkpoint_ys = Array.sub ys n config.checkpoints in
+    let series = Kernel.grid xs in
 
     let best = ref None in
-    let full_rmse choice = Stats.rmse (Array.map choice.fitted.Fit.eval xs) ys in
+    let full_rmse choice = Stats.rmse (Fit.values choice.fitted series) ys in
     let consider choice =
       match !best with
       | None ->
@@ -198,9 +202,8 @@ let approximate ?(config = default_config) ?(subject = "series") ~xs ~ys ~target
         (Float.pow (target_max /. window) 3.0)
         (1.5 *. Float.pow tail_growth doublings)
     in
-    let plausible_growth (fitted : Fit.fitted) =
+    let plausible_growth at_target =
       let at_window = Float.max (Float.abs ys.(m - 1)) (0.01 *. window_scale) in
-      let at_target = fitted.Fit.eval target_max in
       Float.abs at_target <= growth_cap *. at_window
       (* Trend consistency: a tail that is clearly rising cannot be
          extrapolated by a function that falls back below the window value
@@ -218,9 +221,9 @@ let approximate ?(config = default_config) ?(subject = "series") ~xs ~ys ~target
       | exception Qr.Singular -> 0.0
       | c -> c.(1)
     in
-    let slope_ok (fitted : Fit.fitted) =
-      let h = 0.5 in
-      let launch = (fitted.Fit.eval (window +. h) -. fitted.Fit.eval (window -. h)) /. (2.0 *. h) in
+    let h = 0.5 in
+    let slope_ok ~above ~below =
+      let launch = (above -. below) /. (2.0 *. h) in
       let flat_band = 0.02 *. window_scale in
       if Float.abs tail_slope <= flat_band then
         (* Flat tail: the candidate may not launch steeply either way. *)
@@ -228,19 +231,24 @@ let approximate ?(config = default_config) ?(subject = "series") ~xs ~ys ~target
       else if tail_slope > 0.0 then launch >= 0.3 *. tail_slope
       else launch <= 0.3 *. tail_slope
     in
+    (* The growth and slope gates read a candidate at the target and on
+       either side of the window. *)
+    let launch = Kernel.grid [| target_max; window +. h; window -. h |] in
     (* Runs a gated candidate through realism, growth and slope, reporting
        the first gate that rejects it; [None] means it survived. *)
     let first_failed_gate fitted =
       if not (Fit.realistic fitted ~x_min:1.0 ~x_max:target_max ~require_nonnegative) then
         Some (Trace.Realism, "pole, explosion or deep negativity inside [1, target]")
-      else if not (plausible_growth fitted) then
-        Some
-          ( Trace.Growth_cap,
-            Printf.sprintf "eval(%.0f)=%.4g vs window %.4g exceeds cap %.3gx" target_max
-              (fitted.Fit.eval target_max) ys.(m - 1) growth_cap )
-      else if not (slope_ok fitted) then
-        Some (Trace.Slope, "launch slope at the window contradicts the measured tail trend")
-      else None
+      else
+        let at = Fit.values fitted launch in
+        if not (plausible_growth at.(0)) then
+          Some
+            ( Trace.Growth_cap,
+              Printf.sprintf "eval(%.0f)=%.4g vs window %.4g exceeds cap %.3gx" target_max at.(0)
+                ys.(m - 1) growth_cap )
+        else if not (slope_ok ~above:at.(1) ~below:at.(2)) then
+          Some (Trace.Slope, "launch slope at the window contradicts the measured tail trend")
+        else None
     in
     (* Gate a fitted candidate (emitting the rejection trace itself) and
        score it; [Some choice] means it survived and goes to [consider].
@@ -282,7 +290,7 @@ let approximate ?(config = default_config) ?(subject = "series") ~xs ~ys ~target
             None
         | Some fitted ->
             prepare ~prefix fitted ~checkpoint_rmse:(fun fitted ->
-                let predicted = Array.map fitted.Fit.eval checkpoint_xs in
+                let predicted = Fit.values fitted checkpoints in
                 if Vec.all_finite predicted then Some (Stats.rmse predicted checkpoint_ys)
                 else None))
       ~consume:(function Some choice -> consider choice | None -> ());

@@ -40,18 +40,20 @@ let trace_winner ~kernel ~prefix ~score ~correlation =
          { stage = Trace.factor_stage; subject = Trace.factor_subject; kernel; prefix; score; correlation })
 
 let constant_fit value =
+  let eval _ = value in
   {
     Fit.kernel_name = "ConstantFactor";
     params = [| value |];
     y_scale = 1.0;
     fit_rmse = 0.0;
-    eval = (fun _ -> value);
+    eval;
+    values_into = Fit.pointwise eval;
   }
 
 let median xs = Stats.quantile 0.5 xs
 
-let predict_with fitted ~stalls_per_core_grid ~target_grid =
-  Array.mapi (fun i n -> fitted.Fit.eval n *. stalls_per_core_grid.(i)) target_grid
+(* Predicted times from the factor's values over the target grid. *)
+let times_of factors ~stalls_per_core_grid = Array.mapi (fun i f -> f *. stalls_per_core_grid.(i)) factors
 
 let fit ?(config = Approximation.default_config) ~threads ~times ~stalls_per_core_measured
     ~stalls_per_core_grid ~target_grid () =
@@ -93,12 +95,11 @@ let fit ?(config = Approximation.default_config) ~threads ~times ~stalls_per_cor
      fitting artefact that would silently cancel the stall trends. *)
   let f_min = Array.fold_left Float.min factors.(0) factors in
   let f_max = Array.fold_left Float.max factors.(0) factors in
-  let factor_in_range fitted =
-    Array.for_all
-      (fun n ->
-        let v = fitted.Fit.eval n in
-        Float.is_finite v && v >= 0.25 *. f_min && v <= 4.0 *. f_max)
-      target_grid
+  (* Every candidate is evaluated over the target grid and the measured
+     thread counts: each kernel stages its pass over them once per call. *)
+  let target = Kernel.grid target_grid and measured = Kernel.grid threads in
+  let in_range values =
+    Array.for_all (fun v -> Float.is_finite v && v >= 0.25 *. f_min && v <= 4.0 *. f_max) values
   in
   (* Candidate factor functions: every kernel on every prefix, as in the
      stall regression, but scored by correlation of the resulting time
@@ -122,18 +123,19 @@ let fit ?(config = Approximation.default_config) ~threads ~times ~stalls_per_cor
   let label kernel prefix = Printf.sprintf "%s@%d" kernel prefix in
   let consider ~prefix fitted =
     let kernel = fitted.Fit.kernel_name in
-    if not (factor_in_range fitted) then
+    let factor_values = Fit.values fitted target in
+    if not (in_range factor_values) then
       trace_candidate ~kernel ~prefix ~verdict:(Trace.Rejected Trace.Factor_range) ~score:Float.nan
         (Printf.sprintf "factor leaves the measured range [%.4g, %.4g] (x0.25 / x4 slack)" f_min
            f_max)
     else begin
-      let predicted = predict_with fitted ~stalls_per_core_grid ~target_grid in
+      let predicted = times_of factor_values ~stalls_per_core_grid in
       if not (Vec.all_finite predicted && Array.for_all (fun t -> t >= 0.0) predicted) then
         trace_candidate ~kernel ~prefix ~verdict:(Trace.Rejected Trace.Non_finite) ~score:Float.nan
           "non-finite or negative predicted times"
       else begin
         let corr = Stats.pearson predicted stalls_per_core_grid in
-        let rmse = Stats.rmse (Array.map fitted.Fit.eval threads) factors in
+        let rmse = Stats.rmse (Fit.values fitted measured) factors in
         if not (Float.is_finite corr && Float.is_finite rmse) then
           trace_candidate ~kernel ~prefix ~verdict:(Trace.Rejected Trace.Non_finite) ~score:Float.nan
             "correlation or factor RMSE not finite"
@@ -222,4 +224,4 @@ let fit ?(config = Approximation.default_config) ~threads ~times ~stalls_per_cor
   end
 
 let predict_times t ~stalls_per_core_grid ~target_grid =
-  predict_with t.fitted ~stalls_per_core_grid ~target_grid
+  times_of (Fit.values t.fitted (Kernel.grid target_grid)) ~stalls_per_core_grid

@@ -26,6 +26,6 @@ let predict ?(config = Approximation.default_config) ?(subject = "series") ~thre
         Ok
           {
             target_grid;
-            predicted_times = Array.map choice.Approximation.fitted.Fit.eval target_grid;
+            predicted_times = Fit.values choice.Approximation.fitted (Kernel.grid target_grid);
             kernel_name = choice.Approximation.fitted.Fit.kernel_name;
           }

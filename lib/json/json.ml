@@ -349,9 +349,13 @@ let pretty json =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let member key = function
-  | Obj members -> List.assoc_opt key members
-  | _ -> None
+(* Keys compare with [String.equal]: [List.assoc_opt]'s polymorphic
+   compare is a C call per member. *)
+let rec find_member key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find_member key rest
+
+let member key = function Obj members -> find_member key members | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
 

@@ -41,7 +41,8 @@ val pretty : t -> string
 (** {1 Accessors} *)
 
 val member : string -> t -> t option
-(** Object member lookup; [None] for absent members and non-objects. *)
+(** Object member lookup; [None] for absent members and non-objects.  The
+    first member with the key wins when an object repeats it. *)
 
 val to_string_opt : t -> string option
 

@@ -7,6 +7,7 @@ type fitted = {
   y_scale : float;
   fit_rmse : float;
   eval : float -> float;
+  values_into : Kernel.grid -> float array -> unit;
 }
 
 (* How far beyond the fitted magnitude an extrapolation may wander before we
@@ -15,11 +16,38 @@ type fitted = {
    than ~two orders of magnitude from the measured window. *)
 let explosion_factor = 200.0
 
-let make_fitted (kernel : Kernel.t) params ~y_scale ~xs ~ys =
-  let eval x = kernel.Kernel.eval params x *. y_scale in
-  let predictions = Array.map eval xs in
+let pointwise eval grid out =
+  let xs = Kernel.grid_xs grid in
+  for i = 0 to Array.length xs - 1 do
+    out.(i) <- eval xs.(i)
+  done
+
+let values fitted grid =
+  let out = Array.make (Array.length (Kernel.grid_xs grid)) 0.0 in
+  fitted.values_into grid out;
+  out
+
+let of_kernel (kernel : Kernel.t) params ~y_scale ~fit_rmse =
+  let values_into grid out =
+    Kernel.values kernel grid params out;
+    for i = 0 to Array.length (Kernel.grid_xs grid) - 1 do
+      out.(i) <- out.(i) *. y_scale
+    done
+  in
+  {
+    kernel_name = kernel.Kernel.name;
+    params;
+    y_scale;
+    fit_rmse;
+    eval = (fun x -> kernel.Kernel.eval params x *. y_scale);
+    values_into;
+  }
+
+let make_fitted kernel params ~y_scale ~xs ~ys =
+  let fitted = of_kernel kernel params ~y_scale ~fit_rmse:Float.nan in
+  let predictions = values fitted (Kernel.grid xs) in
   if not (Vec.all_finite predictions) then None
-  else Some { kernel_name = kernel.Kernel.name; params; y_scale; fit_rmse = Stats.rmse predictions ys; eval }
+  else Some { fitted with fit_rmse = Stats.rmse predictions ys }
 
 (* Reports one [fit] call to the trace sink; free when tracing is off. *)
 let trace_attempt (kernel : Kernel.t) ~npoints status =
@@ -81,6 +109,33 @@ let fit (kernel : Kernel.t) ~xs ~ys =
           result
     end
 
+(* The realism scan: 256 equal steps over [x_min, x_max], both ends
+   included. *)
+let scan_steps = 256
+
+type scan = { x_min : float; x_max : float; grid : Kernel.grid }
+
+(* The last range scanned and its grid, which holds each kernel's tables
+   for it: a prediction scans every candidate over [1, target], so they
+   are built once per range.  A table of more than 256 words goes straight
+   to the major heap, so rebuilding one per scan costs resident memory. *)
+let last_scan = Atomic.make { x_min = Float.nan; x_max = Float.nan; grid = Kernel.grid [||] }
+
+let scan_grid ~x_min ~x_max =
+  let last = Atomic.get last_scan in
+  if last.x_min = x_min && last.x_max = x_max then last.grid
+  else begin
+    let xs =
+      Array.init (scan_steps + 1) (fun i -> x_min +. ((x_max -. x_min) *. float_of_int i /. 256.))
+    in
+    let grid = Kernel.grid xs in
+    Atomic.set last_scan { x_min; x_max; grid };
+    grid
+  end
+
+(* Each domain scans into its own buffer, so a scan allocates nothing. *)
+let scan_values = Domain.DLS.new_key (fun () -> Array.make (scan_steps + 1) 0.0)
+
 let realistic fitted ~x_min ~x_max ~require_nonnegative =
   if x_max < x_min then invalid_arg "Fit.realistic: empty range";
   let bound = explosion_factor *. Float.max fitted.y_scale 1.0 in
@@ -90,13 +145,15 @@ let realistic fitted ~x_min ~x_max ~require_nonnegative =
      matching fit slightly below zero at low core counts.  Only deeply
      negative fits are nonsense worth rejecting. *)
   let neg_slack = -0.25 *. Float.max fitted.y_scale 1.0 in
-  let steps = 256 in
-  let ok = ref true in
-  (for i = 0 to steps do
-     let x = x_min +. ((x_max -. x_min) *. float_of_int i /. float_of_int steps) in
-     let v = fitted.eval x in
-     if not (Float.is_finite v) then ok := false
-     else if Float.abs v > bound then ok := false
-     else if require_nonnegative && v < neg_slack then ok := false
-   done);
-  !ok
+  let values = Domain.DLS.get scan_values in
+  fitted.values_into (scan_grid ~x_min ~x_max) values;
+  let i = ref 0 in
+  while
+    !i <= scan_steps
+    &&
+    let v = values.(!i) in
+    Float.is_finite v && (not (Float.abs v > bound)) && not (require_nonnegative && v < neg_slack)
+  do
+    incr i
+  done;
+  !i > scan_steps

@@ -15,7 +15,24 @@ type fitted = {
   y_scale : float;  (** Multiplier restoring original units. *)
   fit_rmse : float;  (** RMSE against the fitted points, original units. *)
   eval : float -> float;  (** Evaluation in original units. *)
+  values_into : Kernel.grid -> float array -> unit;
+      (** [values_into grid out] writes [eval x_i] into [out.(i)] for every
+          core count [x_i] of [grid], bit for bit, in one pass.  A kernel
+          fit runs {!Kernel.values} and scales by [y_scale], allocating
+          nothing; a fit built from a closure passes {!pointwise}. *)
 }
+
+val of_kernel : Kernel.t -> Vec.t -> y_scale:float -> fit_rmse:float -> fitted
+(** The fit of [kernel] with coefficients [params] (normalised output
+    space), as {!fit} returns it: [eval x] is
+    [kernel.eval params x *. y_scale]. *)
+
+val pointwise : (float -> float) -> Kernel.grid -> float array -> unit
+(** The [values_into] of a fit that is a closure (the polynomial
+    fallback, a constant factor, a zero category): one call per point. *)
+
+val values : fitted -> Kernel.grid -> float array
+(** [eval] at every core count of the grid, from one [values_into] pass. *)
 
 val fit : Kernel.t -> xs:float array -> ys:float array -> fitted option
 (** [fit kernel ~xs ~ys] returns the best fit found, or [None] when the
@@ -27,4 +44,12 @@ val realistic : fitted -> x_min:float -> x_max:float -> require_nonnegative:bool
 (** The paper discards fits "that are not realistic for this
     approximation".  A fit is realistic over the extrapolation range when a
     dense sample of it is finite, within an explosion bound relative to the
-    fitted magnitude, and (for cycle counts) not materially negative. *)
+    fitted magnitude, and (for cycle counts) not materially negative.
+
+    The sample is the 257 points
+    [x_min +. ((x_max -. x_min) *. float_of_int i /. 256.)], [i = 0..256],
+    evaluated in one [values_into] pass and checked in order up to the
+    first failing point.  The grid is built once per range (the last range
+    scanned is kept, with each kernel's tables over it), and each domain
+    scans into its own buffer, so the scan of a kernel fit allocates
+    nothing.  Raises [Invalid_argument] when [x_max < x_min]. *)

@@ -18,6 +18,26 @@ let residual_objective t ~xs ~ys =
   if Array.length xs <> Array.length ys then invalid_arg "Kernel.residual_objective: length mismatch";
   t.objective ~xs ~ys
 
+(* Each kernel's pass is staged on its first use and kept beside the
+   grid; domains that stage the same kernel at once keep one copy. *)
+type grid = { xs : float array; staged : (t * (Vec.t -> float array -> unit)) list Atomic.t }
+
+let grid xs = { xs; staged = Atomic.make [] }
+
+let grid_xs grid = grid.xs
+
+(* The residual against zero targets is [eval p x -. 0.0], which is
+   [eval p x] bit for bit, signed zeros and NaNs included. *)
+let values t grid =
+  let staged = Atomic.get grid.staged in
+  match List.assq t staged with
+  | pass -> pass
+  | exception Not_found ->
+      let zeros = Array.make (Array.length grid.xs) 0.0 in
+      let pass = (t.objective ~xs:grid.xs ~ys:zeros).Lm.residual_into in
+      ignore (Atomic.compare_and_set grid.staged staged ((t, pass) :: staged));
+      pass
+
 let basis_objective ~arity basis ~xs ~ys =
   let m = Array.length xs in
   let table = Array.make (m * arity) 0.0 in

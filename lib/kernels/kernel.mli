@@ -16,7 +16,8 @@ type t = private {
   objective : xs:float array -> ys:float array -> Lm.objective;
       (** [objective ~xs ~ys] stages the least-squares objective of one
           fit: whatever depends only on the core counts (powers, basis
-          values) is tabulated here, once per fit, and the returned
+          values) is tabulated once per fit (a table only the Jacobian
+          reads, on its first write), and the returned
           objective writes residuals [eval p x_i - y_i] and the Jacobian
           [d eval / d p_j] into {!Lm.minimize}'s buffers without
           allocating.  Its arithmetic repeats [eval]'s operands and order,
@@ -49,6 +50,28 @@ val applicable : t -> npoints:int -> bool
 val residual_objective : t -> xs:float array -> ys:float array -> Lm.objective
 (** The kernel's staged [objective] for {!Lm.minimize}.  Raises
     [Invalid_argument] when [xs] and [ys] differ in length. *)
+
+type grid
+(** A fixed array of core counts, evaluated many times: the realism scan's
+    257 points over one range, or one selection's checkpoints.  Each
+    kernel tabulates its per-x work over the grid on its first {!values}
+    pass ([log x] for CubicLn, [x ** 2.5] for Poly25) and keeps it with
+    the grid, so the tables are built once per grid, not once per
+    candidate.  Safe to share between domains. *)
+
+val grid : float array -> grid
+(** [grid xs] is a grid over [xs], which it keeps and never writes. *)
+
+val grid_xs : grid -> float array
+(** The core counts the grid was built over. *)
+
+val values : t -> grid -> Vec.t -> float array -> unit
+(** [values kernel grid params out] writes [kernel.eval params x_i] into
+    [out.(i)] for every core count [x_i] of [grid], bit for bit, in one
+    pass that allocates nothing once the kernel has been staged over the
+    grid.  The pass is the kernel's staged [objective] against zero
+    targets, whose residual [eval p x -. 0.0] is [eval p x]: the objective
+    stays the one copy of the kernel's arithmetic. *)
 
 val basis_objective : arity:int -> (float -> Vec.t) -> xs:float array -> ys:float array -> Lm.objective
 (** The staged objective of a kernel linear in its coefficients, whose

@@ -17,26 +17,33 @@ let[@inline] eval ~num_degree ~den_degree params x =
   num /. den
 
 (* The objective of one fit.  x^j for every core count and every exponent
-   either polynomial uses is tabulated once, not once per iteration; rows
-   are then written in plain loops, [eval] and [horner] inlined.  The
-   Jacobian row at x is x^j / den for the numerator coefficients and
-   -num x^k / den^2 for the denominator ones. *)
+   either polynomial uses is tabulated once, not once per iteration, and
+   only when the Jacobian is first written: a values pass
+   ([Kernel.values]) reads residuals alone.  Rows are then written in
+   plain loops, [eval] and [horner] inlined.  The Jacobian row at x is
+   x^j / den for the numerator coefficients and -num x^k / den^2 for the
+   denominator ones. *)
 let objective ~num_degree ~den_degree ~xs ~ys =
   let m = Array.length xs in
   let arity = num_degree + den_degree + 1 in
   let width = max num_degree den_degree + 1 in
-  let powers = Array.make (m * width) 0.0 in
-  for i = 0 to m - 1 do
-    for j = 0 to width - 1 do
-      powers.((i * width) + j) <- Float.pow xs.(i) (float_of_int j)
-    done
-  done;
+  let powers =
+    lazy
+      (let powers = Array.make (m * width) 0.0 in
+       for i = 0 to m - 1 do
+         for j = 0 to width - 1 do
+           powers.((i * width) + j) <- Float.pow xs.(i) (float_of_int j)
+         done
+       done;
+       powers)
+  in
   let residual_into params r =
     for i = 0 to m - 1 do
       r.(i) <- eval ~num_degree ~den_degree params xs.(i) -. ys.(i)
     done
   in
   let jacobian_into params jac =
+    let powers = Lazy.force powers in
     for i = 0 to m - 1 do
       let x = xs.(i) in
       let num = horner params 0 num_degree x in

@@ -2,9 +2,10 @@
    copying Householder QR and per-point kernel objectives that the
    workspace versions in estima_numerics and the staged kernel objectives
    in estima_kernels replaced, unchanged but for comments and the
-   Jacobian's finiteness check, which reads the rows of the matrix.  Only
-   Test_fit_core calls them, to check that the library returns the same
-   bits, iteration counts and outcomes. *)
+   Jacobian's finiteness check, which reads the rows of the matrix, and
+   the per-point realism scan that Fit.realistic's batched pass replaced.
+   Only Test_fit_core calls them, to check that the library returns the
+   same bits, iteration counts, outcomes and verdicts. *)
 
 open Estima_numerics
 open Estima_kernels
@@ -231,3 +232,25 @@ let minimize ?(options = Lm.default_options) objective ~init =
      done
    with Exit -> ());
   { Lm.params = !params; cost = !cost; iterations = !iterations; outcome = !outcome }
+
+(* ------------------------------------------------------------------ *)
+(* Realism                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let explosion_factor = 200.0
+
+(* Fit.realistic as it was: one [eval] call per point, every point. *)
+let realistic (fitted : Fit.fitted) ~x_min ~x_max ~require_nonnegative =
+  if x_max < x_min then invalid_arg "Fit.realistic: empty range";
+  let bound = explosion_factor *. Float.max fitted.Fit.y_scale 1.0 in
+  let neg_slack = -0.25 *. Float.max fitted.Fit.y_scale 1.0 in
+  let steps = 256 in
+  let ok = ref true in
+  (for i = 0 to steps do
+     let x = x_min +. ((x_max -. x_min) *. float_of_int i /. float_of_int steps) in
+     let v = fitted.Fit.eval x in
+     if not (Float.is_finite v) then ok := false
+     else if Float.abs v > bound then ok := false
+     else if require_nonnegative && v < neg_slack then ok := false
+   done);
+  !ok

@@ -201,7 +201,14 @@ let test_extrapolation_clamps_categories_and_total () =
       choice =
         {
           Approximation.fitted =
-            { Estima_kernels.Fit.kernel_name = "Synthetic"; params = [||]; y_scale = 1.0; fit_rmse = 0.0; eval };
+            {
+              Estima_kernels.Fit.kernel_name = "Synthetic";
+              params = [||];
+              y_scale = 1.0;
+              fit_rmse = 0.0;
+              eval;
+              values_into = Estima_kernels.Fit.pointwise eval;
+            };
           prefix = 5;
           checkpoint_rmse = 0.0;
         };

@@ -2,7 +2,9 @@
    staged objectives, and Qr, must return the bits the allocating
    implementation in Fit_core_reference returned over the per-point
    eval/gradient objectives, and an Lm.minimize iteration must allocate
-   nothing. *)
+   nothing.  Fit.realistic's batched scan must give the per-point scan's
+   verdicts, a fit's batched values must be its [eval]'s bits, and a scan
+   must allocate nothing. *)
 
 open Estima_numerics
 open Estima_kernels
@@ -337,6 +339,252 @@ let test_lm_iterations_allocate_nothing () =
   if long_words <> short_words then
     Alcotest.failf "%d iterations allocate %.0f words, %d iterations %.0f" k short_words (2 * k) long_words
 
+(* ------------------------------------------------------------------ *)
+(* The batched values pass                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* What a fit is: a kernel (the catalogue's, or its skewed copy the
+   perturbed accuracy gate fits) with coefficients, or one of the three
+   closures the pipeline builds fits from. *)
+type fit_kind = Of_kernel of Kernel.t | Polynomial | Constant | Zero
+
+let fit_kinds =
+  Array.of_list
+    (List.map (fun k -> Of_kernel k) (Catalogue.all @ Estima_validate.Gate.perturbed_kernels ())
+    @ [ Polynomial; Constant; Zero ])
+
+let kind_name = function
+  | Of_kernel k -> k.Kernel.name
+  | Polynomial -> Estima.Approximation.fallback_kernel_name
+  | Constant -> "ConstantFactor"
+  | Zero -> "Zero"
+
+(* The fit as the library builds it: Fit.fit's result for a kernel, the
+   polynomial fallback and constant factor as Approximation and
+   Scaling_factor write them, and Extrapolation's zero category. *)
+let fitted_of kind params ~y_scale =
+  let closure kernel_name eval =
+    { Fit.kernel_name; params; y_scale; fit_rmse = 0.0; eval; values_into = Fit.pointwise eval }
+  in
+  match kind with
+  | Of_kernel k -> Fit.of_kernel k params ~y_scale ~fit_rmse:0.0
+  | Polynomial -> closure Estima.Approximation.fallback_kernel_name (Linear_fit.eval_polynomial params)
+  | Constant -> closure "ConstantFactor" (fun _ -> params.(0))
+  | Zero -> (Estima.Extrapolation.zero_fit "zero" [| 0.0 |]).Estima.Extrapolation.choice.Estima.Approximation.fitted
+
+let arity = function Of_kernel k -> k.Kernel.arity | Polynomial -> 3 | Constant -> 1 | Zero -> 0
+
+let signed g = QCheck.Gen.(map2 ( *. ) (oneofl [ 1.0; -1.0 ]) g)
+
+let magnitude = QCheck.Gen.(map (fun e -> 10.0 ** e) (float_range (-300.0) 300.0))
+
+(* Coefficients: ordinary, tiny or huge (to 1e300), zero, infinite or
+   NaN. *)
+let coefficient =
+  QCheck.Gen.(
+    frequency
+      [
+        (16, float_range (-10.0) 10.0);
+        (3, signed magnitude);
+        (1, return 0.0);
+        (1, oneofl [ Float.infinity; Float.neg_infinity; Float.nan ]);
+      ])
+
+(* The data magnitude a fit restores: 1, below 1, subnormal or huge. *)
+let y_scale_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 1.0);
+        (3, float_range 1e-3 1.0);
+        (1, oneofl [ 4.9e-324; 2.2e-310; 1e-308 ]);
+        (2, magnitude);
+      ])
+
+(* Coefficients that put a pole (a zero denominator) at [r], over a
+   numerator [a]: a rational's b1 = -1/r, ExpRat's d = -c/r. *)
+let pole_params kind ~r ~a =
+  match kind with
+  | Of_kernel k -> (
+      match k.Kernel.name with
+      | "ExpRat" -> Some [| a; 0.0; 1.0; -1.0 /. r |]
+      | "Rat22" | "Rat23" | "Rat33" ->
+          let num_degree = if k.Kernel.name = "Rat33" then 3 else 2 in
+          Some (Array.init k.Kernel.arity (fun j -> if j = 0 then a else if j = num_degree + 1 then -1.0 /. r else 0.0))
+      | _ -> None)
+  | Polynomial | Constant | Zero -> None
+
+type scan_case = {
+  kind : int;
+  params : float array;
+  y_scale : float;
+  x_min : float;
+  x_max : float;
+  require_nonnegative : bool;
+}
+
+let print_scan c =
+  Printf.sprintf "%s params = %s; y_scale = %h; range = [%h, %h]; require_nonnegative = %b"
+    (kind_name fit_kinds.(c.kind)) (hex c.params) c.y_scale c.x_min c.x_max c.require_nonnegative
+
+(* Ranges start at 1 (as the pipeline's do) or anywhere from -2 to 10,
+   signed zeros included, and are empty, up to 100 wide or up to 1e300
+   wide; a few are reversed.  A pole sits anywhere in the range, on one of
+   its 257 points, or on its last point over a small numerator, where
+   only that point fails. *)
+let scan_gen =
+  let open QCheck.Gen in
+  let* kind = int_range 0 (Array.length fit_kinds - 1) in
+  let* x_min = frequency [ (4, return 1.0); (3, float_range (-2.0) 10.0); (1, oneofl [ 0.0; -0.0 ]) ]
+  and* width =
+    frequency [ (6, float_range 0.0 100.0); (1, return 0.0); (1, map (fun e -> 10.0 ** e) (float_range 2.0 300.0)) ]
+  and* reversed = frequency [ (30, return false); (1, return true) ]
+  and* y_scale = y_scale_gen
+  and* require_nonnegative = bool
+  and* pole = int_range 0 5
+  and* u = float_range 0.0 1.0
+  and* step = int_range 0 256
+  and* small = signed (float_range 1e-3 0.05) in
+  let x_max = x_min +. width in
+  let x_min, x_max = if reversed then (x_max, x_min) else (x_min, x_max) in
+  let point i = x_min +. ((x_max -. x_min) *. float_of_int i /. 256.) in
+  let* random = array_repeat (arity fit_kinds.(kind)) coefficient in
+  let pole_at r a = match pole_params fit_kinds.(kind) ~r ~a with Some p -> p | None -> random in
+  let a = if Array.length random > 0 then random.(0) else 0.0 in
+  let params =
+    match pole with
+    | 0 -> pole_at (x_min +. ((x_max -. x_min) *. u)) a
+    | 1 -> pole_at (point step) a
+    | 2 -> pole_at (point 256) small
+    | _ -> random
+  in
+  return { kind; params; y_scale; x_min; x_max; require_nonnegative }
+
+let scan_case = QCheck.make ~print:print_scan scan_gen
+
+let verdict realistic c =
+  let fitted = fitted_of fit_kinds.(c.kind) c.params ~y_scale:c.y_scale in
+  match realistic fitted ~x_min:c.x_min ~x_max:c.x_max ~require_nonnegative:c.require_nonnegative with
+  | ok -> Ok ok
+  | exception Invalid_argument msg -> Error msg
+
+let scan_agrees c = verdict Fit.realistic c = verdict Reference.realistic c
+
+let prop_scan_matches_reference =
+  QCheck.Test.make ~count:3000 ~name:"realism scan matches the per-point reference" scan_case scan_agrees
+
+(* The first point where the per-point scan fails, if any. *)
+let first_failure c =
+  let fitted = fitted_of fit_kinds.(c.kind) c.params ~y_scale:c.y_scale in
+  let bound = 200.0 *. Float.max c.y_scale 1.0 and neg_slack = -0.25 *. Float.max c.y_scale 1.0 in
+  let failing i =
+    let v = fitted.Fit.eval (c.x_min +. ((c.x_max -. c.x_min) *. float_of_int i /. 256.)) in
+    (not (Float.is_finite v)) || Float.abs v > bound || (c.require_nonnegative && v < neg_slack)
+  in
+  List.find_opt failing (List.init 257 Fun.id)
+
+(* A fixed sample of the generator must agree with the reference and
+   reach both verdicts, fits that fail only at the range's last point or
+   only before it, every kind of fit, and reversed ranges. *)
+let test_scan_inputs_reach_every_branch () =
+  let sample = QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:3000 scan_gen in
+  List.iter (fun c -> if not (scan_agrees c) then Alcotest.failf "differs on %s" (print_scan c)) sample;
+  let count p = List.length (List.filter p sample) in
+  let valid c = c.x_min <= c.x_max in
+  let realistic = count (fun c -> valid c && first_failure c = None)
+  and last_only = count (fun c -> valid c && first_failure c = Some 256)
+  and inside = count (fun c -> valid c && match first_failure c with Some i -> i < 256 | None -> false)
+  and reversed = count (fun c -> not (valid c)) in
+  if realistic = 0 || last_only = 0 || inside = 0 || reversed = 0 then
+    Alcotest.failf "%d realistic, %d failing at the last point only, %d failing before it, %d reversed" realistic
+      last_only inside reversed;
+  Array.iteri
+    (fun kind k ->
+      if count (fun c -> c.kind = kind) = 0 then Alcotest.failf "no %s fit in the sample" (kind_name k))
+    fit_kinds
+
+type values_case = { v_kind : int; v_params : float array; v_y_scale : float; xs : float array }
+
+let print_values c =
+  Printf.sprintf "%s params = %s; y_scale = %h; xs = %s" (kind_name fit_kinds.(c.v_kind)) (hex c.v_params)
+    c.v_y_scale (hex c.xs)
+
+(* Core counts: integers, any reals from -5 to 100, signed zeros,
+   subnormals, infinities and NaN, or a realism scan's 257 points. *)
+let values_gen =
+  let open QCheck.Gen in
+  let* v_kind = int_range 0 (Array.length fit_kinds - 1) in
+  let* v_params = array_repeat (arity fit_kinds.(v_kind)) coefficient and* v_y_scale = y_scale_gen in
+  let x =
+    frequency
+      [
+        (6, map float_of_int (int_range 1 64));
+        (4, float_range (-5.0) 100.0);
+        (1, oneofl [ 0.0; -0.0; 4.9e-324; Float.infinity; Float.neg_infinity; Float.nan; 1e300 ]);
+      ]
+  in
+  let* xs =
+    frequency
+      [
+        (5, array_size (int_range 0 24) x);
+        (1, map (fun hi -> Array.init 257 (fun i -> 1.0 +. ((hi -. 1.0) *. float_of_int i /. 256.))) (float_range 1.0 96.0));
+      ]
+  in
+  return { v_kind; v_params; v_y_scale; xs }
+
+(* Bit for bit eval ... *. y_scale (a closure fit's eval) at every point,
+   on the pass that stages the kernel over the grid and on the staged pass
+   that follows. *)
+let values_agree c =
+  let kind = fit_kinds.(c.v_kind) in
+  let fitted = fitted_of kind c.v_params ~y_scale:c.v_y_scale in
+  let eval =
+    match kind with
+    | Of_kernel k -> fun x -> k.Kernel.eval c.v_params x *. c.v_y_scale
+    | Polynomial | Constant | Zero -> fitted.Fit.eval
+  in
+  let expected = Array.map eval c.xs and grid = Kernel.grid c.xs in
+  same_floats (Fit.values fitted grid) expected && same_floats (Fit.values fitted grid) expected
+
+let prop_values_bit_identical =
+  QCheck.Test.make ~count:2000 ~name:"batched values match eval bit for bit"
+    (QCheck.make ~print:print_values values_gen)
+    values_agree
+
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+(* Minor and major words allocated by [n] scans of [fitted] over [1, 48]:
+   a 257-float buffer or table goes straight to the major heap, which
+   [Gc.minor_words] does not count. *)
+let scan_words fitted n =
+  let w0 = Gc.minor_words () and m0 = major_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Fit.realistic fitted ~x_min:1.0 ~x_max:48.0 ~require_nonnegative:true))
+  done;
+  (Gc.minor_words () -. w0, major_words () -. m0)
+
+(* A scan of a fitted Rat33 and of a fitted Poly25 allocates nothing once
+   its grid is built: twice the scans, the same words, minor and major. *)
+let test_realism_scan_allocates_nothing () =
+  let xs = [| 1.0; 2.0; 4.0; 6.0; 8.0; 12.0; 16.0; 24.0 |] in
+  let ys = [| 0.9; 1.7; 3.1; 4.6; 5.6; 8.9; 10.2; 17.5 |] in
+  List.iter
+    (fun (kernel : Kernel.t) ->
+      match Fit.fit kernel ~xs ~ys with
+      | None -> Alcotest.failf "%s does not fit the fixture" kernel.Kernel.name
+      | Some fitted ->
+          if not (Fit.realistic fitted ~x_min:1.0 ~x_max:48.0 ~require_nonnegative:true) then
+            Alcotest.failf "the fitted %s is not realistic, so its scan stops early" kernel.Kernel.name;
+          let k = 50 in
+          let short, short_major = scan_words fitted k in
+          let long, long_major = scan_words fitted (2 * k) in
+          if long <> short || long_major <> short_major then
+            Alcotest.failf "%s: %d scans allocate %.0f minor and %.0f major words, %d scans %.0f and %.0f"
+              kernel.Kernel.name k short short_major (2 * k) long long_major)
+    [ Rational.rat33; Poly25.kernel ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lm_bit_identical;
@@ -346,4 +594,8 @@ let suite =
     ("lm iterations allocate nothing", `Quick, test_lm_iterations_allocate_nothing);
     QCheck_alcotest.to_alcotest prop_damped_step_matches_reference;
     QCheck_alcotest.to_alcotest prop_wide_qr_bit_identical;
+    QCheck_alcotest.to_alcotest prop_scan_matches_reference;
+    ("scan inputs reach every branch", `Quick, test_scan_inputs_reach_every_branch);
+    QCheck_alcotest.to_alcotest prop_values_bit_identical;
+    ("realism scan allocates nothing", `Quick, test_realism_scan_allocates_nothing);
   ]

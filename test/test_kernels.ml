@@ -99,23 +99,16 @@ let test_realism_rejects_pole () =
   (* A rational with a pole inside the extrapolation range is unrealistic. *)
   let params = [| 1.0; 0.0; 0.0; -0.1; 0.0 |] in
   (* denominator 1 - 0.1 n: pole at n = 10 *)
-  let fitted =
-    {
-      Fit.kernel_name = "Rat22";
-      params;
-      y_scale = 1.0;
-      fit_rmse = 0.0;
-      eval = (fun x -> Rational.rat22.Kernel.eval params x);
-    }
-  in
+  let fitted = Fit.of_kernel Rational.rat22 params ~y_scale:1.0 ~fit_rmse:0.0 in
   Alcotest.(check bool) "pole inside range rejected" false
     (Fit.realistic fitted ~x_min:1.0 ~x_max:48.0 ~require_nonnegative:true);
   Alcotest.(check bool) "pole outside range accepted" true
     (Fit.realistic fitted ~x_min:1.0 ~x_max:8.0 ~require_nonnegative:true)
 
 let test_realism_rejects_negative () =
+  let eval x = 5.0 -. x in
   let fitted =
-    { Fit.kernel_name = "lin"; params = [||]; y_scale = 1.0; fit_rmse = 0.0; eval = (fun x -> 5.0 -. x) }
+    { Fit.kernel_name = "lin"; params = [||]; y_scale = 1.0; fit_rmse = 0.0; eval; values_into = Fit.pointwise eval }
   in
   Alcotest.(check bool) "goes negative" false
     (Fit.realistic fitted ~x_min:1.0 ~x_max:48.0 ~require_nonnegative:true);

@@ -236,13 +236,15 @@ let prop_extrapolation_clamped_accounting =
               choice =
                 {
                   Estima.Approximation.fitted =
-                    {
-                      Fit.kernel_name = "Synthetic";
-                      params = [||];
-                      y_scale = 1.0;
-                      fit_rmse = 0.0;
-                      eval = (fun n -> a +. (b *. n) +. (c *. n *. n));
-                    };
+                    (let eval n = a +. (b *. n) +. (c *. n *. n) in
+                     {
+                       Fit.kernel_name = "Synthetic";
+                       params = [||];
+                       y_scale = 1.0;
+                       fit_rmse = 0.0;
+                       eval;
+                       values_into = Fit.pointwise eval;
+                     });
                   prefix = 3;
                   checkpoint_rmse = 0.0;
                 };

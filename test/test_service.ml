@@ -277,6 +277,48 @@ let prop_json_string_escape =
        QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 300)))
     (fun s -> Json.to_string (Json.String s) = "\"" ^ reference_escape s ^ "\"")
 
+(* [Json.member] against the lookup it replaced, [List.assoc_opt] over
+   the members (polymorphic compare), on request frames: the protocol's
+   keys and near misses, repeated, null or of the wrong type, in any
+   order, read from the object and from its printed and parsed frame. *)
+let reference_member key = function Json.Obj members -> List.assoc_opt key members | _ -> None
+
+let request_keys =
+  [ "id"; "v"; "op"; "file"; "csv"; "workload"; "spec"; "target_max"; "timeout_ms"; "confidence"; ""; "Op"; "op " ]
+
+let prop_json_member_matches_assoc =
+  let open QCheck.Gen in
+  let value =
+    oneofl
+      Json.
+        [
+          Null;
+          Int 2;
+          Int (-7);
+          Float 1.5;
+          Bool true;
+          String "predict";
+          String "examples/data/kmeans_opteron.csv";
+          List [ Int 1 ];
+          Obj [ ("op", String "shutdown") ];
+        ]
+  in
+  let frame =
+    frequency
+      [
+        (12, map (fun members -> Json.Obj members) (list_size (int_range 0 14) (pair (oneofl request_keys) value)));
+        (1, value);
+      ]
+  in
+  let print json = Json.to_string json in
+  QCheck.Test.make ~count:2000 ~name:"json member matches the assoc lookup" (QCheck.make ~print frame)
+    (fun json ->
+      let parsed = match Json.parse (Json.to_string json) with Ok p -> p | Error msg -> failwith msg in
+      List.for_all
+        (fun key ->
+          Json.member key json = reference_member key json && Json.member key parsed = reference_member key parsed)
+        request_keys)
+
 (* ------------------------------------------------------------------ *)
 (* Wire framing                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1385,4 +1427,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_frames_match_reference;
     QCheck_alcotest.to_alcotest prop_json_string_matches_reference;
     ("server memo keys on the CSV's value", `Quick, test_server_memo_by_value);
+    QCheck_alcotest.to_alcotest prop_json_member_matches_assoc;
   ]
