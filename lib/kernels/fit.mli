@@ -51,5 +51,6 @@ val realistic : fitted -> x_min:float -> x_max:float -> require_nonnegative:bool
     evaluated in one [values_into] pass and checked in order up to the
     first failing point.  The grid is built once per range (the last range
     scanned is kept, with each kernel's tables over it), and each domain
-    scans into its own buffer, so the scan of a kernel fit allocates
-    nothing.  Raises [Invalid_argument] when [x_max < x_min]. *)
+    scans into its own buffer (per domain, not per system thread), so the
+    scan of a kernel fit allocates nothing.  Raises [Invalid_argument]
+    when [x_max < x_min]. *)
