@@ -116,21 +116,16 @@ let extrapolate ?(config = Approximation.default_config) ~series ~target_max ~in
   | _, d :: _ -> Error d
   end
 
-(* [clamped_eval] at every core count of the grid, from one values pass. *)
-let clamped_values fit grid = Array.map (Float.max 0.0) (Fit.values fit.choice.Approximation.fitted grid)
-
+(* [clamped_eval] at every core count of the target grid, from one values
+   pass. *)
 let category_values t name =
   match List.find_opt (fun f -> String.equal f.category name) t.fits with
   | None -> raise Not_found
-  | Some f -> clamped_values f (Kernel.grid t.target_grid)
+  | Some f -> Array.map (Float.max 0.0) (Fit.values f.choice.Approximation.fitted (Kernel.grid t.target_grid))
 
 let total_stalls t n = List.fold_left (fun acc f -> acc +. clamped_eval f n) 0.0 t.fits
 
-(* [total_stalls t n /. n] at every n, each total summed in fit order. *)
-let stalls_per_core t =
-  let grid = Kernel.grid t.target_grid in
-  let curves = List.map (fun f -> clamped_values f grid) t.fits in
-  Array.mapi (fun i n -> List.fold_left (fun acc curve -> acc +. curve.(i)) 0.0 curves /. n) t.target_grid
+let stalls_per_core t = Array.map (fun n -> total_stalls t n /. n) t.target_grid
 
 let dominant_categories t ~at =
   let contributions = List.map (fun f -> (f.category, clamped_eval f at)) t.fits in

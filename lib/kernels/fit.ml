@@ -113,28 +113,18 @@ let fit (kernel : Kernel.t) ~xs ~ys =
    included. *)
 let scan_steps = 256
 
-type scan = { x_min : float; x_max : float; grid : Kernel.grid }
+(* Each domain keeps the last range it scanned, that range's grid (which
+   holds each kernel's tables for it) and its own buffer.  A prediction
+   scans every candidate over [1, target] on one domain, so the tables
+   are built once per range and a scan allocates nothing; domains
+   scanning different ranges at once do not rebuild each other's.  A
+   table of more than 256 words goes straight to the major heap, so
+   rebuilding one per scan costs resident memory. *)
+type scan = { mutable x_min : float; mutable x_max : float; mutable grid : Kernel.grid; values : float array }
 
-(* The last range scanned and its grid, which holds each kernel's tables
-   for it: a prediction scans every candidate over [1, target], so they
-   are built once per range.  A table of more than 256 words goes straight
-   to the major heap, so rebuilding one per scan costs resident memory. *)
-let last_scan = Atomic.make { x_min = Float.nan; x_max = Float.nan; grid = Kernel.grid [||] }
-
-let scan_grid ~x_min ~x_max =
-  let last = Atomic.get last_scan in
-  if last.x_min = x_min && last.x_max = x_max then last.grid
-  else begin
-    let xs =
-      Array.init (scan_steps + 1) (fun i -> x_min +. ((x_max -. x_min) *. float_of_int i /. 256.))
-    in
-    let grid = Kernel.grid xs in
-    Atomic.set last_scan { x_min; x_max; grid };
-    grid
-  end
-
-(* Each domain scans into its own buffer, so a scan allocates nothing. *)
-let scan_values = Domain.DLS.new_key (fun () -> Array.make (scan_steps + 1) 0.0)
+let scan_state =
+  Domain.DLS.new_key (fun () ->
+      { x_min = Float.nan; x_max = Float.nan; grid = Kernel.grid [||]; values = Array.make (scan_steps + 1) 0.0 })
 
 let realistic fitted ~x_min ~x_max ~require_nonnegative =
   if x_max < x_min then invalid_arg "Fit.realistic: empty range";
@@ -145,8 +135,15 @@ let realistic fitted ~x_min ~x_max ~require_nonnegative =
      matching fit slightly below zero at low core counts.  Only deeply
      negative fits are nonsense worth rejecting. *)
   let neg_slack = -0.25 *. Float.max fitted.y_scale 1.0 in
-  let values = Domain.DLS.get scan_values in
-  fitted.values_into (scan_grid ~x_min ~x_max) values;
+  let scan = Domain.DLS.get scan_state in
+  if not (scan.x_min = x_min && scan.x_max = x_max) then begin
+    scan.grid <-
+      Kernel.grid (Array.init (scan_steps + 1) (fun i -> x_min +. ((x_max -. x_min) *. float_of_int i /. 256.)));
+    scan.x_min <- x_min;
+    scan.x_max <- x_max
+  end;
+  let values = scan.values in
+  fitted.values_into scan.grid values;
   let i = ref 0 in
   while
     !i <= scan_steps

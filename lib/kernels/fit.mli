@@ -49,8 +49,8 @@ val realistic : fitted -> x_min:float -> x_max:float -> require_nonnegative:bool
     The sample is the 257 points
     [x_min +. ((x_max -. x_min) *. float_of_int i /. 256.)], [i = 0..256],
     evaluated in one [values_into] pass and checked in order up to the
-    first failing point.  The grid is built once per range (the last range
-    scanned is kept, with each kernel's tables over it), and each domain
-    scans into its own buffer (per domain, not per system thread), so the
-    scan of a kernel fit allocates nothing.  Raises [Invalid_argument]
-    when [x_max < x_min]. *)
+    first failing point.  Each domain (not each system thread) keeps the
+    last range it scanned, with its grid, each kernel's tables over it and
+    a buffer, so the grid is built once per range and the scan of a
+    kernel fit allocates nothing.  Raises [Invalid_argument] when
+    [x_max < x_min]. *)

@@ -585,6 +585,29 @@ let test_realism_scan_allocates_nothing () =
               kernel.Kernel.name k short short_major (2 * k) long long_major)
     [ Rational.rat33; Poly25.kernel ]
 
+(* Each domain keeps its own scan grid: a scan over another range on
+   another domain leaves this domain's next scan of a fitted Rat33 and
+   Poly25 allocating what it did before, minor and major words. *)
+let test_scan_grid_is_per_domain () =
+  let xs = [| 1.0; 2.0; 4.0; 6.0; 8.0; 12.0; 16.0; 24.0 |] in
+  let ys = [| 0.9; 1.7; 3.1; 4.6; 5.6; 8.9; 10.2; 17.5 |] in
+  List.iter
+    (fun (kernel : Kernel.t) ->
+      match Fit.fit kernel ~xs ~ys with
+      | None -> Alcotest.failf "%s does not fit the fixture" kernel.Kernel.name
+      | Some fitted ->
+          ignore (scan_words fitted 1);
+          let alone = scan_words fitted 1 in
+          let other =
+            Domain.spawn (fun () -> Fit.realistic fitted ~x_min:1.0 ~x_max:20.0 ~require_nonnegative:true)
+          in
+          ignore (Domain.join other);
+          let after_other = scan_words fitted 1 in
+          if after_other <> alone then
+            Alcotest.failf "%s: a scan allocates %.0f minor and %.0f major words, %.0f and %.0f after another domain's"
+              kernel.Kernel.name (fst alone) (snd alone) (fst after_other) (snd after_other))
+    [ Rational.rat33; Poly25.kernel ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lm_bit_identical;
@@ -598,4 +621,5 @@ let suite =
     ("scan inputs reach every branch", `Quick, test_scan_inputs_reach_every_branch);
     QCheck_alcotest.to_alcotest prop_values_bit_identical;
     ("realism scan allocates nothing", `Quick, test_realism_scan_allocates_nothing);
+    ("scan grid is per domain", `Quick, test_scan_grid_is_per_domain);
   ]

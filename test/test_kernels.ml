@@ -144,6 +144,33 @@ let test_kernel_applicable () =
   Alcotest.(check bool) "5 points enough for rat22" true (Kernel.applicable Rational.rat22 ~npoints:5);
   Alcotest.(check bool) "4 points not enough" false (Kernel.applicable Rational.rat22 ~npoints:4)
 
+(* The realism gate at its edges: a fit worth exactly 200 times
+   max(y_scale, 1) in magnitude is realistic and the next float out is
+   not; a fit at exactly -0.25 times max(y_scale, 1) is realistic for a
+   cycle count and the next float down is not. *)
+let test_realism_bounds_are_exact () =
+  let constant ~y_scale v =
+    let eval _ = v in
+    { Fit.kernel_name = "const"; params = [||]; y_scale; fit_rmse = 0.0; eval; values_into = Fit.pointwise eval }
+  in
+  List.iter
+    (fun y_scale ->
+      let bound = 200.0 *. y_scale and slack = -0.25 *. y_scale in
+      let check what ~require_nonnegative expected v =
+        Alcotest.(check bool)
+          (Printf.sprintf "y_scale %g: %s (%h)" y_scale what v)
+          expected
+          (Fit.realistic (constant ~y_scale v) ~x_min:1.0 ~x_max:48.0 ~require_nonnegative)
+      in
+      check "at the explosion bound" ~require_nonnegative:false true bound;
+      check "just above the explosion bound" ~require_nonnegative:false false (Float.succ bound);
+      check "at minus the explosion bound" ~require_nonnegative:false true (-.bound);
+      check "just below minus the explosion bound" ~require_nonnegative:false false (Float.pred (-.bound));
+      check "at the negative slack" ~require_nonnegative:true true slack;
+      check "just below the negative slack" ~require_nonnegative:true false (Float.pred slack);
+      check "below the slack, sign not required" ~require_nonnegative:false true (Float.pred slack))
+    [ 1.0; 3.0 ]
+
 let suite =
   [
     ("rat22 gradient", `Quick, test_rat22_gradient);
@@ -167,4 +194,5 @@ let suite =
     ("fit noisy saturating curve", `Quick, test_fit_noisy_saturating_curve);
     ("rational make validation", `Quick, test_rational_make_validation);
     ("kernel applicable", `Quick, test_kernel_applicable);
+    ("realism bounds are exact", `Quick, test_realism_bounds_are_exact);
   ]
