@@ -19,10 +19,11 @@ let residual_objective t ~xs ~ys =
   t.objective ~xs ~ys
 
 (* Each kernel's pass is staged on its first use and kept beside the
-   grid; domains that stage the same kernel at once keep one copy. *)
-type grid = { xs : float array; staged : (t * (Vec.t -> float array -> unit)) list Atomic.t }
+   grid; domains that stage the same kernel at once keep one copy.  The
+   passes share the grid's zero targets, which no objective writes. *)
+type grid = { xs : float array; zeros : float array; staged : (t * (Vec.t -> float array -> unit)) list Atomic.t }
 
-let grid xs = { xs; staged = Atomic.make [] }
+let grid xs = { xs; zeros = Array.make (Array.length xs) 0.0; staged = Atomic.make [] }
 
 let grid_xs grid = grid.xs
 
@@ -33,25 +34,6 @@ let values t grid =
   match List.assq t staged with
   | pass -> pass
   | exception Not_found ->
-      let zeros = Array.make (Array.length grid.xs) 0.0 in
-      let pass = (t.objective ~xs:grid.xs ~ys:zeros).Lm.residual_into in
+      let pass = (t.objective ~xs:grid.xs ~ys:grid.zeros).Lm.residual_into in
       ignore (Atomic.compare_and_set grid.staged staged ((t, pass) :: staged));
       pass
-
-let basis_objective ~arity basis ~xs ~ys =
-  let m = Array.length xs in
-  let table = Array.make (m * arity) 0.0 in
-  for i = 0 to m - 1 do
-    Array.blit (basis xs.(i)) 0 table (i * arity) arity
-  done;
-  let residual_into params r =
-    for i = 0 to m - 1 do
-      let acc = ref 0.0 in
-      for j = 0 to arity - 1 do
-        acc := !acc +. (params.(j) *. table.((i * arity) + j))
-      done;
-      r.(i) <- !acc -. ys.(i)
-    done
-  in
-  let jacobian_into _params jac = Array.blit table 0 jac 0 (m * arity) in
-  Lm.objective ~residuals:m ~residual_into ~jacobian_into

@@ -72,9 +72,3 @@ val values : t -> grid -> Vec.t -> float array -> unit
     grid.  The pass is the kernel's staged [objective] against zero
     targets, whose residual [eval p x -. 0.0] is [eval p x]: the objective
     stays the one copy of the kernel's arithmetic. *)
-
-val basis_objective : arity:int -> (float -> Vec.t) -> xs:float array -> ys:float array -> Lm.objective
-(** The staged objective of a kernel linear in its coefficients, whose
-    [eval p x] is [Vec.dot p (basis x)]: the [arity]-wide basis rows are
-    tabulated once, each residual is that dot product over its row, and
-    the Jacobian is the table itself. *)

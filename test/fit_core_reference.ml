@@ -2,8 +2,9 @@
    copying Householder QR and per-point kernel objectives that the
    workspace versions in estima_numerics and the staged kernel objectives
    in estima_kernels replaced, unchanged but for comments and the
-   Jacobian's finiteness check, which reads the rows of the matrix, and
-   the per-point realism scan that Fit.realistic's batched pass replaced.
+   Jacobian's finiteness check, which reads the rows of the matrix, the
+   basis evaluations CubicLn and Poly25 carried, and the per-point
+   realism scan that Fit.realistic's batched pass replaced.
    Only Test_fit_core calls them, to check that the library returns the
    same bits, iteration counts, outcomes and verdicts. *)
 
@@ -232,6 +233,15 @@ let minimize ?(options = Lm.default_options) objective ~init =
      done
    with Exit -> ());
   { Lm.params = !params; cost = !cost; iterations = !iterations; outcome = !outcome }
+
+(* CubicLn's and Poly25's [eval] as they were: the basis row, built per
+   point, dotted with the coefficients; every other kernel's own. *)
+let kernel_eval (k : Kernel.t) =
+  if k == Cubic_ln.kernel then fun p x ->
+    let l = log x in
+    Vec.dot p [| 1.0; l; l *. l; l *. l *. l |]
+  else if k == Poly25.kernel then fun p x -> Vec.dot p [| 1.0; x; x *. x; Float.pow x 2.5 |]
+  else k.Kernel.eval
 
 (* ------------------------------------------------------------------ *)
 (* Realism                                                             *)

@@ -532,19 +532,22 @@ let values_gen =
   in
   return { v_kind; v_params; v_y_scale; xs }
 
-(* Bit for bit eval ... *. y_scale (a closure fit's eval) at every point,
-   on the pass that stages the kernel over the grid and on the staged pass
-   that follows. *)
+(* Bit for bit eval ... *. y_scale at every point (CubicLn's and Poly25's
+   eval as they were, a closure fit's eval), on the pass that stages the
+   kernel over the grid, on the staged pass that follows and point by
+   point through the fit's own eval. *)
 let values_agree c =
   let kind = fit_kinds.(c.v_kind) in
   let fitted = fitted_of kind c.v_params ~y_scale:c.v_y_scale in
   let eval =
     match kind with
-    | Of_kernel k -> fun x -> k.Kernel.eval c.v_params x *. c.v_y_scale
+    | Of_kernel k -> fun x -> Reference.kernel_eval k c.v_params x *. c.v_y_scale
     | Polynomial | Constant | Zero -> fitted.Fit.eval
   in
   let expected = Array.map eval c.xs and grid = Kernel.grid c.xs in
-  same_floats (Fit.values fitted grid) expected && same_floats (Fit.values fitted grid) expected
+  same_floats (Fit.values fitted grid) expected
+  && same_floats (Fit.values fitted grid) expected
+  && same_floats (Array.map fitted.Fit.eval c.xs) expected
 
 let prop_values_bit_identical =
   QCheck.Test.make ~count:2000 ~name:"batched values match eval bit for bit"
