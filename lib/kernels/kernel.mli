@@ -15,9 +15,9 @@ type t = private {
           return non-finite values near poles; callers must filter. *)
   objective : xs:float array -> ys:float array -> Lm.objective;
       (** [objective ~xs ~ys] stages the least-squares objective of one
-          fit: whatever depends only on the core counts (powers, basis
-          values) is tabulated once per fit (a table only the Jacobian
-          reads, on its first write), and the returned
+          fit: whatever depends only on the core counts (powers,
+          logarithms) is tabulated once per fit (a table only the
+          Jacobian reads, on its first write), and the returned
           objective writes residuals [eval p x_i - y_i] and the Jacobian
           [d eval / d p_j] into {!Lm.minimize}'s buffers without
           allocating.  Its arithmetic repeats [eval]'s operands and order,
