@@ -115,11 +115,11 @@ let scan_steps = 256
 
 (* Each domain keeps the last range it scanned, that range's grid (which
    holds each kernel's tables for it) and its own buffer.  A prediction
-   scans every candidate over [1, target] on one domain, so the tables
-   are built once per range and a scan allocates nothing; domains
-   scanning different ranges at once do not rebuild each other's.  A
-   table of more than 256 words goes straight to the major heap, so
-   rebuilding one per scan costs resident memory. *)
+   scans every candidate over [1, target], so a domain builds the tables
+   once per range and a scan allocates nothing; domains scanning
+   different ranges at once do not rebuild each other's.  A table of
+   more than 256 words goes straight to the major heap, so rebuilding
+   one per scan costs resident memory. *)
 type scan = { mutable x_min : float; mutable x_max : float; mutable grid : Kernel.grid; values : float array }
 
 let scan_state =
