@@ -95,11 +95,14 @@ let observe rng ~scale ~rel_residuals ~window ~target_grid times =
       t *. Float.max 0.0 (1.0 +. (scale *. sign *. (e +. floor))))
     times
 
-let estimate ?(level = 0.90) ?(residual_scale = 1.0) ~resamples ~seed ~series ~curves
-    ~fitted_times ~base_times ~target_grid ~predict ~classify () =
+let level = 0.90
+
+(* The master generator's seed: the collection default. *)
+let seed = 42
+
+let estimate ?(residual_scale = 1.0) ~resamples ~series ~curves ~fitted_times ~base_times
+    ~target_grid ~predict ~classify () =
   if resamples < 1 then invalid_arg "Confidence.estimate: resamples must be >= 1";
-  if not (level > 0.0 && level < 1.0) then
-    invalid_arg "Confidence.estimate: level must be inside (0, 1)";
   (* Split one child generator per resample on the submitting domain, in
      resample order, before any parallel work: each fan-out task then
      consumes only its own stream, making the ensemble independent of the

@@ -19,7 +19,7 @@
       per-thread-count quantile bands, a stop-point interval and a
       risk-aware scaling verdict.
 
-    Determinism contract: the caller's seed drives one splitmix64 master
+    Determinism contract: the fixed seed 42 drives one splitmix64 master
     generator; a child generator is {!Estima_numerics.Rng.split} off per
     resample {e on the submitting domain, in resample order}, and only
     then is the refit work fanned out on {!Estima_par.Fanout.map}.  Each
@@ -63,8 +63,8 @@ type t = {
       (** Resamples whose refit produced a prediction.  A synthetic
           window can defeat every realistic fit; such resamples are
           skipped deterministically, never substituted. *)
-  seed : int;
-  level : float;  (** Band coverage target, e.g. 0.90 for p5/p95. *)
+  seed : int;  (** The master generator's seed, 42. *)
+  level : float;  (** Band coverage target, {!level}. *)
   scaling_fraction : float;
       (** Fraction of succeeded resamples whose curve scales. *)
   bands : band array;  (** One per target core count, grid order. *)
@@ -74,11 +74,12 @@ type t = {
   verdict : verdict;
 }
 
+val level : float
+(** The coverage of every estimate's bands: 0.90, so p5/p95. *)
+
 val estimate :
-  ?level:float ->
   ?residual_scale:float ->
   resamples:int ->
-  seed:int ->
   series:Series.t ->
   curves:curve list ->
   fitted_times:float array ->
@@ -88,7 +89,7 @@ val estimate :
   classify:(float array -> [ `Scales | `Stops_at of int ]) ->
   unit ->
   t
-(** [estimate ~resamples ~seed ~series ~curves ~fitted_times ~base_times
+(** [estimate ~resamples ~series ~curves ~fitted_times ~base_times
     ~target_grid ~predict ~classify ()] runs the bootstrap.
 
     [curves] are the per-category fitted/measured pairs over the measured
@@ -111,14 +112,13 @@ val estimate :
     could ever land inside.  The verdict and stop interval come from the
     unperturbed refit ensemble.
 
-    [level] (default 0.90) sets the band quantiles; [residual_scale]
+    The bands are the {!level} quantiles, seeded by 42; [residual_scale]
     (default 1.0) multiplies every resampled residual — a calibration
     instrument: values well below 1 deliberately mis-calibrate the bands,
     which the validation gate must detect.
 
-    Raises [Invalid_argument] on [resamples < 1] or [level] outside
-    (0, 1); the embedding API layers turn those into typed diagnostics
-    before calling. *)
+    Raises [Invalid_argument] on [resamples < 1]; the embedding API
+    layer turns that into a typed diagnostic before calling. *)
 
 val verdict_to_string : t -> string
 (** ["scales (97% of resamples agree)"],

@@ -1,6 +1,6 @@
 open Estima_counters
 
-let version = 2
+let version = 3
 
 module Config = Config
 module Diag = Diag
@@ -99,14 +99,11 @@ let predict_traced ?(config = Config.default) ~series ~target_max () =
    space) to the residual bootstrap, with the full predictor injected as
    the refit closure.  The bootstrap fans out on Fanout, so the bands are
    byte-identical at any --jobs setting, like the prediction itself. *)
-let predict_with_confidence ?(config = Config.default) ?(resamples = 100) ?(level = 0.90)
-    ?(seed = 42) ?(residual_scale = 1.0) ~series ~target_max () =
-  let bad what =
-    Diag.error ~stage:Diag.Translate ~subject:series.Series.spec_name (Diag.Bad_config { what })
-  in
-  if resamples < 1 then bad (Printf.sprintf "confidence resamples %d (need >= 1)" resamples)
-  else if not (level > 0.0 && level < 1.0) then
-    bad (Printf.sprintf "confidence level %g (need 0 < level < 1)" level)
+let predict_with_confidence ?(config = Config.default) ?(resamples = 100)
+    ?(residual_scale = 1.0) ~series ~target_max () =
+  if resamples < 1 then
+    Diag.error ~stage:Diag.Translate ~subject:series.Series.spec_name
+      (Diag.Bad_config { what = Printf.sprintf "confidence resamples %d (need >= 1)" resamples })
   else
     match predict ~config ~series ~target_max () with
     | Error d -> Error d
@@ -140,12 +137,12 @@ let predict_with_confidence ?(config = Config.default) ?(resamples = 100) ?(leve
         in
         let grid = p.Predictor.target_grid in
         let classify times =
-          match Quality.scaling_verdict ~times ~grid () with
+          match Quality.scaling_verdict ~times ~grid with
           | Quality.Scales -> `Scales
           | Quality.Stops_at k -> `Stops_at k
         in
         let confidence =
-          Confidence.estimate ~level ~residual_scale ~resamples ~seed ~series ~curves
+          Confidence.estimate ~residual_scale ~resamples ~series ~curves
             ~fitted_times ~base_times:p.Predictor.predicted_times ~target_grid:grid
             ~predict:predict_resample ~classify ()
         in
@@ -173,7 +170,7 @@ let render_rows (p : Prediction.t) =
        p.Predictor.target_grid)
 
 let verdict (p : Prediction.t) =
-  Quality.scaling_verdict ~times:p.Predictor.predicted_times ~grid:p.Predictor.target_grid ()
+  Quality.scaling_verdict ~times:p.Predictor.predicted_times ~grid:p.Predictor.target_grid
 
 let render_verdict p = "the application " ^ Quality.verdict_to_string (verdict p)
 

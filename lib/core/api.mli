@@ -25,11 +25,16 @@ open Estima_counters
 
 val version : int
 (** The API generation, bumped on any incompatible change to this
-    signature or to the service wire protocol built on it.  Currently 2:
+    signature or to the service wire protocol built on it.  Currently 3:
     version 2 removed the deprecated [*_exn] wrappers (the result-typed
     pipeline is the only entry point), added
     {!predict_with_confidence} with its renderers, and introduced the
-    versioned ["v"] member on the service wire protocol. *)
+    versioned ["v"] member on the service wire protocol; version 3
+    removed the arguments and fields no program set to a second value
+    ([predict_with_confidence ?level ?seed], [Config.make ?min_prefix
+    ?kernels ?include_frontend ?frequency_scale], the [Config.t] fields
+    [min_prefix] and [include_frontend], [Prediction.t]'s [audit] and
+    [Quality.scaling_verdict ?tolerance]).  The wire did not change. *)
 
 (** Re-exports: the full knob record, diagnostics, quality metrics, the
     prediction type, bottleneck analysis, and the bootstrap confidence
@@ -155,8 +160,6 @@ val predict_traced :
 val predict_with_confidence :
   ?config:Config.t ->
   ?resamples:int ->
-  ?level:float ->
-  ?seed:int ->
   ?residual_scale:float ->
   series:Series.t ->
   target_max:int ->
@@ -164,16 +167,15 @@ val predict_with_confidence :
   (Prediction.t * Confidence.t, Diag.t) result
 (** {!predict} plus a residual-bootstrap uncertainty estimate
     ({!Confidence.estimate}): the pipeline is refitted on [resamples]
-    (default 100) perturbed copies of the measured window, seeded by
-    [seed] (default 42, the collection default), and the ensemble is
-    summarised as [level] (default 0.90) confidence bands, a stop-point
-    interval and a risk-aware verdict.  Deterministic and byte-identical
-    at any jobs setting.  [residual_scale] (default 1.0) is a
-    calibration instrument — shrinking it deliberately mis-calibrates
-    the bands, which the validation gate must detect; leave it alone
-    otherwise.  Invalid [resamples]/[level] are a typed
-    {!Diag.Bad_config}; pipeline failures are the same diagnostics
-    {!predict} returns. *)
+    (default 100) perturbed copies of the measured window, seeded by 42
+    (the collection default), and the ensemble is summarised as 90%
+    ({!Confidence.level}) confidence bands, a stop-point interval and a
+    risk-aware verdict.  Deterministic and byte-identical at any jobs
+    setting.  [residual_scale] (default 1.0) is a calibration instrument
+    — shrinking it deliberately mis-calibrates the bands, which the
+    validation gate must detect; leave it alone otherwise.  A
+    [resamples] below 1 is a typed {!Diag.Bad_config}; pipeline failures
+    are the same diagnostics {!predict} returns. *)
 
 (** {1 Rendering}
 

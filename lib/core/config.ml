@@ -4,10 +4,8 @@ type trace_format = Text | Json
 
 type t = {
   checkpoints : int;
-  min_prefix : int;
   kernels : Kernel.t list;
   include_software : bool;
-  include_frontend : bool;
   frequency_scale : float;
   dataset_factor : float;
   trace : trace_format option;
@@ -16,44 +14,30 @@ type t = {
 let default =
   {
     checkpoints = Approximation.default_config.Approximation.checkpoints;
-    min_prefix = Approximation.default_config.Approximation.min_prefix;
     kernels = Approximation.default_config.Approximation.kernels;
     include_software = false;
-    include_frontend = false;
     frequency_scale = 1.0;
     dataset_factor = 1.0;
     trace = None;
   }
 
-let make ?(checkpoints = default.checkpoints) ?(min_prefix = default.min_prefix)
-    ?(kernels = default.kernels) ?(include_software = default.include_software)
-    ?(include_frontend = default.include_frontend) ?frequency_scale
+let make ?(checkpoints = default.checkpoints) ?(include_software = default.include_software)
     ?(dataset_factor = default.dataset_factor) ?measured_on ?target ?trace () =
   let frequency_scale =
-    match (frequency_scale, measured_on, target) with
-    | Some s, _, _ -> s
-    | None, Some measured_on, Some target -> Estima_machine.Frequency.time_scale ~measured_on ~target
-    | None, _, _ -> default.frequency_scale
+    match (measured_on, target) with
+    | Some measured_on, Some target -> Estima_machine.Frequency.time_scale ~measured_on ~target
+    | _ -> default.frequency_scale
   in
-  {
-    checkpoints;
-    min_prefix;
-    kernels;
-    include_software;
-    include_frontend;
-    frequency_scale;
-    dataset_factor;
-    trace;
-  }
+  { default with checkpoints; include_software; frequency_scale; dataset_factor; trace }
 
 let approximation t =
-  { Approximation.checkpoints = t.checkpoints; min_prefix = t.min_prefix; kernels = t.kernels }
+  { Approximation.default_config with Approximation.checkpoints = t.checkpoints; kernels = t.kernels }
 
 let predictor t =
   {
+    Predictor.default_config with
     Predictor.approximation = approximation t;
     include_software = t.include_software;
-    include_frontend = t.include_frontend;
     frequency_scale = t.frequency_scale;
     dataset_factor = t.dataset_factor;
   }
@@ -61,7 +45,6 @@ let predictor t =
 let validate t =
   let bad what = Diag.error ~stage:Diag.Collect ~subject:"config" (Diag.Bad_config { what }) in
   if t.checkpoints <= 0 then bad (Printf.sprintf "checkpoints = %d (need > 0)" t.checkpoints)
-  else if t.min_prefix < 2 then bad (Printf.sprintf "min_prefix = %d (need >= 2)" t.min_prefix)
   else if t.frequency_scale <= 0.0 then
     bad (Printf.sprintf "frequency_scale = %g (need > 0)" t.frequency_scale)
   else if t.dataset_factor <= 0.0 then

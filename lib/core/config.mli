@@ -2,9 +2,9 @@
 
     Before this module, tuning a prediction meant threading loose optional
     arguments through several modules: [?config:Approximation.config]
-    (checkpoint count, minimum prefix), [?config:Predictor.config]
-    (software stalls, frontend, frequency and dataset scaling) and the
-    CLI-only [--trace] flag.  [Config.t] gathers every one of them:
+    (checkpoint count, kernel set), [?config:Predictor.config] (software
+    stalls, frequency and dataset scaling) and the CLI-only [--trace]
+    flag.  [Config.t] gathers the ones a program sets:
     {!Estima.Api} accepts it directly, and both [estima_cli] and
     [estima_serve] build it through {!make} — one construction site, so
     the two binaries cannot drift apart on defaults.
@@ -22,10 +22,8 @@ type trace_format = Text | Json
 
 type t = {
   checkpoints : int;  (** Held-out highest-core measurements (paper: 2 or 4). *)
-  min_prefix : int;  (** Smallest measurement prefix fitted (paper: 3). *)
   kernels : Kernel.t list;  (** Candidate kernel set (default: full Table 1). *)
   include_software : bool;  (** Use software stall plugins (off, as in the paper). *)
-  include_frontend : bool;  (** Section 5.2 frontend ablation; off by default. *)
   frequency_scale : float;
       (** Multiplier applied to measured times when the target machine has
           a different clock; 1.0 for same-machine predictions. *)
@@ -38,17 +36,12 @@ type t = {
 }
 
 val default : t
-(** Paper defaults: 4 checkpoints, prefixes from 3, the full Table 1
-    kernel set, hardware counters only, same-machine strong scaling, no
-    trace. *)
+(** Paper defaults: 4 checkpoints, the full Table 1 kernel set, hardware
+    counters only, same-machine strong scaling, no trace. *)
 
 val make :
   ?checkpoints:int ->
-  ?min_prefix:int ->
-  ?kernels:Kernel.t list ->
   ?include_software:bool ->
-  ?include_frontend:bool ->
-  ?frequency_scale:float ->
   ?dataset_factor:float ->
   ?measured_on:Estima_machine.Topology.t ->
   ?target:Estima_machine.Topology.t ->
@@ -57,21 +50,25 @@ val make :
   t
 (** The single construction site used by [estima_cli] and [estima_serve].
     Every argument defaults to {!default}'s value.  When both
-    [measured_on] and [target] are given and [frequency_scale] is not,
-    the scale is derived with {!Estima_machine.Frequency.time_scale} —
-    the cross-machine workflow both binaries share. *)
+    [measured_on] and [target] are given, the frequency scale is derived
+    with {!Estima_machine.Frequency.time_scale} — the cross-machine
+    workflow both binaries share; otherwise it is 1.0.  The kernel set is
+    {!default}'s: a program that needs another sets [kernels] by record
+    update. *)
 
 val approximation : t -> Approximation.config
-(** The regression-stage slice of the record. *)
+(** The regression-stage slice of the record: prefixes from 3
+    ({!Approximation.default_config}'s [min_prefix]). *)
 
 val predictor : t -> Predictor.config
-(** The full pipeline slice of the record. *)
+(** The full pipeline slice of the record, without the frontend
+    category ({!Predictor.default_config}'s [include_frontend]). *)
 
 val validate : t -> (unit, Diag.t) result
-(** Structural sanity: positive scales, [checkpoints > 0] and
-    [min_prefix >= 2].  The pipeline re-checks what it consumes; this
-    exists so services can reject a bad configuration at admission time
-    with a typed {!Diag.t}. *)
+(** Structural sanity: positive scales and [checkpoints > 0].  The
+    pipeline re-checks what it consumes; this exists so services can
+    reject a bad configuration at admission time with a typed
+    {!Diag.t}. *)
 
 (** The shared command-line vocabulary of [estima_cli], [estima_serve]
     and [estima_load], so their spellings, defaults, documentation and

@@ -105,7 +105,7 @@ let exit_code t =
    are the ones that identify the crash site. *)
 let backtrace_budget = 600
 
-let of_exn ?(stage = Serve) ~subject exn raw_backtrace =
+let of_exn ~subject exn raw_backtrace =
   let flatten s =
     String.concat " <- "
       (String.split_on_char '\n' (String.trim s) |> List.map String.trim
@@ -116,7 +116,7 @@ let of_exn ?(stage = Serve) ~subject exn raw_backtrace =
     if String.length backtrace <= backtrace_budget then backtrace
     else String.sub backtrace 0 backtrace_budget ^ "..."
   in
-  make ~stage ~subject (Internal_error { exn = Printexc.to_string exn; backtrace })
+  make ~stage:Serve ~subject (Internal_error { exn = Printexc.to_string exn; backtrace })
 
 (* Prediction-quality metrics, folded in from the pre-Diag lib/core/error.ml
    (the module was called [Error] when pipeline failures were still
@@ -133,7 +133,11 @@ module Quality = struct
     verdict_agrees : bool;
   }
 
-  let scaling_verdict ?(tolerance = 0.05) ~times ~grid () =
+  (* The improvement a later core count must make to keep the
+     application scaling. *)
+  let tolerance = 0.05
+
+  let scaling_verdict ~times ~grid =
     if Array.length times = 0 || Array.length times <> Array.length grid then
       invalid_arg "Diag.Quality.scaling_verdict: bad input";
     let n = Array.length times in
@@ -183,8 +187,8 @@ module Quality = struct
     let errors = List.map snd per_point in
     let max_error = List.fold_left Float.max 0.0 errors in
     let mean_error = List.fold_left ( +. ) 0.0 errors /. float_of_int (List.length errors) in
-    let predicted_verdict = scaling_verdict ~times:predicted ~grid:target_grid () in
-    let measured_verdict = scaling_verdict ~times:measured ~grid:target_grid () in
+    let predicted_verdict = scaling_verdict ~times:predicted ~grid:target_grid in
+    let measured_verdict = scaling_verdict ~times:measured ~grid:target_grid in
     {
       max_error;
       mean_error;

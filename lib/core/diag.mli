@@ -94,10 +94,9 @@ val exit_code : t -> int
     succeed), 5 for {!Internal_error} (a bug in the pipeline, not in the
     request), 2 for every bad-input cause. *)
 
-val of_exn :
-  ?stage:stage -> subject:string -> exn -> Printexc.raw_backtrace -> t
-(** Wrap an escaped exception as an {!Internal_error} diagnostic (stage
-    defaults to [Serve]).  The backtrace is flattened to one line
+val of_exn : subject:string -> exn -> Printexc.raw_backtrace -> t
+(** Wrap an escaped exception as an {!Internal_error} diagnostic of
+    stage [Serve], where the service catches it.  The backtrace is flattened to one line
     (frames joined by [" <- "]) and truncated to a few hundred bytes so
     the rendering stays a single sane wire line. *)
 
@@ -138,11 +137,10 @@ module Quality : sig
       Raises [Invalid_argument] on inconsistent lengths or measured
       zeros. *)
 
-  val scaling_verdict :
-    ?tolerance:float -> times:float array -> grid:float array -> unit -> verdict
+  val scaling_verdict : times:float array -> grid:float array -> verdict
   (** [Stops_at k] where [k] is the first core count that no higher count
-      improves upon by more than [tolerance] (default 5%); [Scales] when
-      that point lies within the top 15% of the grid. *)
+      improves upon by more than 5%; [Scales] when that point lies within
+      the top 15% of the grid. *)
 
   val verdict_to_string : verdict -> string
 

@@ -27,7 +27,6 @@ type t = {
   stalls_per_core : float array;
   extrapolation : Extrapolation.t;
   factor : Scaling_factor.t;
-  audit : Estima_obs.Audit.t option;
 }
 
 let ( let* ) = Result.bind
@@ -122,7 +121,6 @@ let predict_untraced ~config ~series ~target_max () =
       stalls_per_core;
       extrapolation;
       factor;
-      audit = None;
     }
 
 let predict ?(config = default_config) ~series ~target_max () =
@@ -134,21 +132,7 @@ let predict ?(config = default_config) ~series ~target_max () =
              Printf.sprintf "frequency_scale = %g, dataset_factor = %g (both must be positive)"
                config.frequency_scale config.dataset_factor;
          })
-  else if Trace.enabled () then begin
-    (* Capture the pipeline's own trace (teed to the outer sink) so the
-       prediction carries its per-category audit record.  Without a sink
-       the pipeline runs untouched and no audit is built. *)
-    let recorder = Estima_obs.Recorder.create () in
-    let prediction =
-      Estima_obs.Recorder.record recorder (fun () ->
-          Trace.with_span "predict" (fun () -> predict_untraced ~config ~series ~target_max ()))
-    in
-    Result.map
-      (fun p ->
-        { p with audit = Some (Estima_obs.Audit.of_events (Estima_obs.Recorder.events recorder)) })
-      prediction
-  end
-  else predict_untraced ~config ~series ~target_max ()
+  else Trace.with_span "predict" (fun () -> predict_untraced ~config ~series ~target_max ())
 
 let measured_window t = Series.max_threads t.series
 

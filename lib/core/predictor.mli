@@ -33,12 +33,6 @@ type t = {
   stalls_per_core : float array;
   extrapolation : Extrapolation.t;  (** Per-category fits (Fig 5a-f). *)
   factor : Scaling_factor.t;  (** The Fig 5(h) function. *)
-  audit : Estima_obs.Audit.t option;
-      (** Fit-selection audit: for every stall category and the scaling
-          factor, which candidates were tried, which gate rejected each,
-          and what the winner scored.  Populated only when a trace sink is
-          installed ({!Estima_obs.Trace.set_sink}); [None] otherwise, and
-          the numeric prediction is byte-identical either way. *)
 }
 
 val predict :
@@ -51,9 +45,9 @@ val predict :
     (stage [Collect], naming the column and core count) when a measured
     value (time, cycles, a stall category) is not finite or exceeds 1e150
     in magnitude, above which squares and their sums can overflow and
-    print [nan].  When a trace sink is installed, each diagnostic is also
-    emitted as a {!Estima_obs.Trace.Diagnostic} event before the stage
-    returns. *)
+    print [nan].  When a trace sink is installed, the pipeline runs in a
+    [predict] span and each diagnostic is also emitted as a
+    {!Estima_obs.Trace.Diagnostic} event before the stage returns. *)
 
 val measured_window : t -> int
 (** Highest core count used for measurements (the vertical line in the

@@ -46,22 +46,9 @@ let span_stats t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.spans []
   |> List.sort (fun a b -> Int64.compare b.total_ns a.total_ns)
 
-let tee a b =
-  {
-    Trace.on_event =
-      (fun e ->
-        a.Trace.on_event e;
-        b.Trace.on_event e);
-    on_span =
-      (fun ~path ~elapsed_ns ->
-        a.Trace.on_span ~path ~elapsed_ns;
-        b.Trace.on_span ~path ~elapsed_ns);
-  }
-
 let record t f =
   let previous = Trace.current_sink () in
-  let mine = sink t in
-  Trace.set_sink (Some (match previous with None -> mine | Some outer -> tee mine outer));
+  Trace.set_sink (Some (sink t));
   let restore () = Trace.set_sink previous in
   match f () with
   | v ->

@@ -28,7 +28,5 @@ val span_stats : t -> span_stat list
 val record : t -> (unit -> 'a) -> 'a
 (** [record t f] runs [f] with [t] installed as the trace sink and
     restores the previously installed sink afterwards (also on raise).
-    When another sink was already installed, [t] *tees*: everything is
-    both recorded in [t] and forwarded to the outer sink, so a nested
-    recorder (e.g. the predictor's audit capture) never hides events from
-    an enclosing one (e.g. the CLI's [--trace]). *)
+    While [f] runs, [t] is the only sink: an enclosing one sees none of
+    [f]'s events or span closes. *)

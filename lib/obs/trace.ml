@@ -93,8 +93,7 @@ let enabled () = (state ()).sink <> None
 (* Installing an outermost sink restarts the sequence numbering: every
    top-level recording session sees events 1..n, so recording the same
    computation twice — at any jobs setting — yields byte-identical
-   traces.  Swapping sinks mid-session (e.g. the recorder teeing into an
-   outer sink) keeps the counter running. *)
+   traces.  Swapping one sink for another keeps the counter running. *)
 let set_sink s =
   let st = state () in
   (match (st.sink, s) with None, Some _ -> st.seq <- 0 | _ -> ());

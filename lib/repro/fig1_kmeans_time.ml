@@ -24,8 +24,8 @@ let compute () =
     grid;
     baseline_times = baseline.Time_extrapolation.predicted_times;
     measured_times;
-    baseline_verdict = Diag.Quality.scaling_verdict ~times:baseline.Time_extrapolation.predicted_times ~grid ();
-    measured_verdict = Diag.Quality.scaling_verdict ~times:measured_times ~grid ();
+    baseline_verdict = Diag.Quality.scaling_verdict ~times:baseline.Time_extrapolation.predicted_times ~grid;
+    measured_verdict = Diag.Quality.scaling_verdict ~times:measured_times ~grid;
   }
 
 let mispredicts r =

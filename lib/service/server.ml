@@ -28,10 +28,9 @@ let default_config ~machine =
   }
 
 (* Server-side bootstrap policy: requests choose only the resample
-   count (capped — each resample is a full pipeline refit); level and
-   seed are fixed so equal requests are byte-identical across servers. *)
-let confidence_level = 0.90
-let confidence_seed = 42
+   count, capped because each resample is a full pipeline refit.
+   {!Estima.Api.predict_with_confidence} fixes the level and seed, so
+   equal requests are byte-identical across servers. *)
 let max_confidence_resamples = 1000
 
 type fault = Fault_raise of string | Fault_delay of float | Fault_garbage
@@ -189,8 +188,7 @@ let answer ~base ~series ~target_max ~confidence =
   | Some resamples ->
       Result.map
         (fun (p, c) -> Protocol.answer p (Some c))
-        (Api.predict_with_confidence ~config:base ~resamples ~level:confidence_level
-           ~seed:confidence_seed ~series ~target_max ())
+        (Api.predict_with_confidence ~config:base ~resamples ~series ~target_max ())
 
 (* Admission and resolution of one predict request.  [admitted] counts
    predict requests already admitted from this batch — the bounded

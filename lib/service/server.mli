@@ -110,7 +110,8 @@ val answer :
   (Protocol.answer, Estima.Diag.t) result
 (** What a predict of [series] is answered with, before any cache,
     queue or fault: {!Estima.Api.predict}, or for [Some resamples] the
-    bootstrap at the server's fixed level 0.90 and seed 42. *)
+    bootstrap ({!Estima.Api.predict_with_confidence}, level 0.90 and
+    seed 42). *)
 
 val collect_workload :
   machine:Estima_machine.Topology.t -> string -> (Estima_counters.Series.t, Estima.Diag.t) result

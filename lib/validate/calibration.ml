@@ -20,11 +20,8 @@ type t = {
   passed : bool;
 }
 
-(* The band level scored, and the aggregate held-out coverage it must
-   reach: a 90% band may miss a little more than 10% of points, not
-   systematically more. *)
-let level = 0.90
-
+(* The aggregate held-out coverage the bands must reach: a 90% band may
+   miss a little more than 10% of points, not systematically more. *)
 let threshold = 0.85
 
 let default_resamples = 100
@@ -38,8 +35,8 @@ let score ~resamples ~residual_scale (source : Backtest.source) =
   let target_max = source.Backtest.protocol.Report.target_max in
   let series = Series.truncate source.Backtest.measured ~max_threads:window in
   match
-    Api.predict_with_confidence ~config:source.Backtest.config ~resamples ~level
-      ~residual_scale ~series ~target_max ()
+    Api.predict_with_confidence ~config:source.Backtest.config ~resamples ~residual_scale
+      ~series ~target_max ()
   with
   | Error d -> Error d
   | Ok (p, c) ->
@@ -74,7 +71,7 @@ let run ?(resamples = default_resamples) ?(residual_scale = 1.0) sources =
       in
       Ok
         {
-          level;
+          level = Api.Confidence.level;
           resamples;
           threshold;
           workloads;

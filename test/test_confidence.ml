@@ -6,11 +6,11 @@
    - shape: lo <= median <= hi at every target core count, everything
      finite and non-negative, the stop interval brackets both the
      verdict and the resample spread;
-   - sensitivity: a different seed moves the bands, a shrunken residual
-     scale narrows them (the calibration gate's lever);
+   - sensitivity: a shrunken residual scale narrows the bands (the
+     calibration gate's lever);
    - rendering: golden snapshots of the confidence table for two corpus
      workloads, shared byte-for-byte by estima_cli and estima_serve;
-   - validation: resample and level misuse is a typed Bad_config. *)
+   - validation: a resample count below 1 is a typed Bad_config. *)
 
 open Estima_machine
 open Estima_workloads
@@ -37,9 +37,9 @@ let series = lazy (collect (entry "kmeans").Suite.spec)
 
 let config () = Config.make ~measured_on:opteron1s ~target:Machines.opteron48 ()
 
-let estimate ?(resamples = 20) ?level ?seed ?residual_scale () =
+let estimate ?(resamples = 20) ?residual_scale () =
   ok_or_fail "predict_with_confidence"
-    (Api.predict_with_confidence ~config:(config ()) ~resamples ?level ?seed ?residual_scale
+    (Api.predict_with_confidence ~config:(config ()) ~resamples ?residual_scale
        ~series:(Lazy.force series) ~target_max:48 ())
 
 (* Pin the fan-out width for the duration of [f], restoring the
@@ -97,11 +97,6 @@ let test_verdict_consistent_with_interval () =
   let f = c.Api.Confidence.scaling_fraction in
   if f < 0.0 || f > 1.0 then Alcotest.failf "scaling fraction %g outside [0,1]" f
 
-let test_seed_moves_bands () =
-  let _, a = estimate () in
-  let _, b = estimate ~seed:7 () in
-  if bits a = bits b then Alcotest.fail "different seeds produced identical bands"
-
 let mean_width (c : Api.Confidence.t) =
   let total =
     Array.fold_left
@@ -136,9 +131,6 @@ let test_rejects_bad_parameters () =
   in
   expect "resamples 0"
     (Api.predict_with_confidence ~config:(config ()) ~resamples:0 ~series:(Lazy.force series)
-       ~target_max:48 ());
-  expect "level 1.0"
-    (Api.predict_with_confidence ~config:(config ()) ~level:1.0 ~series:(Lazy.force series)
        ~target_max:48 ())
 
 (* Golden snapshots: the rendered confidence block for two corpus
@@ -190,7 +182,6 @@ let suite =
     ("deterministic across jobs", `Quick, test_deterministic_across_jobs);
     ("band shape", `Quick, test_band_shape);
     ("verdict consistent with interval", `Quick, test_verdict_consistent_with_interval);
-    ("seed moves bands", `Quick, test_seed_moves_bands);
     ("residual scale narrows bands", `Quick, test_residual_scale_narrows_bands);
     ("more resamples stabilize bands", `Quick, test_more_resamples_stabilize_bands);
     ("rejects bad parameters", `Quick, test_rejects_bad_parameters);

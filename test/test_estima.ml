@@ -457,9 +457,9 @@ let test_error_from_threads () =
 let test_scaling_verdicts () =
   let grid = Array.init 10 (fun i -> float_of_int (i + 1)) in
   let scaling = Array.map (fun n -> 1.0 /. n) grid in
-  Alcotest.(check bool) "scales" true (Diag.Quality.scaling_verdict ~times:scaling ~grid () = Diag.Quality.Scales);
+  Alcotest.(check bool) "scales" true (Diag.Quality.scaling_verdict ~times:scaling ~grid = Diag.Quality.Scales);
   let stops = Array.map (fun n -> if n <= 5.0 then 1.0 /. n else 0.2 +. (0.1 *. (n -. 5.0))) grid in
-  (match Diag.Quality.scaling_verdict ~times:stops ~grid () with
+  (match Diag.Quality.scaling_verdict ~times:stops ~grid with
   | Diag.Quality.Stops_at k -> Alcotest.(check int) "stops near 5" 5 k
   | Diag.Quality.Scales -> Alcotest.fail "missed the stop")
 

@@ -87,18 +87,6 @@ let test_recorder_restores_sink_on_raise () =
   (try Recorder.record r (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check bool) "sink restored after raise" false (Trace.enabled ())
 
-let test_nested_recorders_tee () =
-  let outer = Recorder.create () in
-  let inner = Recorder.create () in
-  Recorder.record outer (fun () ->
-      Recorder.record inner (fun () ->
-          Trace.emit (fitted ~lm_converged:false)));
-  Alcotest.(check int) "inner saw the event" 1 (List.length (Recorder.events inner));
-  Alcotest.(check int) "outer saw it too (tee)" 1 (List.length (Recorder.events outer));
-  Alcotest.(check (list (pair string int))) "outer counters forwarded"
-    [ ("fit.attempts", 1); ("fit.lm-unconverged", 1) ]
-    (Recorder.counters outer)
-
 let test_span_nesting_paths () =
   let r = Recorder.create () in
   Recorder.record r (fun () ->
@@ -269,20 +257,6 @@ let test_predictions_byte_identical_with_tracing () =
        (Int64.bits_of_float plain.Predictor.factor.Scaling_factor.correlation)
        (Int64.bits_of_float traced.Predictor.factor.Scaling_factor.correlation))
 
-let test_predictor_attaches_audit_only_when_traced () =
-  let series = synthetic_series () in
-  let plain = predict_ok ~series ~target_max:20 in
-  Alcotest.(check bool) "no audit without sink" true (plain.Predictor.audit = None);
-  let r = Recorder.create () in
-  let traced = Recorder.record r (fun () -> predict_ok ~series ~target_max:20) in
-  match traced.Predictor.audit with
-  | None -> Alcotest.fail "audit missing under tracing"
-  | Some audit ->
-      Alcotest.(check bool) "stall category audited" true
-        (Audit.find audit ~stage:Trace.stall_stage ~subject:"0D2h" <> None);
-      Alcotest.(check bool) "factor audited" true
-        (Audit.find audit ~stage:Trace.factor_stage ~subject:Trace.factor_subject <> None)
-
 let test_audit_explains_rejections () =
   (* The acceptance bar: for at least one stall category the audit lists
      rejected (kernel, prefix) candidates, each naming its gate, alongside
@@ -377,7 +351,6 @@ let suite =
     ("disabled without sink", `Quick, test_disabled_without_sink);
     ("recorder captures events and counters", `Quick, test_recorder_captures_events_and_counters);
     ("recorder restores sink on raise", `Quick, test_recorder_restores_sink_on_raise);
-    ("nested recorders tee", `Quick, test_nested_recorders_tee);
     ("span nesting paths", `Quick, test_span_nesting_paths);
     ("default clock counts time spent waiting", `Quick, test_default_clock_counts_waiting);
     ("audit groups by subject", `Quick, test_audit_groups_by_subject);
@@ -387,7 +360,6 @@ let suite =
     ("json escapes strings", `Quick, test_json_escapes_strings);
     ("trace snapshot bytes", `Quick, test_trace_snapshot);
     ("predictions byte identical with tracing", `Quick, test_predictions_byte_identical_with_tracing);
-    ("predictor attaches audit only when traced", `Quick, test_predictor_attaches_audit_only_when_traced);
     ("audit explains rejections", `Quick, test_audit_explains_rejections);
     ("fit attempt counters", `Quick, test_fit_attempt_counters);
     ("span timings cover pipeline", `Quick, test_span_timings_cover_pipeline);
