@@ -13,9 +13,15 @@ type choice = { fitted : Fit.fitted; prefix : int; checkpoint_rmse : float }
    between them. *)
 let tie_margin = 0.10
 
+(* The kernel name the short-series fallback reports. *)
 let fallback_kernel_name = "PolyFallback"
 
-let checkpoint_indices ~m ~c = List.init c (fun i -> m - c + i)
+let candidates config ~points =
+  let last = points - config.checkpoints in
+  Array.of_list
+    (List.concat_map
+       (fun prefix -> List.map (fun kernel -> (prefix, kernel)) config.kernels)
+       (List.init (max 0 (last - config.min_prefix + 1)) (fun i -> config.min_prefix + i)))
 
 let sub_prefix arr n = Array.sub arr 0 n
 
@@ -66,14 +72,10 @@ let fallback ?(subject = "series") ?(extra_ok = fun (_ : Fit.fitted) -> true) ~x
         (* y_scale records the data magnitude so the realism explosion
            bound is scale-correct (the coefficients here are unscaled). *)
         let fitted =
-          {
-            Fit.kernel_name = fallback_kernel_name;
-            params = coeffs;
-            y_scale = Float.max 1.0 (Vec.norm_inf ys);
-            fit_rmse = Stats.rmse (Array.map eval xs) ys;
-            eval;
-            values_into = Fit.pointwise eval;
-          }
+          Fit.of_closure fallback_kernel_name coeffs
+            ~y_scale:(Float.max 1.0 (Vec.norm_inf ys))
+            ~fit_rmse:(Stats.rmse (Array.map eval xs) ys)
+            eval
         in
         if not (Fit.realistic fitted ~x_min:1.0 ~x_max:target_max ~require_nonnegative) then begin
           trace_candidate ~subject ~kernel:fallback_kernel_name ~prefix:m
@@ -274,13 +276,7 @@ let approximate ?(config = default_config) ?(subject = "series") ~xs ~ys ~target
        which compares against the running best — runs sequentially, in
        submission order, in this domain.  That split keeps the winner and
        the trace byte-identical to the sequential search. *)
-    let candidates =
-      Array.of_list
-        (List.concat_map
-           (fun prefix -> List.map (fun kernel -> (prefix, kernel)) config.kernels)
-           (List.init (n - config.min_prefix + 1) (fun i -> config.min_prefix + i)))
-    in
-    Estima_par.Fanout.map_consume candidates
+    Estima_par.Fanout.map_consume (candidates config ~points:m)
       ~f:(fun (prefix, kernel) ->
         match fit_prefix kernel ~xs ~ys ~prefix with
         | None ->

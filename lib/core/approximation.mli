@@ -60,12 +60,11 @@ val approximate :
     {!Diag.Mismatched_lengths}, {!Diag.Bad_config}), and a series no
     candidate survives on as [Error] with {!Diag.No_realistic_fit}. *)
 
-val checkpoint_indices : m:int -> c:int -> int list
-(** Indices of the checkpoint measurements (the [c] last of [m]); exposed
-    for tests. *)
-
-val fallback_kernel_name : string
-(** Name reported by the short-series fallback. *)
+val candidates : config -> points:int -> (int * Kernel.t) array
+(** The prefix sweep over [points] measurements: every prefix length from
+    [min_prefix] to [points - checkpoints], each paired with every kernel
+    of [kernels] in order; empty when the window is too short.  The
+    scaling factor sweeps the same candidates. *)
 
 val fit_prefix :
   Kernel.t -> xs:float array -> ys:float array -> prefix:int -> Fit.fitted option

@@ -15,15 +15,7 @@ let zero_fit category measured =
     category;
     choice =
       {
-        Approximation.fitted =
-          {
-            Fit.kernel_name = "Zero";
-            params = [||];
-            y_scale = 1.0;
-            fit_rmse = 0.0;
-            eval = (fun _ -> 0.0);
-            values_into = Fit.pointwise (fun _ -> 0.0);
-          };
+        Approximation.fitted = Fit.of_closure "Zero" [||] ~y_scale:1.0 ~fit_rmse:0.0 (fun _ -> 0.0);
         prefix = Array.length measured;
         checkpoint_rmse = 0.0;
       };
@@ -115,13 +107,6 @@ let extrapolate ?(config = Approximation.default_config) ~series ~target_max ~in
       Ok { fits; threads = xs; target_grid }
   | _, d :: _ -> Error d
   end
-
-(* [clamped_eval] at every core count of the target grid, from one values
-   pass. *)
-let category_values t name =
-  match List.find_opt (fun f -> String.equal f.category name) t.fits with
-  | None -> raise Not_found
-  | Some f -> Array.map (Float.max 0.0) (Fit.values f.choice.Approximation.fitted (Kernel.grid t.target_grid))
 
 let total_stalls t n = List.fold_left (fun acc f -> acc +. clamped_eval f n) 0.0 t.fits
 

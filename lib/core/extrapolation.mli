@@ -46,22 +46,11 @@ val extrapolate :
     fitted inside a [category:<name>] span and its candidate gate
     decisions are reported with the category as subject. *)
 
-val category_values : t -> string -> float array
-(** Extrapolated values of one category on the target grid, clamped at
-    zero — consistently with {!total_stalls}, so the per-category curves
-    sum exactly to the reported total.  Raises [Not_found] for an unknown
-    category. *)
-
-val total_stalls : t -> float -> float
-(** Sum of all fitted categories at a core count, each clamped at zero. *)
-
 val stalls_per_core : t -> float array
-(** [total_stalls / n] over the target grid — the quantity Figure 5(g)
+(** The sum of all fitted categories at each core count [n] of the target
+    grid, each clamped at zero, divided by [n] — the quantity Figure 5(g)
     plots. *)
 
 val dominant_categories : t -> at:float -> (string * float) list
 (** Categories ranked by their share of total stalls at core count [at];
     shares sum to 1.  The bottleneck-identification input (Section 4.6). *)
-
-val zero_fit : string -> float array -> category_fit
-(** Exact-zero carrier, exposed for tests. *)

@@ -40,15 +40,7 @@ let trace_winner ~kernel ~prefix ~score ~correlation =
          { stage = Trace.factor_stage; subject = Trace.factor_subject; kernel; prefix; score; correlation })
 
 let constant_fit value =
-  let eval _ = value in
-  {
-    Fit.kernel_name = "ConstantFactor";
-    params = [| value |];
-    y_scale = 1.0;
-    fit_rmse = 0.0;
-    eval;
-    values_into = Fit.pointwise eval;
-  }
+  Fit.of_closure "ConstantFactor" [| value |] ~y_scale:1.0 ~fit_rmse:0.0 (fun _ -> value)
 
 let median xs = Stats.quantile 0.5 xs
 
@@ -177,38 +169,30 @@ let fit ?(config = Approximation.default_config) ~threads ~times ~stalls_per_cor
       end
     end
   in
-  let n = m - config.checkpoints in
   (* Factor candidates fit and pass the realism gate independently per
      (prefix, kernel) pair — that part fans out on the domain pool — while
      [consider], whose correlation-band decisions depend on the running
      best, folds the survivors sequentially in submission order, keeping
      the selection and its trace byte-identical to the sequential
      search. *)
-  (if n >= config.min_prefix then
-     let candidates =
-       Array.of_list
-         (List.concat_map
-            (fun prefix -> List.map (fun kernel -> (prefix, kernel)) config.Approximation.kernels)
-            (List.init (n - config.min_prefix + 1) (fun i -> config.min_prefix + i)))
-     in
-     Estima_par.Fanout.map_consume candidates
-       ~f:(fun (prefix, kernel) ->
-         match Approximation.fit_prefix kernel ~xs:threads ~ys:factors ~prefix with
-         | None ->
-             trace_candidate ~kernel:kernel.Kernel.name ~prefix
-               ~verdict:(Trace.Rejected Trace.Fit_failed) ~score:Float.nan
-               "kernel could not be fitted on this prefix";
-             None
-         | Some fitted ->
-             if Fit.realistic fitted ~x_min:1.0 ~x_max:target_max ~require_nonnegative:true then
-               Some (prefix, fitted)
-             else begin
-               trace_candidate ~kernel:fitted.Fit.kernel_name ~prefix
-                 ~verdict:(Trace.Rejected Trace.Realism) ~score:Float.nan
-                 "pole, explosion or deep negativity inside [1, target]";
-               None
-             end)
-       ~consume:(function Some (prefix, fitted) -> consider ~prefix fitted | None -> ()));
+  Estima_par.Fanout.map_consume (Approximation.candidates config ~points:m)
+    ~f:(fun (prefix, kernel) ->
+      match Approximation.fit_prefix kernel ~xs:threads ~ys:factors ~prefix with
+      | None ->
+          trace_candidate ~kernel:kernel.Kernel.name ~prefix
+            ~verdict:(Trace.Rejected Trace.Fit_failed) ~score:Float.nan
+            "kernel could not be fitted on this prefix";
+          None
+      | Some fitted ->
+          if Fit.realistic fitted ~x_min:1.0 ~x_max:target_max ~require_nonnegative:true then
+            Some (prefix, fitted)
+          else begin
+            trace_candidate ~kernel:fitted.Fit.kernel_name ~prefix
+              ~verdict:(Trace.Rejected Trace.Realism) ~score:Float.nan
+              "pole, explosion or deep negativity inside [1, target]";
+            None
+          end)
+    ~consume:(function Some (prefix, fitted) -> consider ~prefix fitted | None -> ());
   (* Always offer the constant-median factor as a candidate: with flat
      series it is frequently the most faithful translator. *)
   consider ~prefix:m (constant_fit (median factors));

@@ -15,24 +15,17 @@ type t = {
   frontend : bool;
 }
 
-val amd_backend : t list
-(** Table 2: 0D2h, 0D5h, 0D6h, 0D7h, 0D8h. *)
-
-val intel_backend : t list
-(** Table 3: 0487h, 01A2h, 04A2h, 08A2h, 10A2h. *)
-
 val amd_frontend : t
 val intel_frontend : t
 
 val find : Estima_machine.Topology.vendor -> string -> t option
 
-val attribution : Estima_machine.Topology.vendor -> Estima_sim.Stall.cause -> (string * float) list
-(** [attribution vendor cause] gives the event codes observing [cause] and
-    the fraction of its cycles each sees.  Weights sum to 1 for every
-    hardware cause; software causes return []. *)
-
 val attribute_ledger :
   Estima_machine.Topology.vendor -> Estima_sim.Ledger.t -> (string * float) list
 (** Full counter readout for one run: every event of the vendor (frontend
     included) with its attributed cycle count: the backend events in
-    table order, then the frontend event. *)
+    table order (Table 2 for AMD: 0D2h, 0D5h, 0D6h, 0D7h, 0D8h; Table 3
+    for Intel: 0487h, 01A2h, 04A2h, 08A2h, 10A2h), then the frontend
+    event.  Each hardware stall cause is split over the events observing
+    it by weights that sum to 1, so the readout conserves the ledger's
+    hardware cycles; software causes are not observed. *)

@@ -28,10 +28,9 @@ type entry = {
   combine : Plugin.combine;
 }
 
-val parse : string -> (entry list, string) result
-(** Parse configuration text.  Errors name the offending line. *)
-
 val load : path:string -> (entry list, string) result
+(** Read and parse a configuration file.  Errors name the offending
+    line. *)
 
 val apply : entry -> report:string -> float
 (** Extract the entry's values from a report and combine them.  Returns 0

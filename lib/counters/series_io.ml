@@ -2,10 +2,6 @@ module Topology = Estima_machine.Topology
 
 type error = { file : string; line : int; msg : string }
 
-let render_error { file; line; msg } =
-  if line > 0 then Printf.sprintf "%s:%d: %s" file line msg
-  else Printf.sprintf "%s: %s" file msg
-
 (* Internal short-circuit; converted to [error] at the [parse] boundary. *)
 exception Fail of { line : int; msg : string }
 

@@ -23,9 +23,6 @@ type error = { file : string; line : int; msg : string }
 (** [line] is 1-based; 0 when the error is not tied to a line (empty
     input, unreadable file). *)
 
-val render_error : error -> string
-(** ["file:line: msg"] (or ["file: msg"] when [line = 0]). *)
-
 val parse :
   ?file:string ->
   machine:Estima_machine.Topology.t ->

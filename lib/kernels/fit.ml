@@ -16,12 +16,6 @@ type fitted = {
    than ~two orders of magnitude from the measured window. *)
 let explosion_factor = 200.0
 
-let pointwise eval grid out =
-  let xs = Kernel.grid_xs grid in
-  for i = 0 to Array.length xs - 1 do
-    out.(i) <- eval xs.(i)
-  done
-
 let values fitted grid =
   let out = Array.make (Array.length (Kernel.grid_xs grid)) 0.0 in
   fitted.values_into grid out;
@@ -42,6 +36,15 @@ let of_kernel (kernel : Kernel.t) params ~y_scale ~fit_rmse =
     eval = (fun x -> kernel.Kernel.eval params x *. y_scale);
     values_into;
   }
+
+let of_closure kernel_name params ~y_scale ~fit_rmse eval =
+  let values_into grid out =
+    let xs = Kernel.grid_xs grid in
+    for i = 0 to Array.length xs - 1 do
+      out.(i) <- eval xs.(i)
+    done
+  in
+  { kernel_name; params; y_scale; fit_rmse; eval; values_into }
 
 let make_fitted kernel params ~y_scale ~xs ~ys =
   let fitted = of_kernel kernel params ~y_scale ~fit_rmse:Float.nan in

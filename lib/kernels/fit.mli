@@ -19,7 +19,7 @@ type fitted = {
       (** [values_into grid out] writes [eval x_i] into [out.(i)] for every
           core count [x_i] of [grid], bit for bit, in one pass.  A kernel
           fit runs {!Kernel.values} and scales by [y_scale], allocating
-          nothing; a fit built from a closure passes {!pointwise}. *)
+          nothing; a fit built by {!of_closure} calls [eval] per point. *)
 }
 
 val of_kernel : Kernel.t -> Vec.t -> y_scale:float -> fit_rmse:float -> fitted
@@ -27,9 +27,11 @@ val of_kernel : Kernel.t -> Vec.t -> y_scale:float -> fit_rmse:float -> fitted
     space), as {!fit} returns it: [eval x] is
     [kernel.eval params x *. y_scale]. *)
 
-val pointwise : (float -> float) -> Kernel.grid -> float array -> unit
-(** The [values_into] of a fit that is a closure (the polynomial
-    fallback, a constant factor, a zero category): one call per point. *)
+val of_closure :
+  string -> Vec.t -> y_scale:float -> fit_rmse:float -> (float -> float) -> fitted
+(** [of_closure kernel_name params ~y_scale ~fit_rmse eval] is a fit that
+    is a closure (the polynomial fallback, a constant factor, a zero
+    category): [values_into] calls [eval] once per point. *)
 
 val values : fitted -> Kernel.grid -> float array
 (** [eval] at every core count of the grid, from one [values_into] pass. *)

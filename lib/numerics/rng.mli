@@ -19,9 +19,6 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val float : t -> float
-(** Uniform float in [0, 1). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  [bound] must be positive. *)
 

@@ -92,9 +92,3 @@ let argmax xs =
   let best = ref 0 in
   Array.iteri (fun i x -> if x > xs.(!best) then best := i) xs;
   !best
-
-let argmin xs =
-  check_nonempty "argmin" xs;
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x < xs.(!best) then best := i) xs;
-  !best

@@ -29,5 +29,3 @@ val quantile : float -> float array -> float
 
 val argmax : float array -> int
 (** Index of the first maximal element. *)
-
-val argmin : float array -> int

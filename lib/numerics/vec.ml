@@ -6,21 +6,9 @@ let dim = Array.length
 
 let copy = Array.copy
 
-let of_list = Array.of_list
-
 let check_dims name a b =
   if Array.length a <> Array.length b then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name (Array.length a) (Array.length b))
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let add a b = map2 ( +. ) a b
-
-let sub a b = map2 ( -. ) a b
-
-let scale s a = Array.map (fun x -> s *. x) a
 
 let dot a b =
   check_dims "dot" a b;
@@ -47,8 +35,6 @@ let all_finite a =
     if not (Float.is_finite a.(i)) then ok := false
   done;
   !ok
-
-let sum a = Array.fold_left ( +. ) 0.0 a
 
 let max_elt a =
   if Array.length a = 0 then invalid_arg "Vec.max_elt: empty vector";

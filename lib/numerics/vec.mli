@@ -12,22 +12,12 @@ val dim : t -> int
 
 val copy : t -> t
 
-val of_list : float list -> t
-
-val add : t -> t -> t
-
-val sub : t -> t -> t
-
-val scale : float -> t -> t
-
 val dot : t -> t -> float
 
 val norm2 : t -> float
 (** Euclidean norm. *)
 
 val norm_inf : t -> float
-
-val sum : t -> float
 
 val max_elt : t -> float
 (** Raises [Invalid_argument] on the empty vector. *)

@@ -3,9 +3,6 @@
 val experiments : (string * (unit -> unit)) list
 (** [(id, run)] for each table/figure plus the ablations. *)
 
-val find : string -> (unit -> unit) option
-(** Case-insensitive lookup of an experiment by id. *)
-
 val run_many : (string * (unit -> unit)) list -> unit
 (** Run the given experiments in order.  With
     {!Estima_par.Fanout.jobs}[ () > 1] they run concurrently on the
@@ -17,6 +14,7 @@ val run_all : unit -> unit
 (** [run_many experiments]. *)
 
 val resolve : string list -> ((string * (unit -> unit)) list, string) result
-(** The experiments named by [ids] (e.g. ["T4"; "f8"], looked up with
-    {!find}), in the given order, ready for {!run_many}; nothing runs.
+(** The experiments named by [ids] (e.g. ["T4"; "f8"], looked up by
+    id case-insensitively), in the given order, ready for {!run_many};
+    nothing runs.
     [Error] names the first unknown id and lists the valid ones. *)

@@ -21,7 +21,4 @@ type result = {
 
 val compute : unit -> result
 
-val improved : result -> bool
-(** The 24-core window must beat the 12-core one. *)
-
 val run : unit -> unit

@@ -14,8 +14,4 @@ type result = {
 
 val compute : unit -> result
 
-val mispredicts : result -> bool
-(** True when time extrapolation claims continued scaling (or a far-off
-    stop) while the measured curve stops — the figure's point. *)
-
 val run : unit -> unit

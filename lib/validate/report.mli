@@ -67,9 +67,6 @@ type summary = {
   invariant_ok : bool;  (** [confusion.scales_stops = 0]. *)
 }
 
-val verdict_to_json_string : Estima.Diag.Quality.verdict -> string
-(** ["scales"] or ["stops@N"] — the compact exact form golden files store. *)
-
 val summarize : t list -> summary
 (** Aggregate a corpus run.  Raises [Invalid_argument] on an empty list. *)
 

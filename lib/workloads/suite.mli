@@ -18,13 +18,10 @@ type entry = {
 val benchmarks : entry list
 (** The 19 workloads of Table 4, in the paper's row order. *)
 
-val production : entry list
-(** memcached and sqlite (Section 4.3). *)
-
-val variants : entry list
-(** streamcluster-spinlock and intruder-batched (Section 4.6). *)
-
 val all : entry list
+(** {!benchmarks}, then the production applications memcached and
+    sqlite (Section 4.3, family [Application]), then the fixed variants
+    streamcluster-spinlock and intruder-batched (Section 4.6). *)
 
 val find : string -> entry option
 (** Lookup by spec name, e.g. ["intruder"]. *)

@@ -205,7 +205,7 @@ let minimize ?(options = Lm.default_options) objective ~init =
          match solve_damped_step jac !residual !lambda with
          | exception Qr.Singular -> lambda := !lambda *. options.lambda_increase
          | step ->
-             let trial = Vec.add !params step in
+             let trial = Array.map2 ( +. ) !params step in
              let trial_residual = objective.residual trial in
              let trial_ok = Vec.all_finite trial_residual in
              let trial_cost = if trial_ok then cost_of_residual trial_residual else Float.infinity in

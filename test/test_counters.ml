@@ -42,12 +42,19 @@ let _ = astring_free_contains
 
 (* ------------------------------------------------------------------ *)
 
+(* The backend tables in order, read from a readout: every event of the
+   vendor, backend events first, then the one frontend event. *)
+let backend_codes vendor frontend =
+  let codes = List.map fst (Event.attribute_ledger vendor (Ledger.create ())) in
+  Alcotest.(check string) "frontend last" frontend.Event.code (List.nth codes (List.length codes - 1));
+  List.filter (fun c -> c <> frontend.Event.code) codes
+
 let test_event_tables () =
-  Alcotest.(check int) "amd table 2 size" 5 (List.length Event.amd_backend);
-  Alcotest.(check int) "intel table 3 size" 5 (List.length Event.intel_backend);
-  let codes = List.map (fun e -> e.Event.code) Event.amd_backend in
+  let codes = backend_codes Topology.Amd Event.amd_frontend in
+  let icodes = backend_codes Topology.Intel Event.intel_frontend in
+  Alcotest.(check int) "amd table 2 size" 5 (List.length codes);
+  Alcotest.(check int) "intel table 3 size" 5 (List.length icodes);
   Alcotest.(check (list string)) "amd codes" [ "0D2h"; "0D5h"; "0D6h"; "0D7h"; "0D8h" ] codes;
-  let icodes = List.map (fun e -> e.Event.code) Event.intel_backend in
   Alcotest.(check (list string)) "intel codes" [ "0487h"; "01A2h"; "04A2h"; "08A2h"; "10A2h" ] icodes
 
 let test_event_find () =
@@ -55,12 +62,15 @@ let test_event_find () =
   Alcotest.(check bool) "intel rob" true (Event.find Topology.Intel "10A2h" <> None);
   Alcotest.(check bool) "cross vendor miss" true (Event.find Topology.Intel "0D8h" = None)
 
+(* One cycle of a single cause, read out: the events' shares of it. *)
 let test_attribution_weights_sum_to_one () =
   List.iter
     (fun vendor ->
       List.iter
         (fun cause ->
-          let rows = Event.attribution vendor cause in
+          let ledger = Ledger.create () in
+          Ledger.add ledger cause 1.0;
+          let rows = List.filter (fun (_, w) -> w <> 0.0) (Event.attribute_ledger vendor ledger) in
           if Stall.is_software cause then
             Alcotest.(check int) "software unattributed" 0 (List.length rows)
           else begin
@@ -218,6 +228,16 @@ let test_report_scan_suffix () =
   Alcotest.(check (list (float 0.0))) "suffix filters" [ 12.0; 30.0 ]
     (Report_file.scan ~expression:"%d cycles" text)
 
+(* A configuration document, read back through a file as [load] reads
+   it. *)
+let parse_config text =
+  let path = Filename.temp_file "estima_plugins_" ".conf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+      Plugin_config.load ~path)
+
 let test_plugin_config_parse () =
   let config =
     "# swisstm statistics\n\
@@ -231,7 +251,7 @@ let test_plugin_config_parse () =
      expression lock-spin-cycles %d\n\
      combine max\n"
   in
-  match Plugin_config.parse config with
+  match parse_config config with
   | Error e -> Alcotest.fail e
   | Ok entries ->
       Alcotest.(check int) "two stanzas" 2 (List.length entries);
@@ -243,11 +263,11 @@ let test_plugin_config_parse () =
       Alcotest.(check bool) "max" true (second.Plugin_config.combine = Plugin.Max)
 
 let test_plugin_config_errors () =
-  (match Plugin_config.parse "name x\nsource y\n" with
+  (match parse_config "name x\nsource y\n" with
   | Error e -> Alcotest.(check bool) "missing expression named" true
       (astring_free_contains e "expression")
   | Ok _ -> Alcotest.fail "incomplete stanza accepted");
-  match Plugin_config.parse "name x\nbogus y\n" with
+  match parse_config "name x\nbogus y\n" with
   | Error e -> Alcotest.(check bool) "unknown field named" true (astring_free_contains e "bogus")
   | Ok _ -> Alcotest.fail "unknown field accepted"
 

@@ -210,7 +210,7 @@ let test_series_io_tolerates_layout_variance () =
      are all fine; defaults fill in cycles, useful_cycles, footprint. *)
   let csv = "time_seconds,threads\r\n0.5,1\r\n\r\n0.3,2\r\n" in
   match Series_io.parse ~machine:opteron1s ~spec_name:"x" csv with
-  | Error e -> Alcotest.failf "variant layout rejected: %s" (Series_io.render_error e)
+  | Error e -> Alcotest.failf "variant layout rejected: %s" e.Series_io.msg
   | Ok s ->
       Alcotest.(check int) "two samples" 2 (Array.length s.Series.samples);
       let s0 = s.Series.samples.(0) in
@@ -240,7 +240,7 @@ let test_csv_round_trip_every_workload () =
       in
       let csv = Csv_export.series_to_csv series in
       match Series_io.parse ~machine:opteron1s ~spec_name:series.Series.spec_name csv with
-      | Error e -> Alcotest.failf "%s: round-trip parse failed: %s" name (Series_io.render_error e)
+      | Error e -> Alcotest.failf "%s: round-trip parse failed: %s" name e.Series_io.msg
       | Ok reparsed ->
           if reparsed.Series.samples <> series.Series.samples then
             Alcotest.failf "%s: reparsed samples differ" name;

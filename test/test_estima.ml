@@ -30,10 +30,6 @@ let expect_cause what expected = function
 (* Approximation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_checkpoint_indices () =
-  Alcotest.(check (list int)) "last two of five" [ 3; 4 ] (Approximation.checkpoint_indices ~m:5 ~c:2);
-  Alcotest.(check (list int)) "last four" [ 8; 9; 10; 11 ] (Approximation.checkpoint_indices ~m:12 ~c:4)
-
 let test_approximate_recovers_generator () =
   (* Data from a saturating curve; the winner must extrapolate it well. *)
   let f x = 1e6 *. (2.0 +. (6.0 *. x /. (x +. 8.0))) in
@@ -75,7 +71,7 @@ let test_approximate_short_series_fallback () =
   match Approximation.approximate ~xs ~ys ~target_max:20.0 ~require_nonnegative:true () with
   | Error d -> Alcotest.failf "no fallback fit: %s" (Diag.render d)
   | Ok choice ->
-      Alcotest.(check string) "fallback kernel" Approximation.fallback_kernel_name
+      Alcotest.(check string) "fallback kernel" "PolyFallback"
         choice.Approximation.fitted.Estima_kernels.Fit.kernel_name
 
 let test_approximate_rejects_bad_config () =
@@ -105,9 +101,7 @@ let test_extrapolation_software_toggle () =
   let no_sw = extrapolate_ok ~series ~target_max:48 ~include_software:false ~include_frontend:false () in
   Alcotest.(check int) "hw only" 5 (List.length no_sw.Extrapolation.fits);
   Alcotest.(check bool) "stm-abort absent" true
-    (match Extrapolation.category_values no_sw "stm-abort" with
-    | exception Not_found -> true
-    | _ -> false)
+    (List.for_all (fun f -> f.Extrapolation.category <> "stm-abort") no_sw.Extrapolation.fits)
 
 let test_extrapolation_stalls_per_core_positive () =
   let series = intruder_series () in
@@ -129,8 +123,29 @@ let test_extrapolation_dominant_categories () =
   in
   Alcotest.(check bool) "sorted" true (sorted shares)
 
+let synthetic_sample ~threads ~counters ~software =
+  {
+    Sample.threads;
+    time_seconds = 0.001 *. float_of_int threads;
+    cycles = 1e9;
+    counters;
+    software;
+    footprint_lines = 100;
+    useful_cycles = 1e6;
+  }
+
 let test_extrapolation_zero_fit () =
-  let zf = Extrapolation.zero_fit "empty" [| 0.0; 0.0 |] in
+  (* A category measured as zero everywhere is carried as an exact zero. *)
+  let sample n =
+    synthetic_sample ~threads:n
+      ~counters:[ ("0D2h", 600.0 *. float_of_int n); ("0D5h", 0.0) ]
+      ~software:[]
+  in
+  let series =
+    Series.make ~machine:opteron1s ~spec_name:"empty" (List.init 8 (fun i -> sample (i + 1)))
+  in
+  let e = extrapolate_ok ~series ~target_max:48 ~include_software:false ~include_frontend:false () in
+  let zf = List.find (fun f -> f.Extrapolation.category = "0D5h") e.Extrapolation.fits in
   Alcotest.(check (float 0.0)) "zero everywhere" 0.0
     (zf.Extrapolation.choice.Approximation.fitted.Estima_kernels.Fit.eval 48.0)
 
@@ -152,17 +167,6 @@ let test_extrapolation_empty_series_rejected () =
       Alcotest.(check bool) (Printf.sprintf "message %S names the problem" msg) true
         (contains "too short"))
 
-let synthetic_sample ~threads ~counters ~software =
-  {
-    Sample.threads;
-    time_seconds = 0.001 *. float_of_int threads;
-    cycles = 1e9;
-    counters;
-    software;
-    footprint_lines = 100;
-    useful_cycles = 1e6;
-  }
-
 let test_extrapolation_software_union_across_samples () =
   (* The excluded software set is the union across samples: a category the
      first sample happens to report among its counters, but that any later
@@ -182,18 +186,17 @@ let test_extrapolation_software_union_across_samples () =
   in
   Alcotest.(check (list string)) "only the hardware category survives" [ "0D2h" ]
     (List.map (fun f -> f.Extrapolation.category) no_sw.Extrapolation.fits);
-  (match Extrapolation.category_values no_sw "gc-pause" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "software category leaked through the union filter");
+  if List.exists (fun f -> f.Extrapolation.category = "gc-pause") no_sw.Extrapolation.fits then
+    Alcotest.fail "software category leaked through the union filter";
   let with_sw =
     extrapolate_ok ~series ~target_max:16 ~include_software:true ~include_frontend:false ()
   in
   Alcotest.(check int) "both categories with software on" 2 (List.length with_sw.Extrapolation.fits)
 
 let test_extrapolation_clamps_categories_and_total () =
-  (* Kernels may dip slightly below zero at low core counts; the category
-     accessor and the total must clamp identically so the per-category
-     curves sum to exactly the reported total. *)
+  (* Kernels may dip slightly below zero at low core counts; the total
+     clamps each category at zero, so the clamped per-category curves sum
+     to exactly the reported total. *)
   let grid = Array.init 10 (fun i -> float_of_int (i + 1)) in
   let fit name eval =
     {
@@ -201,14 +204,7 @@ let test_extrapolation_clamps_categories_and_total () =
       choice =
         {
           Approximation.fitted =
-            {
-              Estima_kernels.Fit.kernel_name = "Synthetic";
-              params = [||];
-              y_scale = 1.0;
-              fit_rmse = 0.0;
-              eval;
-              values_into = Estima_kernels.Fit.pointwise eval;
-            };
+            Estima_kernels.Fit.of_closure "Synthetic" [||] ~y_scale:1.0 ~fit_rmse:0.0 eval;
           prefix = 5;
           checkpoint_rmse = 0.0;
         };
@@ -222,13 +218,19 @@ let test_extrapolation_clamps_categories_and_total () =
       target_grid = grid;
     }
   in
-  let dips = Extrapolation.category_values t "dips" in
-  let flat = Extrapolation.category_values t "flat" in
+  let clamped name =
+    let f = List.find (fun f -> f.Extrapolation.category = name) t.Extrapolation.fits in
+    Array.map (Float.max 0.0)
+      (Estima_kernels.Fit.values f.Extrapolation.choice.Approximation.fitted
+         (Estima_kernels.Kernel.grid grid))
+  in
+  let dips = clamped "dips" and flat = clamped "flat" in
+  let spc = Extrapolation.stalls_per_core t in
   Array.iteri
     (fun i n ->
       Alcotest.(check (float 1e-12)) "category clamped at zero" (Float.max 0.0 (n -. 6.0)) dips.(i);
       Alcotest.(check (float 1e-9)) "total equals sum of clamped categories"
-        (dips.(i) +. flat.(i)) (Extrapolation.total_stalls t n))
+        (dips.(i) +. flat.(i)) (spc.(i) *. n))
     grid
 
 let test_extrapolation_target_below_window_rejected () =
@@ -594,7 +596,6 @@ let test_time_unit_invariance () =
 
 let suite =
   [
-    ("checkpoint indices", `Quick, test_checkpoint_indices);
     ("approximate recovers generator", `Quick, test_approximate_recovers_generator);
     ("approximate flat stays flat", `Quick, test_approximate_flat_stays_flat);
     ("approximate growing keeps growing", `Quick, test_approximate_growing_keeps_growing);

@@ -355,22 +355,21 @@ let fit_kinds =
 
 let kind_name = function
   | Of_kernel k -> k.Kernel.name
-  | Polynomial -> Estima.Approximation.fallback_kernel_name
+  | Polynomial -> "PolyFallback"
   | Constant -> "ConstantFactor"
   | Zero -> "Zero"
 
-(* The fit as the library builds it: Fit.fit's result for a kernel, the
-   polynomial fallback and constant factor as Approximation and
-   Scaling_factor write them, and Extrapolation's zero category. *)
+(* The fit as the library builds it: Fit.fit's result for a kernel, and
+   the polynomial fallback, constant factor and zero category through
+   Fit.of_closure, as Approximation, Scaling_factor and Extrapolation
+   build them. *)
 let fitted_of kind params ~y_scale =
-  let closure kernel_name eval =
-    { Fit.kernel_name; params; y_scale; fit_rmse = 0.0; eval; values_into = Fit.pointwise eval }
-  in
+  let closure eval = Fit.of_closure (kind_name kind) params ~y_scale ~fit_rmse:0.0 eval in
   match kind with
   | Of_kernel k -> Fit.of_kernel k params ~y_scale ~fit_rmse:0.0
-  | Polynomial -> closure Estima.Approximation.fallback_kernel_name (Linear_fit.eval_polynomial params)
-  | Constant -> closure "ConstantFactor" (fun _ -> params.(0))
-  | Zero -> (Estima.Extrapolation.zero_fit "zero" [| 0.0 |]).Estima.Extrapolation.choice.Estima.Approximation.fitted
+  | Polynomial -> closure (Linear_fit.eval_polynomial params)
+  | Constant -> closure (fun _ -> params.(0))
+  | Zero -> closure (fun _ -> 0.0)
 
 let arity = function Of_kernel k -> k.Kernel.arity | Polynomial -> 3 | Constant -> 1 | Zero -> 0
 
@@ -378,15 +377,15 @@ let signed g = QCheck.Gen.(map2 ( *. ) (oneofl [ 1.0; -1.0 ]) g)
 
 let magnitude = QCheck.Gen.(map (fun e -> 10.0 ** e) (float_range (-300.0) 300.0))
 
-(* Coefficients: ordinary, tiny or huge (to 1e300), zero, infinite or
-   NaN. *)
+(* Coefficients: ordinary, tiny or huge (to 1e300), either zero, infinite
+   or NaN. *)
 let coefficient =
   QCheck.Gen.(
     frequency
       [
         (16, float_range (-10.0) 10.0);
         (3, signed magnitude);
-        (1, return 0.0);
+        (1, oneofl [ 0.0; -0.0 ]);
         (1, oneofl [ Float.infinity; Float.neg_infinity; Float.nan ]);
       ])
 
@@ -554,6 +553,21 @@ let prop_values_bit_identical =
     (QCheck.make ~print:print_values values_gen)
     values_agree
 
+(* Every term -0.0: CubicLn at x = 1 (ln x = 0) and Poly25 at x = 0, with
+   a -0.0 constant and negative coefficients.  Summed from 0.0, as
+   [Vec.dot] sums, the value is +0.0; a sum that leaves out the leading
+   0.0 is -0.0. *)
+let test_values_keep_the_sign_of_zero () =
+  let index name =
+    let rec find i = if kind_name fit_kinds.(i) = name then i else find (i + 1) in
+    find 0
+  in
+  List.iter
+    (fun (name, x) ->
+      let c = { v_kind = index name; v_params = [| -0.0; -1.0; -2.0; -3.0 |]; v_y_scale = 1.0; xs = [| x |] } in
+      if not (values_agree c) then Alcotest.failf "differs on %s" (print_values c))
+    [ ("CubicLn", 1.0); ("Poly25", 0.0) ]
+
 let major_words () =
   let _, _, major = Gc.counters () in
   major
@@ -625,4 +639,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_values_bit_identical;
     ("realism scan allocates nothing", `Quick, test_realism_scan_allocates_nothing);
     ("scan grid is per domain", `Quick, test_scan_grid_is_per_domain);
+    ("batched values keep the sign of zero", `Quick, test_values_keep_the_sign_of_zero);
   ]

@@ -106,10 +106,7 @@ let test_realism_rejects_pole () =
     (Fit.realistic fitted ~x_min:1.0 ~x_max:8.0 ~require_nonnegative:true)
 
 let test_realism_rejects_negative () =
-  let eval x = 5.0 -. x in
-  let fitted =
-    { Fit.kernel_name = "lin"; params = [||]; y_scale = 1.0; fit_rmse = 0.0; eval; values_into = Fit.pointwise eval }
-  in
+  let fitted = Fit.of_closure "lin" [||] ~y_scale:1.0 ~fit_rmse:0.0 (fun x -> 5.0 -. x) in
   Alcotest.(check bool) "goes negative" false
     (Fit.realistic fitted ~x_min:1.0 ~x_max:48.0 ~require_nonnegative:true);
   Alcotest.(check bool) "negativity allowed when not required" true
@@ -149,10 +146,7 @@ let test_kernel_applicable () =
    not; a fit at exactly -0.25 times max(y_scale, 1) is realistic for a
    cycle count and the next float down is not. *)
 let test_realism_bounds_are_exact () =
-  let constant ~y_scale v =
-    let eval _ = v in
-    { Fit.kernel_name = "const"; params = [||]; y_scale; fit_rmse = 0.0; eval; values_into = Fit.pointwise eval }
-  in
+  let constant ~y_scale v = Fit.of_closure "const" [||] ~y_scale ~fit_rmse:0.0 (fun _ -> v) in
   List.iter
     (fun y_scale ->
       let bound = 200.0 *. y_scale and slack = -0.25 *. y_scale in

@@ -223,6 +223,18 @@ let test_expected_matches_cli () =
 (* Driver determinism across runs and --jobs                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The report's JSON without its timing members: what two runs of one
+   plan must agree on byte for byte. *)
+let deterministic_summary plan outcome =
+  match Estima_json.Json.parse (Report.to_json plan outcome) with
+  | Ok (Estima_json.Json.Obj members) ->
+      Estima_json.Json.to_string
+        (Estima_json.Json.Obj
+           (List.filter
+              (fun (k, _) -> not (List.mem k [ "elapsed_s"; "throughput_rps"; "latency" ]))
+              members))
+  | _ -> Alcotest.fail "load report is not a JSON object"
+
 let test_driver_deterministic_across_jobs () =
   let plan = quick_plan () in
   let play jobs =
@@ -231,14 +243,14 @@ let test_driver_deterministic_across_jobs () =
   in
   let o1 = play 1 in
   Alcotest.(check bool) "jobs 1 clean" true (Driver.clean o1);
-  let summary = Report.deterministic_summary plan o1 in
+  let summary = deterministic_summary plan o1 in
   (* Across runs: same plan, same server, same aggregates. *)
   Alcotest.(check string) "stable across runs" summary
-    (Report.deterministic_summary plan (play 1));
+    (deterministic_summary plan (play 1));
   (* Across --jobs: parallel dispatch must not change a single byte. *)
   let o4 = play 4 in
   Alcotest.(check bool) "jobs 4 clean" true (Driver.clean o4);
-  Alcotest.(check string) "stable across jobs" summary (Report.deterministic_summary plan o4)
+  Alcotest.(check string) "stable across jobs" summary (deterministic_summary plan o4)
 
 (* ------------------------------------------------------------------ *)
 (* Spawning a server that fails to start                               *)

@@ -24,22 +24,30 @@ let test_rng_seeds_differ () =
   let ys = List.init 8 (fun _ -> Rng.int64 b) in
   Alcotest.(check bool) "different seeds diverge" true (xs <> ys)
 
+(* The uniform float draw is private; [gaussian] reads two per sample
+   through [log (1 - u)] and [sqrt], which stay finite only for u in
+   [0, 1). *)
 let test_rng_float_range () =
   let t = Rng.create 7 in
   for _ = 1 to 10_000 do
-    let x = Rng.float t in
-    if x < 0.0 || x >= 1.0 then Alcotest.failf "float out of range: %g" x
+    let x = Rng.gaussian t ~mu:0.0 ~sigma:1.0 in
+    if not (Float.is_finite x) then Alcotest.failf "uniform draw out of range: gaussian %g" x
   done
 
+(* [bool t p] is [u < p] for the private uniform draw [u], so the
+   fraction of [true] at [p] is the draw's distribution function. *)
 let test_rng_float_mean () =
   let t = Rng.create 11 in
   let n = 50_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Rng.float t
-  done;
-  let mean = !acc /. float_of_int n in
-  if Float.abs (mean -. 0.5) > 0.01 then Alcotest.failf "uniform mean off: %g" mean
+  List.iter
+    (fun p ->
+      let hits = ref 0 in
+      for _ = 1 to n do
+        if Rng.bool t p then incr hits
+      done;
+      let fraction = float_of_int !hits /. float_of_int n in
+      if Float.abs (fraction -. p) > 0.01 then Alcotest.failf "uniform P(u < %g) off: %g" p fraction)
+    [ 0.25; 0.5; 0.75 ]
 
 let test_rng_int_bounds () =
   let t = Rng.create 3 in
@@ -81,14 +89,10 @@ let test_rng_bool_extremes () =
 (* ------------------------------------------------------------------ *)
 
 let test_vec_ops () =
-  let a = Vec.of_list [ 1.0; 2.0; 3.0 ] and b = Vec.of_list [ 4.0; 5.0; 6.0 ] in
+  let a = [| 1.0; 2.0; 3.0 |] and b = [| 4.0; 5.0; 6.0 |] in
   check_float "dot" 32.0 (Vec.dot a b);
   check_float "norm2" (sqrt 14.0) (Vec.norm2 a);
-  check_float "norm_inf" 3.0 (Vec.norm_inf a);
-  check_float "sum" 6.0 (Vec.sum a);
-  Alcotest.(check (array (float 1e-12))) "add" [| 5.0; 7.0; 9.0 |] (Vec.add a b);
-  Alcotest.(check (array (float 1e-12))) "sub" [| -3.0; -3.0; -3.0 |] (Vec.sub a b);
-  Alcotest.(check (array (float 1e-12))) "scale" [| 2.0; 4.0; 6.0 |] (Vec.scale 2.0 a)
+  check_float "norm_inf" 3.0 (Vec.norm_inf a)
 
 let test_vec_mismatch () =
   Alcotest.check_raises "dot mismatch" (Invalid_argument "Vec.dot: dimension mismatch (2 vs 3)") (fun () ->
@@ -100,7 +104,7 @@ let test_vec_finite () =
   Alcotest.(check bool) "inf" false (Vec.all_finite [| Float.infinity |])
 
 let test_vec_minmax () =
-  let v = Vec.of_list [ 3.0; -1.0; 7.0 ] in
+  let v = [| 3.0; -1.0; 7.0 |] in
   check_float "max" 7.0 (Vec.max_elt v);
   check_float "min" (-1.0) (Vec.min_elt v)
 
@@ -162,7 +166,7 @@ let test_qr_least_squares_overdetermined () =
   let a = Mat.of_arrays [| [| 1.0; 0.0 |]; [| 1.0; 1.0 |]; [| 1.0; 2.0 |] |] in
   let b = [| 1.0; 0.0; 2.0 |] in
   let x = Qr.solve_least_squares a b in
-  let r = Vec.sub (Mat.mul_vec a x) b in
+  let r = Array.map2 ( -. ) (Mat.mul_vec a x) b in
   let at_r = Mat.mul_vec (Mat.transpose a) r in
   if Vec.norm_inf at_r > 1e-9 then Alcotest.failf "normal equations violated: %g" (Vec.norm_inf at_r)
 
@@ -240,8 +244,7 @@ let test_stats_quantile () =
 
 let test_stats_argminmax () =
   let xs = [| 3.0; 1.0; 4.0; 1.0; 5.0 |] in
-  Alcotest.(check int) "argmax" 4 (Stats.argmax xs);
-  Alcotest.(check int) "argmin" 1 (Stats.argmin xs)
+  Alcotest.(check int) "argmax" 4 (Stats.argmax xs)
 
 (* ------------------------------------------------------------------ *)
 (* Linear_fit                                                          *)

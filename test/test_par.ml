@@ -312,9 +312,7 @@ let test_repro_output_byte_identical () =
      real experiment-level fan-out: concurrent experiments, captured
      output printed in submission order, the measurement store shared
      across domains. *)
-  let entries =
-    List.map (fun id -> (id, Option.get (Estima_repro.All.find id))) [ "F1"; "F2" ]
-  in
+  let entries = Result.get_ok (Estima_repro.All.resolve [ "F1"; "F2" ]) in
   let output jobs =
     with_jobs jobs (fun () ->
         snd (Estima_repro.Render.with_capture (fun () -> Estima_repro.All.run_many entries)))
@@ -344,11 +342,13 @@ let test_find_case_insensitive () =
     (fun (id, _) ->
       List.iter
         (fun variant ->
-          if Estima_repro.All.find variant = None then
-            Alcotest.failf "lookup of %S (for %s) failed" variant id)
+          match Estima_repro.All.resolve [ variant ] with
+          | Ok [ (found, _) ] when found = id -> ()
+          | _ -> Alcotest.failf "lookup of %S (for %s) failed" variant id)
         [ id; String.lowercase_ascii id; String.capitalize_ascii (String.lowercase_ascii id) ])
     Estima_repro.All.experiments;
-  Alcotest.(check bool) "unknown id is None" true (Estima_repro.All.find "nope" = None)
+  Alcotest.(check bool) "unknown id is an error" true
+    (Result.is_error (Estima_repro.All.resolve [ "nope" ]))
 
 let suite =
   [

@@ -18,22 +18,12 @@ let finite_float = QCheck.float_range (-1e6) 1e6
 
 let nonempty_vec = QCheck.(list_of_size Gen.(int_range 1 20) finite_float)
 
-let prop_vec_add_commutes =
-  QCheck.Test.make ~count ~name:"vec add commutes"
-    QCheck.(pair nonempty_vec nonempty_vec)
-    (fun (a, b) ->
-      let n = min (List.length a) (List.length b) in
-      QCheck.assume (n > 0);
-      let a = Array.of_list (List.filteri (fun i _ -> i < n) a) in
-      let b = Array.of_list (List.filteri (fun i _ -> i < n) b) in
-      Vec.add a b = Vec.add b a)
-
 let prop_dot_linear =
   QCheck.Test.make ~count ~name:"dot is linear in scaling"
     QCheck.(pair (float_range (-100.0) 100.0) nonempty_vec)
     (fun (s, xs) ->
       let v = Array.of_list xs in
-      let lhs = Vec.dot (Vec.scale s v) v in
+      let lhs = Vec.dot (Array.map (fun x -> s *. x) v) v in
       let rhs = s *. Vec.dot v v in
       Float.abs (lhs -. rhs) <= 1e-6 *. Float.max 1.0 (Float.abs rhs))
 
@@ -80,7 +70,7 @@ let prop_qr_solves_spd_systems =
       let x = [| 1.0; -2.0; 3.0 |] in
       let b = Mat.mul_vec a x in
       let solved = Qr.solve_square a b in
-      Vec.norm_inf (Vec.sub solved x) < 1e-8)
+      Vec.norm_inf (Array.map2 ( -. ) solved x) < 1e-8)
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
@@ -236,15 +226,8 @@ let prop_extrapolation_clamped_accounting =
               choice =
                 {
                   Estima.Approximation.fitted =
-                    (let eval n = a +. (b *. n) +. (c *. n *. n) in
-                     {
-                       Fit.kernel_name = "Synthetic";
-                       params = [||];
-                       y_scale = 1.0;
-                       fit_rmse = 0.0;
-                       eval;
-                       values_into = Fit.pointwise eval;
-                     });
+                    Fit.of_closure "Synthetic" [||] ~y_scale:1.0 ~fit_rmse:0.0 (fun n ->
+                        a +. (b *. n) +. (c *. n *. n));
                   prefix = 3;
                   checkpoint_rmse = 0.0;
                 };
@@ -254,7 +237,11 @@ let prop_extrapolation_clamped_accounting =
       in
       let t = { Estima.Extrapolation.fits; threads = grid; target_grid = grid } in
       let per_category =
-        List.map (fun f -> Estima.Extrapolation.category_values t f.Estima.Extrapolation.category) fits
+        List.map
+          (fun f ->
+            Array.map (Float.max 0.0)
+              (Fit.values f.Estima.Extrapolation.choice.Estima.Approximation.fitted (Kernel.grid grid)))
+          fits
       in
       let spc = Estima.Extrapolation.stalls_per_core t in
       Array.for_all Fun.id
@@ -403,7 +390,7 @@ let prop_csv_roundtrip_adversarial =
       let series = Estima_counters.Series.make ~machine ~spec_name:"prop" samples in
       let csv = Estima_counters.Csv_export.series_to_csv series in
       match Estima_counters.Series_io.parse ~machine ~spec_name:"prop" csv with
-      | Error e -> QCheck.Test.fail_report (Estima_counters.Series_io.render_error e)
+      | Error e -> QCheck.Test.fail_report e.Estima_counters.Series_io.msg
       | Ok back ->
           let same_float a b = bits a = bits b in
           Array.length back.Estima_counters.Series.samples = List.length samples
@@ -489,7 +476,6 @@ let prop_series_digest_agrees_with_csv =
 let suite =
   List.map to_alcotest
     [
-      prop_vec_add_commutes;
       prop_dot_linear;
       prop_mean_bounds;
       prop_pearson_bounded;

@@ -46,7 +46,9 @@ let test_lab_sweep_distinct_seed () =
 
 let test_fig1_mispredicts () =
   let r = Fig1_kmeans_time.compute () in
-  Alcotest.(check bool) "time extrapolation mispredicts kmeans" true (Fig1_kmeans_time.mispredicts r)
+  Alcotest.(check bool) "time extrapolation mispredicts kmeans" false
+    (Estima.Diag.Quality.agreement ~predicted:r.Fig1_kmeans_time.baseline_verdict
+       ~measured:r.Fig1_kmeans_time.measured_verdict)
 
 let test_fig2_high_correlation () =
   List.iter
@@ -60,14 +62,16 @@ let test_fig5_walkthrough () =
   let r = Fig5_intruder_walkthrough.compute () in
   let spc = r.Fig5_intruder_walkthrough.prediction.Estima.Predictor.stalls_per_core in
   if not r.Fig5_intruder_walkthrough.per_core_minimum_inside_window then
-    Alcotest.failf "spc: min@%d [1]=%.4g [12]=%.4g [24]=%.4g [48]=%.4g"
-      (Estima_numerics.Stats.argmin spc) spc.(0) spc.(11) spc.(23) spc.(47);
+    Alcotest.failf "spc: min %.4g [1]=%.4g [12]=%.4g [24]=%.4g [48]=%.4g"
+      (Array.fold_left Float.min spc.(0) spc) spc.(0) spc.(11) spc.(23) spc.(47);
   Alcotest.(check bool) "verdicts agree" true
     r.Fig5_intruder_walkthrough.error.Estima.Diag.Quality.verdict_agrees
 
 let test_fig15_wider_window_helps () =
   let r = Fig15_limitations.compute () in
-  Alcotest.(check bool) "24-core window beats 12-core" true (Fig15_limitations.improved r)
+  Alcotest.(check bool) "24-core window beats 12-core" true
+    (r.Fig15_limitations.from_24.Fig15_limitations.max_error
+    < r.Fig15_limitations.from_12.Fig15_limitations.max_error)
 
 let test_all_registry () =
   Alcotest.(check int) "17 experiments" 17 (List.length All.experiments);

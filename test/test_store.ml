@@ -253,7 +253,7 @@ let with_default_store_dir dir f =
 
 let test_repro_warm_cold_identity () =
   let run () =
-    let run = Option.get (Estima_repro.All.find "F5") in
+    let run = snd (List.hd (Result.get_ok (Estima_repro.All.resolve [ "F5" ]))) in
     let (), out = Estima_repro.Render.with_capture run in
     out
   in

@@ -14,8 +14,10 @@ let speedup spec threads = time spec 1 /. time spec threads
 
 let test_registry_counts () =
   Alcotest.(check int) "19 table-4 workloads" 19 (List.length Suite.benchmarks);
-  Alcotest.(check int) "2 production apps" 2 (List.length Suite.production);
-  Alcotest.(check int) "2 fixed variants" 2 (List.length Suite.variants);
+  let production = List.filter (fun e -> e.Suite.family = Suite.Application) Suite.all in
+  Alcotest.(check int) "2 production apps" 2 (List.length production);
+  Alcotest.(check int) "2 fixed variants" 2
+    (List.length Suite.all - List.length Suite.benchmarks - List.length production);
   Alcotest.(check int) "23 total" 23 (List.length Suite.all)
 
 let test_registry_names_unique () =
