@@ -11,11 +11,7 @@ let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
 let plan machine ~spec ~threads ~sockets_used =
   if threads <= 0 || sockets_used <= 0 then invalid_arg "Cache.plan: bad configuration";
   let timing = machine.Topology.timing in
-  let shared_lines =
-    float_of_int
-      (if spec.Spec.footprint_scales_with_threads then spec.Spec.shared_footprint_lines * threads
-       else spec.Spec.shared_footprint_lines)
-  in
+  let shared_lines = float_of_int spec.Spec.shared_footprint_lines in
   let private_lines = float_of_int spec.Spec.private_footprint_lines in
   (* A thread's competitive working set: its private data plus the shared
      data it touches. *)

@@ -22,47 +22,31 @@ type op = {
   barrier_kind : lock_kind;
 }
 
-type scaling = Strong of int | Weak of int
-
 type t = {
   name : string;
-  scaling : scaling;
+  total_ops : int;
   private_footprint_lines : int;
   shared_footprint_lines : int;
-  footprint_scales_with_threads : bool;
   op : op;
 }
 
 let dataset_scale t k =
   if k <= 0.0 then invalid_arg "Spec.dataset_scale: non-positive factor";
   let scale_int n = int_of_float (Float.round (float_of_int n *. k)) in
-  let scaling =
-    match t.scaling with
-    | Strong total -> Strong (scale_int total)
-    | Weak per_thread -> Weak (scale_int per_thread)
-  in
   {
     t with
-    scaling;
+    total_ops = scale_int t.total_ops;
     private_footprint_lines = scale_int t.private_footprint_lines;
     shared_footprint_lines = scale_int t.shared_footprint_lines;
   }
 
 let ops_for t ~threads =
   if threads <= 0 then invalid_arg "Spec.ops_for: non-positive thread count";
-  match t.scaling with
-  | Strong total -> max 1 (total / threads)
-  | Weak per_thread -> per_thread
+  max 1 (t.total_ops / threads)
 
+(* Private data is per thread; the shared dataset is one per run. *)
 let total_footprint_lines t ~threads =
-  (* Private data is per-thread either way; weak scaling additionally grows
-     the shared dataset with the thread count. *)
-  let private_total = t.private_footprint_lines * threads in
-  let shared =
-    if t.footprint_scales_with_threads then t.shared_footprint_lines * threads
-    else t.shared_footprint_lines
-  in
-  private_total + shared
+  (t.private_footprint_lines * threads) + t.shared_footprint_lines
 
 let validate t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in

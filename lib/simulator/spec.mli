@@ -57,27 +57,21 @@ type op = {
           paper's test-and-set fix. *)
 }
 
-type scaling =
-  | Strong of int  (** Total operations, divided across threads. *)
-  | Weak of int  (** Operations per thread. *)
-
 type t = {
   name : string;
-  scaling : scaling;
+  total_ops : int;  (** Total operations, divided across threads (strong scaling). *)
   private_footprint_lines : int;  (** Per-thread private working set. *)
   shared_footprint_lines : int;  (** Shared working set (whole run). *)
-  footprint_scales_with_threads : bool;
-      (** Weak-scaling datasets grow with the thread count. *)
   op : op;
 }
 
 val dataset_scale : t -> float -> t
-(** [dataset_scale t k] multiplies the footprints (and for [Strong] runs the
-    total operation count) by [k]: the paper's Section 4.5 "2x dataset"
-    configuration.  Raises [Invalid_argument] if [k <= 0]. *)
+(** [dataset_scale t k] multiplies the footprints and the total operation
+    count by [k]: the paper's Section 4.5 "2x dataset" configuration.
+    Raises [Invalid_argument] if [k <= 0]. *)
 
 val ops_for : t -> threads:int -> int
-(** Operations each thread executes. *)
+(** Operations each thread executes: [total_ops / threads], at least 1. *)
 
 val total_footprint_lines : t -> threads:int -> int
 

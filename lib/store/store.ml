@@ -55,11 +55,12 @@ module Key = struct
 
   let render_spec b (s : Spec.t) =
     buf_field b "spec=%s" s.Spec.name;
-    (match s.Spec.scaling with
-    | Spec.Strong n -> buf_field b "scaling=strong,%d" n
-    | Spec.Weak n -> buf_field b "scaling=weak,%d" n);
-    buf_field b "footprint=%d,%d,%b" s.Spec.private_footprint_lines s.Spec.shared_footprint_lines
-      s.Spec.footprint_scales_with_threads;
+    (* Every spec scales strongly with a fixed shared footprint; the
+       fields still say so, as they did when the simulator had a
+       weak-scaling mode, so every fingerprint and disk entry stays
+       valid. *)
+    buf_field b "scaling=strong,%d" s.Spec.total_ops;
+    buf_field b "footprint=%d,%d,false" s.Spec.private_footprint_lines s.Spec.shared_footprint_lines;
     let o = s.Spec.op in
     buf_field b "op=%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" o.Spec.useful_cycles
       o.Spec.useful_cv o.Spec.mem_reads o.Spec.mem_writes o.Spec.shared_fraction

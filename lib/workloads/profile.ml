@@ -1,25 +1,16 @@
 open Estima_sim
 
-let make ~name ?total_ops ?ops_per_thread ?(private_footprint_lines = 2048)
-    ?(shared_footprint_lines = 8192) ?(footprint_scales_with_threads = false) ?(useful_cycles = 400.0)
-    ?(useful_cv = 0.08) ?(mem_reads = 4) ?(mem_writes = 1) ?(shared_fraction = 0.1)
-    ?(write_shared_fraction = 0.1) ?(fp_fraction = 0.0) ?(dependency_factor = 0.1)
-    ?(branch_mpki = 1.0) ?(frontend_cycles = 5.0) ?(sync = Spec.No_sync) ?barrier_every
-    ?(barrier_kind = Spec.Mutex) () =
-  let scaling =
-    match (total_ops, ops_per_thread) with
-    | Some _, Some _ -> invalid_arg (name ^ ": total_ops and ops_per_thread are exclusive")
-    | Some n, None -> Spec.Strong n
-    | None, Some n -> Spec.Weak n
-    | None, None -> Spec.Strong 48_000
-  in
+let make ~name ?(total_ops = 48_000) ?(private_footprint_lines = 2048)
+    ?(shared_footprint_lines = 8192) ?(useful_cycles = 400.0) ?(useful_cv = 0.08) ?(mem_reads = 4)
+    ?(mem_writes = 1) ?(shared_fraction = 0.1) ?(write_shared_fraction = 0.1) ?(fp_fraction = 0.0)
+    ?(dependency_factor = 0.1) ?(branch_mpki = 1.0) ?(frontend_cycles = 5.0) ?(sync = Spec.No_sync)
+    ?barrier_every ?(barrier_kind = Spec.Mutex) () =
   let spec =
     {
       Spec.name;
-      scaling;
+      total_ops;
       private_footprint_lines;
       shared_footprint_lines;
-      footprint_scales_with_threads;
       op =
         {
           Spec.useful_cycles;

@@ -11,10 +11,8 @@ open Estima_sim
 val make :
   name:string ->
   ?total_ops:int ->
-  ?ops_per_thread:int ->
   ?private_footprint_lines:int ->
   ?shared_footprint_lines:int ->
-  ?footprint_scales_with_threads:bool ->
   ?useful_cycles:float ->
   ?useful_cv:float ->
   ?mem_reads:int ->
@@ -31,6 +29,5 @@ val make :
   unit ->
   Spec.t
 (** [make ~name ()] is a CPU-bound strong-scaling workload of 48,000 total
-    operations; each optional argument overrides one default.  Passing both
-    [total_ops] and [ops_per_thread] is rejected ([ops_per_thread] selects
-    weak scaling).  The result always passes {!Spec.validate}. *)
+    operations; each optional argument overrides one default.  The result
+    always passes {!Spec.validate}. *)

@@ -16,11 +16,10 @@ let batch = 4
 let intruder_batched =
   let base = Stamp.intruder in
   let o = base.Spec.op in
-  let total = match base.Spec.scaling with Spec.Strong n -> n | Spec.Weak n -> n in
   {
     base with
     Spec.name = "intruder-batched";
-    scaling = Spec.Strong (total / batch);
+    total_ops = base.Spec.total_ops / batch;
     op =
       {
         o with

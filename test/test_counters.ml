@@ -7,10 +7,9 @@ open Estima_counters
 let stm_spec =
   {
     Spec.name = "counters-stm";
-    scaling = Spec.Strong 6_000;
+    total_ops = 6_000;
     private_footprint_lines = 1000;
     shared_footprint_lines = 4000;
-    footprint_scales_with_threads = false;
     op =
       {
         Spec.useful_cycles = 300.0;

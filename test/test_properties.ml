@@ -128,10 +128,9 @@ let small_spec_gen =
 let spec_of (u, r, s, _) =
   {
     Spec.name = "prop";
-    scaling = Spec.Strong 2_000;
+    total_ops = 2_000;
     private_footprint_lines = 1_000;
     shared_footprint_lines = 10_000;
-    footprint_scales_with_threads = false;
     op =
       {
         Spec.useful_cycles = u;

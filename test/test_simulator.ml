@@ -24,30 +24,27 @@ let base_op =
 let cpu_bound_spec =
   {
     Spec.name = "test-cpu";
-    scaling = Spec.Strong 24_000;
+    total_ops = 24_000;
     private_footprint_lines = 1000;
     shared_footprint_lines = 100;
-    footprint_scales_with_threads = false;
     op = { base_op with Spec.mem_reads = 1; mem_writes = 0; shared_fraction = 0.0 };
   }
 
 let memory_bound_spec =
   {
     Spec.name = "test-mem";
-    scaling = Spec.Strong 12_000;
+    total_ops = 12_000;
     private_footprint_lines = 2_000_000;
     shared_footprint_lines = 1_000_000;
-    footprint_scales_with_threads = false;
     op = { base_op with Spec.mem_reads = 24; mem_writes = 8; useful_cycles = 150.0; shared_fraction = 0.8 };
   }
 
 let lock_spec kind =
   {
     Spec.name = "test-lock";
-    scaling = Spec.Strong 12_000;
+    total_ops = 12_000;
     private_footprint_lines = 1000;
     shared_footprint_lines = 2000;
-    footprint_scales_with_threads = false;
     op =
       {
         base_op with
@@ -58,10 +55,9 @@ let lock_spec kind =
 let stm_spec =
   {
     Spec.name = "test-stm";
-    scaling = Spec.Strong 12_000;
+    total_ops = 12_000;
     private_footprint_lines = 1000;
     shared_footprint_lines = 4000;
-    footprint_scales_with_threads = false;
     op =
       {
         base_op with
@@ -73,20 +69,18 @@ let stm_spec =
 let lockfree_spec =
   {
     Spec.name = "test-lf";
-    scaling = Spec.Strong 12_000;
+    total_ops = 12_000;
     private_footprint_lines = 500;
     shared_footprint_lines = 2000;
-    footprint_scales_with_threads = false;
     op = { base_op with Spec.sync = Spec.Lock_free { cas_cost_cycles = 40.0; retry_contention = 0.02 } };
   }
 
 let barrier_spec =
   {
     Spec.name = "test-barrier";
-    scaling = Spec.Strong 6_000;
+    total_ops = 6_000;
     private_footprint_lines = 1000;
     shared_footprint_lines = 100;
-    footprint_scales_with_threads = false;
     op = { base_op with Spec.useful_cv = 0.3; barrier_every = Some 50 };
   }
 
@@ -221,9 +215,10 @@ let test_barrier_makespan_exceeds_nobarrier () =
 let test_smt_slower_than_physical () =
   (* On xeon20, 20 threads use 20 physical cores; 40 threads share cores.
      Per-op cost must rise with SMT sharing. *)
-  let spec = { cpu_bound_spec with Spec.scaling = Spec.Weak 500 } in
-  let r20 = run ~machine:Machines.xeon20 spec 20 in
-  let r40 = run ~machine:Machines.xeon20 spec 40 in
+  (* 500 operations per thread at either count. *)
+  let spec threads = { cpu_bound_spec with Spec.total_ops = 500 * threads } in
+  let r20 = run ~machine:Machines.xeon20 (spec 20) 20 in
+  let r40 = run ~machine:Machines.xeon20 (spec 40) 40 in
   let per_op20 = r20.Engine.cycles /. 500.0 in
   let per_op40 = r40.Engine.cycles /. 500.0 in
   if per_op40 <= per_op20 *. 1.1 then
@@ -232,16 +227,17 @@ let test_smt_slower_than_physical () =
 let test_numa_remote_access_penalty () =
   (* Shared-heavy workload on opteron: crossing sockets must cost more per
      op than staying on one socket (remote fills + queueing on socket 0). *)
-  let spec =
+  (* 300 operations per thread at either count. *)
+  let spec threads =
     {
       memory_bound_spec with
       Spec.name = "numa";
-      scaling = Spec.Weak 300;
+      total_ops = 300 * threads;
       op = { memory_bound_spec.Spec.op with Spec.shared_fraction = 0.8 };
     }
   in
-  let r12 = run spec 12 in
-  let r48 = run spec 48 in
+  let r12 = run (spec 12) 12 in
+  let r48 = run (spec 48) 48 in
   let per_op12 = r12.Engine.cycles /. 300.0 in
   let per_op48 = r48.Engine.cycles /. 300.0 in
   if per_op48 <= per_op12 then Alcotest.failf "no NUMA penalty: %.1f vs %.1f" per_op12 per_op48
@@ -472,7 +468,7 @@ let test_op_loop_allocates_nothing () =
   in
   let k = 6_000 in
   let allocated spec threads ops =
-    let spec = { spec with Spec.scaling = Spec.Strong ops } in
+    let spec = { spec with Spec.total_ops = ops } in
     let before = Gc.minor_words () in
     let r = run spec threads in
     let words = Gc.minor_words () -. before in

@@ -151,17 +151,9 @@ let test_dataset_scale () =
   let doubled = Spec.dataset_scale Stamp.genome 2.0 in
   Alcotest.(check int) "shared footprint doubled" (2 * Stamp.genome.Spec.shared_footprint_lines)
     doubled.Spec.shared_footprint_lines;
-  (match (doubled.Spec.scaling, Stamp.genome.Spec.scaling) with
-  | Spec.Strong a, Spec.Strong b -> Alcotest.(check int) "ops doubled" (2 * b) a
-  | _ -> Alcotest.fail "scaling kind changed");
+  Alcotest.(check int) "ops doubled" (2 * Stamp.genome.Spec.total_ops) doubled.Spec.total_ops;
   Alcotest.check_raises "non-positive factor" (Invalid_argument "Spec.dataset_scale: non-positive factor")
     (fun () -> ignore (Spec.dataset_scale Stamp.genome 0.0))
-
-let test_profile_make_exclusive_scaling () =
-  (try
-     ignore (Profile.make ~name:"bad" ~total_ops:10 ~ops_per_thread:10 ());
-     Alcotest.fail "accepted both scalings"
-   with Invalid_argument _ -> ())
 
 let suite =
   [
@@ -188,5 +180,4 @@ let suite =
     ("memcached saturates mid", `Quick, test_memcached_saturates_mid);
     ("lock-based skiplist plausible", `Quick, test_lockfree_beats_lockbased_skiplist);
     ("dataset scale", `Quick, test_dataset_scale);
-    ("profile make exclusive scaling", `Quick, test_profile_make_exclusive_scaling);
   ]
