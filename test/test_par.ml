@@ -339,11 +339,11 @@ let test_run_one_unknown_lists_all_ids () =
 
 let test_find_case_insensitive () =
   List.iter
-    (fun (id, _) ->
+    (fun (id, run) ->
       List.iter
         (fun variant ->
           match Estima_repro.All.resolve [ variant ] with
-          | Ok [ (found, _) ] when found = id -> ()
+          | Ok [ (_, found) ] when found == run -> ()
           | _ -> Alcotest.failf "lookup of %S (for %s) failed" variant id)
         [ id; String.lowercase_ascii id; String.capitalize_ascii (String.lowercase_ascii id) ])
     Estima_repro.All.experiments;
