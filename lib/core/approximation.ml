@@ -13,7 +13,6 @@ type choice = { fitted : Fit.fitted; prefix : int; checkpoint_rmse : float }
    between them. *)
 let tie_margin = 0.10
 
-(* The kernel name the short-series fallback reports. *)
 let fallback_kernel_name = "PolyFallback"
 
 let candidates config ~points =

@@ -96,9 +96,9 @@ val exit_code : t -> int
 
 val of_exn : subject:string -> exn -> Printexc.raw_backtrace -> t
 (** Wrap an escaped exception as an {!Internal_error} diagnostic of
-    stage [Serve], where the service catches it.  The backtrace is flattened to one line
-    (frames joined by [" <- "]) and truncated to a few hundred bytes so
-    the rendering stays a single sane wire line. *)
+    stage [Serve], where the service catches it.  The backtrace is
+    flattened to one line (frames joined by [" <- "]) and truncated to a
+    few hundred bytes so the rendering stays a single sane wire line. *)
 
 (** Prediction-quality metrics (the paper's Table 4 criteria): maximum
     relative error of predicted against measured execution times, and the

@@ -55,10 +55,10 @@ module Key = struct
 
   let render_spec b (s : Spec.t) =
     buf_field b "spec=%s" s.Spec.name;
-    (* Every spec scales strongly with a fixed shared footprint; the
-       fields still say so, as they did when the simulator had a
-       weak-scaling mode, so every fingerprint and disk entry stays
-       valid. *)
+    (* Every spec scales strongly over a shared footprint fixed for the
+       run.  The key still spells out both, in the fields of the spec
+       format that also had a weak-scaling mode, so every fingerprint
+       and disk entry stays valid. *)
     buf_field b "scaling=strong,%d" s.Spec.total_ops;
     buf_field b "footprint=%d,%d,false" s.Spec.private_footprint_lines s.Spec.shared_footprint_lines;
     let o = s.Spec.op in
