@@ -206,9 +206,9 @@ let prop_approximation_interpolates_linear_data =
 
 let prop_extrapolation_clamped_accounting =
   (* Whatever the per-category curves do — including dipping below zero —
-     [stalls_per_core t.(i) * n] must equal the sum of the clamped
-     [category_values] at every grid point: the per-category view and the
-     total must clamp identically. *)
+     [stalls_per_core t.(i) * n] must equal the sum of each category's
+     fit, clamped at zero, at every grid point: the total clamps each
+     category. *)
   QCheck.Test.make ~count:50 ~name:"stalls per core times n equals sum of clamped categories"
     QCheck.(
       list_of_size
