@@ -15,8 +15,8 @@ module Wire = Estima_service.Wire
 
 (* The cross-binary flags (the machines, --sockets, --jobs, --store)
    come from Config.Args so all three binaries accept the same spellings
-   and print the same errors; the pool wants a concrete size, so the
-   shared optional --jobs resolves through require_jobs. *)
+   and print the same errors; Server.config wants a concrete jobs count,
+   so the shared optional --jobs resolves through require_jobs. *)
 let machine_arg =
   Config.Args.machine ~default:(Machines.restrict_sockets Machines.opteron48 ~sockets:1)
     [ "machine"; "m" ] "Machine the served CSV measurements were collected on."

@@ -100,10 +100,10 @@ module Args = struct
           ~doc:
             "Run parallel work on $(docv) domains.  In $(b,estima_cli) that is the fit \
              search, the confidence bootstrap and the paper experiments, and the default is \
-             $(b,ESTIMA_JOBS), else the host's available parallelism.  In $(b,estima_serve) it \
-             is the request worker pool, default 1; $(b,ESTIMA_JOBS) has no effect there, \
-             because each request's pipeline runs inside one pool task.  Results are \
-             byte-identical to a sequential run regardless of $(docv).")
+             $(b,ESTIMA_JOBS), else the host's available parallelism.  In $(b,estima_serve) the \
+             default is 1 ($(b,ESTIMA_JOBS) has no effect there): a batch's distinct uncached \
+             requests run side by side, and a lone one fans its fit search and bootstrap out.  \
+             Results are byte-identical to a sequential run regardless of $(docv).")
 
   (* --jobs beats ESTIMA_JOBS; without it the env default stays in force. *)
   let apply_jobs = function

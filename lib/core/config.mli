@@ -10,10 +10,10 @@
     the two binaries cannot drift apart on defaults.
 
     The fan-out width is not a field: it is the process-wide knob of
-    {!Estima_par.Fanout}, which [estima_cli] pins once from [--jobs]
-    ({!Args.apply_jobs}) and which never changes the numbers.
-    [estima_serve]'s [--jobs] sizes its request pool instead
-    ({!Args.require_jobs}). *)
+    {!Estima_par.Fanout}, which never changes the numbers.  [estima_cli]
+    pins it once from [--jobs] ({!Args.apply_jobs}); [estima_serve]
+    resolves its [--jobs] to a count ({!Args.require_jobs}), which
+    [Server.create] pins on the same knob. *)
 
 open Estima_kernels
 
@@ -98,8 +98,9 @@ module Args : sig
 
   val require_jobs : default:int -> int option -> int
   (** Resolve the flag to a concrete count for consumers that need one
-      (the serve worker pool): [default] when absent, the value when
-      [>= 1], the same error and [exit 1] otherwise. *)
+      ([estima_serve]'s [Server.config.jobs], which sizes the process's
+      one pool): [default] when absent, the value when [>= 1], the same
+      error and [exit 1] otherwise. *)
 
   val store : string option Cmdliner.Term.t
   (** [--store DIR]; also settable via [ESTIMA_STORE]. *)

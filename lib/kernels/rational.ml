@@ -99,7 +99,6 @@ let initial_guesses ~num_degree ~den_degree ~xs ~ys =
   from_linearisation @ [ constant; ramp ]
 
 let make ~name ~num_degree ~den_degree =
-  if num_degree < 0 || den_degree < 1 then invalid_arg "Rational.make: bad degrees";
   Kernel.make ~name
     ~arity:(num_degree + den_degree + 1)
     ~eval:(eval ~num_degree ~den_degree)

@@ -10,7 +10,3 @@
 val rat22 : Kernel.t
 val rat23 : Kernel.t
 val rat33 : Kernel.t
-
-val make : name:string -> num_degree:int -> den_degree:int -> Kernel.t
-(** General rational kernel constructor; exposed for ablation experiments
-    with other degrees. *)

@@ -1,9 +1,10 @@
 (** Deterministic parallel fan-out.
 
-    This is the layer the pipeline calls: it owns one process-wide
-    {!Pool} sized by the jobs knob ([--jobs] on the executables,
-    [ESTIMA_JOBS] in the environment, the host's available parallelism
-    otherwise) clamped per fan-out to the amount of submitted work, and
+    This is the one parallel layer, which the pipeline and the
+    prediction server call: it owns the process's one {!Pool}, sized by
+    the jobs knob ([--jobs] on the executables, [ESTIMA_JOBS] in the
+    environment, the host's available parallelism otherwise) clamped
+    per fan-out to the amount of submitted work, and
     guarantees that a parallel run is observationally {e byte-identical}
     to the sequential one:
 

@@ -3,9 +3,10 @@
    One shared FIFO of jobs, [jobs - 1] worker domains blocked on it, and
    the calling domain driving its own batch: the caller executes queued
    jobs too while its batch is outstanding, so a pool of size j runs j
-   tasks at once and a size-1 pool never spawns a domain.  Results land
-   at their submission index, which is what makes the parallel fit
-   search order-deterministic. *)
+   tasks at once and a size-1 pool never spawns a domain: its caller
+   runs the batch off the FIFO in submission order.  Results land at
+   their submission index, which is what makes the parallel fit search
+   order-deterministic. *)
 
 type call = {
   mutable remaining : int;
@@ -106,39 +107,23 @@ let rec drive t call =
 let run t xs ~f =
   guard t;
   let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    let task i () =
-      results.(i) <-
-        Some
-          (match f xs.(i) with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-    in
-    if t.jobs = 1 || n = 1 then begin
-      (* Sequential degradation: no queue, no domains — but still "in a
-         task" so that raw nesting is rejected uniformly. *)
-      let flag = Domain.DLS.get in_task_key in
-      let saved = !flag in
-      flag := true;
-      for i = 0 to n - 1 do
-        task i ()
-      done;
-      flag := saved
-    end
-    else begin
-      let call = { remaining = n; finished = Condition.create () } in
-      Mutex.lock t.mutex;
-      for i = 0 to n - 1 do
-        Queue.add { run = task i; owner = call } t.pending
-      done;
-      Condition.broadcast t.nonempty;
-      Mutex.unlock t.mutex;
-      drive t call
-    end;
-    Array.map Option.get results
-  end
+  let results = Array.make n None in
+  let task i () =
+    results.(i) <-
+      Some
+        (match f xs.(i) with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
+  let call = { remaining = n; finished = Condition.create () } in
+  Mutex.lock t.mutex;
+  for i = 0 to n - 1 do
+    Queue.add { run = task i; owner = call } t.pending
+  done;
+  Condition.broadcast t.nonempty;
+  Mutex.unlock t.mutex;
+  drive t call;
+  Array.map Option.get results
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -1,11 +1,12 @@
-(** A small fixed-size domain pool for the fit-search fan-outs.
+(** A small fixed-size domain pool: the one behind {!Fanout}, its only
+    caller.
 
     The pool owns [jobs - 1] worker domains (the calling domain is the
     remaining runner: it executes queued tasks too while waiting, so
-    [jobs] tasks make progress at once and a [jobs = 1] pool degrades to
-    plain sequential execution with no domains spawned at all).  Domains
-    are spawned once at {!create} and reused across {!run} calls until
-    {!shutdown}.
+    [jobs] tasks make progress at once, and a [jobs = 1] pool spawns no
+    domain: its caller runs every task off the queue, in submission
+    order).  Domains are spawned once at {!create} and reused across
+    {!run} calls until {!shutdown}.
 
     Built on [Domain.spawn] only — no dependency beyond the stdlib. *)
 
@@ -22,12 +23,10 @@ val run :
   t -> 'a array -> f:('a -> 'b) -> ('b, exn * Printexc.raw_backtrace) result array
 (** [run t xs ~f] applies [f] to every element, tasks running on up to
     [size t] domains, and never raises on task failure: each slot carries
-    its task's outcome.  An empty input returns [[||]] without touching
-    the queue.
+    its task's outcome.  An empty input returns [[||]].
 
-    The outcome contract, which {!Fanout} (consuming a failure's prefix
-    before re-raising it) and the prediction service's per-request crash
-    containment rely on:
+    The outcome contract, which {!Fanout} relies on when it consumes a
+    failure's prefix before re-raising it:
 
     - [result.(i)] corresponds to [xs.(i)] in submission order, whatever
       order tasks completed in;

@@ -53,7 +53,6 @@ type cache_key = {
 type t = {
   config : config;
   clock : unit -> float;
-  pool : Estima_par.Pool.t;
   (* The fit cache holds each answer's response members, rendered once
      when the entry is filled: a hit splices its own envelope onto the
      exact bytes of the run that filled it.  The confidence resample
@@ -84,6 +83,10 @@ let create ?(clock = Estima_obs.Clock.now_s) config =
   (match Config.validate config.base with
   | Ok () -> ()
   | Error diag -> invalid_arg (Diag.render diag));
+  (* [jobs] sizes the process's one domain pool, the fan-out's: a batch's
+     distinct misses share it, and a lone miss, which runs on the
+     dispatcher, fans its fits and bootstrap out on it. *)
+  Estima_par.Fanout.set_jobs (Some config.jobs);
   (* Point the process-wide measurement store's disk tier where the
      operator asked; [None] leaves ESTIMA_STORE (or memory-only) in
      force.  Workload collections then persist across restarts. *)
@@ -93,7 +96,6 @@ let create ?(clock = Estima_obs.Clock.now_s) config =
   {
     config;
     clock;
-    pool = Estima_par.Pool.create ~jobs:config.jobs;
     cache = Fit_cache.create ~capacity:config.cache_capacity;
     memo = Fit_cache.create ~capacity:config.cache_capacity;
     registry = Metrics.create ();
@@ -253,7 +255,7 @@ let deadline_of t request_timeout =
 
 (* An exception that escapes anywhere on a request's path — dispatcher
    or worker — becomes that request's (and only that request's) typed
-   [internal] error; the server, pool and cache stay usable. *)
+   [internal] error; the server and its cache stay usable. *)
 let internal_error t ~id ~subject ~arrival exn raw_backtrace =
   count t "estima_internal_errors_total";
   count t "estima_errors_total";
@@ -337,7 +339,11 @@ let handle_batch t lines =
             Ready (internal_error t ~id:Json.Null ~subject:"request" ~arrival exn bt))
       lines
   in
-  (* Pass 2 (workers): unique uncached jobs fan out on the pool. *)
+  (* Pass 2 (workers): unique uncached jobs fan out on the process's
+     pool.  Crash containment: each task turns its own exception, with
+     the backtrace of its raise site, into a typed [internal] diagnostic
+     charged to the requests that coalesced onto its key, so a crash is
+     that job's outcome and every other slot proceeds untouched. *)
   let pending =
     List.filter_map (function Run { job; _ } -> Some job | _ -> None) slots
   in
@@ -346,37 +352,29 @@ let handle_batch t lines =
   let jobs = Array.of_list (Hashtbl.fold (fun _ job acc -> job :: acc) unique []) in
   Array.sort (fun a b -> compare a.key b.key) jobs;
   let outcomes =
-    Estima_par.Pool.run t.pool jobs ~f:(fun job ->
-        let t0 = t.clock () in
-        let result = run_pipeline t job in
-        let elapsed = Float.max 0.0 (t.clock () -. t0) in
-        (Result.map (fun answer -> (answer, Protocol.render answer)) result, elapsed))
+    Estima_par.Fanout.map jobs ~f:(fun job ->
+        try
+          let t0 = t.clock () in
+          let result = run_pipeline t job in
+          let elapsed = Float.max 0.0 (t.clock () -. t0) in
+          (Result.map (fun answer -> (answer, Protocol.render answer)) result, elapsed)
+        with exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          (Error (Diag.of_exn ~subject:(spec_of job) exn bt), 0.0))
   in
-  (* Crash containment: a worker exception is an outcome, not a batch
-     failure.  Pool.run already captured exception and backtrace per
-     task; map each to a typed [internal] diagnostic charged to the jobs
-     that coalesced onto that key — every other slot proceeds untouched,
-     and the pool itself is unharmed (it runs every task to completion
-     and stays usable; see Pool.run's contract).  Confidence metrics are
-     recorded here, on the dispatcher, once per unique computed job —
-     coalesced duplicates and cache hits do not re-count resamples. *)
+  (* Confidence metrics are recorded here, on the dispatcher, once per
+     unique computed job — coalesced duplicates and cache hits do not
+     re-count resamples. *)
   let results = Hashtbl.create 16 in
   Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Ok (result, elapsed) ->
-          (match result with
-          | Ok ({ Protocol.confidence = Some c; _ }, _) ->
-              Metrics.Counter.incr ~by:c.Protocol.resamples
-                (Metrics.counter t.registry "estima_confidence_resamples_total");
-              Metrics.Histogram.observe
-                (Metrics.histogram t.registry "estima_confidence_seconds")
-                elapsed
-          | _ -> ());
-          Hashtbl.replace results jobs.(i).key (Result.map snd result)
-      | Error (exn, bt) ->
-          Hashtbl.replace results jobs.(i).key
-            (Error (Diag.of_exn ~subject:(spec_of jobs.(i)) exn bt)))
+    (fun i (result, elapsed) ->
+      (match result with
+      | Ok ({ Protocol.confidence = Some c; _ }, _) ->
+          Metrics.Counter.incr ~by:c.Protocol.resamples
+            (Metrics.counter t.registry "estima_confidence_resamples_total");
+          Metrics.Histogram.observe (Metrics.histogram t.registry "estima_confidence_seconds") elapsed
+      | _ -> ());
+      Hashtbl.replace results jobs.(i).key (Result.map snd result))
     outcomes;
   (* Pass 3 (dispatcher): fill the cache, build responses in order. *)
   let build slot =
@@ -441,8 +439,6 @@ let handle_batch t lines =
   let responses = List.map Lazy.force built in
   (responses, if !shutdown_seen then `Shutdown else `Continue)
 
-let shutdown t =
-  if t.alive then begin
-    t.alive <- false;
-    Estima_par.Pool.shutdown t.pool
-  end
+(* The fan-out's pool and jobs knob belong to the process, not to this
+   server, so shutting down leaves both alone. *)
+let shutdown t = t.alive <- false

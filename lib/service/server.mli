@@ -39,10 +39,13 @@
       (a ["file"] can change on disk, and a ["workload"] already comes
       from the store); each predict whose series came from it counts
       once in [estima_ingest_memo_hits_total];
-    - {b worker pool}: uncached work (deduplicated within the batch by
+    - {b fan-out}: uncached work (deduplicated within the batch by
       cache key — a duplicate payload coalesces onto the in-flight
-      computation and counts as a cache hit) fans out on an
-      {!Estima_par.Pool} of [jobs] domains; responses are byte-identical
+      computation and counts as a cache hit) runs through
+      {!Estima_par.Fanout.map}, on the process's one domain pool, which
+      [jobs] sizes: several misses run side by side, each fitting
+      inline, while a lone miss runs on the dispatcher and fans its own
+      fits and bootstrap out on the pool.  Responses are byte-identical
       for any [jobs];
     - {b metrics}: counters for requests, cache hits/misses, ingest
       memo hits, sheds and failures, plus a latency histogram, rendered
@@ -50,15 +53,16 @@
       every other response of its batch is built, so a scrape counts
       every request of its batch, the latency of its misses included;
     - {b crash containment}: an exception escaping the pipeline (or the
-      dispatcher itself) is captured per request — outcome by outcome
-      from {!Estima_par.Pool.run}, which runs every task to completion —
-      and answered with a typed {!Estima.Diag.Internal_error} (cause
+      dispatcher itself) is captured per request — each fan-out task
+      catches its own, with the backtrace of its raise site, so every
+      other task runs to completion — and answered with a typed
+      {!Estima.Diag.Internal_error} (cause
       ["internal"], exit code 5, message plus a truncated backtrace) on
       the offending request only, counted once per affected request in
       [estima_internal_errors_total] (so it moves in step with
       [estima_errors_total] even when duplicate requests coalesced onto
       one failed computation).  Faulted results never enter the
-      cache, and the server, pool and cache remain fully usable for the
+      cache, and the server and its cache remain fully usable for the
       rest of the batch and for every batch after.
 
     The dispatcher owns the cache and the metrics registry; worker
@@ -72,7 +76,9 @@ type config = {
       (** Machine to extrapolate to; [None] = same as [machine].  Decides
           the default target core count. *)
   base : Estima.Config.t;  (** Pipeline knobs, shared by every request. *)
-  jobs : int;  (** Worker pool size, >= 1. *)
+  jobs : int;
+      (** Domains of the process's one pool, >= 1: {!create} pins
+          {!Estima_par.Fanout.set_jobs} to it. *)
   queue_capacity : int;  (** Max predict requests admitted per batch, >= 1. *)
   cache_capacity : int;  (** LRU entries, >= 1. *)
   default_timeout_ms : int option;
@@ -95,7 +101,10 @@ type t
 
 val create : ?clock:(unit -> float) -> config -> t
 (** Validates the configuration ([Invalid_argument] on nonsense) and
-    spawns the worker pool.  [clock] (seconds; default the monotonic
+    pins the process-wide fan-out width to [jobs]
+    ({!Estima_par.Fanout.set_jobs}; no domain is spawned until a fan-out
+    needs one): the last server created sets it, and {!shutdown} leaves
+    it.  [clock] (seconds; default the monotonic
     {!Estima_obs.Clock.now_s}, so a wall-clock step cannot shed requests
     or stretch deadlines) exists so tests can drive the deadline path
     deterministically. *)
@@ -124,7 +133,9 @@ val handle_batch : t -> string list -> string list * [ `Continue | `Shutdown ]
     whole batch is still processed first). *)
 
 val shutdown : t -> unit
-(** Join the worker pool.  Idempotent; [handle_batch] afterwards raises. *)
+(** Stop the server: [handle_batch] afterwards raises.  Idempotent.  The
+    fan-out's pool and jobs knob belong to the process and are left as
+    they are. *)
 
 (** {1 Fault injection — testing only}
 

@@ -39,27 +39,21 @@ let status_label = function
   | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
 
-let run_cli cmd =
-  let ic = Unix.open_process_in cmd in
-  let out = read_all ic in
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> Ok out
-  | status -> Error (Printf.sprintf "%s: %s" cmd (status_label status))
-
-(* One serve process answers every corpus workload: requests are written
-   up front (they are tiny — far below the pipe buffer), stdin closes,
-   and responses are read to EOF after the shutdown request. *)
-let run_serve cmd request_lines =
+(* [cmd]'s stdout, once it exits 0.  The [input] lines are written to its
+   stdin up front (serve's requests are tiny — far below the pipe
+   buffer; the CLI gets none and never reads), then stdin closes and
+   stdout is read to EOF. *)
+let run_process cmd ~input =
   let ic, oc = Unix.open_process cmd in
   List.iter
     (fun line ->
       output_string oc line;
       output_char oc '\n')
-    request_lines;
+    input;
   close_out oc;
   let out = read_all ic in
   match Unix.close_process (ic, oc) with
-  | Unix.WEXITED 0 -> Ok (List.filter (fun l -> l <> "") (split_lines out))
+  | Unix.WEXITED 0 -> Ok out
   | status -> Error (Printf.sprintf "%s: %s" cmd (status_label status))
 
 let response_text line =
@@ -180,20 +174,24 @@ let run sources =
                     sources
                   @ [ Json.to_string (Json.Obj [ ("op", Json.String "shutdown") ]) ]
                 in
-                match run_serve cmd requests with
+                (* One serve process answers every corpus workload, and
+                   the shutdown request ends it. *)
+                match run_process cmd ~input:requests with
                 | Error msg ->
                     note "jobs=%d: serve: %s" jobs msg;
                     []
-                | Ok lines ->
-                    (* Drop the shutdown acknowledgement ({"bye":true});
-                       responses come back in request order. *)
+                | Ok out ->
+                    (* Drop blank lines and the shutdown acknowledgement
+                       ({"bye":true}); responses come back in request
+                       order. *)
                     let predicts =
                       List.filter
                         (fun l ->
-                          match Json.parse l with
-                          | Ok json -> Json.member "bye" json = None
-                          | Error _ -> true)
-                        lines
+                          l <> ""
+                          && (match Json.parse l with
+                             | Ok json -> Json.member "bye" json = None
+                             | Error _ -> true))
+                        (split_lines out)
                     in
                     if List.length predicts <> List.length sources then begin
                       note "jobs=%d: serve answered %d of %d requests" jobs
@@ -221,7 +219,7 @@ let run sources =
                     @ machine_args source.Backtest.protocol
                     @ [ "--jobs"; string_of_int jobs ])
                 in
-                match run_cli cmd with
+                match run_process cmd ~input:[] with
                 | Ok t -> Some t
                 | Error msg ->
                     where "cli" msg;

@@ -217,7 +217,9 @@ let test_serve_wire_overload_is_4 () =
       }
   in
   Fun.protect
-    ~finally:(fun () -> Server.shutdown server)
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Estima_par.Fanout.set_jobs None)
     (fun () ->
       let csv = benign_csv () in
       let line id =

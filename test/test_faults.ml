@@ -5,7 +5,7 @@
    modes — predict raising, stalling, returning garbage — and asserts
    per-request isolation: the offending request gets a typed [internal]
    error (exit code 5), every other response is byte-identical to an
-   unfaulted server's, and the server, pool and cache remain fully
+   unfaulted server's, and the server and its cache remain fully
    usable afterwards.
 
    End to end, the real binary is driven through both transports with
@@ -90,7 +90,7 @@ let test_poisoned_request_is_isolated () =
       | _ -> Alcotest.fail "expected three responses");
       Alcotest.(check int) "one internal error counted" 1
         (counter_value server "estima_internal_errors_total");
-      (* The server, pool and cache are fully usable afterwards: the
+      (* The server and its cache are fully usable afterwards: the
          healthy payloads hit the cache, and once the fault is cleared
          the poisoned key computes normally (nothing bad was cached). *)
       let again, _ = Server.handle_batch server batch in

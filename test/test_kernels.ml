@@ -133,10 +133,6 @@ let test_fit_noisy_saturating_curve () =
       if f.Fit.fit_rmse > 0.02 *. 4e6 then
         Alcotest.failf "best fit too poor: %s rmse %.3g" f.Fit.kernel_name f.Fit.fit_rmse
 
-let test_rational_make_validation () =
-  Alcotest.check_raises "bad degrees" (Invalid_argument "Rational.make: bad degrees") (fun () ->
-      ignore (Rational.make ~name:"bad" ~num_degree:1 ~den_degree:0))
-
 let test_kernel_applicable () =
   Alcotest.(check bool) "5 points enough for rat22" true (Kernel.applicable Rational.rat22 ~npoints:5);
   Alcotest.(check bool) "4 points not enough" false (Kernel.applicable Rational.rat22 ~npoints:4)
@@ -186,7 +182,6 @@ let suite =
     ("realism rejects pole", `Quick, test_realism_rejects_pole);
     ("realism rejects negative", `Quick, test_realism_rejects_negative);
     ("fit noisy saturating curve", `Quick, test_fit_noisy_saturating_curve);
-    ("rational make validation", `Quick, test_rational_make_validation);
     ("kernel applicable", `Quick, test_kernel_applicable);
     ("realism bounds are exact", `Quick, test_realism_bounds_are_exact);
   ]

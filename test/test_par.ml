@@ -96,8 +96,8 @@ let test_pool_jobs1_sequential () =
             i * i)
       in
       Alcotest.(check (array int)) "results" [| 0; 1; 4; 9 |] (values out);
-      (* jobs = 1 runs inline, so execution order is submission order. *)
-      Alcotest.(check (list int)) "inline order" [ 0; 1; 2; 3 ] (List.rev !order))
+      (* A one-runner pool's caller takes the queue in submission order. *)
+      Alcotest.(check (list int)) "submission order" [ 0; 1; 2; 3 ] (List.rev !order))
 
 exception Boom of int
 

@@ -728,9 +728,15 @@ let make_server ?clock ?(jobs = 1) ?(queue = 64) ?(cache = 16) ?timeout_ms () =
       default_timeout_ms = timeout_ms;
     }
 
+(* [Server.create] pins the process's fan-out width, which outlives the
+   server: reset it, so later suites run at the suite's ESTIMA_JOBS. *)
 let with_server ?clock ?jobs ?queue ?cache ?timeout_ms f =
   let server = make_server ?clock ?jobs ?queue ?cache ?timeout_ms () in
-  Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Estima_par.Fanout.set_jobs None)
+    (fun () -> f server)
 
 let parse_response r =
   match Json.parse r with
@@ -921,12 +927,33 @@ let test_server_scrape_counts_its_batch () =
           | None -> Alcotest.failf "no dump in %s" scrape)
       | _ -> Alcotest.fail "expected two responses")
 
+(* Three batches: four plain misses, which run side by side; one
+   confidence miss alone, which runs on the dispatcher and fans its
+   bootstrap out; and four confidence misses side by side. *)
 let test_server_jobs_byte_identical () =
-  let payloads =
-    List.mapi (fun i name -> predict_line ~id:i (collect_csv name)) [ "kmeans"; "genome"; "ssca2"; "vacation-low" ]
+  let csvs = List.map collect_csv [ "kmeans"; "genome"; "ssca2"; "vacation-low" ] in
+  let batches =
+    [
+      ("plain", List.mapi (fun i csv -> predict_line ~id:i csv) csvs);
+      ("lone confidence", [ predict_line ~id:0 ~v:2 ~confidence:10 (List.hd csvs) ]);
+      ( "four confidence",
+        List.mapi (fun i csv -> predict_line ~id:i ~v:2 ~confidence:(5 + i) csv) csvs );
+    ]
   in
-  let run jobs = with_server ~jobs (fun server -> fst (Server.handle_batch server payloads)) in
-  Alcotest.(check (list string)) "jobs=1 vs jobs=4" (run 1) (run 4)
+  List.iter
+    (fun (what, batch) ->
+      let run jobs = with_server ~jobs (fun server -> fst (Server.handle_batch server batch)) in
+      let sequential = run 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list string)) (Printf.sprintf "%s: jobs=1 vs jobs=%d" what jobs)
+            sequential (run jobs))
+        [ 2; 4 ])
+    batches
+
+let test_server_jobs_pin_fanout () =
+  with_server ~jobs:3 (fun _ ->
+      Alcotest.(check int) "fan-out width" 3 (Estima_par.Fanout.jobs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol version negotiation (v1 default, v2 opt-in)                *)
@@ -1428,4 +1455,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_string_matches_reference;
     ("server memo keys on the CSV's value", `Quick, test_server_memo_by_value);
     QCheck_alcotest.to_alcotest prop_json_member_matches_assoc;
+    ("server jobs pin the fan-out width", `Quick, test_server_jobs_pin_fanout);
   ]
