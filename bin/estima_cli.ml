@@ -241,6 +241,11 @@ let print_confidence ~config ~series ~target_max ~resamples prediction =
       List.iter print_endline (Api.render_confidence_rows prediction c);
       Printf.printf "\nconfidence: %s\n" (Api.render_confidence_verdict c)
 
+(* A --confidence count is checked before any work or output, so a bad
+   one prints nothing on stdout. *)
+let check_resamples =
+  Option.iter (fun resamples -> unwrap_diag (Api.validate_resamples ~resamples))
+
 (* --from predicts the file's measurements as they are, so a flag that
    only shapes a simulated collection would be silently ignored: refuse
    the first one given, by name. *)
@@ -257,6 +262,7 @@ let predict_cmd =
       store confidence =
     apply_jobs jobs;
     apply_store store;
+    check_resamples confidence;
     let measure_machine = restrict measure_machine sockets in
     let series, include_software =
       match (from, entry) with
@@ -320,6 +326,7 @@ let compare_cmd =
   let run entry target seed reps jobs store confidence =
     apply_jobs jobs;
     apply_store store;
+    check_resamples confidence;
     unwrap_diag (Api.validate_repetitions ~spec:entry.Suite.spec ~repetitions:reps);
     let measure_machine = Machines.restrict_sockets target ~sockets:1 in
     let o =

@@ -32,7 +32,7 @@ let queue_arg =
     value & opt int 64
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Bounded request queue: at most $(docv) predict requests are admitted per batch;            the rest are shed with a typed `overloaded` error (exit_code 4 on the wire).")
+          "Bounded request queue: at most $(docv) cache misses are admitted per batch; later            predict requests of the batch are shed with a typed `overloaded` error (exit_code 4            on the wire).")
 
 let cache_arg =
   Arg.(
@@ -45,7 +45,7 @@ let timeout_arg =
     & opt (some int) None
     & info [ "timeout-ms" ] ~docv:"MS"
         ~doc:
-          "Default queue-wait deadline: a request still waiting after $(docv) ms is shed with            a typed `deadline-exceeded` error.  Requests may override with their own            timeout_ms member.  Without this option requests wait forever.")
+          "Default deadline: a cache miss whose batch arrived more than $(docv) ms before its            pipeline would start is shed with a typed `deadline-exceeded` error.  Requests may            override with their own timeout_ms member.  Without this option requests wait            forever.")
 
 let store_arg = Config.Args.store
 

@@ -93,6 +93,16 @@ let predict_traced ?(config = Config.default) ~series ~target_max () =
       in
       (result, Some rendered)
 
+(* Each resample is a full pipeline refit, so the count is capped. *)
+let max_resamples = 1000
+
+let validate_resamples ~resamples =
+  if resamples < 1 || resamples > max_resamples then
+    Diag.error ~stage:Diag.Translate ~subject:"confidence"
+      (Diag.Bad_config
+         { what = Printf.sprintf "resamples %d (need 1..%d)" resamples max_resamples })
+  else Ok ()
+
 (* The confidence wrapper: run the point prediction, then hand the
    pipeline's own fitted curves over the measured window (per stall
    category, plus the translated time curve mapped back to measured
@@ -101,52 +111,48 @@ let predict_traced ?(config = Config.default) ~series ~target_max () =
    byte-identical at any --jobs setting, like the prediction itself. *)
 let predict_with_confidence ?(config = Config.default) ?(resamples = 100)
     ?(residual_scale = 1.0) ~series ~target_max () =
-  if resamples < 1 then
-    Diag.error ~stage:Diag.Translate ~subject:series.Series.spec_name
-      (Diag.Bad_config { what = Printf.sprintf "confidence resamples %d (need >= 1)" resamples })
-  else
-    match predict ~config ~series ~target_max () with
-    | Error d -> Error d
-    | Ok p ->
-        let pc = Config.predictor config in
-        let threads = p.Predictor.extrapolation.Extrapolation.threads in
-        let window = Estima_kernels.Kernel.grid threads in
-        let curves =
-          List.map
-            (fun (f : Extrapolation.category_fit) ->
-              {
-                Confidence.category = f.Extrapolation.category;
-                fitted =
-                  Array.map (Float.max 0.0)
-                    (Estima_kernels.Fit.values f.Extrapolation.choice.Approximation.fitted window);
-                measured = f.Extrapolation.measured;
-              })
-            p.Predictor.extrapolation.Extrapolation.fits
-        in
-        (* predicted_times are in target space (frequency and dataset
-           scaling applied); divide the scales back out so the time
-           residuals live in the same units as the measured series. *)
-        let scale = pc.Predictor.frequency_scale *. pc.Predictor.dataset_factor in
-        let fitted_times =
-          Array.map (fun x -> p.Predictor.predicted_times.(int_of_float x - 1) /. scale) threads
-        in
-        let predict_resample s =
-          match Predictor.predict ~config:pc ~series:s ~target_max () with
-          | Ok r -> Some r.Predictor.predicted_times
-          | Error _ -> None
-        in
-        let grid = p.Predictor.target_grid in
-        let classify times =
-          match Quality.scaling_verdict ~times ~grid with
-          | Quality.Scales -> `Scales
-          | Quality.Stops_at k -> `Stops_at k
-        in
-        let confidence =
-          Confidence.estimate ~residual_scale ~resamples ~series ~curves
-            ~fitted_times ~base_times:p.Predictor.predicted_times ~target_grid:grid
-            ~predict:predict_resample ~classify ()
-        in
-        Ok (p, confidence)
+  match Result.bind (validate_resamples ~resamples) (predict ~config ~series ~target_max) with
+  | Error d -> Error d
+  | Ok p ->
+      let pc = Config.predictor config in
+      let threads = p.Predictor.extrapolation.Extrapolation.threads in
+      let window = Estima_kernels.Kernel.grid threads in
+      let curves =
+        List.map
+          (fun (f : Extrapolation.category_fit) ->
+            {
+              Confidence.category = f.Extrapolation.category;
+              fitted =
+                Array.map (Float.max 0.0)
+                  (Estima_kernels.Fit.values f.Extrapolation.choice.Approximation.fitted window);
+              measured = f.Extrapolation.measured;
+            })
+          p.Predictor.extrapolation.Extrapolation.fits
+      in
+      (* predicted_times are in target space (frequency and dataset
+         scaling applied); divide the scales back out so the time
+         residuals live in the same units as the measured series. *)
+      let scale = pc.Predictor.frequency_scale *. pc.Predictor.dataset_factor in
+      let fitted_times =
+        Array.map (fun x -> p.Predictor.predicted_times.(int_of_float x - 1) /. scale) threads
+      in
+      let predict_resample s =
+        match Predictor.predict ~config:pc ~series:s ~target_max () with
+        | Ok r -> Some r.Predictor.predicted_times
+        | Error _ -> None
+      in
+      let grid = p.Predictor.target_grid in
+      let classify times =
+        match Quality.scaling_verdict ~times ~grid with
+        | Quality.Scales -> `Scales
+        | Quality.Stops_at k -> `Stops_at k
+      in
+      let confidence =
+        Confidence.estimate ~residual_scale ~resamples ~series ~curves
+          ~fitted_times ~base_times:p.Predictor.predicted_times ~target_grid:grid
+          ~predict:predict_resample ~classify ()
+      in
+      Ok (p, confidence)
 
 let render_summary prediction = Format.asprintf "%a" Predictor.pp_summary prediction
 

@@ -141,8 +141,16 @@ val predict :
   (Prediction.t, Diag.t) result
 (** Run the staged pipeline under [config] (default {!Config.default})
     by delegating to {!Predictor.predict}; never raises — see {!Diag} for
-    the failure vocabulary.  The fan-out width is the process-wide
-    {!Estima_par.Fanout} knob. *)
+    the failure vocabulary.  [target_max] runs from the measured window's
+    largest core count up to 1024: a target below the window is a
+    {!Diag.Target_below_window} and one above 1024 a {!Diag.Bad_config}
+    (stage [Extrapolate], exit code 2 either way), returned before any
+    fit.  The modelled machines stop at 48 cores, while the work, the
+    target grid and the rendered answer grow with the target (one
+    served kmeans predict at [--jobs 1] on a 2-vCPU x86 host: 22 ms and
+    a 39 KB answer at 1024 cores, 4 s and 35 MB at 10{^6}), so the
+    limit leaves 20x headroom and bounds what one request costs.  The
+    fan-out width is the process-wide {!Estima_par.Fanout} knob. *)
 
 val predict_traced :
   ?config:Config.t ->
@@ -174,8 +182,17 @@ val predict_with_confidence :
     setting.  [residual_scale] (default 1.0) is a calibration instrument
     — shrinking it deliberately mis-calibrates the bands, which the
     validation gate must detect; leave it alone otherwise.  A
-    [resamples] below 1 is a typed {!Diag.Bad_config}; pipeline failures
-    are the same diagnostics {!predict} returns. *)
+    [resamples] outside {!validate_resamples}' range is its typed
+    {!Diag.Bad_config}, returned before the point prediction runs;
+    pipeline failures are the same diagnostics {!predict} returns. *)
+
+val validate_resamples : resamples:int -> (unit, Diag.t) result
+(** Check a bootstrap resample count before any work: it must be 1 to
+    1000, since each resample is a full pipeline refit (about 14 ms for
+    a 12-core series at [--jobs 1]).  A violation is a typed
+    {!Diag.Bad_config} (stage [Translate], subject ["confidence"], exit
+    code 2).  {!predict_with_confidence}, [estima_cli predict] and
+    [compare] and the server's confidence requests all apply it. *)
 
 (** {1 Rendering}
 

@@ -101,9 +101,9 @@ module Args = struct
             "Run parallel work on $(docv) domains.  In $(b,estima_cli) that is the fit \
              search, the confidence bootstrap and the paper experiments, and the default is \
              $(b,ESTIMA_JOBS), else the host's available parallelism.  In $(b,estima_serve) the \
-             default is 1 ($(b,ESTIMA_JOBS) has no effect there): a batch's distinct uncached \
-             requests run side by side, and a lone one fans its fit search and bootstrap out.  \
-             Results are byte-identical to a sequential run regardless of $(docv).")
+             default is 1 ($(b,ESTIMA_JOBS) has no effect there): requests are answered one at \
+             a time, and each uncached one fans its fit search and bootstrap out.  Results are \
+             byte-identical to a sequential run regardless of $(docv).")
 
   (* --jobs beats ESTIMA_JOBS; without it the env default stays in force. *)
   let apply_jobs = function
@@ -156,5 +156,5 @@ module Args = struct
       & opt ~vopt:(Some 100) (some int) None
       & info [ "confidence" ] ~docv:"RESAMPLES"
           ~doc:
-            "Attach bootstrap confidence bands to the prediction: refit the pipeline on $(docv)            residual resamples of the measured window (default 100) and report p5/p50/p95            predicted times, a stop-point interval and a risk-aware verdict.  Deterministic            and byte-identical at any $(b,--jobs).")
+            "Attach bootstrap confidence bands to the prediction: refit the pipeline on $(docv)            residual resamples of the measured window (default 100; 1 to 1000, checked before            anything is printed) and report p5/p50/p95            predicted times, a stop-point interval and a risk-aware verdict.  Deterministic            and byte-identical at any $(b,--jobs).")
 end

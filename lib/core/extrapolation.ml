@@ -28,6 +28,14 @@ let zero_fit category measured =
    per-category curves must sum to exactly the reported total. *)
 let clamped_eval fit n = Float.max 0.0 (fit.choice.Approximation.fitted.Fit.eval n)
 
+(* The largest target core count a prediction extrapolates to.  The
+   modelled machines stop at 48 cores, and the work, the grid and the
+   rendered answer all grow with the target (one served kmeans predict
+   at --jobs 1 on a 2-vCPU x86 host: 22 ms and a 39 KB answer at 1024
+   cores, 4 s and 35 MB at 10^6), so this leaves 20x headroom while
+   bounding what one request can cost. *)
+let max_target = 1024
+
 let extrapolate ?(config = Approximation.default_config) ~series ~target_max ~include_software
     ~include_frontend () =
   let subject = series.Series.spec_name in
@@ -36,6 +44,10 @@ let extrapolate ?(config = Approximation.default_config) ~series ~target_max ~in
   else if target_max < Series.max_threads series then
     Diag.error ~stage:Diag.Extrapolate ~subject
       (Diag.Target_below_window { target = target_max; window = Series.max_threads series })
+  else if target_max > max_target then
+    Diag.error ~stage:Diag.Extrapolate ~subject
+      (Diag.Bad_config
+         { what = Printf.sprintf "target core count %d (need at most %d)" target_max max_target })
   else begin
   let xs = Series.threads series in
   let categories = Series.categories series ~include_frontend in

@@ -5,8 +5,8 @@
     payload set produce byte-identical request frames — and
     byte-identical {e expected} response lines too, because every
     expected predict response is {!Estima_service.Server.answer} (the
-    function the server answers with, without its dispatcher, cache or
-    coalescing) framed by {!Estima_service.Protocol.answer_response}.  A
+    function the server answers with, without its dispatcher or cache)
+    framed by {!Estima_service.Protocol.answer_response}.  A
     driver ({!Driver}) can therefore verify a live server by plain
     string equality, with no tolerance and no reference process: the
     server is correct iff every response matches its precomputed bytes,

@@ -29,10 +29,14 @@
     [--store DIR] repeated requests read the persisted series instead of
     re-simulating), plus optional ["spec"] (workload name, defaults to
     the file basename), ["target_max"] (defaults to the server's target
-    machine core count), ["timeout_ms"] (overrides the server's default
-    queue deadline for this request) and — v2 only — ["confidence"]
-    (bootstrap resample count, 1..1000: attach p5/p50/p95 confidence
-    bands and a risk-aware verdict to the response).
+    machine core count; from the measured window's largest core count
+    up to 1024, {!Estima.Api.predict}'s limit), ["timeout_ms"]
+    (overrides the server's default deadline for this request, counted
+    from its batch's arrival) and — v2 only — ["confidence"] (bootstrap
+    resample count, 1..1000 as {!Estima.Api.validate_resamples}
+    checks: attach p5/p50/p95 confidence bands and a risk-aware verdict
+    to the response).  A value outside either range is a typed
+    {!Estima.Diag.Bad_config}, exit code 2, answered before any fit.
 
     Successful predict responses carry exactly the text [estima_cli
     predict] prints, split into its parts:
@@ -102,9 +106,10 @@ val parse_request : string -> (request, Json.t * Estima.Diag.t) result
     rendered on their own: the bytes are those of one JSON object
     holding both.
 
-    A [metrics] response is rendered after every other response of its
-    batch is built, so its dump counts every request of the batch,
-    including the latency of the batch's cache misses. *)
+    A [metrics] response is rendered where it stands among its batch's
+    lines, so its dump counts exactly the requests ahead of it on the
+    wire, the latency of their cache misses included, and none after
+    it. *)
 
 type confidence = {
   level : float;

@@ -1,18 +1,24 @@
 (** The prediction server: a transport-independent request dispatcher.
 
     {!handle_batch} takes the request lines a transport has read and
-    returns the response lines to write, in request order.  Everything
-    the tentpole promises lives here, where tests can drive it
-    in-process and deterministically:
+    answers them one at a time, in wire order: each request is counted,
+    parsed, admitted, ingested and looked up in the cache, and a miss is
+    computed and cached, before the next line is read.  Everything the
+    service promises lives here, where tests can drive it in-process
+    and deterministically:
 
-    - {b bounded queue}: at most [queue_capacity] predict requests are
-      admitted per batch; the rest are shed with a typed
-      {!Estima.Diag.Overloaded} before any pipeline work starts;
-    - {b deadlines}: an admitted request whose queue wait already
-      exceeds its deadline (its own ["timeout_ms"] or the server
-      default) is shed with {!Estima.Diag.Deadline_exceeded} instead of
-      computing an answer nobody is waiting for — cache hits are exempt,
-      they are served instantly regardless;
+    - {b bounded queue}: at most [queue_capacity] cache misses are
+      admitted per batch (computed, or shed by their deadline); once
+      that many have been, every later predict of the batch is shed
+      with a typed {!Estima.Diag.Overloaded} before any work.  A
+      duplicate of a miss earlier in the batch is a cache hit, so it
+      takes no place;
+    - {b deadlines}: a miss's deadline (its own ["timeout_ms"] or the
+      server default) is checked just before its pipeline runs, against
+      the time since its batch arrived, so it counts the misses computed
+      ahead of it; past it, the request is shed with
+      {!Estima.Diag.Deadline_exceeded} instead of computing an answer
+      nobody is waiting for.  Cache hits are exempt;
     - {b result cache}: results are cached in an LRU keyed by the
       record of the spec name, a digest of the ingested series' exact
       values ({!Estima_counters.Csv_export.series_digest}: equal exactly
@@ -39,36 +45,38 @@
       (a ["file"] can change on disk, and a ["workload"] already comes
       from the store); each predict whose series came from it counts
       once in [estima_ingest_memo_hits_total];
-    - {b fan-out}: uncached work (deduplicated within the batch by
-      cache key — a duplicate payload coalesces onto the in-flight
-      computation and counts as a cache hit) runs through
-      {!Estima_par.Fanout.map}, on the process's one domain pool, which
-      [jobs] sizes: several misses run side by side, each fitting
-      inline, while a lone miss runs on the dispatcher and fans its own
-      fits and bootstrap out on the pool.  Responses are byte-identical
-      for any [jobs];
+    - {b fan-out}: each miss runs on the dispatcher and fans its own
+      fit search and bootstrap out on the process's one domain pool,
+      which [jobs] sizes; several misses of one batch run one after
+      another.  A miss's rendering enters the cache before the next
+      line, so a duplicate later in the batch is an ordinary hit, while
+      a duplicate of a failed or garbage-faulted miss is computed again
+      and counted as a miss.  Responses are byte-identical for any
+      [jobs];
     - {b metrics}: counters for requests, cache hits/misses, ingest
-      memo hits, sheds and failures, plus a latency histogram, rendered
-      by the [metrics] command via {!Estima_obs.Metrics.render} after
-      every other response of its batch is built, so a scrape counts
-      every request of its batch, the latency of its misses included;
-    - {b crash containment}: an exception escaping the pipeline (or the
-      dispatcher itself) is captured per request — each fan-out task
-      catches its own, with the backtrace of its raise site, so every
-      other task runs to completion — and answered with a typed
-      {!Estima.Diag.Internal_error} (cause
+      memo hits, sheds and failures, plus a latency histogram whose
+      every sample runs from the batch's arrival to the request's own
+      answer, so it includes the misses ahead of it.  The [metrics]
+      command renders them via {!Estima_obs.Metrics.render} where it
+      stands, so a scrape counts exactly the requests ahead of it on the
+      wire, however the transport split them into batches;
+    - {b crash containment}: an exception escaping a request — from
+      the pipeline or from the dispatcher itself — is caught by that
+      request's one handler, with the backtrace of its raise site, and
+      answered with a typed {!Estima.Diag.Internal_error} (cause
       ["internal"], exit code 5, message plus a truncated backtrace) on
-      the offending request only, counted once per affected request in
-      [estima_internal_errors_total] (so it moves in step with
-      [estima_errors_total] even when duplicate requests coalesced onto
-      one failed computation).  Faulted results never enter the
-      cache, and the server and its cache remain fully usable for the
-      rest of the batch and for every batch after.
+      that request only: once its pipeline has started, under the
+      request's id and version and its series' spec name, before that
+      under a null id.  Each is counted in
+      [estima_internal_errors_total], in step with
+      [estima_errors_total].  Faulted results never enter the cache,
+      and the server and its cache remain fully usable for the rest of
+      the batch and for every batch after.
 
-    The dispatcher owns the cache and the metrics registry; worker
-    domains only run {!answer}, the pure pipeline and its rendering.
-    [handle_batch] is therefore not re-entrant — one transport loop
-    calls it sequentially. *)
+    The dispatcher owns the cache and the metrics registry; pool
+    domains only run the fan-outs of one pipeline call.  [handle_batch]
+    is therefore not re-entrant — one transport loop calls it
+    sequentially. *)
 
 type config = {
   machine : Estima_machine.Topology.t;  (** Machine the CSVs were measured on. *)
@@ -79,11 +87,12 @@ type config = {
   jobs : int;
       (** Domains of the process's one pool, >= 1: {!create} pins
           {!Estima_par.Fanout.set_jobs} to it. *)
-  queue_capacity : int;  (** Max predict requests admitted per batch, >= 1. *)
+  queue_capacity : int;  (** Max cache misses admitted per batch, >= 1. *)
   cache_capacity : int;  (** LRU entries, >= 1. *)
   default_timeout_ms : int option;
-      (** Queue-wait deadline applied when a request names none;
-          [None] = requests wait forever. *)
+      (** Deadline of a miss that names none, from its batch's arrival
+          to the start of its pipeline; [None] = requests wait
+          forever. *)
   store_dir : string option;
       (** Directory of the shared measurement store's disk tier
           ({!Estima_store.Store}); [None] leaves the [ESTIMA_STORE]
@@ -128,9 +137,10 @@ val collect_workload :
     all of [machine]'s cores, through {!Estima.Api.collect_checked}. *)
 
 val handle_batch : t -> string list -> string list * [ `Continue | `Shutdown ]
-(** Process one batch of request lines; returns one response line per
-    request, in order, and whether a [shutdown] request was seen (the
-    whole batch is still processed first). *)
+(** Process one batch of request lines, one at a time in order;
+    returns one response line per request, in order, and whether a
+    [shutdown] request was seen (the whole batch is still processed
+    first). *)
 
 val shutdown : t -> unit
 (** Stop the server: [handle_batch] afterwards raises.  Idempotent.  The

@@ -96,15 +96,15 @@ let frame_too_large server ~buffered ~limit =
 (* Answer what one read of [n] bytes completes ([n = 0] is the peer's
    EOF, which also flushes an unterminated final line): the responses to
    the complete lines, then the shed error if the read overflowed the
-   cap — those lines arrived first, so positional clients see wire
-   order.  The error is built (and counted) before the batch runs, so a
-   scrape in the same read counts it. *)
+   cap, built and counted in that order — the order the bytes arrived
+   in, so positional clients see wire order and a scrape counts only
+   what came before it. *)
 let answer server stream ~limit chunk n =
   let lines, shed = frames stream ~limit chunk n in
-  let shed = Option.map (fun buffered -> frame_too_large server ~buffered ~limit) shed in
   let responses, verdict =
     match lines with [] -> ([], `Continue) | lines -> Server.handle_batch server lines
   in
+  let shed = Option.map (fun buffered -> frame_too_large server ~buffered ~limit) shed in
   (responses @ Option.to_list shed, verdict)
 
 (* The bytes to write: what is left of [rest] from [sent] on, then one

@@ -1,19 +1,22 @@
 (** Transports for the prediction server.
 
     Both speak the newline-delimited JSON of {!Protocol}: every complete
-    line that has arrived when the loop wakes up is handed to
-    {!Server.handle_batch} as one batch — a pipelining client thus gets
-    request batching (and within-batch cache dedup) for free, while an
-    interactive client sees one-request batches.
+    line that one read completes is handed to {!Server.handle_batch} as
+    one batch, which answers its lines one at a time, in order.  How a
+    client's bytes split into reads changes no answer and no counter: a
+    duplicate later in a batch is an ordinary cache hit, and a scrape
+    counts exactly the requests ahead of it.  It only moves where a
+    request's latency and deadline start: at its batch's arrival.
 
     Both are bounded against adversarial peers:
 
     - the per-stream input buffer is capped at [max_buffer_bytes]
       (default 1 MiB).  A peer that streams that much without a newline
       is shed: one typed {!Estima.Diag.Frame_too_large} error line is
-      written (and [estima_frame_too_large_total] bumped) after the
+      built (and [estima_frame_too_large_total] bumped) after the
       responses to complete lines from the same read — those requests
-      arrived first, so positional clients see wire order preserved —
+      arrived first, so positional clients see wire order preserved,
+      and a scrape among them does not count the shed —
       the buffered bytes are dropped, and input is discarded until the
       next newline
       resynchronises the stream — memory use stays bounded by one read

@@ -129,9 +129,13 @@ let test_rejects_bad_parameters () =
     | Ok _ -> Alcotest.failf "%s accepted" what
     | Error d -> Alcotest.(check string) what "bad-config" (Diag.cause_label d.Diag.cause)
   in
-  expect "resamples 0"
-    (Api.predict_with_confidence ~config:(config ()) ~resamples:0 ~series:(Lazy.force series)
-       ~target_max:48 ())
+  List.iter
+    (fun resamples ->
+      expect
+        (Printf.sprintf "resamples %d" resamples)
+        (Api.predict_with_confidence ~config:(config ()) ~resamples ~series:(Lazy.force series)
+           ~target_max:48 ()))
+    [ 0; 1001 ]
 
 (* Golden snapshots: the rendered confidence block for two corpus
    workloads.  These are the bytes estima_cli predict --confidence

@@ -238,6 +238,20 @@ let test_extrapolation_target_below_window_rejected () =
   expect_cause "target below window refused" "target-below-window"
     (Extrapolation.extrapolate ~series ~target_max:6 ~include_software:false ~include_frontend:false ())
 
+(* The largest target is 1024 cores; anything past it, max_int
+   included, is a typed bad-config from both entry points, where max_int
+   used to raise Invalid_argument from Array.make. *)
+let test_api_target_above_limit_rejected () =
+  let series = intruder_series () in
+  Alcotest.(check bool) "1024 predicts" true (Result.is_ok (Api.predict ~series ~target_max:1024 ()));
+  List.iter
+    (fun target_max ->
+      let what = Printf.sprintf "target_max %d" target_max in
+      expect_cause (what ^ ": predict") "bad-config" (Api.predict ~series ~target_max ());
+      expect_cause (what ^ ": predict_with_confidence") "bad-config"
+        (Api.predict_with_confidence ~resamples:2 ~series ~target_max ()))
+    [ 1025; 1 lsl 54; max_int ]
+
 let test_extrapolation_missing_category_reported () =
   (* A counter present at some thread counts but absent at others is a
      malformed series: the diagnostic names the category and the first
@@ -637,4 +651,5 @@ let suite =
     ("experiment max error from", `Slow, test_experiment_max_error_from);
     ("experiment cross machine frequency", `Slow, test_experiment_cross_machine_frequency);
     ("predictions do not depend on the unit of time", `Quick, test_time_unit_invariance);
+    ("api target above the limit rejected", `Quick, test_api_target_above_limit_rejected);
   ]

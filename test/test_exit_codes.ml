@@ -25,9 +25,12 @@ let contains = Test_service.contains
 let spawn_serve = Test_service.spawn_serve
 
 (* Runs the CLI (or [exe]) with no input, returns (exit code, combined
-   stdout+stderr). *)
-let run_cli ?(exe = cli_exe) args =
-  let ic = Unix.open_process_in (Filename.quote_command exe args ^ " < /dev/null 2>&1") in
+   stdout+stderr), or stdout alone with [~stderr:false]. *)
+let run_cli ?(exe = cli_exe) ?(stderr = true) args =
+  let ic =
+    Unix.open_process_in
+      (Filename.quote_command exe args ^ " < /dev/null " ^ if stderr then "2>&1" else "2>/dev/null")
+  in
   let buf = Buffer.create 1024 in
   (try
      while true do
@@ -178,6 +181,22 @@ let test_cli_underflowing_times () =
   List.iter
     (fun cells -> if List.mem "0.00000" cells then Alcotest.failf "a row reads 0.00000 in %S" output)
     rows
+
+(* A --confidence count outside 1..1000 is refused before anything is
+   printed: --confidence=0 printed the whole point prediction on stdout
+   and only then exited 2. *)
+let test_cli_bad_resamples_print_nothing () =
+  let path = write_temp "resamples" (benign_csv ()) in
+  List.iter
+    (fun count ->
+      let args = [ "predict"; "--from"; path; "--confidence=" ^ count ] in
+      check_exit ~msg:("--confidence=" ^ count) ~code:2
+        ~substring:(Printf.sprintf "resamples %s (need 1..1000)" count)
+        args;
+      let code, stdout = run_cli ~stderr:false args in
+      Alcotest.(check (pair int string)) ("--confidence=" ^ count ^ ": stdout") (2, "") (code, stdout))
+    [ "0"; "1001" ];
+  Sys.remove path
 
 let test_cli_exit_3_no_realistic_fit () =
   (* data/nofit.csv poisons one stall category with uniformly negative
@@ -385,4 +404,5 @@ let suite =
     ("serve and load read --tcp with one parser", `Quick, test_tcp_addresses);
     ("cli: repro with an unknown id exits 1 naming the valid ids", `Quick, test_repro_unknown_id);
     ("cli: times in 1e-200 units predict without nan", `Quick, test_cli_underflowing_times);
+    ("cli: a resample count outside 1..1000 exits 2 printing nothing", `Quick, test_cli_bad_resamples_print_nothing);
   ]

@@ -780,11 +780,11 @@ let test_server_cache_and_identity () =
       Alcotest.(check int) "a resent frame skips ingest" 1
         (counter_value server "estima_ingest_memo_hits_total");
       Alcotest.(check string) "hit byte-identical to miss" (List.hd first) (List.hd again);
-      (* A duplicate payload within one batch coalesces onto the single
-         in-flight computation: one miss, one hit, identical responses. *)
+      (* A duplicate payload later in one batch finds the answer the
+         first one cached: one miss, one hit, identical responses. *)
       let csv2 = collect_csv ~max:11 "kmeans" in
       let pair, _ = Server.handle_batch server [ predict_line ~id:7 csv2; predict_line ~id:8 csv2 ] in
-      Alcotest.(check int) "coalesced duplicate is a hit" 2
+      Alcotest.(check int) "the later duplicate is a hit" 2
         (counter_value server "estima_cache_hits_total");
       Alcotest.(check int) "one miss for the new payload" 2
         (counter_value server "estima_cache_misses_total");
@@ -910,9 +910,8 @@ let test_server_memo_by_value () =
         ];
       Alcotest.(check int) "three fit-cache hits" 3 (counter_value server "estima_cache_hits_total"))
 
-(* A metrics dump is built after the rest of its batch, so it counts the
-   batch's own miss, whose latency is observed only once its response is
-   built. *)
+(* A metrics dump counts the requests ahead of it in its batch: here the
+   miss, whose latency is observed when it is answered. *)
 let test_server_scrape_counts_its_batch () =
   let csv = collect_csv "kmeans" in
   with_server (fun server ->
@@ -927,9 +926,9 @@ let test_server_scrape_counts_its_batch () =
           | None -> Alcotest.failf "no dump in %s" scrape)
       | _ -> Alcotest.fail "expected two responses")
 
-(* Three batches: four plain misses, which run side by side; one
-   confidence miss alone, which runs on the dispatcher and fans its
-   bootstrap out; and four confidence misses side by side. *)
+(* Three batches: four plain misses; one confidence miss alone; and
+   four confidence misses.  Each miss runs on the dispatcher in turn and
+   fans its fits and bootstrap out on the pool. *)
 let test_server_jobs_byte_identical () =
   let csvs = List.map collect_csv [ "kmeans"; "genome"; "ssca2"; "vacation-low" ] in
   let batches =
@@ -1045,8 +1044,8 @@ let test_protocol_confidence_cache_distinct () =
         (counter_value server "estima_confidence_resamples_total"))
 
 let test_server_queue_full () =
-  (* Four distinct payloads (duplicates would coalesce instead of
-     queueing) against a queue of two. *)
+  (* Four distinct payloads (a duplicate would be a cache hit, which
+     takes no place in the queue) against a queue of two. *)
   let csvs = List.map (fun max -> collect_csv ~max "kmeans") [ 9; 10; 11; 12 ] in
   with_server ~queue:2 (fun server ->
       let lines = List.mapi (fun i csv -> predict_line ~id:i csv) csvs in
@@ -1287,8 +1286,8 @@ let test_soak_1000_requests () =
   (* Small pipelining window: requests carry whole CSVs and responses
      whole prediction tables, so 10 in flight keeps both directions of
      the pipe comfortably under the 64K buffer — no deadlock.  The
-     cache counters do not care how requests clump into batches (the
-     server coalesces duplicates within a batch). *)
+     cache counters do not care how requests clump into batches (a
+     duplicate later in a batch is a hit on what the first cached). *)
   let chunk = 10 in
   let payload_count = List.length payloads in
   let served = ref 0 in
@@ -1416,6 +1415,118 @@ let test_socket_concurrent_clients () =
   | _ -> Alcotest.fail "estima_serve did not exit cleanly");
   Sys.remove path
 
+(* A wire target_max past the library's limit of 1024 is a typed
+   bad-config (exit 2), answered before any fit: max_int and 2^54 used
+   to reach Array.make and the internal-error path. *)
+let test_server_target_limit () =
+  let csv = collect_csv "kmeans" in
+  let line target =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Int target);
+           ("op", Json.String "predict");
+           ("csv", Json.String csv);
+           ("target_max", Json.Int target);
+         ])
+  in
+  with_server (fun server ->
+      let targets = [ max_int; 1 lsl 54; 1025 ] in
+      match Server.handle_batch server (List.map line targets @ [ {|{"op":"metrics"}|} ]) with
+      | responses, _ when List.length responses = 4 ->
+          List.iteri
+            (fun i target ->
+              Alcotest.(check (option (pair string int)))
+                (Printf.sprintf "target_max %d" target)
+                (Some ("bad-config", 2))
+                (error_cause (List.nth responses i)))
+            targets;
+          Alcotest.(check bool) "no internal error in the dump" false
+            (contains ~sub:"estima_internal_errors_total" (List.nth responses 3))
+      | _ -> Alcotest.fail "expected four responses")
+
+let metrics_dump response =
+  match Option.bind (Json.member "metrics" (parse_response response)) Json.to_string_opt with
+  | Some dump -> dump
+  | None -> Alcotest.failf "no dump in %s" response
+
+(* Requests are answered one at a time, in wire order, so a scrape sees
+   exactly the requests ahead of it. *)
+let test_server_scrape_counts_what_is_ahead () =
+  let csv = collect_csv "kmeans" in
+  let scrape id = Printf.sprintf {|{"id":%d,"op":"metrics"}|} id in
+  with_server (fun server ->
+      match Server.handle_batch server [ scrape 1; predict_line ~id:2 csv; scrape 3 ] with
+      | [ first; _; second ], _ ->
+          Alcotest.(check bool) "the first dump has no predict" false
+            (contains ~sub:"estima_predict_total" (metrics_dump first));
+          Alcotest.(check bool) "the second counts it" true
+            (contains ~sub:"counter estima_predict_total 1\n" (metrics_dump second))
+      | _ -> Alcotest.fail "expected three responses")
+
+(* A miss's deadline runs from its batch's arrival, so it includes the
+   misses computed ahead of it: a 20 ms deadline behind a 50 ms miss is
+   shed. *)
+let test_server_deadline_counts_misses_ahead () =
+  let slow = predict_line ~id:1 ~spec:"slow" (collect_csv "kmeans") in
+  let hurried =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Int 2);
+           ("op", Json.String "predict");
+           ("csv", Json.String (collect_csv "genome"));
+           ("timeout_ms", Json.Int 20);
+         ])
+  in
+  with_server (fun server ->
+      Server.inject_fault server ~spec:"slow" (Server.Fault_delay 0.05);
+      match Server.handle_batch server [ slow; hurried ] with
+      | [ a; b ], _ ->
+          Alcotest.(check (option (pair string int))) "the slow miss answers" None (error_cause a);
+          Alcotest.(check (option (pair string int))) "the one behind it is shed"
+            (Some ("deadline-exceeded", 4)) (error_cause b);
+          Alcotest.(check int) "counter" 1 (counter_value server "estima_shed_deadline_total")
+      | _ -> Alcotest.fail "expected two responses")
+
+(* A request's recorded latency runs from its batch's arrival to its own
+   answer: a primed hit queued behind a 50 ms miss records at least
+   50 ms.  The batch's two new samples are read as the histogram's
+   bucket counts before and after it. *)
+let test_server_hit_latency_counts_miss_ahead () =
+  let delay = 0.05 in
+  let hit = predict_line ~id:1 (collect_csv "kmeans") in
+  let slow = predict_line ~id:2 ~spec:"slow" (collect_csv "genome") in
+  let bucket_of value =
+    let h = Estima_obs.Metrics.histogram (Estima_obs.Metrics.create ()) "probe" in
+    Estima_obs.Metrics.Histogram.observe h value;
+    fst (List.hd (Estima_obs.Metrics.Histogram.snapshot h).buckets)
+  in
+  with_server (fun server ->
+      let latency () =
+        Estima_obs.Metrics.Histogram.snapshot
+          (Estima_obs.Metrics.histogram (Server.metrics server) "estima_latency_seconds")
+      in
+      ignore (Server.handle_batch server [ hit ]);
+      Server.inject_fault server ~spec:"slow" (Server.Fault_delay delay);
+      let before = latency () in
+      ignore (Server.handle_batch server [ slow; hit ]);
+      let after = latency () in
+      Alcotest.(check int) "the hit was a hit" 1 (counter_value server "estima_cache_hits_total");
+      let added =
+        List.concat_map
+          (fun (bucket, n) ->
+            let had = Option.value ~default:0 (List.assoc_opt bucket before.buckets) in
+            List.init (n - had) (fun _ -> bucket))
+          after.buckets
+      in
+      Alcotest.(check int) "two samples" 2 (List.length added);
+      List.iter
+        (fun bucket ->
+          if bucket < bucket_of delay then
+            Alcotest.failf "a sample in bucket %d, below the delay's %d" bucket (bucket_of delay))
+        added)
+
 let suite =
   [
     ("json round-trip", `Quick, test_json_roundtrip);
@@ -1456,4 +1567,8 @@ let suite =
     ("server memo keys on the CSV's value", `Quick, test_server_memo_by_value);
     QCheck_alcotest.to_alcotest prop_json_member_matches_assoc;
     ("server jobs pin the fan-out width", `Quick, test_server_jobs_pin_fanout);
+    ("server answers a target past the limit with bad-config", `Quick, test_server_target_limit);
+    ("a scrape counts only the requests ahead of it", `Quick, test_server_scrape_counts_what_is_ahead);
+    ("a miss's deadline counts the misses ahead of it", `Quick, test_server_deadline_counts_misses_ahead);
+    ("a hit's latency counts the miss ahead of it", `Quick, test_server_hit_latency_counts_miss_ahead);
   ]
